@@ -1,9 +1,10 @@
 // Command optima-server is the exploration-as-a-service frontend: a
 // long-lived HTTP server over the evaluation stack. Clients create
 // sessions, submit sweep / adaptive-search / condition-matrix jobs as
-// JSON, and follow live progress over WebSocket; all sessions share one
-// evaluation engine and persistent store, so overlapping submissions
-// from different users dedupe instead of re-evaluating.
+// JSON, and follow live progress as a Server-Sent Events stream (`curl -N`
+// works); all sessions share one evaluation engine and persistent store,
+// so overlapping submissions from different users dedupe instead of
+// re-evaluating.
 //
 // Usage:
 //
@@ -17,15 +18,16 @@
 // set (per-job overrides are accepted in the job request), -cache-dir
 // roots the persistent result store shared by every session. SIGINT and
 // SIGTERM drain gracefully: submissions are refused, running jobs get 30
-// seconds to finish before cancellation, and the store is flushed.
+// seconds to finish before cancellation, every open event stream ends with
+// its job's terminal event, and the store is flushed.
 //
 // -smoke runs a self-check instead of serving: an ephemeral server on
-// 127.0.0.1, one session, one small behavioral sweep job, the WebSocket
-// stream followed to its terminal "done" event, then a clean shutdown.
+// 127.0.0.1, one session, one small behavioral sweep job, its event
+// stream followed to the terminal "done" event, then a clean shutdown.
 // CI runs it to gate the serving path end to end.
 //
 // See the README's "optima-server" section for the endpoint table, the
-// session semantics and the WebSocket event schema.
+// session semantics and the event-stream format.
 package main
 
 import (
@@ -83,7 +85,7 @@ func run() error {
 	slowEval := fs.Duration("slow-eval", 0,
 		"log a warning for any single backend evaluation slower than this (e.g. 2s; 0 = off)")
 	smoke := fs.Bool("smoke", false,
-		"run the serving-path self-check (ephemeral port, one sweep job, WebSocket to done, /metrics scrape) and exit")
+		"run the serving-path self-check (ephemeral port, one sweep job, event stream to done, /metrics scrape) and exit")
 	smokeWorkers := fs.Int("smoke-workers", 0,
 		"with -smoke: spawn this many optima-worker processes and run a matrix job through the remote fleet (requires -worker-bin)")
 	workerBin := fs.String("worker-bin", "",
@@ -141,7 +143,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	slog.Info("serving", "addr", ln.Addr().String(),
@@ -155,12 +157,37 @@ func run() error {
 	case s := <-sig:
 		slog.Info("draining: running jobs get 30s", "signal", s.String())
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	return shutdown(httpSrv, srv, 30*time.Second)
+}
+
+// HTTP server timeouts. There is deliberately no WriteTimeout: it bounds a
+// whole response, and an event stream lasts as long as its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// shutdown drains the HTTP layer, then the jobs, under one deadline. Event
+// streams are in-flight requests, so the HTTP drain waits for them, and
+// each ends with its job's terminal event. Server.Shutdown cancels the jobs
+// still running at the deadline; a last short HTTP drain then lets their
+// streams deliver the "canceled" event before the process exits.
+func shutdown(httpSrv *http.Server, srv *server.Server, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		slog.Error("http shutdown", "err", err)
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		slog.Warn("http drain incomplete; cancelling jobs", "err", err)
 	}
-	return srv.Shutdown(shutCtx)
+	if err := srv.Shutdown(ctx); err != nil {
+		return err
+	}
+	flushCtx, cancelFlush := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelFlush()
+	return httpSrv.Shutdown(flushCtx)
 }
 
 // makeContext mirrors the optima CLI's context construction.
@@ -207,8 +234,8 @@ func makeContext(modelPath string, quick bool, workers int, backend, conditions,
 }
 
 // runSmoke gates the serving path end to end: ephemeral listener, one
-// session, one small behavioral job, WebSocket followed to the terminal
-// event, graceful shutdown. Any deviation is a non-zero exit.
+// session, one small behavioral job, its event stream followed to the
+// terminal event, graceful shutdown. Any deviation is a non-zero exit.
 //
 // With workersN > 0 it gates the distributed path instead: a remote fleet
 // on an ephemeral port, workersN spawned optima-worker processes, and a
@@ -267,7 +294,7 @@ func runSmoke(workersN int, workerBin string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("optima-server: smoke on %s\n", base)
@@ -301,35 +328,18 @@ func runSmoke(workersN int, workerBin string) error {
 	}
 
 	// Follow the stream to the terminal event.
-	ws, err := server.DialWS(base + "/api/sessions/" + sess.ID + "/jobs/" + job.ID + "/ws")
+	followCtx, cancelFollow := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancelFollow()
+	events, err := server.FollowEvents(followCtx, base+"/api/sessions/"+sess.ID+"/jobs/"+job.ID+"/events")
 	if err != nil {
-		return fmt.Errorf("dial ws: %w", err)
+		return fmt.Errorf("event stream: %w", err)
 	}
-	defer ws.Close()
-	deadline := time.After(60 * time.Second)
-	terminal := ""
-	for terminal == "" {
-		select {
-		case <-deadline:
-			return fmt.Errorf("no terminal event within 60s")
-		default:
-		}
-		msg, err := ws.ReadMessage()
-		if err != nil {
-			return fmt.Errorf("ws read: %w", err)
-		}
-		var ev server.Event
-		if err := json.Unmarshal(msg, &ev); err != nil {
-			return fmt.Errorf("ws event: %w", err)
-		}
-		fmt.Printf("optima-server: event %s\n", msg)
-		switch ev.Type {
-		case server.EventDone, server.EventFailed, server.EventCanceled:
-			terminal = ev.Type
-		}
+	for _, ev := range events {
+		data, _ := json.Marshal(ev) // a plain value struct: cannot fail
+		fmt.Printf("optima-server: event %s\n", data)
 	}
-	if terminal != server.EventDone {
-		return fmt.Errorf("job ended %s, want done", terminal)
+	if last := events[len(events)-1]; last.Type != server.EventDone {
+		return fmt.Errorf("job ended %s (%s), want done", last.Type, last.Error)
 	}
 
 	// The job record must agree and carry the result.
@@ -376,12 +386,7 @@ func runSmoke(workersN int, workerBin string) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	if err := srv.Shutdown(shutCtx); err != nil {
+	if err := shutdown(httpSrv, srv, 10*time.Second); err != nil {
 		return err
 	}
 	fmt.Printf("optima-server: smoke ok (%d %s results)\n", resultCount, req["kind"])
@@ -433,19 +438,11 @@ func checkMetrics(url string) error {
 // checkTrace fetches a finished job's trace and fails unless it is valid
 // Chrome trace-format JSON with at least one event (the job span).
 func checkTrace(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
 	var parsed struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&parsed); err != nil {
-		return fmt.Errorf("invalid trace JSON: %w", err)
+	if err := getJSON(url, &parsed); err != nil {
+		return err
 	}
 	if len(parsed.TraceEvents) == 0 {
 		return fmt.Errorf("trace has no events; the job span never reached the recorder")
@@ -454,18 +451,25 @@ func checkTrace(url string) error {
 	return nil
 }
 
+// postJSON posts body as JSON (a nil body posts "null") and decodes the
+// reply into out.
 func postJSON(url string, body any, out any) error {
-	var rd *bytes.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
-	} else {
-		rd = bytes.NewReader(nil)
+	data, err := json.Marshal(body)
+	if err != nil {
+		return err
 	}
-	resp, err := http.Post(url, "application/json", rd)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	return decodeReply(resp, err, out)
+}
+
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
+	return decodeReply(resp, err, out)
+}
+
+// decodeReply decodes a JSON reply into out. A failed request or a non-2xx
+// status is an error, carrying the server's error message.
+func decodeReply(resp *http.Response, err error, out any) error {
 	if err != nil {
 		return err
 	}
@@ -475,19 +479,7 @@ func postJSON(url string, body any, out any) error {
 			Error string `json:"error"`
 		}
 		json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
+		return fmt.Errorf("%s %s: %s: %s", resp.Request.Method, resp.Request.URL, resp.Status, e.Error)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -53,9 +53,9 @@
 // internal/server exposes the exploration stack as a long-lived service
 // (the optima-server command): sessions own at most one active operation,
 // submit sweep / search / condition-matrix jobs over a JSON HTTP API, and
-// stream ordered progress, rung, and terminal events over a hand-rolled
-// RFC 6455 WebSocket layer (stdlib only). Every session shares the one
-// exp.Context engine and store, so overlapping jobs from different
+// stream ordered progress, rung, and terminal events as Server-Sent Events
+// on plain net/http, resumable from a Last-Event-ID. Every session shares
+// the one exp.Context engine and store, so overlapping jobs from different
 // clients dedupe per cell, cancellation (DELETE, teardown, or shutdown
 // drain) abandons only unstarted work without memoizing it, and results
 // reuse the search package's JSON report shapes — byte-identical to the

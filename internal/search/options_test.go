@@ -61,7 +61,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestRunObservers checks the live-progress contract the optima-server
-// streams over WebSocket: OnRung fires once per rung, in order, with
+// streams as job events: OnRung fires once per rung, in order, with
 // exactly the stats recorded in the trace; OnProgress is monotone within
 // each rung and completes every rung's batch.
 func TestRunObservers(t *testing.T) {

@@ -61,8 +61,8 @@ type Options struct {
 	Seed uint64
 	// OnRung, when non-nil, is called after each rung completes — screening
 	// rungs in order, then the fidelity-promotion pass — with that rung's
-	// stats. It is the live-progress hook the optima-server streams over
-	// WebSocket. Called synchronously from Run; keep it fast.
+	// stats. It is the live-progress hook the optima-server streams as
+	// job events. Called synchronously from Run; keep it fast.
 	OnRung func(RungStats)
 	// OnProgress, when non-nil, receives per-cell progress within a rung:
 	// rung is the rung index (the promotion pass reuses the next index, like

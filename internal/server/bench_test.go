@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkServerSubmitSweep measures the full job round trip on a warm
-// store: POST the job, follow its WebSocket stream to the terminal event,
+// store: POST the job, follow its event stream to the terminal event,
 // GET the result. After the first iteration every cell is a memory-tier
 // hit, so this tracks the server's own overhead (routing, session
 // bookkeeping, hub fan-out, JSON) rather than backend time.

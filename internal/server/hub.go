@@ -1,11 +1,12 @@
 package server
 
-// hub.go is the live-progress fan-out: one topic per job, each event
-// marshaled exactly once and broadcast as raw bytes to every subscriber.
-// Topics keep their full event history, so a subscriber attaching after a
-// job finished still replays every event up to and including the terminal
-// one — the CI smoke's "wait for done over WebSocket" never races job
-// completion.
+// hub.go is the live-progress fan-out behind the event streams: one topic
+// per job, each event marshaled exactly once and broadcast as raw bytes to
+// every subscriber. Topics keep their full event history, so a subscriber
+// attaching after a job finished still replays every event up to and
+// including the terminal one, and a client resuming from a seq (its
+// Last-Event-ID) replays exactly what it has not seen — the CI smoke's
+// "follow the stream to done" never races job completion.
 
 import (
 	"encoding/json"
@@ -15,10 +16,10 @@ import (
 	"optima/internal/search"
 )
 
-// Event is one progress message of a job's WebSocket stream. Seq numbers
-// are per job, contiguous from 1, so a consumer can detect a gap (there is
-// none over a single connection — slow consumers are disconnected, not
-// skipped ahead).
+// Event is one progress message of a job's event stream. Seq numbers are
+// per job, contiguous from 1, so a consumer can detect a gap (there is none
+// over a single connection — slow consumers are disconnected, not skipped
+// ahead) and resume after the last seq it saw.
 type Event struct {
 	Seq uint64 `json:"seq"`
 	Job string `json:"job"`
@@ -57,7 +58,7 @@ func (e Event) Terminal() bool {
 // closed) rather than allowed to stall the job's progress callbacks.
 const subBuffer = 64
 
-// Hub routes job events to WebSocket subscribers, one topic per job ID.
+// Hub routes job events to event-stream subscribers, one topic per job ID.
 type Hub struct {
 	// dropped counts slow subscribers disconnected by Publish
 	// (optima_hub_dropped_total); nil until instrument — a nil counter
@@ -68,11 +69,14 @@ type Hub struct {
 	topics map[string]*topic
 }
 
+// topic is one job's stream. history[i] is the event with seq i+1.
 type topic struct {
 	seq     uint64
 	history [][]byte
-	subs    map[chan []byte]bool
-	done    bool
+	// subs maps each live channel to the seq its subscriber resumed after;
+	// only a subscriber that resumed past the current seq skips anything.
+	subs map[chan []byte]uint64
+	done bool
 }
 
 // NewHub returns an empty hub.
@@ -83,7 +87,7 @@ func NewHub() *Hub {
 func (h *Hub) topic(id string) *topic {
 	t := h.topics[id]
 	if t == nil {
-		t = &topic{subs: make(map[chan []byte]bool)}
+		t = &topic{subs: make(map[chan []byte]uint64)}
 		h.topics[id] = t
 	}
 	return t
@@ -108,7 +112,10 @@ func (h *Hub) Publish(job string, ev Event) {
 		panic("server: " + err.Error())
 	}
 	t.history = append(t.history, data)
-	for ch := range t.subs {
+	for ch, after := range t.subs {
+		if ev.Seq <= after {
+			continue
+		}
 		select {
 		case ch <- data:
 		default:
@@ -126,21 +133,26 @@ func (h *Hub) Publish(job string, ev Event) {
 	}
 }
 
-// Subscribe atomically snapshots the topic's history and registers a live
-// channel, so no event is missed or duplicated across the boundary. On a
-// finished topic the returned channel is already closed — the history ends
-// with the terminal event.
-func (h *Hub) Subscribe(job string) ([][]byte, chan []byte) {
+// Subscribe atomically snapshots the topic's history after seq `after` and
+// registers a live channel, so no event is missed or duplicated across the
+// boundary: the events returned and then received carry seqs after+1,
+// after+2, … without a gap. after = 0 replays everything. On a finished
+// topic the returned channel is already closed — the history ends with the
+// terminal event, or is empty when after is at or past it.
+func (h *Hub) Subscribe(job string, after uint64) ([][]byte, chan []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	t := h.topic(job)
-	history := append([][]byte(nil), t.history...)
+	var history [][]byte
+	if after < t.seq {
+		history = append(history, t.history[after:]...)
+	}
 	ch := make(chan []byte, subBuffer)
 	if t.done {
 		close(ch)
 		return history, ch
 	}
-	t.subs[ch] = true
+	t.subs[ch] = after
 	return history, ch
 }
 
@@ -150,12 +162,12 @@ func (h *Hub) Subscribe(job string) ([][]byte, chan []byte) {
 func (h *Hub) Unsubscribe(job string, ch chan []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := h.topics[job]
-	if t == nil || !t.subs[ch] {
-		return
+	if t := h.topics[job]; t != nil {
+		if _, ok := t.subs[ch]; ok {
+			delete(t.subs, ch)
+			close(ch)
+		}
 	}
-	delete(t.subs, ch)
-	close(ch)
 }
 
 // instrument registers the hub's telemetry on a recorder: live topic and
@@ -163,12 +175,12 @@ func (h *Hub) Unsubscribe(job string, ch chan []byte) {
 func (h *Hub) instrument(rec *obs.Recorder) {
 	reg := rec.Metrics()
 	h.dropped = reg.Counter("optima_hub_dropped_total",
-		"WebSocket subscribers disconnected for falling behind the event stream.")
+		"Event-stream subscribers disconnected for falling behind (they resume with Last-Event-ID).")
 	reg.GaugeFunc("optima_hub_topics",
 		"Live progress topics (one per job not yet dropped).",
 		func() float64 { t, _ := h.Counts(); return float64(t) })
 	reg.GaugeFunc("optima_hub_subscribers",
-		"Attached WebSocket subscribers across all topics.",
+		"Attached event-stream subscribers across all topics.",
 		func() float64 { _, s := h.Counts(); return float64(s) })
 }
 

@@ -55,6 +55,16 @@ const (
 	defaultVDACFSSpec = "0.7:1.0:4"
 )
 
+// Request limits, both enforced before anything request-sized is allocated.
+const (
+	// maxRequestBytes caps a job request body; real specs are a few
+	// hundred bytes.
+	maxRequestBytes = 1 << 20
+	// maxPlaneCells caps a job's (corner × condition) plane. The largest
+	// plane a shipped workload evaluates is ~160k cells.
+	maxPlaneCells = 1 << 20
+)
+
 // JobRequest is the body of POST /api/sessions/{sid}/jobs. Axis specs use
 // the `optima search` syntax ("min:max:steps[:log]" or a comma list; τ0 in
 // ns, voltages in V) and default to the CLI's search space. Conditions is
@@ -158,12 +168,6 @@ func (j *job) finish(state string, result json.RawMessage, stats engine.Stats, e
 	}
 }
 
-func (j *job) currentState() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 func (j *job) setSpan(id obs.SpanID) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -236,6 +240,20 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 			return plan{}, err
 		}
 	}
+	// Size the plane from the axis specs alone: materializing it first
+	// (Space.Configs) is exactly the allocation the limit prevents. The
+	// product is taken in float64 so huge step counts cannot overflow.
+	cells := float64(conds.Len())
+	for _, a := range []search.Axis{space.Tau0, space.VDAC0, space.VDACFS} {
+		n := len(a.Values)
+		if n == 0 {
+			n = a.Steps
+		}
+		cells *= float64(n)
+	}
+	if cells > maxPlaneCells {
+		return plan{}, fmt.Errorf("job plane of %.0f cells (corners × conditions) exceeds the %d-cell limit", cells, maxPlaneCells)
+	}
 	backend := req.Backend
 	if backend == "" {
 		backend = engine.BackendBehavioral
@@ -250,16 +268,13 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 	progress := s.progressFunc(jobID)
 
 	switch req.Kind {
-	case KindSweep:
-		if conds.Len() != 1 {
+	case KindSweep, KindMatrix:
+		if req.Kind == KindSweep && conds.Len() != 1 {
 			return plan{}, fmt.Errorf("sweep evaluates one condition, got %d (%s); use kind=matrix for the cross-condition plane", conds.Len(), conds)
 		}
-		cfgs, err := space.Configs()
+		cfgs, err := space.Configs() // fails on a space with no valid corner
 		if err != nil {
 			return plan{}, err
-		}
-		if len(cfgs) == 0 {
-			return plan{}, fmt.Errorf("the space has no valid corners")
 		}
 		return plan{
 			run: func(ctx context.Context, parent obs.SpanID) (any, error) {
@@ -272,29 +287,8 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				return SweepResult{Condition: conds.String(), Points: search.FrontPoints(mat.Col(0))}, nil
-			},
-			stats: eng.Stats,
-		}, nil
-
-	case KindMatrix:
-		cfgs, err := space.Configs()
-		if err != nil {
-			return plan{}, err
-		}
-		if len(cfgs) == 0 {
-			return plan{}, fmt.Errorf("the space has no valid corners")
-		}
-		return plan{
-			run: func(ctx context.Context, parent obs.SpanID) (any, error) {
-				mat, err := eng.EvaluateMatrixOpts(cfgs, conds, engine.BatchOptions{
-					Ctx:        ctx,
-					OnProgress: func(done, total int) { progress(0, done, total) },
-					Recorder:   s.rec,
-					ParentSpan: parent,
-				})
-				if err != nil {
-					return nil, err
+				if req.Kind == KindSweep {
+					return SweepResult{Condition: conds.String(), Points: search.FrontPoints(mat.Col(0))}, nil
 				}
 				return MatrixResult{Conditions: conds.String(), Robust: search.RobustPoints(dse.RobustFromMatrix(mat))}, nil
 			},
@@ -350,7 +344,7 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 
 // progressFunc returns the per-cell progress callback for a job, throttled
 // to ~100 events per batch (plus rung transitions and the final cell) so
-// a 100k-cell sweep does not push 100k WebSocket frames — and so topic
+// a 100k-cell sweep does not push 100k stream events — and so topic
 // histories stay bounded. Calls are serialized by the engine per batch and
 // rungs run sequentially, so the closure needs no lock.
 func (s *Server) progressFunc(jobID string) func(rung, done, total int) {

@@ -31,11 +31,11 @@ func goroutineID(block string) string {
 }
 
 // leakCheck fails the test if goroutines it started outlive it: the
-// subscriber fan-out, WebSocket read pumps, job runners and shutdown
-// drains must all terminate with their owners. Teardown is asynchronous
-// (connection readers notice the close on their next read, runners drain
-// in-flight evaluations), so the check retries for up to two seconds
-// before dumping the stacks of the survivors.
+// subscriber fan-out, event-stream handlers, HTTP connections, job runners
+// and shutdown drains must all terminate with their owners. Teardown is
+// asynchronous (connection readers notice the close on their next read,
+// runners drain in-flight evaluations), so the check retries for up to two
+// seconds before dumping the stacks of the survivors.
 func leakCheck(t *testing.T) {
 	t.Helper()
 	before := map[string]bool{}

@@ -1,8 +1,9 @@
 // Package server is the exploration-as-a-service layer: a long-lived HTTP
 // server (stdlib net/http only) exposing the evaluation stack to multiple
 // concurrent users. Clients create sessions, submit sweep / adaptive-search
-// / condition-matrix jobs, and follow live progress over WebSocket (a
-// hand-rolled RFC 6455 subset — no dependencies).
+// / condition-matrix jobs, and follow live progress as a Server-Sent Events
+// stream (text/event-stream on plain net/http; FollowEvents is the client,
+// `curl -N` works too), resuming after a Last-Event-ID without a gap.
 //
 // The concurrency model has two layers. Per session, operations are
 // serialized: a session holds at most one active job (submitting into a
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,7 +121,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /api/sessions/{sid}/jobs", s.handleSubmitJob)
 	s.mux.HandleFunc("GET /api/sessions/{sid}/jobs/{jid}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /api/sessions/{sid}/jobs/{jid}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /api/sessions/{sid}/jobs/{jid}/ws", s.handleJobWS)
+	s.mux.HandleFunc("GET /api/sessions/{sid}/jobs/{jid}/events", s.handleJobEvents)
 	s.mux.HandleFunc("GET /api/sessions/{sid}/jobs/{jid}/trace", s.handleJobTrace)
 }
 
@@ -166,16 +168,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Snapshot in sessOrder (creation order), not map order: the cancel
-		// fan-out is then deterministic, so a drain-deadline shutdown logs
-		// and unwinds identically across runs.
-		s.mu.Lock()
-		sessions := make([]*session, 0, len(s.sessOrder))
-		for _, id := range s.sessOrder {
-			sessions = append(sessions, s.sessions[id])
-		}
-		s.mu.Unlock()
-		for _, sess := range sessions {
+		// Creation order, not map order: the cancel fan-out is then
+		// deterministic, so a drain-deadline shutdown logs and unwinds
+		// identically across runs.
+		for _, sess := range s.orderedSessions() {
 			sess.cancelActive()
 		}
 		<-done // cancelled jobs unwind quickly (cells are abandoned)
@@ -242,12 +238,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Hub.Topics, resp.Hub.Subscribers = s.hub.Counts()
 	resp.Hub.DroppedSlow = s.hub.dropped.Value()
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessOrder))
-	for _, id := range s.sessOrder {
-		sessions = append(sessions, s.sessions[id])
-	}
-	s.mu.Unlock()
+	sessions := s.orderedSessions()
 	resp.Sessions = len(sessions)
 	// Per-session counts walk creation order so the response is stable
 	// across identical states (map order would shuffle it per request).
@@ -280,17 +271,23 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessOrder))
-	for _, id := range s.sessOrder {
-		sessions = append(sessions, s.sessions[id])
-	}
-	s.mu.Unlock()
+	sessions := s.orderedSessions()
 	out := make([]SessionStatus, len(sessions))
 	for i, sess := range sessions {
 		out[i] = sess.status()
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// orderedSessions snapshots the live sessions in creation order.
+func (s *Server) orderedSessions() []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sessions := make([]*session, len(s.sessOrder))
+	for i, id := range s.sessOrder {
+		sessions[i] = s.sessions[id]
+	}
+	return sessions
 }
 
 // lookupSession resolves {sid}, writing the 404 itself on a miss.
@@ -327,20 +324,22 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
+	// Look up and remove in one critical section: of two concurrent
+	// DELETEs only the one that removes the entry tears the session down;
+	// the other sees a 404.
+	sid := r.PathValue("sid")
+	s.mu.Lock()
+	sess := s.sessions[sid]
+	if sess != nil {
+		delete(s.sessions, sid)
+		s.sessOrder = slices.DeleteFunc(s.sessOrder, func(id string) bool { return id == sid })
+	}
+	s.mu.Unlock()
 	if sess == nil {
+		writeError(w, http.StatusNotFound, "no session %q", sid)
 		return
 	}
 	sess.cancelActive()
-	s.mu.Lock()
-	delete(s.sessions, sess.id)
-	for i, id := range s.sessOrder {
-		if id == sess.id {
-			s.sessOrder = append(s.sessOrder[:i], s.sessOrder[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
 	s.sm.sessions.Add(-1)
 	slog.Info("session deleted", "session", sess.id, "jobs", len(sess.jobIDs()))
 	// Disconnect watchers and free the event histories. A still-running
@@ -362,7 +361,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
@@ -400,60 +399,17 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Delivering the cancellation is all DELETE does; the job reaches its
-	// terminal state asynchronously (watch the WebSocket or poll GET). On
+	// terminal state asynchronously (follow its events or poll GET). On
 	// an already-finished job this is a no-op returning the final state.
 	sess.cancelJob(j.id)
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-func (s *Server) handleJobWS(w http.ResponseWriter, r *http.Request) {
-	_, j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	ws, err := upgradeWS(w, r)
-	if err != nil {
-		return // upgradeWS already wrote the HTTP error
-	}
-	history, ch := s.hub.Subscribe(j.id)
-	// Reader: the only frames a client sends are control frames; its job
-	// is to detect a hang-up and detach the subscription so the writer
-	// loop below unblocks (Unsubscribe closes ch).
-	go func() {
-		for {
-			if _, err := ws.ReadMessage(); err != nil {
-				s.hub.Unsubscribe(j.id, ch)
-				ws.conn.Close()
-				return
-			}
-		}
-	}()
-	for _, msg := range history {
-		if ws.WriteMessage(msg) != nil {
-			s.hub.Unsubscribe(j.id, ch)
-			ws.conn.Close()
-			return
-		}
-	}
-	for msg := range ch {
-		if ws.WriteMessage(msg) != nil {
-			s.hub.Unsubscribe(j.id, ch)
-			ws.conn.Close()
-			return
-		}
-	}
-	// Topic closed (terminal event delivered): complete the close
-	// handshake and let the reader goroutine exit on the closed conn.
-	ws.Close()
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The header is gone; nothing useful to do but drop the conn.
-		_ = err
-	}
+	// On a write error the header is gone; nothing useful is left to do.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -115,34 +115,22 @@ func submitJob(t testing.TB, base, sid string, req map[string]any) string {
 	return st.ID
 }
 
-// watchToTerminal follows a job's WebSocket stream to its terminal event
-// and returns every event seen.
+// eventsURL is a job's event-stream endpoint.
+func eventsURL(base, sid, jid string) string {
+	return base + "/api/sessions/" + sid + "/jobs/" + jid + "/events"
+}
+
+// watchToTerminal follows a job's event stream to its terminal event and
+// returns every event seen.
 func watchToTerminal(t testing.TB, base, sid, jid string) []Event {
 	t.Helper()
-	ws, err := DialWS(base + "/api/sessions/" + sid + "/jobs/" + jid + "/ws")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	events, err := FollowEvents(ctx, eventsURL(base, sid, jid))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("job %s: stream failed after %d events: %v", jid, len(events), err)
 	}
-	defer ws.Close()
-	var events []Event
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s: no terminal event within deadline (saw %d events)", jid, len(events))
-		}
-		msg, err := ws.ReadMessage()
-		if err != nil {
-			t.Fatalf("job %s: ws read after %d events: %v", jid, len(events), err)
-		}
-		var ev Event
-		if err := json.Unmarshal(msg, &ev); err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, ev)
-		if ev.Terminal() {
-			return events
-		}
-	}
+	return events
 }
 
 func jobStatus(t testing.TB, base, sid, jid string) JobStatus {
@@ -221,7 +209,8 @@ func TestServerCrossSessionDedupe(t *testing.T) {
 // TestServerSearchMatchesDirectRun: a search job's result is byte-identical
 // to search.Run through the library at a different worker count (the
 // CLI-parity and worker-invariance acceptance criterion), and its rung
-// events arrive over WebSocket in rung order, matching the result's trace.
+// events arrive on the event stream in rung order, matching the result's
+// trace.
 func TestServerSearchMatchesDirectRun(t *testing.T) {
 	srv := New(testExp(t))
 	ts := httptest.NewServer(srv.Handler())
@@ -422,6 +411,10 @@ func TestServerRequestValidation(t *testing.T) {
 		{"negative budget", map[string]any{"kind": "search", "budget": -3}, "budget -3"},
 		{"sub-unity eta", map[string]any{"kind": "search", "eta": 0.5}, "must exceed 1"},
 		{"unknown field", map[string]any{"kind": "sweep", "bogus": true}, "bogus"},
+		{"oversized body", map[string]any{"kind": "sweep", "tau0": strings.Repeat("0.2,", maxRequestBytes/4+1)}, "too large"},
+		// 100000 × 3 × 4 default corners at one condition: 1.2M cells. The
+		// check must reject it from the axis specs, before materializing.
+		{"oversized plane", map[string]any{"kind": "sweep", "tau0": "0.16:0.28:100000"}, "exceeds the 1048576-cell limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -440,6 +433,45 @@ func TestServerRequestValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/sessions/"+sid+"/jobs/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("get unknown job: %d, want 404", code)
+	}
+}
+
+// TestServerConcurrentSessionDelete: of two concurrent DELETEs of one
+// session exactly one tears it down (204) and the other gets 404, so the
+// live-sessions gauge never goes negative. Holding the session's own lock
+// parks the tearing-down handler in cancelActive; the other must answer
+// 404 meanwhile — a check-then-delete handler parks both there instead.
+func TestServerConcurrentSessionDelete(t *testing.T) {
+	srv := New(testExp(t))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	sid := createSession(t, ts.URL)
+	srv.mu.Lock()
+	sess := srv.sessions[sid]
+	srv.mu.Unlock()
+	codes := make(chan int, 2)
+	sess.mu.Lock()
+	for range 2 {
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/api/sessions/"+sid, nil))
+			codes <- rec.Code
+		}()
+	}
+	var first int
+	select {
+	case first = <-codes:
+	case <-time.After(5 * time.Second):
+		sess.mu.Unlock()
+		t.Fatal("no DELETE answered while one was tearing the session down: both passed the lookup")
+	}
+	sess.mu.Unlock()
+	if second := <-codes; first != http.StatusNotFound || second != http.StatusNoContent {
+		t.Fatalf("concurrent DELETEs answered %d then %d, want 404 then 204", first, second)
+	}
+	if v := srv.sm.sessions.Value(); v != 0 {
+		t.Fatalf("optima_sessions_active = %v after deleting the session, want 0", v)
 	}
 }
 

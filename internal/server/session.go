@@ -53,15 +53,13 @@ func (s *session) end(jobID string) {
 }
 
 // cancelJob cancels the job's context if it is the session's active
-// operation; reports whether a cancellation was delivered.
-func (s *session) cancelJob(jobID string) bool {
+// operation.
+func (s *session) cancelJob(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.opJob == jobID && s.cancel != nil {
 		s.cancel()
-		return true
 	}
-	return false
 }
 
 // cancelActive cancels whatever operation is running (session teardown,
