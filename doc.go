@@ -79,8 +79,10 @@
 // and a metrics registry of counters, gauges, and histograms. Every layer
 // instruments against one obs.Recorder — engine batches and backend
 // evaluations, golden trim calibrations and their per-code transients,
-// store opens/migrations/compactions and hot-path hits, search rungs, and
-// server job lifecycles. The spans export as Chrome trace-format JSON
+// store opens/compactions and hot-path hits, search rungs, remote
+// dispatches, and server job lifecycles. Each count has one home — an
+// atomic the counting component owns, read both by its Stats and by the
+// registry — so the two views never drift. The spans export as Chrome trace-format JSON
 // (the CLIs' -trace-out flag, the server's per-job trace endpoint; opens
 // in Perfetto), the metrics as Prometheus text on the server's GET
 // /metrics and as the CLIs' end-of-run summary. A nil recorder disables

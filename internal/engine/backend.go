@@ -262,9 +262,11 @@ type Golden struct {
 
 	mu    sync.Mutex
 	trims map[mult.Config]*trimEntry
-	// trimCals counts trim calibrations actually run (observability for
-	// tests and the trim-cache benchmark).
-	trimCals atomic.Int64
+	// cals counts the trim calibrations actually run: the one home of
+	// TrimCalibrations and of the optima_trim_calibrations_total series. It
+	// is allocated apart from the backend so that a registry holding it
+	// never keeps the trim cache alive.
+	cals *atomic.Uint64
 }
 
 // trimEntry is one trim-cache slot with singleflight semantics: the first
@@ -278,7 +280,7 @@ type trimEntry struct {
 
 // NewGoldenBackend returns a golden backend with an empty trim cache.
 func NewGoldenBackend(tech device.Tech, scfg spice.Config) *Golden {
-	return &Golden{Tech: tech, Spice: scfg, trims: map[mult.Config]*trimEntry{}}
+	return &Golden{Tech: tech, Spice: scfg}
 }
 
 // Name implements Backend.
@@ -288,7 +290,14 @@ func (*Golden) Name() string { return BackendGolden }
 // each) the backend has run — evaluations beyond the first per configuration
 // hit the cache and add nothing, including concurrent first evaluations
 // (singleflight).
-func (g *Golden) TrimCalibrations() int64 { return g.trimCals.Load() }
+func (g *Golden) TrimCalibrations() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cals == nil {
+		return 0
+	}
+	return int64(g.cals.Load())
+}
 
 // trimFor returns the configuration's ADC trim, calibrating on first use
 // with up to intra workers. Concurrent first calls of the same
@@ -296,12 +305,13 @@ func (g *Golden) TrimCalibrations() int64 { return g.trimCals.Load() }
 // computes, the rest wait on its done channel (the same claimed-entry
 // pattern as the engine's result cache). Errors are cached — the
 // calibration is deterministic, so a failing configuration fails the same
-// way every time. A calibration that runs is counted in TrimCalibrations
-// and in rec's registry.
+// way every time. A calibration that runs is counted in TrimCalibrations,
+// which rec's registry reads.
 func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent obs.SpanID) (mult.GoldenTrim, error) {
 	g.mu.Lock()
 	if g.trims == nil {
 		g.trims = map[mult.Config]*trimEntry{}
+		g.cals = new(atomic.Uint64)
 	}
 	if ent, ok := g.trims[cfg]; ok {
 		g.mu.Unlock()
@@ -310,11 +320,12 @@ func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent o
 	}
 	ent := &trimEntry{done: make(chan struct{})}
 	g.trims[cfg] = ent
+	cals := g.cals
 	g.mu.Unlock()
 
-	g.trimCals.Add(1)
-	rec.Metrics().Counter("optima_trim_calibrations_total",
-		"golden ADC trim calibrations run (16 transients each)").Inc()
+	rec.Metrics().CounterOf("optima_trim_calibrations_total",
+		"golden ADC trim calibrations run (16 transients each)", cals)
+	cals.Add(1)
 	var arg string
 	if rec != nil {
 		arg = fmt.Sprintf("%v", cfg)

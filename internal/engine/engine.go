@@ -46,6 +46,16 @@
 // byte-identical at any budget, which is what makes the content-addressed
 // cache (and the persistent store) sound.
 //
+// # Telemetry
+//
+// An engine reports to at most one recorder, attached with WithRecorder:
+// every submission's batch, store-lookup and eval spans go there, parented
+// on BatchOptions.ParentSpan, and there is no per-submission override. The
+// cache accounting that Stats reports (memory and store hits, evaluations,
+// failed store writes) lives in one place, a small counts struct of
+// atomics; WithRecorder attaches it to the recorder's registry, so Stats
+// and /metrics read the same numbers.
+//
 // # Condition plane
 //
 // The operating condition is a first-class evaluation dimension, not a
@@ -171,34 +181,22 @@ type entry struct {
 	err  error
 }
 
-// engineMetrics holds the engine's instrument handles. The zero value —
-// no recorder attached — is fully inert: every handle is nil, and every
-// obs method no-ops on a nil receiver, so the instrumented paths never
-// branch on "is telemetry on".
+// counts is the engine's cache accounting, the one home of each count:
+// Stats reads it, and WithRecorder attaches it to the recorder's registry.
+// It is allocated apart from the Engine so that a registry holding it never
+// keeps the engine's cache alive.
+type counts struct {
+	hits, diskHits, misses, storeErrs atomic.Uint64
+}
+
+// engineMetrics holds the engine's timing instruments. The zero value — no
+// recorder attached — is fully inert: every handle is nil, and every obs
+// method no-ops on a nil receiver, so the instrumented paths never branch
+// on "is telemetry on".
 type engineMetrics struct {
-	hitsMem   *obs.Counter
-	hitsStore *obs.Counter
-	evals     *obs.Counter
-	storeErrs *obs.Counter
 	evalDur   *obs.Histogram
 	queueWait *obs.Histogram
 	busy      *obs.Gauge
-}
-
-func newEngineMetrics(rec *obs.Recorder, backend string) engineMetrics {
-	if rec == nil {
-		return engineMetrics{}
-	}
-	reg := rec.Metrics()
-	return engineMetrics{
-		hitsMem:   reg.Counter("optima_cache_hits_total", "evaluations served from a cache tier", "tier", "memory"),
-		hitsStore: reg.Counter("optima_cache_hits_total", "evaluations served from a cache tier", "tier", "store"),
-		evals:     reg.Counter("optima_evals_total", "backend evaluations run", "backend", backend),
-		storeErrs: reg.Counter("optima_store_errors_total", "failed best-effort store writes"),
-		evalDur:   reg.Histogram("optima_eval_duration_seconds", "backend evaluation wall time", nil, "backend", backend),
-		queueWait: reg.Histogram("optima_queue_wait_seconds", "delay between batch submission and a cell starting on the backend", nil),
-		busy:      reg.Gauge("optima_workers_busy", "evaluations currently running on the backend"),
-	}
 }
 
 // Engine is a memoizing concurrent evaluation service over one backend.
@@ -209,21 +207,19 @@ type Engine struct {
 	workers    int
 	store      Store // nil = memory-only cache
 
-	mu        sync.Mutex
-	cache     map[Key]*entry
-	hits      uint64
-	diskHits  uint64
-	misses    uint64
-	storeErrs uint64
-	rec       *obs.Recorder
-	em        engineMetrics
+	n *counts
+
+	mu    sync.Mutex
+	cache map[Key]*entry
+	rec   *obs.Recorder
+	em    engineMetrics
 }
 
 // New returns an engine over the given backend, dispatching locally.
 // workers is the total worker budget of one submission; workers <= 0 uses
 // GOMAXPROCS.
 func New(backend Backend, workers int) *Engine {
-	return &Engine{backend: backend, dispatcher: Local{}, workers: workers, cache: map[Key]*entry{}}
+	return &Engine{backend: backend, dispatcher: Local{}, workers: workers, n: &counts{}, cache: map[Key]*entry{}}
 }
 
 // WithDispatcher replaces the Local dispatcher that runs a submission's
@@ -249,31 +245,31 @@ func (e *Engine) WithStore(s Store) *Engine {
 
 // WithRecorder attaches a telemetry recorder and returns the engine (for
 // chaining, like WithStore): spans for every backend evaluation and batch,
-// cache-tier / eval-duration / queue-wait metrics into the recorder's
-// registry. Timing data never flows into results — Metrics (and therefore
-// everything cached or persisted) are byte-identical with or without a
-// recorder, at any worker count. A per-submission BatchOptions.Recorder
-// overrides this one.
+// eval-duration / queue-wait / busy metrics, and the engine's own counts
+// (the cache-tier hits, evaluations and store errors Stats reports)
+// attached to the recorder's registry. Every submission reports to this
+// one recorder. Timing data never flows into results — Metrics (and
+// therefore everything cached or persisted) are byte-identical with or
+// without a recorder, at any worker count.
 func (e *Engine) WithRecorder(rec *obs.Recorder) *Engine {
+	var em engineMetrics
+	if reg := rec.Metrics(); reg != nil {
+		const hitsHelp = "evaluations served from a cache tier"
+		backend := e.backend.Name()
+		reg.CounterOf("optima_cache_hits_total", hitsHelp, &e.n.hits, "tier", "memory")
+		reg.CounterOf("optima_cache_hits_total", hitsHelp, &e.n.diskHits, "tier", "store")
+		reg.CounterOf("optima_evals_total", "backend evaluations run", &e.n.misses, "backend", backend)
+		reg.CounterOf("optima_store_errors_total", "failed best-effort store writes", &e.n.storeErrs)
+		em = engineMetrics{
+			evalDur:   reg.Histogram("optima_eval_duration_seconds", "backend evaluation wall time", nil, "backend", backend),
+			queueWait: reg.Histogram("optima_queue_wait_seconds", "delay between batch submission and a cell starting on the backend", nil),
+			busy:      reg.Gauge("optima_workers_busy", "evaluations currently running on the backend"),
+		}
+	}
 	e.mu.Lock()
-	e.rec = rec
-	e.em = newEngineMetrics(rec, e.backend.Name())
+	e.rec, e.em = rec, em
 	e.mu.Unlock()
 	return e
-}
-
-// obsFor resolves one submission's telemetry: an explicit per-batch
-// recorder wins over the engine's own; instrument handles are rebuilt only
-// for a foreign recorder (registration is idempotent, so handles resolve
-// to the same series either way).
-func (e *Engine) obsFor(rec *obs.Recorder) (*obs.Recorder, engineMetrics) {
-	e.mu.Lock()
-	own, em := e.rec, e.em
-	e.mu.Unlock()
-	if rec == nil || rec == own {
-		return own, em
-	}
-	return rec, newEngineMetrics(rec, e.backend.Name())
 }
 
 // Backend returns the engine's backend.
@@ -291,10 +287,11 @@ func (e *Engine) Workers() int {
 // Stats returns a snapshot of the cache accounting.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	entries := len(e.cache)
+	e.mu.Unlock()
 	return Stats{
-		Hits: e.hits, DiskHits: e.diskHits, Misses: e.misses,
-		StoreErrors: e.storeErrs, Entries: len(e.cache),
+		Hits: e.n.hits.Load(), DiskHits: e.n.diskHits.Load(), Misses: e.n.misses.Load(),
+		StoreErrors: e.n.storeErrs.Load(), Entries: entries,
 	}
 }
 
@@ -324,15 +321,12 @@ func (e *Engine) storeResolve(store Store, key Key, ent *entry) (resolved bool) 
 
 // persist writes freshly computed results to the store tier, best-effort:
 // a failing store never fails an evaluation, it only loses cache warmth.
-func (e *Engine) persist(batch []CacheEntry, em engineMetrics) {
+func (e *Engine) persist(store Store, batch []CacheEntry) {
 	if len(batch) == 0 {
 		return
 	}
-	if err := e.store.PutBatch(batch); err != nil {
-		e.mu.Lock()
-		e.storeErrs++
-		e.mu.Unlock()
-		em.storeErrs.Inc()
+	if err := store.PutBatch(batch); err != nil {
+		e.n.storeErrs.Add(1)
 	}
 }
 
@@ -355,15 +349,9 @@ type BatchOptions struct {
 	// done is monotone, but they arrive from worker goroutines — keep the
 	// callback fast and do not submit engine work from it.
 	OnProgress func(done, total int)
-	// Recorder, when non-nil, receives this submission's telemetry — the
-	// batch/store-lookup/per-cell eval spans and the cache-tier, eval and
-	// queue-wait metrics — overriding any engine-level recorder
-	// (WithRecorder). Timing never feeds back into results: returned
-	// Metrics are byte-identical with or without a recorder, at any
-	// worker count.
-	Recorder *obs.Recorder
-	// ParentSpan parents the submission's batch span (0 = root) — a
-	// server job span, a search rung span.
+	// ParentSpan parents the submission's batch span (0 = root) in the
+	// engine's recorder (WithRecorder) — a server job span, a search rung
+	// span.
 	ParentSpan obs.SpanID
 }
 
@@ -430,7 +418,7 @@ func (o observed) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 // deferred sweep catches a dispatcher that panicked or violated the
 // exactly-once contract — unresolved claims are abandoned with an error
 // instead of stranding concurrent waiters (the PR 3 stuck-waiter class).
-func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, owned map[Key]*entry, ran *atomic.Uint64, em engineMetrics, advance func(int)) {
+func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, owned map[Key]*entry, advance func(int)) {
 	jobs := make([]Job, len(toRun))
 	for i, key := range toRun {
 		jobs[i] = key.Job
@@ -462,8 +450,9 @@ func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, o
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			e.abandon(key, ent, err)
 		} else {
-			ran.Add(1)
-			em.evals.Inc()
+			// Only jobs that reached the backend are misses — abandoned jobs
+			// were neither served nor evaluated.
+			e.n.misses.Add(1)
 			ent.met, ent.err = met, err
 			close(ent.done)
 		}
@@ -483,7 +472,9 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	if err := ctx.Err(); err != nil {
 		return nil, err // canceled before anything was claimed
 	}
-	rec, em := e.obsFor(opts.Recorder)
+	e.mu.Lock()
+	rec, em := e.rec, e.em
+	e.mu.Unlock()
 	var batchArg string
 	if rec != nil {
 		batchArg = fmt.Sprintf("%d jobs", len(jobs))
@@ -517,7 +508,6 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 		if ent, ok := e.cache[key]; ok {
 			// Cached, in flight elsewhere, or a duplicate earlier in this
 			// batch — all share the entry.
-			e.hits++
 			memHits++
 			ents[i] = ent
 			continue
@@ -529,7 +519,7 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 		ents[i] = ent
 	}
 	e.mu.Unlock()
-	em.hitsMem.Add(float64(memHits))
+	e.n.hits.Add(memHits)
 
 	// Phase 2: store tier. The index lookup is memory-speed, so this stays
 	// serial; only true misses proceed to the backend. A cancellation here
@@ -558,12 +548,7 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 			toRun = append(toRun, key)
 		}
 		lookup.End()
-		if fromDisk > 0 {
-			e.mu.Lock()
-			e.diskHits += fromDisk
-			e.mu.Unlock()
-			em.hitsStore.Add(float64(fromDisk))
-		}
+		e.n.diskHits.Add(fromDisk)
 	}
 	// Everything the batch does not compute itself — memory and store hits,
 	// duplicates, keys in flight under a concurrent submission — is resolved
@@ -574,27 +559,19 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	// resolved (results and errors both — panics and cancellations
 	// included), so concurrent waiters never hang.
 	if len(toRun) > 0 {
-		var ran atomic.Uint64
 		ev := Eval{Ctx: ctx, Workers: e.Workers(), Rec: rec, Parent: bspan.ID()}
-		e.dispatch(dispatcher, ev, observed{Backend: e.backend, em: em, start: batchStart}, toRun, owned, &ran, em, advance)
-		// Only jobs that reached the backend are misses — abandoned jobs
-		// were neither served nor evaluated.
-		if n := ran.Load(); n > 0 {
-			e.mu.Lock()
-			e.misses += n
-			e.mu.Unlock()
-		}
+		e.dispatch(dispatcher, ev, observed{Backend: e.backend, em: em, start: batchStart}, toRun, owned, advance)
 		// Phase 4: persist the new results in one group. Abandoned entries
 		// carry the cancellation error and are skipped, so a canceled batch
 		// persists exactly the work it finished.
-		if store != nil && ran.Load() > 0 {
+		if store != nil {
 			batch := make([]CacheEntry, 0, len(toRun))
 			for _, key := range toRun {
 				if ent := owned[key]; ent.err == nil {
 					batch = append(batch, CacheEntry{Key: key, Met: ent.met})
 				}
 			}
-			e.persist(batch, em)
+			e.persist(store, batch)
 		}
 	}
 

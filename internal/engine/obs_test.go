@@ -101,33 +101,62 @@ func TestEngineTelemetry(t *testing.T) {
 	if got := len(obs.Subtree(spans, root)); got == 0 {
 		t.Error("first batch has an empty subtree")
 	}
-}
 
-// TestBatchRecorderOverride checks BatchOptions.Recorder: a per-batch
-// recorder wins over the engine-level one, and its spans parent under the
-// given ParentSpan.
-func TestBatchRecorderOverride(t *testing.T) {
-	engineRec := obs.NewRecorder(obs.RecorderOptions{})
-	batchRec := obs.NewRecorder(obs.RecorderOptions{})
-	eng := New(&fakeBackend{}, 2).WithRecorder(engineRec)
-
-	parent := batchRec.Start(obs.CatJob, "test-job")
-	if _, err := eng.EvaluateBatchOpts(testJobs(4), BatchOptions{
-		Recorder:   batchRec,
-		ParentSpan: parent.ID(),
-	}); err != nil {
+	// ParentSpan nests a batch under a caller's span, a server job say.
+	parent := rec.Start(obs.CatJob, "test-job")
+	if _, err := eng.EvaluateBatchOpts(testJobs(14)[10:], BatchOptions{ParentSpan: parent.ID()}); err != nil {
 		t.Fatal(err)
 	}
 	parent.End()
+	if got := len(obs.Subtree(rec.Snapshot(), parent.ID())); got != 6 { // job + batch + 4 evals
+		t.Errorf("job subtree has %d spans, want 6", got)
+	}
+}
 
-	if n := len(engineRec.Snapshot()); n != 0 {
-		t.Errorf("engine recorder captured %d spans, want 0 (batch recorder overrides)", n)
+// TestStatsMatchRegistry pins one home per count: with every count driven
+// to a nonzero value — a memory hit, a store hit, a miss and a failed
+// store write — each Stats field equals its registry sample, and a second
+// engine on the recorder adds to the same series.
+func TestStatsMatchRegistry(t *testing.T) {
+	rec := obs.NewRecorder(obs.RecorderOptions{})
+	reg := rec.Metrics()
+	disk := newFakeStore()
+	jobs := testJobs(3)
+	disk.data[Key{Backend: "fake", Job: jobs[0]}] = Metrics{Config: jobs[0].Config, Cond: jobs[0].Cond}
+	disk.failPut = true
+	eng := New(&fakeBackend{}, 2).WithStore(disk).WithRecorder(rec)
+	// jobs[0] from the store, jobs[1] and jobs[2] evaluated (their write
+	// fails), then the duplicate jobs[1] from memory.
+	if _, err := eng.EvaluateBatch(append(jobs, jobs[1])); err != nil {
+		t.Fatal(err)
 	}
-	spans := batchRec.Snapshot()
-	if got := len(obs.Subtree(spans, parent.ID())); got < 5 { // job + batch + 4 evals
-		t.Errorf("job subtree has %d spans, want >= 5", got)
+	// registry reads the four counts back from the recorder as a Stats.
+	registry := func() Stats {
+		c := func(name string, labels ...string) uint64 { return uint64(reg.Counter(name, "", labels...).Value()) }
+		return Stats{
+			Hits:        c("optima_cache_hits_total", "tier", "memory"),
+			DiskHits:    c("optima_cache_hits_total", "tier", "store"),
+			Misses:      c("optima_evals_total", "backend", "fake"),
+			StoreErrors: c("optima_store_errors_total"),
+		}
 	}
-	if got := batchRec.Metrics().Counter("optima_evals_total", "", "backend", "fake").Value(); got != 4 {
-		t.Errorf("batch recorder evals = %v, want 4", got)
+	st := eng.Stats()
+	st.Entries = 0
+	if st.Hits == 0 || st.DiskHits == 0 || st.Misses == 0 || st.StoreErrors == 0 {
+		t.Fatalf("stats %+v: want every count nonzero", st)
+	}
+	if got := registry(); got != st {
+		t.Errorf("registry %+v, Stats %+v", got, st)
+	}
+
+	eng2 := New(&fakeBackend{}, 2).WithStore(disk).WithRecorder(rec)
+	if _, err := eng2.EvaluateBatch(jobs); err != nil {
+		t.Fatal(err)
+	}
+	st2 := eng2.Stats()
+	sum := Stats{Hits: st.Hits + st2.Hits, DiskHits: st.DiskHits + st2.DiskHits,
+		Misses: st.Misses + st2.Misses, StoreErrors: st.StoreErrors + st2.StoreErrors}
+	if got := registry(); got != sum {
+		t.Errorf("after a second engine: registry %+v, the engines' Stats sum %+v", got, sum)
 	}
 }

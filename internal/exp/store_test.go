@@ -163,8 +163,9 @@ func TestStoreFingerprintSeparatesCalibrations(t *testing.T) {
 	}
 }
 
-// TestStoreOpenFailureDegrades: an unusable cache directory produces a
-// working (memory-only) session, not a failed run.
+// TestStoreOpenFailureDegrades: an unusable cache directory — a file in
+// its place, or a directory of the retired v1 layout — produces a working
+// (memory-only) session, not a failed run.
 func TestStoreOpenFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	// A file where the store directory should be makes Open fail.
@@ -172,22 +173,34 @@ func TestStoreOpenFailureDegrades(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ctx := newCachedContext(t, blocked)
-	if _, err := ctx.Sweep(); err != nil {
-		t.Fatalf("store open failure must degrade, not fail: %v", err)
-	}
-	if ctx.Store() != nil {
-		t.Fatal("store unexpectedly attached")
-	}
-	// The cause stays queryable for long-lived callers (optima-server
-	// reports it on /api/status), not just logged once at startup.
-	if err := ctx.StoreError(); err == nil || !strings.Contains(err.Error(), "persistent result store disabled") {
-		t.Fatalf("StoreError() = %v, want the disabled-store cause", err)
-	}
-	if st := ctx.Engine().Stats(); st.Misses != 48 {
-		t.Fatalf("memory-only session stats %+v", st)
-	}
-	if err := ctx.Close(); err != nil {
+	v1 := filepath.Join(dir, "v1")
+	if err := os.MkdirAll(v1, 0o755); err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1, "manifest.json"), []byte(`{"version": 1, "partitions": 16}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ dir, cause string }{
+		{blocked, "persistent result store disabled"},
+		{v1, "format version 1"},
+	} {
+		ctx := newCachedContext(t, tc.dir)
+		if _, err := ctx.Sweep(); err != nil {
+			t.Fatalf("%s: store open failure must degrade, not fail: %v", tc.dir, err)
+		}
+		if ctx.Store() != nil {
+			t.Fatalf("%s: store unexpectedly attached", tc.dir)
+		}
+		// The cause stays queryable for long-lived callers (optima-server
+		// reports it on /api/status), not just logged once at startup.
+		if err := ctx.StoreError(); err == nil || !strings.Contains(err.Error(), tc.cause) {
+			t.Fatalf("%s: StoreError() = %v, want a cause naming %q", tc.dir, err, tc.cause)
+		}
+		if st := ctx.Engine().Stats(); st.Misses != 48 {
+			t.Fatalf("%s: memory-only session stats %+v", tc.dir, st)
+		}
+		if err := ctx.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package mult
 
 import (
 	"fmt"
-	"math"
 
 	"optima/internal/device"
 )
@@ -50,22 +49,15 @@ func (b *Behavioral) buildDetTable(cond device.PVT) *detTable {
 		vwl := b.wordLineVoltage(a, cond.VDD)
 		t.vwl[a] = vwl
 		for i := 0; i < OperandBits; i++ {
-			bt := b.Cfg.BitTime(i)
-			dv := cond.VDD - b.Model.Discharge.VBL(bt, vwl, cond.VDD, cond.TempC)
-			if dv < 0 {
-				dv = 0
-			}
-			t.dv[a][i] = dv
-			t.sigma[a][i] = b.Model.Discharge.SigmaAt(bt, vwl)
-			t.energy[a][i] = b.Model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC)
+			t.dv[a][i], t.sigma[a][i], t.energy[a][i] = b.bit(i, vwl, cond, nil)
 		}
 	}
 	return t
 }
 
-// combined returns the charge-shared discharge for operands (a, d) from the
-// table — the same value, computed by the same operations in the same
-// order, as combinedDeltaV with a nil RNG.
+// combined returns the deterministic charge-shared discharge for operands
+// (a, d) from the table — the same value, computed by the same operations
+// in the same order, as a nil-RNG multiplication's VComb.
 func (t *detTable) combined(a, d uint) float64 {
 	var sum float64
 	for i := 0; i < OperandBits; i++ {
@@ -100,21 +92,11 @@ func (b *Behavioral) MultiplyDet(a, d uint) (Result, error) {
 		return b.multiplyDirect(a, d, nil), nil
 	}
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	var sum, varSum float64
 	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) == 0 {
-			continue
+		if d&(1<<uint(i)) != 0 {
+			res.add(i, t.dv[a][i], t.sigma[a][i], t.energy[a][i])
 		}
-		dv := t.dv[a][i]
-		res.DeltaV[i] = dv
-		sum += dv
-		sig := t.sigma[a][i]
-		varSum += sig * sig
-		res.Energy += t.energy[a][i]
 	}
-	res.VComb = sum / OperandBits
-	res.Sigma = math.Sqrt(varSum) / OperandBits
-	res.Code = b.quantize(res.VComb, nil)
-	res.Energy += b.DACCap*b.Cond.VDD*t.vwl[a] + b.ADCEnergy + b.CtrlEnergy
+	res.finish(b, t.vwl[a], nil)
 	return res, nil
 }

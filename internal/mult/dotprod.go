@@ -72,21 +72,10 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 			if d&(1<<uint(bit)) == 0 {
 				continue
 			}
-			t := dp.B.Cfg.BitTime(bit)
-			var vbl float64
-			if rng != nil {
-				vbl = dp.B.Model.Discharge.SampleVBL(t, vwl, cond.VDD, cond.TempC, rng)
-			} else {
-				vbl = dp.B.Model.Discharge.VBL(t, vwl, cond.VDD, cond.TempC)
-			}
-			dv := cond.VDD - vbl
-			if dv < 0 {
-				dv = 0
-			}
+			dv, sig, energy := dp.B.bit(bit, vwl, cond, rng)
 			sumV += dv
-			sig := dp.B.Model.Discharge.SigmaAt(t, vwl)
 			varV += sig * sig
-			res.Energy += dp.B.Model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC)
+			res.Energy += energy
 		}
 		// Per-word DAC drive; the conversion is shared.
 		res.Energy += dp.B.DACCap * cond.VDD * vwl

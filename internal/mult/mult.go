@@ -168,22 +168,32 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 		ADCEnergy:  DefaultADCEnergy,
 		CtrlEnergy: DefaultCtrlEnergy,
 	}
-	// The trim fit and the deterministic fast path consume the same 16×4
-	// model outputs; precompute them once (64 VBL calls instead of ~1k).
+	if err := b.calibrate(); err != nil {
+		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
+	}
+	return b, nil
+}
+
+// calibrate fits the ADC trim to the nominal-condition transfer and
+// installs the deterministic table for b.Cond. The trim fit and the
+// deterministic fast path consume the same 16×4 model outputs, so they are
+// computed once (64 VBL calls instead of ~1k) and shared when b.Cond is
+// nominal.
+func (b *Behavioral) calibrate() error {
 	nominal := device.Nominal()
 	nomTab := b.buildDetTable(nominal)
 	gain, offset, err := fitADCTrim(nomTab.combined)
 	if err != nil {
-		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
+		return err
 	}
 	b.LSBVolt = gain
 	b.OffsetVolt = offset
-	if cond.VDD == nominal.VDD && cond.TempC == nominal.TempC {
+	if b.Cond.VDD == nominal.VDD && b.Cond.TempC == nominal.TempC {
 		b.det = nomTab
 	} else {
-		b.det = b.buildDetTable(cond)
+		b.det = b.buildDetTable(b.Cond)
 	}
-	return b, nil
+	return nil
 }
 
 // fitADCTrim fits the zero-anchored least-squares gain ΔV ≈ gain·(a·d)
@@ -211,36 +221,42 @@ func fitADCTrim(deltaV func(a, d uint) float64) (gain, offset float64, err error
 	return gain, 0, nil
 }
 
-// peripheralEnergy returns the per-operation DAC + ADC + sequencing energy
-// for input a.
-func (b *Behavioral) peripheralEnergy(a uint) float64 {
-	vwl := b.wordLineVoltage(a, b.Cond.VDD)
-	return b.DACCap*b.Cond.VDD*vwl + b.ADCEnergy + b.CtrlEnergy
+// bit is the one per-bit step of every behavioral path: the discharge of
+// bit line i under word-line voltage vwl at cond — its clamped ΔV, the
+// analytic mismatch σ of that discharge, and its recharge energy. A non-nil
+// rng samples the discharge with fresh mismatch.
+func (b *Behavioral) bit(i int, vwl float64, cond device.PVT, rng *stats.RNG) (dv, sigma, energy float64) {
+	t := b.Cfg.BitTime(i)
+	var vbl float64
+	if rng != nil {
+		vbl = b.Model.Discharge.SampleVBL(t, vwl, cond.VDD, cond.TempC, rng)
+	} else {
+		vbl = b.Model.Discharge.VBL(t, vwl, cond.VDD, cond.TempC)
+	}
+	dv = cond.VDD - vbl
+	if dv < 0 {
+		dv = 0
+	}
+	return dv, b.Model.Discharge.SigmaAt(t, vwl), b.Model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC)
 }
 
-// combinedDeltaV computes the charge-shared discharge for operands (a, d) at
-// condition cond; rng enables per-discharge mismatch sampling.
-func (b *Behavioral) combinedDeltaV(a, d uint, cond device.PVT, rng *stats.RNG) float64 {
-	vwl := b.wordLineVoltage(a, cond.VDD)
-	var sum float64
-	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) == 0 {
-			continue
-		}
-		t := b.Cfg.BitTime(i)
-		var vbl float64
-		if rng != nil {
-			vbl = b.Model.Discharge.SampleVBL(t, vwl, cond.VDD, cond.TempC, rng)
-		} else {
-			vbl = b.Model.Discharge.VBL(t, vwl, cond.VDD, cond.TempC)
-		}
-		dv := cond.VDD - vbl
-		if dv < 0 {
-			dv = 0
-		}
-		sum += dv
-	}
-	return sum / OperandBits
+// add accumulates discharged bit line i into the result: VComb and Sigma
+// hold the running ΔV sum and variance until finish.
+func (r *Result) add(i int, dv, sigma, energy float64) {
+	r.DeltaV[i] = dv
+	r.VComb += dv
+	r.Sigma += sigma * sigma
+	r.Energy += energy
+}
+
+// finish completes an accumulated result on b's readout: the charge-shared
+// VComb and its σ, the ADC code (with input noise when rng is non-nil), and
+// the peripheral energy for word-line voltage vwl.
+func (r *Result) finish(b *Behavioral, vwl float64, rng *stats.RNG) {
+	r.VComb /= OperandBits
+	r.Sigma = math.Sqrt(r.Sigma) / OperandBits
+	r.Code = b.quantize(r.VComb, rng)
+	r.Energy += b.DACCap*b.Cond.VDD*vwl + b.ADCEnergy + b.CtrlEnergy
 }
 
 // Multiply performs one multiplication. A nil rng gives the deterministic
@@ -260,32 +276,13 @@ func (b *Behavioral) Multiply(a, d uint, rng *stats.RNG) (Result, error) {
 func (b *Behavioral) multiplyDirect(a, d uint, rng *stats.RNG) Result {
 	res := Result{A: a, D: d, Expected: int(a * d)}
 	vwl := b.wordLineVoltage(a, b.Cond.VDD)
-	var sum, varSum float64
 	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) == 0 {
-			continue
+		if d&(1<<uint(i)) != 0 {
+			dv, sigma, energy := b.bit(i, vwl, b.Cond, rng)
+			res.add(i, dv, sigma, energy)
 		}
-		t := b.Cfg.BitTime(i)
-		var vbl float64
-		if rng != nil {
-			vbl = b.Model.Discharge.SampleVBL(t, vwl, b.Cond.VDD, b.Cond.TempC, rng)
-		} else {
-			vbl = b.Model.Discharge.VBL(t, vwl, b.Cond.VDD, b.Cond.TempC)
-		}
-		dv := b.Cond.VDD - vbl
-		if dv < 0 {
-			dv = 0
-		}
-		res.DeltaV[i] = dv
-		sum += dv
-		sig := b.Model.Discharge.SigmaAt(t, vwl)
-		varSum += sig * sig
-		res.Energy += b.Model.Energy.DischargeEnergy(true, b.Cond.VDD, dv, b.Cond.TempC)
 	}
-	res.VComb = sum / OperandBits
-	res.Sigma = math.Sqrt(varSum) / OperandBits
-	res.Code = b.quantize(res.VComb, rng)
-	res.Energy += b.peripheralEnergy(a)
+	res.finish(b, vwl, rng)
 	return res
 }
 
@@ -303,41 +300,22 @@ func (b *Behavioral) multiplyEvents(a, d uint, rng *stats.RNG) (Result, error) {
 	if _, err := sim.Schedule(0, func() { vwlSig.Set(vwl) }); err != nil {
 		return Result{}, err
 	}
-	var sum, varSum float64
 	for i := 0; i < OperandBits; i++ {
 		i := i
 		bit := d&(1<<uint(i)) != 0
-		t := b.Cfg.BitTime(i)
 		// Sampling switch of bit line i opens at 2^i·τ0.
-		if _, err := sim.Schedule(events.FromSeconds(t), func() {
-			if !bit {
-				return
+		if _, err := sim.Schedule(events.FromSeconds(b.Cfg.BitTime(i)), func() {
+			if bit {
+				dv, sigma, energy := b.bit(i, vwlSig.Value(), b.Cond, rng)
+				res.add(i, dv, sigma, energy)
 			}
-			var vbl float64
-			if rng != nil {
-				vbl = b.Model.Discharge.SampleVBL(t, vwlSig.Value(), b.Cond.VDD, b.Cond.TempC, rng)
-			} else {
-				vbl = b.Model.Discharge.VBL(t, vwlSig.Value(), b.Cond.VDD, b.Cond.TempC)
-			}
-			dv := b.Cond.VDD - vbl
-			if dv < 0 {
-				dv = 0
-			}
-			res.DeltaV[i] = dv
-			sum += dv
-			sig := b.Model.Discharge.SigmaAt(t, vwlSig.Value())
-			varSum += sig * sig
-			res.Energy += b.Model.Energy.DischargeEnergy(true, b.Cond.VDD, dv, b.Cond.TempC)
 		}); err != nil {
 			return Result{}, err
 		}
 	}
 	// Combine and quantize after the last sampling event.
 	if _, err := sim.Schedule(events.FromSeconds(b.Cfg.MaxTime())+events.Picosecond, func() {
-		res.VComb = sum / OperandBits
-		res.Sigma = math.Sqrt(varSum) / OperandBits
-		res.Code = b.quantize(res.VComb, rng)
-		res.Energy += b.peripheralEnergy(a)
+		res.finish(b, vwl, rng)
 	}); err != nil {
 		return Result{}, err
 	}
@@ -352,14 +330,13 @@ func (b *Behavioral) quantize(vcomb float64, rng *stats.RNG) int {
 	if rng != nil && b.ADCSigma > 0 {
 		v = rng.Gaussian(v, b.ADCSigma)
 	}
-	code := int(math.Round((v - b.OffsetVolt) / b.LSBVolt))
-	if code < 0 {
-		code = 0
-	}
-	if code > ADCMax {
-		code = ADCMax
-	}
-	return code
+	return adcCode(v, b.OffsetVolt, b.LSBVolt)
+}
+
+// adcCode rounds a combined voltage onto a trimmed ADC scale, clamped to
+// the converter's range [0, ADCMax] — the readout both backends share.
+func adcCode(v, offset, lsb float64) int {
+	return min(max(int(math.Round((v-offset)/lsb)), 0), ADCMax)
 }
 
 // WriteEnergy returns the modeled energy of storing the d operand
@@ -545,14 +522,7 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv
 	}
 	res.VComb = sum / OperandBits
-	code := int(math.Round((res.VComb - g.OffsetVolt) / g.LSBVolt))
-	if code < 0 {
-		code = 0
-	}
-	if code > ADCMax {
-		code = ADCMax
-	}
-	res.Code = code
+	res.Code = adcCode(res.VComb, g.OffsetVolt, g.LSBVolt)
 	// Same peripheral accounting as the behavioral backend.
 	res.Energy += DefaultDACCap*g.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
 	return res, nil

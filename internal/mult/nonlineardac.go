@@ -72,21 +72,10 @@ func (d *NonlinearDAC) Voltage(a uint, vdd float64) float64 {
 func (b *Behavioral) WithNonlinearDAC(dac *NonlinearDAC) (*Behavioral, error) {
 	nl := *b
 	nl.DAC = dac
-	// The copied det table was built for the linear DAC's word-line
-	// voltages; rebuild it (and the trim, from the same outputs) for the
-	// trimmed levels.
-	nominal := device.Nominal()
-	nomTab := nl.buildDetTable(nominal)
-	gain, offset, err := fitADCTrim(nomTab.combined)
-	if err != nil {
+	// The copied trim and det table were built for the linear DAC's
+	// word-line voltages; redo both for the trimmed levels.
+	if err := nl.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: nonlinear DAC trim: %w", err)
-	}
-	nl.LSBVolt = gain
-	nl.OffsetVolt = offset
-	if nl.Cond.VDD == nominal.VDD && nl.Cond.TempC == nominal.TempC {
-		nl.det = nomTab
-	} else {
-		nl.det = nl.buildDetTable(nl.Cond)
 	}
 	return &nl, nil
 }

@@ -1,10 +1,11 @@
 // Package obs is the stdlib-only telemetry layer of the evaluation stack:
 // a lock-cheap ring-buffer span recorder (Chrome trace-format export, see
 // trace.go) plus a Prometheus-style metrics registry (metrics.go). Every
-// layer — engine, store, search, mult's golden trim, the server's job
-// lifecycle — records into one Recorder handed down through
-// engine.BatchOptions / exp.Context, so a run can be opened in Perfetto or
-// scraped at GET /metrics without any layer owning the other.
+// layer — engine, store, search, mult's golden trim, the remote fleet, the
+// server's job lifecycle — records into one Recorder handed down through
+// exp.Context (engine.WithRecorder, store.Options, remote.Options), so a
+// run can be opened in Perfetto or scraped at GET /metrics without any
+// layer owning the other.
 //
 // Two properties shape the design:
 //
@@ -41,4 +42,14 @@
 // exposition format 0.0.4 by WritePrometheus — the body behind
 // optima-server's GET /metrics. Samples flattens the same data into the
 // CLIs' end-of-run telemetry table.
+//
+// One home per count: a component that reports a count through its own
+// Stats keeps it in an atomic it owns and attaches that atomic to a
+// counter series (Registry.CounterOf) instead of bumping a second counter
+// beside it. The series reads its attached atomics at scrape time and
+// reports their sum plus its own Add total, so two engines on one recorder
+// add up and a store reopened on the recorder continues its predecessor's
+// series. Live state works the same way through GaugeFunc (sessions,
+// connected workers, hub topics). Owners allocate the attached counts
+// apart from their larger state, because the registry keeps them alive.
 package obs

@@ -24,8 +24,10 @@ var DefaultDurationBuckets = []float64{
 // so layers can be re-wired (a test reopening a store, EngineFor building
 // a second engine) without double counting; a GaugeFunc re-registered for
 // an existing series replaces the previous function (last owner wins).
-// All methods are nil-safe: a nil *Registry registers nothing and returns
-// nil instruments whose methods are in turn no-ops.
+// A counter series may also read counts its owners keep themselves
+// (CounterOf), so a component's Stats and the registry share one home per
+// count. All methods are nil-safe: a nil *Registry registers nothing and
+// returns nil instruments whose methods are in turn no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -39,11 +41,29 @@ type family struct {
 type series struct {
 	labels string // rendered {k="v",...} or ""
 
-	// exactly one of these is active, per the family kind
-	val   atomic.Uint64 // float64 bits: Counter and Gauge
-	fn    func() float64
-	hist  *Histogram
-	isFns bool
+	val  atomic.Uint64 // float64 bits: a Counter's or Gauge's own total
+	hist *Histogram    // histogram families only
+
+	mu   sync.Mutex
+	srcs map[*atomic.Uint64]struct{} // owner counts attached by CounterOf
+	fn   func() float64              // GaugeFunc; replaces val when set
+}
+
+// value reads a counter or gauge series: its GaugeFunc when it has one,
+// otherwise its own Add/Set total plus the sum of its attached counts. fn
+// runs with no lock held, so it may take its owner's locks.
+func (s *series) value() float64 {
+	s.mu.Lock()
+	fn := s.fn
+	var n uint64
+	for src := range s.srcs {
+		n += src.Load()
+	}
+	s.mu.Unlock()
+	if fn != nil {
+		return fn()
+	}
+	return math.Float64frombits(s.val.Load()) + float64(n)
 }
 
 // NewRegistry returns an empty registry.
@@ -116,6 +136,26 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return &Counter{s: r.seriesFor(name, help, "counter", labels)}
 }
 
+// CounterOf registers (or finds) a counter series and attaches v to it: the
+// series reads v at scrape time, so an owner that keeps its own count (for
+// its Stats) needs no mirrored Add. A series reports its own Add total plus
+// the sum of every attached count — two engines on one recorder add up, and
+// a store reopened on the recorder continues where its predecessor stopped.
+// Attaching the same pointer twice is a no-op. The series keeps v alive, so
+// owners allocate their counts apart from their larger state.
+func (r *Registry) CounterOf(name, help string, v *atomic.Uint64, labels ...string) {
+	if r == nil {
+		return
+	}
+	s := r.seriesFor(name, help, "counter", labels)
+	s.mu.Lock()
+	if s.srcs == nil {
+		s.srcs = map[*atomic.Uint64]struct{}{}
+	}
+	s.srcs[v] = struct{}{}
+	s.mu.Unlock()
+}
+
 // Add increments the counter by delta (negative deltas are ignored —
 // counters only go up).
 func (c *Counter) Add(delta float64) {
@@ -128,12 +168,13 @@ func (c *Counter) Add(delta float64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the counter's current value (0 for nil).
+// Value returns the counter's current value, attached counts included (0
+// for nil).
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return math.Float64frombits(c.s.val.Load())
+	return c.s.value()
 }
 
 // Gauge is a float64 that can go up and down. Methods on a nil Gauge are
@@ -164,12 +205,13 @@ func (g *Gauge) Add(delta float64) {
 	addFloat(&g.s.val, delta)
 }
 
-// Value returns the gauge's current value (0 for nil).
+// Value returns the gauge's current value — its GaugeFunc's, when one is
+// registered (0 for nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.s.val.Load())
+	return g.s.value()
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at
@@ -177,16 +219,16 @@ func (g *Gauge) Value() float64 {
 // counts, store segment bytes) where mirroring into a Gauge would race
 // the truth. fn must be safe to call from any goroutine; it is invoked
 // with no registry lock held, so it may take the owning subsystem's lock.
-// Re-registering an existing series replaces fn.
+// Re-registering an existing series replaces fn; Gauge.Value on the
+// series reads fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
 	}
 	s := r.seriesFor(name, help, "gauge", labels)
-	r.mu.Lock()
+	s.mu.Lock()
 	s.fn = fn
-	s.isFns = true
-	r.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Histogram is a fixed-bucket distribution with cumulative bucket counts,
@@ -340,12 +382,8 @@ func writeSeries(w io.Writer, f snapshotFamily, ss snapshotSeries) error {
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, ss.labels, cum)
 		return err
-	case ss.s.isFns:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, ss.labels, formatFloat(ss.s.fn()))
-		return err
 	default:
-		v := math.Float64frombits(ss.s.val.Load())
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, ss.labels, formatFloat(v))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, ss.labels, formatFloat(ss.s.value()))
 		return err
 	}
 }
@@ -384,12 +422,8 @@ func (r *Registry) Samples() []Sample {
 					out = append(out, Sample{f.name + "_count" + ss.labels, float64(c)})
 					out = append(out, Sample{f.name + "_sum" + ss.labels, h.Sum()})
 				}
-			case ss.s.isFns:
-				if v := ss.s.fn(); v != 0 {
-					out = append(out, Sample{f.name + ss.labels, v})
-				}
 			default:
-				if v := math.Float64frombits(ss.s.val.Load()); v != 0 {
+				if v := ss.s.value(); v != 0 {
 					out = append(out, Sample{f.name + ss.labels, v})
 				}
 			}

@@ -22,8 +22,8 @@ const (
 	// CatTrim covers golden ADC trim calibration (and its per-code
 	// transients).
 	CatTrim = "trim"
-	// CatStore covers persistent-store work: open, migration, compaction,
-	// lookups and batched appends.
+	// CatStore covers persistent-store work: open, compaction, lookups and
+	// batched appends.
 	CatStore = "store"
 	// CatSearch covers one adaptive search run.
 	CatSearch = "search"
@@ -93,7 +93,6 @@ type Recorder struct {
 	slowEval time.Duration
 	logger   *slog.Logger
 	reg      *Registry
-	drops    *Counter
 
 	nextID  atomic.Uint64
 	dropped atomic.Uint64
@@ -126,8 +125,8 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 		reg:      NewRegistry(),
 		ring:     make([]Span, cap),
 	}
-	r.drops = r.reg.Counter("optima_obs_spans_dropped_total",
-		"spans overwritten because the recorder's ring was full")
+	r.reg.CounterOf("optima_obs_spans_dropped_total",
+		"spans overwritten because the recorder's ring was full", &r.dropped)
 	return r
 }
 
@@ -215,7 +214,6 @@ func (r *Recorder) record(s Span) {
 	}
 	r.mu.Unlock()
 	r.dropped.Add(1)
-	r.drops.Add(1)
 }
 
 // Snapshot returns the completed spans currently in the ring, oldest

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -104,19 +105,27 @@ func TestRecorderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each goroutine also owns a count attached to the same series,
+			// read by concurrent scrapes.
+			var own atomic.Uint64
+			reg.CounterOf("c_total", "c", &own)
 			for i := 0; i < 500; i++ {
 				tm := rec.Start(CatEval, "e")
 				ctr.Inc()
+				own.Add(1)
 				g.Add(1)
 				g.Add(-1)
 				h.Observe(float64(i) * 1e-6)
 				tm.End()
+				if i%100 == 0 {
+					reg.Samples()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := ctr.Value(); got != 4000 {
-		t.Fatalf("counter = %v, want 4000", got)
+	if got := ctr.Value(); got != 8000 {
+		t.Fatalf("counter = %v, want 8000 (4000 Incs + 4000 attached)", got)
 	}
 	if got := h.Count(); got != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", got)
@@ -181,6 +190,7 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("g", "g").Set(3)
 	reg.Histogram("h", "h", nil).Observe(1)
 	reg.GaugeFunc("gf", "gf", func() float64 { return 1 })
+	reg.CounterOf("co_total", "co", new(atomic.Uint64))
 	if reg.Samples() != nil {
 		t.Fatal("nil registry produced samples")
 	}
@@ -433,5 +443,56 @@ func TestFormatDuration(t *testing.T) {
 		if got := FormatDuration(tc.d); got != tc.want {
 			t.Fatalf("FormatDuration(%v) = %q, want %q", tc.d, got, tc.want)
 		}
+	}
+}
+
+// TestCounterOfOwnersSum: a series reads its attached owner counts at
+// scrape time — two owners of one series add up, and the series' own Add
+// total adds to theirs.
+func TestCounterOfOwnersSum(t *testing.T) {
+	reg := NewRegistry()
+	var a, b atomic.Uint64
+	reg.CounterOf("optima_evals_total", "evals", &a, "backend", "fake")
+	reg.CounterOf("optima_evals_total", "evals", &b, "backend", "fake")
+	a.Add(3)
+	b.Add(4)
+	c := reg.Counter("optima_evals_total", "evals", "backend", "fake")
+	if got := c.Value(); got != 7 {
+		t.Fatalf("two owners: Value = %v, want 7", got)
+	}
+	c.Add(1)
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := `optima_evals_total{backend="fake"} 8`; !strings.Contains(out.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, out.String())
+	}
+	if s := reg.Samples(); len(s) != 1 || s[0].Value != 8 {
+		t.Fatalf("samples %v, want one row of 8", s)
+	}
+}
+
+// TestCounterOfSamePointerOnce: attaching one count twice — an engine
+// re-wired to the same recorder — does not double it.
+func TestCounterOfSamePointerOnce(t *testing.T) {
+	reg := NewRegistry()
+	var n atomic.Uint64
+	reg.CounterOf("optima_store_errors_total", "errs", &n)
+	reg.CounterOf("optima_store_errors_total", "errs", &n)
+	n.Add(2)
+	if got := reg.Counter("optima_store_errors_total", "").Value(); got != 2 {
+		t.Fatalf("Value = %v, want 2", got)
+	}
+}
+
+// TestGaugeFuncValue: a lookup of a GaugeFunc series reads the function.
+func TestGaugeFuncValue(t *testing.T) {
+	reg := NewRegistry()
+	v := 1.0
+	reg.GaugeFunc("optima_sessions_active", "sessions", func() float64 { return v })
+	v = 5
+	if got := reg.Gauge("optima_sessions_active", "").Value(); got != 5 {
+		t.Fatalf("looked-up gauge Value = %v, want 5", got)
 	}
 }

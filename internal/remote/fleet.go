@@ -22,10 +22,11 @@ type Options struct {
 	// different metrics for the same key, silently poisoning the
 	// content-addressed cache.
 	Fingerprint string
-	// Recorder receives the coordinator's telemetry: a span per dispatch,
-	// shipment spans per worker batch, worker-reported evaluation spans,
-	// and the cells-shipped / retry / reassignment / byte counters.
-	// Nil records nothing.
+	// Recorder receives the coordinator's telemetry: a span per dispatch
+	// (nested under the engine's batch span when the engine records to the
+	// same recorder), shipment spans per worker batch, worker-reported
+	// evaluation spans, every FleetStats count, and a connected-workers
+	// gauge. Nil records nothing.
 	Recorder *obs.Recorder
 	// Logger receives worker lifecycle and degradation events
 	// (nil = slog.Default()).
@@ -85,12 +86,17 @@ type Fleet struct {
 	dispatches map[uint64]*dispatch
 
 	wg sync.WaitGroup
+	n  *counts
+}
 
-	cellsShipped, results, duplicates     atomic.Uint64
-	retries, reassignments, fallbacks     atomic.Uint64
-	rejected, bytesSent, bytesReceived    atomic.Uint64
-	ctrShipped, ctrRetries, ctrReassigned *obs.Counter
-	ctrFallbacks, ctrBytesOut, ctrBytesIn *obs.Counter
+// counts is the coordinator's accounting, the one home of each FleetStats
+// count: Stats reads it, and Listen attaches it to the recorder's registry.
+// It is allocated apart from the Fleet so that a registry holding it never
+// keeps the fleet's connections and dispatch state alive.
+type counts struct {
+	cellsShipped, results, duplicates  atomic.Uint64
+	retries, reassignments, fallbacks  atomic.Uint64
+	rejected, bytesSent, bytesReceived atomic.Uint64
 }
 
 // workerConn is one connected worker. Frame writes are serialized by wmu;
@@ -122,14 +128,28 @@ func Listen(addr string, opts Options) (*Fleet, error) {
 		log:         log,
 		rec:         opts.Recorder,
 		dispatches:  map[uint64]*dispatch{},
+		n:           &counts{},
 	}
-	reg := f.rec.Metrics()
-	f.ctrShipped = reg.Counter("optima_remote_cells_shipped_total", "evaluation cells shipped to workers (including re-ships)")
-	f.ctrRetries = reg.Counter("optima_remote_retries_total", "cells re-shipped to idle workers (work stealing)")
-	f.ctrReassigned = reg.Counter("optima_remote_reassignments_total", "cells reassigned off dead workers")
-	f.ctrFallbacks = reg.Counter("optima_remote_local_fallbacks_total", "cells evaluated locally because no workers were connected")
-	f.ctrBytesOut = reg.Counter("optima_remote_bytes_sent_total", "frame bytes sent to workers")
-	f.ctrBytesIn = reg.Counter("optima_remote_bytes_received_total", "frame bytes received from workers")
+	if reg := f.rec.Metrics(); reg != nil {
+		for _, c := range []struct {
+			name, help string
+			v          *atomic.Uint64
+		}{
+			{"optima_remote_cells_shipped_total", "evaluation cells shipped to workers (including re-ships)", &f.n.cellsShipped},
+			{"optima_remote_results_total", "cell results accepted from workers", &f.n.results},
+			{"optima_remote_duplicates_total", "late or duplicate worker results dropped (first result wins)", &f.n.duplicates},
+			{"optima_remote_retries_total", "cells re-shipped to idle workers (work stealing)", &f.n.retries},
+			{"optima_remote_reassignments_total", "cells reassigned off dead workers", &f.n.reassignments},
+			{"optima_remote_local_fallbacks_total", "cells evaluated locally because no workers were connected", &f.n.fallbacks},
+			{"optima_remote_rejected_total", "workers refused in the handshake (protocol or fingerprint mismatch)", &f.n.rejected},
+			{"optima_remote_bytes_sent_total", "frame bytes sent to workers", &f.n.bytesSent},
+			{"optima_remote_bytes_received_total", "frame bytes received from workers", &f.n.bytesReceived},
+		} {
+			reg.CounterOf(c.name, c.help, c.v)
+		}
+		reg.GaugeFunc("optima_remote_workers", "currently connected workers",
+			func() float64 { return float64(f.WorkerCount()) })
+	}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f, nil
@@ -150,15 +170,15 @@ func (f *Fleet) WorkerCount() int {
 func (f *Fleet) Stats() FleetStats {
 	return FleetStats{
 		Workers:        f.WorkerCount(),
-		CellsShipped:   f.cellsShipped.Load(),
-		Results:        f.results.Load(),
-		Duplicates:     f.duplicates.Load(),
-		Retries:        f.retries.Load(),
-		Reassignments:  f.reassignments.Load(),
-		LocalFallbacks: f.fallbacks.Load(),
-		Rejected:       f.rejected.Load(),
-		BytesSent:      f.bytesSent.Load(),
-		BytesReceived:  f.bytesReceived.Load(),
+		CellsShipped:   f.n.cellsShipped.Load(),
+		Results:        f.n.results.Load(),
+		Duplicates:     f.n.duplicates.Load(),
+		Retries:        f.n.retries.Load(),
+		Reassignments:  f.n.reassignments.Load(),
+		LocalFallbacks: f.n.fallbacks.Load(),
+		Rejected:       f.n.rejected.Load(),
+		BytesSent:      f.n.bytesSent.Load(),
+		BytesReceived:  f.n.bytesReceived.Load(),
 	}
 }
 
@@ -263,7 +283,13 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	if f.rec != nil {
 		arg = fmt.Sprintf("%s: %d cells, %d workers", bname, len(jobs), len(ws))
 	}
-	span := f.rec.StartSpan(0, obs.CatRemote, "dispatch", arg)
+	// ev.Parent is the engine's batch span, a span of ev.Rec: the dispatch
+	// nests under it when the fleet records there too, else it is a root.
+	var parent obs.SpanID
+	if ev.Rec == f.rec {
+		parent = ev.Parent
+	}
+	span := f.rec.StartSpan(parent, obs.CatRemote, "dispatch", arg)
 	d.span = span.ID()
 	defer span.End()
 
@@ -354,13 +380,10 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		f.reassignAfterFailedShip(d, w)
 		return
 	}
-	f.cellsShipped.Add(uint64(len(cells)))
-	f.ctrShipped.Add(float64(len(cells)))
-	f.bytesSent.Add(uint64(len(frame)))
-	f.ctrBytesOut.Add(float64(len(frame)))
+	f.n.cellsShipped.Add(uint64(len(cells)))
+	f.n.bytesSent.Add(uint64(len(frame)))
 	if steal {
-		f.retries.Add(uint64(len(cells)))
-		f.ctrRetries.Add(float64(len(cells)))
+		f.n.retries.Add(uint64(len(cells)))
 	}
 }
 
@@ -384,7 +407,7 @@ func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint
 	if int(idx) >= len(d.cells) || d.cells[idx].resolved {
 		d.mu.Unlock()
 		if from != nil {
-			d.fleet.duplicates.Add(1)
+			d.fleet.n.duplicates.Add(1)
 		}
 		return
 	}
@@ -398,7 +421,7 @@ func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint
 		met.Cond = d.jobs[idx].Cond
 	}
 	if from != nil {
-		d.fleet.results.Add(1)
+		d.fleet.n.results.Add(1)
 		var arg string
 		if d.fleet.rec != nil {
 			arg = fmt.Sprintf("worker %d: %v @ %v", from.id, d.jobs[idx].Config, d.jobs[idx].Cond)
@@ -553,8 +576,7 @@ func (f *Fleet) reassignFrom(d *dispatch, w *workerConn, remaining []*workerConn
 	if len(orphaned) == 0 {
 		return
 	}
-	f.reassignments.Add(uint64(len(orphaned)))
-	f.ctrReassigned.Add(float64(len(orphaned)))
+	f.n.reassignments.Add(uint64(len(orphaned)))
 
 	if len(remaining) == 0 {
 		f.localFallback(d, orphaned, "all workers lost mid-batch")
@@ -578,8 +600,7 @@ func (f *Fleet) reassignFrom(d *dispatch, w *workerConn, remaining []*workerConn
 // recovers a panicking backend into the cell's error, so the dispatch
 // always completes.
 func (f *Fleet) localFallback(d *dispatch, idxs []int, why string) {
-	f.fallbacks.Add(uint64(len(idxs)))
-	f.ctrFallbacks.Add(float64(len(idxs)))
+	f.n.fallbacks.Add(uint64(len(idxs)))
 	f.log.Warn("remote: degrading to local evaluation", "cause", why,
 		"backend", d.backend, "cells", len(idxs))
 	var arg string
@@ -623,8 +644,7 @@ func (f *Fleet) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	f.bytesReceived.Add(uint64(n))
-	f.ctrBytesIn.Add(float64(n))
+	f.n.bytesReceived.Add(uint64(n))
 	hello, err := decodeHello(payload)
 	reject := ""
 	switch {
@@ -638,14 +658,13 @@ func (f *Fleet) handshake(conn net.Conn) {
 	frame := appendWelcome(nil, welcomeFrame{Reject: reject})
 	if _, werr := conn.Write(frame); werr != nil || reject != "" {
 		if reject != "" {
-			f.rejected.Add(1)
+			f.n.rejected.Add(1)
 			f.log.Warn("remote: worker rejected", "addr", conn.RemoteAddr().String(), "reason", reject)
 		}
 		conn.Close()
 		return
 	}
-	f.bytesSent.Add(uint64(len(frame)))
-	f.ctrBytesOut.Add(float64(len(frame)))
+	f.n.bytesSent.Add(uint64(len(frame)))
 
 	w := &workerConn{conn: conn, capacity: int(hello.Capacity)}
 	f.mu.Lock()
@@ -673,8 +692,7 @@ func (f *Fleet) readLoop(w *workerConn, r *bufio.Reader) {
 			f.dropWorker(w, err)
 			return
 		}
-		f.bytesReceived.Add(uint64(n))
-		f.ctrBytesIn.Add(float64(n))
+		f.n.bytesReceived.Add(uint64(n))
 		if typ != frameResult {
 			f.dropWorker(w, fmt.Errorf("unexpected frame type %d", typ))
 			return
@@ -688,7 +706,7 @@ func (f *Fleet) readLoop(w *workerConn, r *bufio.Reader) {
 		d := f.dispatches[res.Dispatch]
 		f.mu.Unlock()
 		if d == nil {
-			f.duplicates.Add(1) // dispatch finished or canceled; late result
+			f.n.duplicates.Add(1) // dispatch finished or canceled; late result
 			continue
 		}
 		var rerr error

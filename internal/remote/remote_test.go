@@ -104,6 +104,42 @@ func startWorker(t testing.TB, f *Fleet, backend engine.Backend, capacity int) *
 	return w
 }
 
+// checkStatsMatchRegistry pins one home per count: every FleetStats field
+// equals its sample in the fleet's registry. Late worker frames may still
+// move the counts, so it compares against a Stats snapshot that held still
+// across the registry read.
+func checkStatsMatchRegistry(t *testing.T, f *Fleet) {
+	t.Helper()
+	for try := 0; ; try++ {
+		before := f.Stats()
+		samples := map[string]float64{}
+		for _, s := range f.rec.Metrics().Samples() {
+			samples[s.Name] = s.Value
+		}
+		if after := f.Stats(); after != before && try < 100 {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		for name, want := range map[string]uint64{
+			"optima_remote_workers":               uint64(before.Workers),
+			"optima_remote_cells_shipped_total":   before.CellsShipped,
+			"optima_remote_results_total":         before.Results,
+			"optima_remote_duplicates_total":      before.Duplicates,
+			"optima_remote_retries_total":         before.Retries,
+			"optima_remote_reassignments_total":   before.Reassignments,
+			"optima_remote_local_fallbacks_total": before.LocalFallbacks,
+			"optima_remote_rejected_total":        before.Rejected,
+			"optima_remote_bytes_sent_total":      before.BytesSent,
+			"optima_remote_bytes_received_total":  before.BytesReceived,
+		} {
+			if got := samples[name]; got != float64(want) {
+				t.Errorf("%s = %v, FleetStats says %d", name, got, want)
+			}
+		}
+		return
+	}
+}
+
 func waitFor(t testing.TB, d time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -203,13 +239,14 @@ func TestZeroWorkersDegradesGracefully(t *testing.T) {
 	if !found {
 		t.Fatalf("optima_remote_local_fallbacks_total not %d in %v", len(jobs), rec.Metrics().Samples())
 	}
+	checkStatsMatchRegistry(t, fleet)
 }
 
 // TestFingerprintMismatchRejected: a worker calibrated differently must be
 // refused in the handshake with a typed error, and never join the fleet.
 func TestFingerprintMismatchRejected(t *testing.T) {
 	leakCheck(t)
-	fleet := startFleet(t, nil)
+	fleet := startFleet(t, obs.NewRecorder(obs.RecorderOptions{}))
 	_, err := Dial(fleet.Addr(), WorkerOptions{
 		Fingerprint: "some-other-calibration",
 		Backends: func(string) (engine.Backend, error) {
@@ -223,6 +260,7 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	if n := fleet.WorkerCount(); n != 0 {
 		t.Fatalf("rejected worker joined the fleet (%d workers)", n)
 	}
+	checkStatsMatchRegistry(t, fleet)
 }
 
 // memStore is a map-backed engine.Store for the warm-rerun test.
@@ -300,7 +338,7 @@ func TestWorkerFailureMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet := startFleet(t, nil)
+	fleet := startFleet(t, obs.NewRecorder(obs.RecorderOptions{}))
 	// Worker 1 (first to join, so it owns the low hash ranges) blocks every
 	// evaluation on the gate; worker 2 evaluates normally.
 	gate := make(chan struct{})
@@ -359,6 +397,7 @@ func TestWorkerFailureMidBatch(t *testing.T) {
 		t.Fatalf("engine misses %d, want %d — a reassigned cell double-counted", eng.Stats().Misses, len(jobs))
 	}
 	waitFor(t, time.Second, func() bool { return fleet.WorkerCount() == 1 })
+	checkStatsMatchRegistry(t, fleet)
 }
 
 // TestAllWorkersLostMidBatch: losing the whole fleet mid-batch degrades to
@@ -371,7 +410,7 @@ func TestAllWorkersLostMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet := startFleet(t, nil)
+	fleet := startFleet(t, obs.NewRecorder(obs.RecorderOptions{}))
 	gate := make(chan struct{})
 	blocked := &fakeBackend{name: "behavioral", gate: gate}
 	defer close(gate)
@@ -403,6 +442,7 @@ func TestAllWorkersLostMidBatch(t *testing.T) {
 	if st.LocalFallbacks != uint64(len(jobs)) {
 		t.Fatalf("local fallbacks %d, want %d (the whole batch): %v", st.LocalFallbacks, len(jobs), st)
 	}
+	checkStatsMatchRegistry(t, fleet)
 }
 
 // TestFleetSingleCell: a one-job batch — search promotion, a one-off PVT
@@ -423,5 +463,43 @@ func TestFleetSingleCell(t *testing.T) {
 	}
 	if fleet.Stats().CellsShipped != 1 {
 		t.Fatalf("single cell shipped %d cells, want 1", fleet.Stats().CellsShipped)
+	}
+}
+
+// TestDispatchNestsUnderBatch: with one recorder shared by the engine and
+// the fleet, the engine's batch span parents the remote work — the dispatch,
+// its ship spans and the worker-reported eval spans — so a subtree of the
+// trace (a server job's /trace) includes it.
+func TestDispatchNestsUnderBatch(t *testing.T) {
+	leakCheck(t)
+	rec := obs.NewRecorder(obs.RecorderOptions{})
+	fleet := startFleet(t, rec)
+	startWorker(t, fleet, &fakeBackend{name: "behavioral"}, 2)
+	eng := engine.New(&fakeBackend{name: "behavioral"}, 2).WithDispatcher(fleet).WithRecorder(rec)
+	jobs := testJobs(4)
+	if _, err := eng.EvaluateBatch(jobs); err != nil {
+		t.Fatal(err)
+	}
+	spans := rec.Snapshot()
+	var batch obs.SpanID
+	for _, s := range spans {
+		if s.Cat == obs.CatBatch {
+			batch = s.ID
+		}
+	}
+	var dispatches, ships, remoteEvals int
+	for _, s := range obs.Subtree(spans, batch) {
+		switch s.Name {
+		case "dispatch":
+			dispatches++
+		case "ship":
+			ships++
+		case "behavioral@remote":
+			remoteEvals++
+		}
+	}
+	if dispatches != 1 || ships == 0 || remoteEvals != len(jobs) {
+		t.Fatalf("batch subtree holds %d dispatch, %d ship and %d remote eval spans, want 1, >0 and %d",
+			dispatches, ships, remoteEvals, len(jobs))
 	}
 }

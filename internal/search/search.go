@@ -72,7 +72,8 @@ type Options struct {
 	OnProgress func(rung, done, total int)
 	// Recorder, when non-nil, records the run's telemetry: a search span
 	// with one child span per rung (and the promotion pass), each parenting
-	// its engine batch. Timing never feeds into the Result — it is
+	// its engine batch — give Screen and Final the same recorder
+	// (engine.WithRecorder). Timing never feeds into the Result — it is
 	// byte-identical with or without a recorder, at any worker count.
 	Recorder *obs.Recorder
 	// Span parents the search span (0 = root) — the server's job span.
@@ -280,7 +281,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			rungArg = fmt.Sprintf("%d candidates", len(pool))
 		}
 		rungSpan := rec.StartSpan(searchSpan.ID(), obs.CatRung, fmt.Sprintf("rung-%d", r), rungArg)
-		mets, rms, stats, err := evaluateRung(ctx, opts.Screen, pool, conds, robust, r, opts.OnProgress, rec, rungSpan.ID())
+		mets, rms, stats, err := evaluateRung(ctx, opts.Screen, pool, conds, robust, r, opts.OnProgress, rungSpan.ID())
 		rungSpan.End()
 		if err != nil {
 			return nil, err
@@ -347,7 +348,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			promoteArg = fmt.Sprintf("%d finalists", len(survivors))
 		}
 		promoteSpan := rec.StartSpan(searchSpan.ID(), obs.CatRung, "promote", promoteArg)
-		fmets, frobust, stats, err := evaluateRung(ctx, opts.Final, survivors, conds, robust, rungs, opts.OnProgress, rec, promoteSpan.ID())
+		fmets, frobust, stats, err := evaluateRung(ctx, opts.Final, survivors, conds, robust, rungs, opts.OnProgress, promoteSpan.ID())
 		promoteSpan.End()
 		if err != nil {
 			return nil, err
@@ -375,8 +376,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // per-config metrics at the single condition of a nominal search, or the
 // worst-case composites (dse.RobustMetrics.Score) in robust mode — in which
 // case the full cross-condition summaries are returned alongside.
-func evaluateRung(ctx context.Context, eng *engine.Engine, pool []mult.Config, conds engine.ConditionSet, robust bool, rung int, onProgress func(rung, done, total int), rec *obs.Recorder, parent obs.SpanID) ([]dse.Metrics, []dse.RobustMetrics, RungStats, error) {
-	bo := engine.BatchOptions{Ctx: ctx, Recorder: rec, ParentSpan: parent}
+func evaluateRung(ctx context.Context, eng *engine.Engine, pool []mult.Config, conds engine.ConditionSet, robust bool, rung int, onProgress func(rung, done, total int), parent obs.SpanID) ([]dse.Metrics, []dse.RobustMetrics, RungStats, error) {
+	bo := engine.BatchOptions{Ctx: ctx, ParentSpan: parent}
 	if onProgress != nil {
 		bo.OnProgress = func(done, total int) { onProgress(rung, done, total) }
 	}

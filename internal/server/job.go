@@ -281,7 +281,6 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 				mat, err := eng.EvaluateMatrixOpts(cfgs, conds, engine.BatchOptions{
 					Ctx:        ctx,
 					OnProgress: func(done, total int) { progress(0, done, total) },
-					Recorder:   s.rec,
 					ParentSpan: parent,
 				})
 				if err != nil {

@@ -63,7 +63,6 @@ type Server struct {
 // serverMetrics holds the server-level instrument handles. The zero value
 // (every handle nil) is inert, so a bare Server in tests records nothing.
 type serverMetrics struct {
-	sessions   *obs.Gauge   // optima_sessions_active
 	jobsActive *obs.Gauge   // optima_jobs_active
 	jobsDone   *obs.Counter // optima_jobs_total{state="done"}
 	jobsFailed *obs.Counter // optima_jobs_total{state="failed"}
@@ -74,7 +73,6 @@ func newServerMetrics(rec *obs.Recorder) serverMetrics {
 	reg := rec.Metrics()
 	const jobsHelp = "Jobs finished, by terminal state."
 	return serverMetrics{
-		sessions:   reg.Gauge("optima_sessions_active", "Live sessions."),
 		jobsActive: reg.Gauge("optima_jobs_active", "Jobs currently running."),
 		jobsDone:   reg.Counter("optima_jobs_total", jobsHelp, "state", JobDone),
 		jobsFailed: reg.Counter("optima_jobs_total", jobsHelp, "state", JobFailed),
@@ -102,6 +100,11 @@ func New(expCtx *exp.Context) *Server {
 		sessions: make(map[string]*session),
 	}
 	s.sm = newServerMetrics(s.rec)
+	s.rec.Metrics().GaugeFunc("optima_sessions_active", "Live sessions.", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(len(s.sessions))
+	})
 	s.hub.instrument(s.rec)
 	s.engineFor = expCtx.EngineFor
 	s.routes()
@@ -265,7 +268,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.sessions[sess.id] = sess
 	s.sessOrder = append(s.sessOrder, sess.id)
 	s.mu.Unlock()
-	s.sm.sessions.Add(1)
 	slog.Info("session created", "session", sess.id)
 	writeJSON(w, http.StatusCreated, sess.status())
 }
@@ -340,7 +342,6 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.cancelActive()
-	s.sm.sessions.Add(-1)
 	slog.Info("session deleted", "session", sess.id, "jobs", len(sess.jobIDs()))
 	// Disconnect watchers and free the event histories. A still-running
 	// job keeps running to its terminal state (its runner holds direct

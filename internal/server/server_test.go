@@ -470,7 +470,7 @@ func TestServerConcurrentSessionDelete(t *testing.T) {
 	if second := <-codes; first != http.StatusNotFound || second != http.StatusNoContent {
 		t.Fatalf("concurrent DELETEs answered %d then %d, want 404 then 204", first, second)
 	}
-	if v := srv.sm.sessions.Value(); v != 0 {
+	if v := srv.rec.Metrics().Gauge("optima_sessions_active", "").Value(); v != 0 {
 		t.Fatalf("optima_sessions_active = %v after deleting the session, want 0", v)
 	}
 }

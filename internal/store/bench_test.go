@@ -1,9 +1,6 @@
 package store
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"optima/internal/engine"
@@ -36,41 +33,8 @@ func buildV2Fixture(b *testing.B, dir string, n int) {
 	}
 }
 
-// buildV1Fixture writes the same n records in the legacy JSONL format.
-func buildV1Fixture(b *testing.B, dir string, n int) {
-	b.Helper()
-	segs := make([][]byte, DefaultPartitions)
-	for _, ent := range benchEntries(n) {
-		line, err := json.Marshal(v1Record{FP: "fp", Key: ent.Key, Met: ent.Met})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := ent.Key.Hash() % uint64(len(segs))
-		segs[p] = append(segs[p], line...)
-		segs[p] = append(segs[p], '\n')
-	}
-	for i, data := range segs {
-		if err := os.WriteFile(filepath.Join(dir, segName(i)), data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	m, err := json.Marshal(manifest{Version: formatVersionV1, Partitions: len(segs), Fingerprint: "fp"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), m, 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkStoreOpen measures what a session pays before its first lookup.
-//
-//   - warm-v2: reopening a clean v2 store (the every-session cost).
-//   - v1-jsonl-decode: the decode work the v1 JSONL loader did for the same
-//     population — the baseline the codec's open speedup is measured
-//     against.
-//   - migrate-v1: the one-time cost of converting a v1 directory at open
-//     (decode + re-encode + rename), paid once per directory ever.
+// BenchmarkStoreOpen measures what a session pays before its first lookup:
+// reopening a clean v2 store (warm-v2), the every-session cost.
 func BenchmarkStoreOpen(b *testing.B) {
 	b.Run("warm-v2/10k", func(b *testing.B) {
 		dir := b.TempDir()
@@ -84,84 +48,6 @@ func BenchmarkStoreOpen(b *testing.B) {
 			}
 			if s.Len() != benchRecords {
 				b.Fatalf("store serves %d records", s.Len())
-			}
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v1-jsonl-decode/10k", func(b *testing.B) {
-		dir := b.TempDir()
-		buildV1Fixture(b, dir, benchRecords)
-		paths, err := filepath.Glob(filepath.Join(dir, v1SegmentGlob))
-		if err != nil || len(paths) == 0 {
-			b.Fatalf("fixture glob: %v (%d segments)", err, len(paths))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The v1 loadPartition loop: read, split lines, JSON-decode into
-			// the in-memory index.
-			total := 0
-			for _, path := range paths {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				index := map[engine.Key]engine.Metrics{}
-				for len(data) > 0 {
-					nl := -1
-					for j, c := range data {
-						if c == '\n' {
-							nl = j
-							break
-						}
-					}
-					if nl < 0 {
-						break
-					}
-					var rec v1Record
-					if err := json.Unmarshal(data[:nl], &rec); err != nil {
-						b.Fatal(err)
-					}
-					data = data[nl+1:]
-					index[rec.Key] = rec.Met
-				}
-				total += len(index)
-			}
-			if total != benchRecords {
-				b.Fatalf("decoded %d records", total)
-			}
-		}
-	})
-	b.Run("migrate-v1/10k", func(b *testing.B) {
-		fixture := b.TempDir()
-		buildV1Fixture(b, fixture, benchRecords)
-		names, err := filepath.Glob(filepath.Join(fixture, "*"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			for _, src := range names {
-				data, err := os.ReadFile(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StartTimer()
-			s, err := Open(dir, Options{Fingerprint: "fp"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.Len() != benchRecords {
-				b.Fatalf("migrated store serves %d records", s.Len())
 			}
 			if err := s.Close(); err != nil {
 				b.Fatal(err)

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -243,28 +242,6 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 	if _, ok := s.Get(testKey(50)); !ok {
 		t.Fatal("store not writable after corruption repair")
 	}
-}
-
-// TestV2SegmentBytesAtMostHalfOfV1 pins the codec's size win: the same
-// record population encodes to less than half the bytes of the v1 JSONL
-// form.
-func TestV2SegmentBytesAtMostHalfOfV1(t *testing.T) {
-	var v2 []byte
-	var v1 bytes.Buffer
-	for i := 0; i < 1000; i++ {
-		rec := record{FP: "0123456789abcdef0123456789abcdef", Key: testKey(i), Met: testMet(i)}
-		v2 = appendRecord(v2, rec)
-		line, err := json.Marshal(v1Record{FP: rec.FP, Key: rec.Key, Met: rec.Met})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Write(line)
-		v1.WriteByte('\n')
-	}
-	if 2*len(v2) >= v1.Len() {
-		t.Fatalf("v2 encoding is %d bytes vs %d for v1 JSONL — want at least 2x smaller", len(v2), v1.Len())
-	}
-	t.Logf("segment bytes: v1 JSONL %d, v2 binary %d (%.1fx smaller)", v1.Len(), len(v2), float64(v1.Len())/float64(len(v2)))
 }
 
 // TestMaxRecordLenRejected: an absurd length prefix is framing damage.

@@ -2,51 +2,86 @@ package store
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
-	"optima/internal/engine"
 	"optima/internal/obs"
 )
 
-// TestOpenSurfacesMigrationCount is the PR's small-fix contract: work the
-// store does silently at open — v1 migration, torn-tail repair — is
-// reported through Stats (and the recorder's counters) instead of being
-// swallowed.
-func TestOpenSurfacesMigrationCount(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Store(t, dir, 3, map[string][]engine.CacheEntry{"fp-a": v1Entries(20)})
+// storeCountNames maps each of the store's counts to its registry sample.
+var storeCountNames = []string{
+	`optima_store_gets_total{result="hit"}`,
+	`optima_store_gets_total{result="miss"}`,
+	"optima_store_put_records_total",
+	"optima_store_compactions_total",
+	"optima_store_torn_tails_total",
+}
 
+// storeCounts reads one store's counts in storeCountNames order: lookups
+// and appended records from its counts struct, the rest through Stats.
+func storeCounts(s *Store) []uint64 {
+	st := s.Stats()
+	return []uint64{s.n.getHits.Load(), s.n.getMisses.Load(), s.n.putRecords.Load(),
+		uint64(st.Compactions), uint64(st.TornTails)}
+}
+
+// registryCounts reads the same counts from the registry's samples.
+func registryCounts(rec *obs.Recorder) []uint64 {
+	byName := map[string]float64{}
+	for _, sm := range rec.Metrics().Samples() {
+		byName[sm.Name] = sm.Value
+	}
+	out := make([]uint64, len(storeCountNames))
+	for i, name := range storeCountNames {
+		out[i] = uint64(byName[name])
+	}
+	return out
+}
+
+// TestStoreStatsMatchRegistry pins one home per count: lookups, appended
+// records, compactions and torn tails read the same through the store and
+// through the registry, and a store reopened on the recorder continues the
+// series where its predecessor stopped.
+func TestStoreStatsMatchRegistry(t *testing.T) {
+	dir := t.TempDir()
 	rec := obs.NewRecorder(obs.RecorderOptions{})
-	s, err := Open(dir, Options{Fingerprint: "fp-a", Recorder: rec})
+	s1, err := Open(dir, Options{Fingerprint: "fp-a", Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	st := s.Stats()
-	if st.Migrated != 3 {
-		t.Errorf("Stats.Migrated = %d, want 3 (every v1 segment)", st.Migrated)
-	}
-	if !strings.Contains(st.String(), "migrated") {
-		t.Errorf("Stats.String() %q does not mention the migration", st.String())
-	}
-	ctr := rec.Metrics().Counter("optima_store_migrated_segments_total", "")
-	if got := ctr.Value(); got != 3 {
-		t.Errorf("migrated counter = %v, want 3", got)
-	}
-
-	// Reopening the migrated directory does no further work.
-	if err := s.Close(); err != nil {
+	fillStore(t, s1, 30)
+	s1.Get(testKey(1))
+	s1.Get(testKey(999))
+	if err := s1.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{Fingerprint: "fp-a"})
+	first := storeCounts(s1)
+	if got := registryCounts(rec); !slices.Equal(got, first) {
+		t.Errorf("registry %v, store %v", got, first)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	torn := make([]byte, recordHeaderLen+10)
+	binary.LittleEndian.PutUint32(torn, uint32(recordBodyFixedLen+20))
+	appendBytes(t, segments(t, dir)[0], torn)
+	s2, err := Open(dir, Options{Fingerprint: "fp-a", Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Stats().Migrated; got != 0 {
-		t.Errorf("second open migrated %d segments, want 0", got)
+	s2.Get(testKey(2))
+	want := storeCounts(s2)
+	for i := range want {
+		want[i] += first[i]
+		if want[i] == 0 {
+			t.Errorf("%s never counted", storeCountNames[i])
+		}
+	}
+	if got := registryCounts(rec); !slices.Equal(got, want) {
+		t.Errorf("after reopening: registry %v, the two stores' sum %v", got, want)
 	}
 }
 

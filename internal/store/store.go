@@ -14,9 +14,10 @@
 //     or remote store a drop-in seam: the engine.Store interface never
 //     exposes the layout.
 //   - Records use the format-v2 binary codec (codec.go): length-prefixed,
-//     fixed-width key/metric fields, one CRC32 per record. Format-v1
-//     directories (JSONL segments) migrate transparently at open
-//     (migrate.go) — same keys, same values, zero re-evaluation.
+//     fixed-width key/metric fields, one CRC32 per record. Open rejects a
+//     directory whose manifest names any other format version, including
+//     the retired v1 JSONL layout; deleting the directory recovers, and its
+//     results recompute on demand.
 //   - Every record carries the writer's fingerprint. Only records matching
 //     the store's open fingerprint enter the in-memory index, so a stale
 //     calibration can never serve wrong results — it only costs
@@ -34,6 +35,9 @@
 //     older than Options.MaxAge are evicted outright, then segments are
 //     evicted least-recently-written first until the rest fits
 //     Options.MaxBytes. Evicted corners recompute on demand.
+//   - Each count the store keeps (lookups, appended records, compactions,
+//     torn tails) has one home, a counts struct that Stats reads and Open
+//     attaches to the recorder's registry.
 //
 // The store implements engine.Store and is wired in as the middle tier of
 // the engine's memory → disk → backend lookup path (see exp.Context and the
@@ -49,6 +53,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"optima/internal/engine"
@@ -58,13 +63,10 @@ import (
 // DefaultPartitions is the segment count new stores are created with.
 const DefaultPartitions = 16
 
-// FormatVersion identifies the on-disk layout. Version 1 (JSONL segments)
-// is migrated in place at open; anything else from the future is rejected
-// by Open (the caller degrades to a memory-only cache).
+// FormatVersion identifies the on-disk layout. Open rejects any other
+// version — the retired v1 JSONL layout as well as a future one — and the
+// caller degrades to a memory-only cache.
 const FormatVersion = 2
-
-// formatVersionV1 is the legacy JSONL layout, readable via migration.
-const formatVersionV1 = 1
 
 // segSuffix is the v2 segment file extension.
 const segSuffix = ".seg"
@@ -104,38 +106,18 @@ type Options struct {
 	// unlimited.
 	MaxAge time.Duration
 	// Recorder, when non-nil, receives the store's telemetry: spans for
-	// open/migration/compaction/append work, hit/miss and record counters,
-	// and scrape-time gauges for segment bytes and live/garbage records.
-	// Timing and counts never affect what the store serves or writes.
+	// open/compaction/append work, the store's counts (lookups by result,
+	// appended records, compactions, torn tails), and scrape-time gauges
+	// for segment bytes and live/garbage records. Timing and counts never
+	// affect what the store serves or writes.
 	Recorder *obs.Recorder
 }
 
-// storeMetrics holds the store's instrument handles; the zero value (no
-// recorder) is inert — every obs method no-ops on a nil receiver.
-type storeMetrics struct {
-	rec         *obs.Recorder
-	getHits     *obs.Counter
-	getMisses   *obs.Counter
-	putRecords  *obs.Counter
-	migrated    *obs.Counter
-	compactions *obs.Counter
-	tornTails   *obs.Counter
-}
-
-func newStoreMetrics(rec *obs.Recorder) storeMetrics {
-	if rec == nil {
-		return storeMetrics{}
-	}
-	reg := rec.Metrics()
-	return storeMetrics{
-		rec:         rec,
-		getHits:     reg.Counter("optima_store_gets_total", "store index lookups", "result", "hit"),
-		getMisses:   reg.Counter("optima_store_gets_total", "store index lookups", "result", "miss"),
-		putRecords:  reg.Counter("optima_store_put_records_total", "records appended to segment files"),
-		migrated:    reg.Counter("optima_store_migrated_segments_total", "v1 JSONL segments converted to the v2 codec at open"),
-		compactions: reg.Counter("optima_store_compactions_total", "partition rewrites (open-time repair, garbage threshold, explicit Compact)"),
-		tornTails:   reg.Counter("optima_store_torn_tails_total", "segments whose torn or corrupt tail was repaired at open"),
-	}
+// counts is the store's accounting, the one home of each count: Stats reads
+// it, and Open attaches it to the recorder's registry. It is allocated apart
+// from the Store so that a registry holding it never keeps the index alive.
+type counts struct {
+	getHits, getMisses, putRecords, compactions, tornTails atomic.Uint64
 }
 
 // manifest is the store's snapshot metadata, rewritten atomically on every
@@ -172,16 +154,10 @@ type Store struct {
 	dir  string
 	fp   string
 	lock *os.File
-	sm   storeMetrics
+	rec  *obs.Recorder
+	n    *counts
 
 	parts []*partition
-
-	// statsMu guards the open/compaction accounting below (satellite
-	// counters surfaced via Stats; the partitions guard their own state).
-	statsMu     sync.Mutex
-	migrated    int
-	compactions int
-	tornTails   int
 }
 
 var _ engine.Store = (*Store)(nil)
@@ -191,7 +167,6 @@ var _ engine.Store = (*Store)(nil)
 // that are mostly garbage are compacted.
 func Open(dir string, opts Options) (*Store, error) {
 	rec := opts.Recorder
-	sm := newStoreMetrics(rec)
 	openSpan := rec.StartSpan(0, obs.CatStore, "open", dir)
 	defer openSpan.End()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -209,36 +184,21 @@ func Open(dir string, opts Options) (*Store, error) {
 		releaseLock(lock)
 		return nil, err
 	} else if m != nil {
-		if m.Version != FormatVersion && m.Version != formatVersionV1 {
+		if m.Version != FormatVersion {
 			releaseLock(lock)
-			return nil, fmt.Errorf("store: %s has format version %d, want %d", dir, m.Version, FormatVersion)
+			return nil, fmt.Errorf("store: %s has format version %d, want %d (delete the directory to start over; its results recompute)", dir, m.Version, FormatVersion)
 		}
 		if m.Partitions > 0 {
 			nparts = m.Partitions // layout is fixed at creation
 		}
-	}
-	// Upgrade legacy JSONL directories in place before the v2 load. The
-	// manifest-less case covers a torn manifest write over a v1 store: the
-	// segment files themselves identify the format.
-	var migrated int
-	if hasV1Segments(dir) {
-		migSpan := rec.StartSpan(openSpan.ID(), obs.CatStore, "migrate-v1", "")
-		migrated, err = migrateV1(dir)
-		migSpan.End()
-		if err != nil {
-			releaseLock(lock)
-			return nil, err
-		}
-		sm.migrated.Add(float64(migrated))
 	}
 	if err := applyRetention(dir, nparts, opts.MaxBytes, opts.MaxAge); err != nil {
 		releaseLock(lock)
 		return nil, err
 	}
 	s := &Store{
-		dir: dir, fp: opts.Fingerprint, lock: lock, sm: sm,
-		parts:    make([]*partition, nparts),
-		migrated: migrated,
+		dir: dir, fp: opts.Fingerprint, lock: lock, rec: rec, n: &counts{},
+		parts: make([]*partition, nparts),
 	}
 	var loadArg string
 	if rec != nil {
@@ -254,12 +214,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.parts[i] = p
 		if info.torn {
-			s.tornTails++
-			sm.tornTails.Inc()
+			s.n.tornTails.Add(1)
 		}
 		if info.compacted {
-			s.compactions++
-			sm.compactions.Inc()
+			s.n.compactions.Add(1)
 		}
 	}
 	loadSpan.End()
@@ -267,19 +225,25 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
-	s.registerGauges()
+	s.register()
 	return s, nil
 }
 
-// registerGauges exposes the store's sizing as scrape-time gauges. The
-// functions run at scrape with no registry lock held, so taking the
-// partition locks (Stats) and statting segment files is safe; values are
-// read fresh from the owning structures instead of being mirrored.
-func (s *Store) registerGauges() {
-	reg := s.sm.rec.Metrics()
+// register attaches the store's counts to the recorder's registry and
+// exposes its sizing as scrape-time gauges. The gauge functions run at
+// scrape with no registry lock held, so taking the partition locks (Stats)
+// and statting segment files is safe; values are read fresh from the
+// owning structures instead of being mirrored.
+func (s *Store) register() {
+	reg := s.rec.Metrics()
 	if reg == nil {
 		return
 	}
+	reg.CounterOf("optima_store_gets_total", "store index lookups", &s.n.getHits, "result", "hit")
+	reg.CounterOf("optima_store_gets_total", "store index lookups", &s.n.getMisses, "result", "miss")
+	reg.CounterOf("optima_store_put_records_total", "records appended to segment files", &s.n.putRecords)
+	reg.CounterOf("optima_store_compactions_total", "partition rewrites (open-time repair, garbage threshold, explicit Compact)", &s.n.compactions)
+	reg.CounterOf("optima_store_torn_tails_total", "segments whose torn or corrupt tail was repaired at open", &s.n.tornTails)
 	reg.GaugeFunc("optima_store_segment_bytes", "total size of the store's segment files",
 		func() float64 {
 			var total int64
@@ -361,9 +325,8 @@ func applyRetention(dir string, nparts int, maxBytes int64, maxAge time.Duration
 	return nil
 }
 
-// partLoadInfo reports what loading one partition had to do — counts the
-// open path used to silently swallow, now surfaced through Stats and the
-// store counters.
+// partLoadInfo reports what loading one partition had to do — work the
+// open path would otherwise do silently, surfaced through Stats.
 type partLoadInfo struct {
 	// torn: the segment ended in a truncated or corrupt record and the
 	// valid prefix was rewritten in place.
@@ -502,9 +465,9 @@ func (s *Store) Get(key engine.Key) (engine.Metrics, bool) {
 	met, ok := p.index[key]
 	p.mu.Unlock()
 	if ok {
-		s.sm.getHits.Inc()
+		s.n.getHits.Add(1)
 	} else {
-		s.sm.getMisses.Inc()
+		s.n.getMisses.Add(1)
 	}
 	return met, ok
 }
@@ -522,12 +485,12 @@ func (s *Store) PutBatch(entries []engine.CacheEntry) error {
 		return nil
 	}
 	var putArg string
-	if s.sm.rec != nil {
+	if s.rec != nil {
 		putArg = fmt.Sprintf("%d records", len(entries))
 	}
-	span := s.sm.rec.StartSpan(0, obs.CatStore, "put-batch", putArg)
+	span := s.rec.StartSpan(0, obs.CatStore, "put-batch", putArg)
 	defer span.End()
-	s.sm.putRecords.Add(float64(len(entries)))
+	s.n.putRecords.Add(uint64(len(entries)))
 	nparts := uint64(len(s.parts))
 	if len(entries) == 1 {
 		return s.parts[entries[0].Key.Hash()%nparts].append(s.fp, entries)
@@ -592,7 +555,7 @@ func (p *partition) append(fp string, ents []engine.CacheEntry) error {
 // Compact rewrites every partition down to its live records (current
 // fingerprint, latest value per key) via atomic write-then-rename.
 func (s *Store) Compact() error {
-	span := s.sm.rec.StartSpan(0, obs.CatStore, "compact", "")
+	span := s.rec.StartSpan(0, obs.CatStore, "compact", "")
 	defer span.End()
 	for _, p := range s.parts {
 		p.mu.Lock()
@@ -604,10 +567,7 @@ func (s *Store) Compact() error {
 		if err != nil {
 			return err
 		}
-		s.statsMu.Lock()
-		s.compactions++
-		s.statsMu.Unlock()
-		s.sm.compactions.Inc()
+		s.n.compactions.Add(1)
 	}
 	return nil
 }
@@ -622,8 +582,6 @@ type Stats struct {
 	Garbage int
 	// Partitions is the segment count.
 	Partitions int
-	// Migrated counts legacy v1 JSONL segments converted at open.
-	Migrated int
 	// Compactions counts partition rewrites: open-time repairs, the
 	// open-time garbage threshold, and explicit Compact passes.
 	Compactions int
@@ -637,9 +595,6 @@ type Stats struct {
 // when that work actually happened.
 func (st Stats) String() string {
 	out := fmt.Sprintf("%d results on disk (%d stale) across %d segments", st.Live, st.Garbage, st.Partitions)
-	if st.Migrated > 0 {
-		out += fmt.Sprintf(", %d segments migrated from v1", st.Migrated)
-	}
 	if st.TornTails > 0 {
 		out += fmt.Sprintf(", %d torn tails repaired", st.TornTails)
 	}
@@ -651,14 +606,11 @@ func (st Stats) String() string {
 
 // Stats returns a snapshot of the store's accounting.
 func (s *Store) Stats() Stats {
-	s.statsMu.Lock()
 	st := Stats{
 		Partitions:  len(s.parts),
-		Migrated:    s.migrated,
-		Compactions: s.compactions,
-		TornTails:   s.tornTails,
+		Compactions: int(s.n.compactions.Load()),
+		TornTails:   int(s.n.tornTails.Load()),
 	}
-	s.statsMu.Unlock()
 	for _, p := range s.parts {
 		p.mu.Lock()
 		st.Live += len(p.index)

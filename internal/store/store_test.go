@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,14 +336,22 @@ func TestConcurrentReadWrite(t *testing.T) {
 	}
 }
 
+// TestFormatVersionRejected: Open refuses any layout but FormatVersion and
+// names the version it found — the retired v1 JSONL layout included.
 func TestFormatVersionRejected(t *testing.T) {
-	dir := t.TempDir()
-	manifest := fmt.Sprintf(`{"version": %d, "partitions": 16, "fingerprint": "x"}`, FormatVersion+1)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{Fingerprint: "fp"}); err == nil {
-		t.Fatal("foreign format version must be rejected")
+	for _, version := range []int{1, FormatVersion + 1} {
+		dir := t.TempDir()
+		manifest := fmt.Sprintf(`{"version": %d, "partitions": 16, "fingerprint": "x"}`, version)
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, Options{Fingerprint: "fp"})
+		if err == nil {
+			t.Fatalf("format version %d must be rejected", version)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", version)) {
+			t.Errorf("error %q does not name version %d", err, version)
+		}
 	}
 }
 
