@@ -14,7 +14,6 @@ import (
 	"optima/internal/dse"
 	"optima/internal/exp"
 	"optima/internal/mult"
-	"optima/internal/spice"
 	"optima/internal/stats"
 )
 
@@ -269,19 +268,6 @@ func BenchmarkAblationMismatchSampling(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGoldenTransient measures one golden bit-line discharge — the
-// cost unit the speed-up claims compare against.
-func BenchmarkGoldenTransient(b *testing.B) {
-	tech := device.Generic65()
-	cond := device.Nominal()
-	for i := 0; i < b.N; i++ {
-		dp := spice.NewDischargePath(tech, 0.9, cond)
-		if _, err := dp.Discharge(2e-9, spice.DefaultConfig(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBehavioralModelEval measures one discharge-model evaluation —

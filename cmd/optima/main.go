@@ -37,8 +37,9 @@
 //
 // -workers bounds the evaluation engine's TOTAL worker budget (0 = all
 // CPUs): the engine splits it between job-level fan-out and intra-job
-// parallelism (the golden backend fans each corner's ~500 transients out
-// across its share), so job × intra-job workers never exceed the budget.
+// parallelism (the golden backend fans each cold corner's 176 transients
+// out across its share), so job × intra-job workers never exceed the
+// budget.
 // -backend selects behavioral (calibrated models, fast) or golden
 // (transistor-level transients — the reference, orders of magnitude
 // slower). Sweep output is identical for any worker count.

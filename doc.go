@@ -43,10 +43,11 @@
 // and the telemetry sink), and a Dispatcher runs a batch of cache misses —
 // engine.Local in-process, or a remote fleet. Concurrency is two-level under
 // one total worker budget: engine.Local fans jobs out across a bounded
-// pool, and the golden backend additionally fans each corner's ~500
+// pool, and the golden backend additionally fans each cold corner's 176
 // transients out across its granted intra-job share — with Metrics
-// byte-identical at any worker split (fixed result slots, serial
-// input-order reduction), so caching stays sound.
+// byte-identical at any worker split (fixed (code, bit) and sample slots,
+// the 256 input pairs composed from them serially), so caching stays
+// sound.
 // Command-line tools under cmd/ and the benchmarks in bench_test.go
 // regenerate every table and figure of the paper's evaluation.
 //

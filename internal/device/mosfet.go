@@ -220,8 +220,54 @@ func (m *MOSFET) Beta(p PVT) float64 {
 	return beta * (1 + m.MM.DBeta)
 }
 
+// Resolved is one transistor's condition-dependent model terms at one
+// operating condition: β (with its mobility-temperature power), Vth and the
+// thermal voltage, folded with the technology constants the drain-current
+// expression reads. A transient that evaluates a device thousands of times
+// at one condition resolves it once (see MOSFET.Resolve) and calls
+// Resolved.Ids, the model's one EKV expression.
+type Resolved struct {
+	beta, vth float64 // current factor and threshold at the condition
+	nvt2      float64 // 2·n·Vt, the overdrive interpolation's scale [V]
+	vc        float64 // velocity-saturation voltage [V]
+	lambda    float64 // channel-length modulation [1/V]
+}
+
+// Resolve returns the device's model terms at condition p. Mismatch is read
+// now, so resolve after setting MM.
+func (m *MOSFET) Resolve(p PVT) Resolved {
+	return Resolved{
+		beta:   m.Beta(p),
+		vth:    m.Vth(p),
+		nvt2:   2 * m.Tech.N * p.Vt(),
+		vc:     m.Tech.VCrit,
+		lambda: m.Tech.Lambda,
+	}
+}
+
 // Ids returns the drain-source current [A] for the given terminal voltages
-// (all node-to-ground, source-referenced internally) at condition p.
+// (all node-to-ground, source-referenced internally) at condition p. It is
+// m.Resolve(p).Ids; callers that evaluate one device many times at one
+// condition should resolve once.
+func (m *MOSFET) Ids(vg, vd, vs float64, p PVT) float64 {
+	return m.Resolve(p).Ids(vg, vd, vs)
+}
+
+// overdrive returns the smooth overdrive Vov and the velocity-saturated
+// drain saturation voltage Vdsat for gate vg over source vs.
+func (r Resolved) overdrive(vg, vs float64) (vov, vdsat float64) {
+	// Smooth overdrive: exponential below threshold, linear above.
+	u := (vg - vs - r.vth) / r.nvt2
+	if u > 40 {
+		vov = r.nvt2 * u
+	} else {
+		vov = r.nvt2 * math.Log1p(math.Exp(u))
+	}
+	return vov, r.vc * (math.Sqrt(1+2*vov/r.vc) - 1)
+}
+
+// Ids returns the drain-source current [A] for the given terminal voltages
+// (all node-to-ground, source-referenced internally).
 //
 // The model is a velocity-saturated unified square-law (BSIM-flavoured) with
 // a smooth EKV-style overdrive interpolation:
@@ -236,30 +282,18 @@ func (m *MOSFET) Beta(p PVT) float64 {
 // bit-line discharges — the property that makes the paper's rank-1
 // separable discharge model (Eq. 3) accurate — while the triode transition
 // of Eq. 2 still produces the compression visible at the largest products.
-func (m *MOSFET) Ids(vg, vd, vs float64, p PVT) float64 {
+func (r Resolved) Ids(vg, vd, vs float64) float64 {
 	if vd < vs { // enforce source/drain ordering; NMOS is symmetric
-		return -m.Ids(vg, vs, vd, p)
+		return -r.Ids(vg, vs, vd)
 	}
-	vt := p.Vt()
-	n := m.Tech.N
-	beta := m.Beta(p)
-	vth := m.Vth(p)
-	vc := m.Tech.VCrit
-	// Smooth overdrive: exponential below threshold, linear above.
-	u := (vg - vs - vth) / (2 * n * vt)
-	var vov float64
-	if u > 40 {
-		vov = 2 * n * vt * u
-	} else {
-		vov = 2 * n * vt * math.Log1p(math.Exp(u))
-	}
-	vdsat := vc * (math.Sqrt(1+2*vov/vc) - 1)
+	vov, vdsat := r.overdrive(vg, vs)
+	vc := r.vc
 	vds := vd - vs
 	if vds < vdsat {
-		return beta * (vov*vds - 0.5*vds*vds) / (1 + vds/vc)
+		return r.beta * (vov*vds - 0.5*vds*vds) / (1 + vds/vc)
 	}
-	isat := beta * (vov*vdsat - 0.5*vdsat*vdsat) / (1 + vdsat/vc)
-	return isat * (1 + m.Tech.Lambda*(vds-vdsat))
+	isat := r.beta * (vov*vdsat - 0.5*vdsat*vdsat) / (1 + vdsat/vc)
+	return isat * (1 + r.lambda*(vds-vdsat))
 }
 
 // SatVds returns the velocity-saturation-limited drain saturation voltage
@@ -268,17 +302,8 @@ func (m *MOSFET) Ids(vg, vd, vs float64, p PVT) float64 {
 // velocity-saturated refinement of the paper's Eq. 2 boundary
 // V_BL ≥ V_WL − Vth).
 func (m *MOSFET) SatVds(vg, vs float64, p PVT) float64 {
-	vt := p.Vt()
-	n := m.Tech.N
-	vc := m.Tech.VCrit
-	u := (vg - vs - m.Vth(p)) / (2 * n * vt)
-	var vov float64
-	if u > 40 {
-		vov = 2 * n * vt * u
-	} else {
-		vov = 2 * n * vt * math.Log1p(math.Exp(u))
-	}
-	return vc * (math.Sqrt(1+2*vov/vc) - 1)
+	_, vdsat := m.Resolve(p).overdrive(vg, vs)
+	return vdsat
 }
 
 // Gm returns the numeric transconductance dId/dVg at the operating point,

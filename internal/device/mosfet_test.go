@@ -270,3 +270,79 @@ func TestIdsFiniteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refIds is the drain-current expression as it read before device terms
+// were resolved once per condition: β, Vth and Vt recomputed on every call.
+// TestResolvedIdsMatchesReference holds Resolved.Ids to it bit for bit.
+func refIds(m *MOSFET, vg, vd, vs float64, p PVT) float64 {
+	if vd < vs {
+		return -refIds(m, vg, vs, vd, p)
+	}
+	vt := p.Vt()
+	n := m.Tech.N
+	beta := m.Beta(p)
+	vth := m.Vth(p)
+	vc := m.Tech.VCrit
+	u := (vg - vs - vth) / (2 * n * vt)
+	var vov float64
+	if u > 40 {
+		vov = 2 * n * vt * u
+	} else {
+		vov = 2 * n * vt * math.Log1p(math.Exp(u))
+	}
+	vdsat := vc * (math.Sqrt(1+2*vov/vc) - 1)
+	vds := vd - vs
+	if vds < vdsat {
+		return beta * (vov*vds - 0.5*vds*vds) / (1 + vds/vc)
+	}
+	isat := beta * (vov*vdsat - 0.5*vdsat*vdsat) / (1 + vdsat/vc)
+	return isat * (1 + m.Tech.Lambda*(vds-vdsat))
+}
+
+// TestResolvedIdsMatchesReference pins the resolved-terms kernel: over a
+// seeded grid of terminal voltages (reversed drain/source and the u > 40
+// strong-overdrive branch included), every corner, several temperatures and
+// sampled mismatch, both MOSFET.Ids and a once-resolved device return the
+// reference expression's current to the last bit.
+func TestResolvedIdsMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(0x1d5)
+	var reversed, strong int
+	for _, corner := range Corners() {
+		for _, tempC := range []float64{-40, 0, 27, 60, 125} {
+			p := PVT{Corner: corner, VDD: 0.9 + 0.1*float64(corner), TempC: tempC}
+			for dev := 0; dev < 8; dev++ {
+				m := testDevice()
+				if dev > 0 {
+					m.MM = m.SampleMismatch(rng)
+				}
+				r := m.Resolve(p)
+				for k := 0; k < 200; k++ {
+					vg := rng.Uniform(-0.2, 1.4)
+					vd := rng.Uniform(-0.1, 1.2)
+					vs := rng.Uniform(-0.1, 1.2)
+					if k%10 == 0 {
+						vg = rng.Uniform(3, 10) // u > 40: the linear overdrive branch
+					}
+					if vd < vs {
+						reversed++
+					}
+					if (vg-math.Min(vd, vs)-m.Vth(p))/(2*m.Tech.N*p.Vt()) > 40 {
+						strong++
+					}
+					want := math.Float64bits(refIds(m, vg, vd, vs, p))
+					if got := math.Float64bits(m.Ids(vg, vd, vs, p)); got != want {
+						t.Fatalf("MOSFET.Ids(%g, %g, %g) at %v, mismatch %+v: bits %x, reference %x",
+							vg, vd, vs, p, m.MM, got, want)
+					}
+					if got := math.Float64bits(r.Ids(vg, vd, vs)); got != want {
+						t.Fatalf("Resolved.Ids(%g, %g, %g) at %v, mismatch %+v: bits %x, reference %x",
+							vg, vd, vs, p, m.MM, got, want)
+					}
+				}
+			}
+		}
+	}
+	if reversed == 0 || strong == 0 {
+		t.Fatalf("grid missed a branch: %d reversed, %d with u > 40", reversed, strong)
+	}
+}

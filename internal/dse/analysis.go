@@ -174,7 +174,8 @@ type CornerCheck struct {
 }
 
 // GoldenCornerCheck runs the corner sensitivity analysis. It is golden-
-// simulation bound (≈1500 transients for three corners).
+// simulation bound: the 16 trim transients plus one matched-cell
+// mult.GoldenTable (64 transients) per corner, 208 for three corners.
 func GoldenCornerCheck(tech device.Tech, cfg mult.Config, scfg spice.Config) (CornerCheck, error) {
 	out := CornerCheck{Config: cfg, Corners: device.Corners()}
 	trim, err := mult.CalibrateGoldenTrim(tech, cfg, scfg)
@@ -188,11 +189,15 @@ func GoldenCornerCheck(tech device.Tech, cfg mult.Config, scfg spice.Config) (Co
 		if err != nil {
 			return CornerCheck{}, err
 		}
+		table, err := g.Table(1)
+		if err != nil {
+			return CornerCheck{}, err
+		}
+		out.Transients += mult.TableTransients
 		var acc stats.Accumulator
-		var scr spice.Scratch
 		for a := uint(0); a <= mult.OperandMax; a++ {
 			for d := uint(0); d <= mult.OperandMax; d++ {
-				r, err := g.MultiplyCells(a, d, nil, &scr)
+				r, err := table.Multiply(a, d)
 				if err != nil {
 					return CornerCheck{}, err
 				}
@@ -201,7 +206,6 @@ func GoldenCornerCheck(tech device.Tech, cfg mult.Config, scfg spice.Config) (Co
 					e = -e
 				}
 				acc.Add(float64(e))
-				out.Transients += r.Transients
 			}
 		}
 		out.AvgError = append(out.AvgError, acc.Mean())

@@ -13,6 +13,7 @@ import (
 	"optima/internal/engine"
 	"optima/internal/mult"
 	"optima/internal/spice"
+	"optima/internal/stats"
 )
 
 var (
@@ -311,8 +312,34 @@ func TestGoldenCornerCheck(t *testing.T) {
 		t.Errorf("TT error %.2f not the smallest: FF %.2f, SS %.2f",
 			check.AvgError[0], check.AvgError[1], check.AvgError[2])
 	}
-	if check.Transients == 0 {
-		t.Fatal("no transients counted")
+	// The trim, then one 16×4 table per corner.
+	if want := mult.OperandMax + 1 + 3*mult.TableTransients; check.Transients != want {
+		t.Fatalf("%d transients counted, want %d", check.Transients, want)
+	}
+	// AvgError is the per-pair path's mean, bit for bit.
+	trim, err := mult.CalibrateGoldenTrim(core.QuickCalibration().Tech, cfg, spice.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, corner := range check.Corners {
+		cond := device.PVT{Corner: corner, VDD: device.NominalVDD, TempC: device.NominalTempC}
+		g, err := mult.NewGoldenWithTrim(core.QuickCalibration().Tech, cfg, cond, spice.DefaultConfig(), trim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc stats.Accumulator
+		for a := uint(0); a <= mult.OperandMax; a++ {
+			for d := uint(0); d <= mult.OperandMax; d++ {
+				r, err := g.MultiplyCells(a, d, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc.Add(math.Abs(float64(r.ErrorLSB())))
+			}
+		}
+		if want := acc.Mean(); math.Float64bits(check.AvgError[i]) != math.Float64bits(want) {
+			t.Fatalf("%v: AvgError %v, per-pair path gives %v", corner, check.AvgError[i], want)
+		}
 	}
 }
 

@@ -246,13 +246,15 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 }
 
 // Golden is the reference backend: every evaluation runs the full input
-// space through transistor-level transient simulation (hundreds of
-// transients per corner — orders of magnitude slower; that gap is the
-// paper's headline speed-up). The backend memoizes the 16 per-configuration
-// ADC trim transients across operating conditions: the trim depends only on
-// the configuration, so a PVT sweep over one corner pays it once instead of
-// once per condition. Use NewGoldenBackend; the zero value also works (the
-// trim cache initializes lazily).
+// space through transistor-level transient simulation (176 transients for
+// a cold corner — orders of magnitude slower; that gap is the paper's
+// headline speed-up). The input space costs 64 of them: with matched cells
+// a bit line's discharge depends only on (code, bit), so the 256 pairs
+// compose from a mult.GoldenTable. The backend memoizes the 16
+// per-configuration ADC trim transients across operating conditions: the
+// trim depends only on the configuration, so a PVT sweep over one corner
+// pays it once instead of once per condition. Use NewGoldenBackend; the
+// zero value also works (the trim cache initializes lazily).
 //
 // EvaluateCell fans the transients of one corner out across the cell's
 // worker budget, with Metrics guaranteed identical at any budget.
@@ -359,16 +361,15 @@ const GoldenSigmaSamples = 24
 // job workers.
 const goldenSigmaSeed = 0x600dc0de
 
-// inputSpan is the per-operand code count of the multiplier input space.
-const inputSpan = mult.OperandMax + 1
-
 // EvaluateCell implements Backend. The per-corner transients — the 16
-// trim transients of a cold configuration, the 256 input pairs, and the
-// GoldenSigmaSamples mismatch samples of the (15,15) input — fan out
-// across up to ev.Workers workers, each with its own integrator scratch
-// and — for the Monte-Carlo phase — its own per-sample seeded RNG and cell
-// state. Workers fill fixed slices indexed by (a, d) and by sample, and
-// the Metrics reduction walks those slices serially in input order, so the
+// trim transients of a cold configuration, the 64 (code, bit) transients
+// of the input-space table, and the four bit lines of each of the
+// GoldenSigmaSamples mismatch samples of the (15,15) input (176 in all) —
+// fan out across up to ev.Workers workers, each with its own integrator
+// scratch and — for the Monte-Carlo phase — its own per-sample seeded RNG
+// and cell state. Workers fill fixed slots indexed by (code, bit) and by
+// sample; the 256 input pairs compose from the (code, bit) slots serially
+// in (a, d) order, and the σ reduction walks the samples in order, so the
 // result is byte-identical to the serial path at any worker count — the
 // engine's content-addressed cache contract.
 //
@@ -387,45 +388,32 @@ func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	}
 	m := Metrics{Config: cfg, Cond: cond, LSBVolt: gm.LSBVolt}
 
-	// Workers reuse integrator buffers between transients; the pool hands
-	// each in-flight call a private Scratch.
-	var scratch sync.Pool
-
-	// Input space: pair i = (a, d) = (i / 16, i mod 16). sched.Map returns
-	// the per-pair results in index order regardless of scheduling.
-	type pairRes struct{ eps, energy float64 }
-	pairIdx := make([]int, inputSpan*inputSpan)
-	for i := range pairIdx {
-		pairIdx[i] = i
-	}
-	var pairArg string
+	// Input space: the 16×4 distinct (code, bit) transients fill the
+	// matched-cell table, then the 256 pairs compose from it serially in
+	// (a, d) order through the shared scaffold.
+	var tableArg string
 	if ev.Rec != nil {
-		pairArg = fmt.Sprintf("%d pairs", len(pairIdx))
+		tableArg = fmt.Sprintf("%d transients", mult.TableTransients)
 	}
-	pairSpan := ev.Rec.StartSpan(ev.Parent, obs.CatPhase, "input-space", pairArg)
-	pairs, err := sched.Map(ev.Workers, pairIdx, func(_ int, i int) (pairRes, error) {
-		scr, _ := scratch.Get().(*spice.Scratch)
-		if scr == nil {
-			scr = &spice.Scratch{}
-		}
-		defer scratch.Put(scr)
-		r, err := gm.MultiplyCells(uint(i/inputSpan), uint(i%inputSpan), nil, scr)
-		if err != nil {
-			return pairRes{}, err
-		}
-		return pairRes{eps: math.Abs(float64(r.ErrorLSB())), energy: r.Energy}, nil
-	})
-	pairSpan.End()
+	tableSpan := ev.Rec.StartSpan(ev.Parent, obs.CatPhase, "input-space", tableArg)
+	table, err := gm.Table(ev.Workers)
+	tableSpan.End()
 	if err != nil {
 		return Metrics{}, err
 	}
-	// Serial reduction in (a, d) order through the shared scaffold.
 	if err := m.accumulate(func(a, d uint) (eps, energy float64, err error) {
-		p := pairs[int(a)*inputSpan+int(d)]
-		return p.eps, p.energy, nil
+		r, err := table.Multiply(a, d)
+		if err != nil {
+			return 0, 0, err
+		}
+		return math.Abs(float64(r.ErrorLSB())), r.Energy, nil
 	}); err != nil {
 		return Metrics{}, err
 	}
+
+	// Monte-Carlo workers reuse integrator buffers between transients; the
+	// pool hands each in-flight call a private Scratch.
+	var scratch sync.Pool
 
 	// σ at the maximum discharge via Monte-Carlo mismatch sampling, one
 	// deterministic RNG stream per sample (seed fixed — same job, same

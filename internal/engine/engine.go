@@ -33,8 +33,9 @@
 // The engine's worker bound is a total budget spent on two levels. Local
 // fans distinct jobs out across a bounded pool and grants each cell a
 // share of the budget as ev.Workers, which the golden backend spends
-// inside the cell (its ~500 transients — trim calibration, the 16×16 input
-// space, and the Monte-Carlo sigma samples). For a batch of n runnable
+// inside the cell (its 176 transients — trim calibration, the 16×4
+// (code, bit) table the 16×16 input space composes from, and the
+// Monte-Carlo sigma samples). For a batch of n runnable
 // jobs each cell gets total/min(total, n) workers, so job-level × intra-job
 // concurrency never oversubscribes the budget: a 48-corner sweep spends
 // everything on job fan-out, while a single golden corner spends

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"optima/internal/device"
 	"optima/internal/mult"
 	"optima/internal/spice"
+	"optima/internal/sram"
+	"optima/internal/stats"
 )
 
 // TestGoldenTrimCachedAcrossConditions pins the trim cache: a condition
@@ -177,12 +181,13 @@ func BenchmarkGoldenTrim(b *testing.B) {
 	})
 }
 
-// BenchmarkGoldenEvaluate quantifies the tentpole: one cold golden corner
-// (16 trim + 256 input-space + GoldenSigmaSamples Monte-Carlo transients)
-// evaluated serially versus with an 8-worker intra-job budget. A fresh
-// backend per iteration keeps every run cold — this is the per-corner cost
-// a golden sweep pays, and the serial-vs-parallel gap is the intra-job
-// speed-up (recorded in CI's BENCH_engine.json).
+// BenchmarkGoldenEvaluate quantifies the intra-job budget: one cold golden
+// corner (16 trim + 64 input-space table + 4×GoldenSigmaSamples Monte-Carlo
+// transients, 176 in all) evaluated serially versus with an 8-worker
+// intra-job budget. A fresh backend per iteration keeps every run cold —
+// this is the per-corner cost a golden sweep pays, and the
+// serial-vs-parallel gap is the intra-job speed-up (recorded in CI's
+// BENCH_engine.json).
 func BenchmarkGoldenEvaluate(b *testing.B) {
 	trimBenchSetup()
 	cfg := mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}
@@ -203,5 +208,83 @@ func BenchmarkGoldenEvaluate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// referenceGoldenMetrics is EvaluateCell as it read before the input space
+// composed from a mult.GoldenTable: one MultiplyCells per input pair (512
+// transients), then the Monte-Carlo σ, all serial.
+func referenceGoldenMetrics(t *testing.T, tech device.Tech, scfg spice.Config, cfg mult.Config, cond device.PVT) Metrics {
+	t.Helper()
+	gm, err := mult.NewGolden(tech, cfg, cond, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Metrics{Config: cfg, Cond: cond, LSBVolt: gm.LSBVolt}
+	var scr spice.Scratch
+	if err := m.accumulate(func(a, d uint) (eps, energy float64, err error) {
+		r, err := gm.MultiplyCells(a, d, nil, &scr)
+		if err != nil {
+			return 0, 0, err
+		}
+		return math.Abs(float64(r.ErrorLSB())), r.Energy, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var vAcc stats.Accumulator
+	for s := 0; s < GoldenSigmaSamples; s++ {
+		var cells sram.Word
+		cells.SampleMismatch(tech, stats.NewRNG(goldenSigmaSeed+uint64(s)))
+		r, err := gm.MultiplyCells(mult.OperandMax, mult.OperandMax, &cells, &scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vAcc.Add(r.VComb)
+	}
+	m.SigmaMaxVolt = vAcc.StdDev()
+	m.SigmaMaxLSB = m.SigmaMaxVolt / gm.LSBVolt
+	return m
+}
+
+// TestGoldenEvaluateMatchesPairReference pins the table-composed input space
+// to the per-pair path it replaced: Metrics equal the reference's field for
+// field, serial and at GOMAXPROCS, for two configurations at two
+// conditions.
+func TestGoldenEvaluateMatchesPairReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden-simulation bound")
+	}
+	calib := core.QuickCalibration()
+	jobs := []Job{
+		{Config: mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}, Cond: device.Nominal()},
+		{Config: mult.Config{Tau0: 0.24e-9, VDAC0: 0.4, VDACFS: 0.7}, Cond: device.PVT{Corner: device.CornerSS, VDD: 0.9, TempC: 60}},
+	}
+	for _, job := range jobs {
+		want := referenceGoldenMetrics(t, calib.Tech, calib.Spice, job.Config, job.Cond)
+		for _, intra := range []int{1, runtime.GOMAXPROCS(0)} {
+			got, err := NewGoldenBackend(calib.Tech, calib.Spice).EvaluateBudget(job.Config, job.Cond, intra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%v at %v, intra=%d:\n  got  %+v\n  want %+v", job.Config, job.Cond, intra, got, want)
+			}
+		}
+	}
+}
+
+// TestGoldenNonFiniteCornerFails pins the non-finite bugfix end to end: a
+// DAC full scale that passes mult.Config.Validate but overflows the device
+// currents must fail the cell with spice.ErrNonFinite, not return NaN
+// Metrics with a nil error, which the engine would memoize.
+func TestGoldenNonFiniteCornerFails(t *testing.T) {
+	cfg := mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1e300}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("the corner must pass validation to reach the solver: %v", err)
+	}
+	m, err := NewGoldenBackend(device.Generic65(), spice.DefaultConfig()).EvaluateBudget(cfg, device.Nominal(), 2)
+	if !errors.Is(err, spice.ErrNonFinite) {
+		t.Fatalf("VDACFS=%g: err = %v with EMul %g, LSBVolt %g; want an error wrapping spice.ErrNonFinite",
+			cfg.VDACFS, err, m.EMul, m.LSBVolt)
 	}
 }

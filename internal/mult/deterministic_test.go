@@ -5,6 +5,7 @@ import (
 
 	"optima/internal/core"
 	"optima/internal/device"
+	"optima/internal/spice"
 )
 
 // detTestConditions exercises the table at nominal and at a non-nominal
@@ -222,4 +223,85 @@ func BenchmarkMultiplyDet(b *testing.B) {
 			detSink, _ = bm.multiplyEvents(uint(i)&OperandMax, uint(i>>4)&OperandMax, nil)
 		}
 	})
+}
+
+// TestGoldenTableMatchesMultiplyCells is the golden twin of
+// TestMultiplyDetMatchesMultiply: over the full input space, for both test
+// configurations at every test condition, the 16×4 matched-cell table
+// composes exactly the Result of MultiplyCells(a, d, nil, scr) — every field
+// to the last bit — except Transients, which is 0 because the table already
+// ran them. The engine's golden Metrics and the corner check rest on this.
+func TestGoldenTableMatchesMultiplyCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden backend is slow")
+	}
+	tech := core.QuickCalibration().Tech
+	scfg := spice.DefaultConfig()
+	for _, cfg := range []Config{fomConfig(), powerConfig()} {
+		trim, err := CalibrateGoldenTrim(tech, cfg, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cond := range detTestConditions() {
+			g, err := NewGoldenWithTrim(tech, cfg, cond, scfg, trim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := g.Table(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scr spice.Scratch
+			for a := uint(0); a <= OperandMax; a++ {
+				for d := uint(0); d <= OperandMax; d++ {
+					want, err := g.MultiplyCells(a, d, nil, &scr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := table.Multiply(a, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Transients != popcount(d) || got.Transients != 0 {
+						t.Fatalf("cfg %v cond %v (%d,%d): %d transients per pair, %d from the table",
+							cfg, cond, a, d, want.Transients, got.Transients)
+					}
+					want.Transients = 0
+					if got != want {
+						t.Fatalf("cfg %v cond %v: table (%d,%d) =\n%+v, MultiplyCells gives\n%+v",
+							cfg, cond, a, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGoldenTableWorkerInvariant: the table fills fixed (code, bit) slots,
+// so it is identical serial and fanned out.
+func TestGoldenTableWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden backend is slow")
+	}
+	g, err := NewGolden(core.QuickCalibration().Tech, fomConfig(), device.Nominal(), spice.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := g.Table(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := g.Table(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.dv != parallel.dv {
+		t.Fatalf("table at 4 workers differs from serial:\n%v\n%v", parallel.dv, serial.dv)
+	}
+	if _, err := serial.Multiply(16, 3); err == nil {
+		t.Fatal("a = 16 accepted")
+	}
+	if _, err := serial.Multiply(3, 16); err == nil {
+		t.Fatal("d = 16 accepted")
+	}
 }

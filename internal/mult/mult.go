@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"optima/internal/core"
 	"optima/internal/device"
@@ -346,16 +347,18 @@ func (b *Behavioral) WriteEnergy() float64 {
 }
 
 // Golden is the transistor-level reference backend: every set bit of d
-// becomes a transient simulation of the discharge stack. It quantizes with
-// the same full-scale calibration approach as the behavioral backend
-// (anchored at its own nominal (15,15) golden discharge).
+// becomes a transient simulation of the discharge stack (MultiplyCells),
+// sampled per bit line and composed by one readout. It quantizes with the
+// same full-scale calibration approach as the behavioral backend (anchored
+// at its own nominal (15,15) golden discharge). A whole matched-cell input
+// space needs only the 16×4 distinct bit-line transients (Table).
 //
 // The receiver is immutable after construction, so a single Golden is safe
-// for concurrent Multiply/MultiplyCells calls — the basis of the engine's
-// intra-job parallel golden evaluation. All per-call state is explicit:
-// column mismatch is passed in as an *sram.Word (nil = matched cells),
-// integrator work buffers as a per-worker *spice.Scratch, and the transient
-// count of each call comes back in Result.Transients.
+// for concurrent Multiply/MultiplyCells/Table calls — the basis of the
+// engine's intra-job parallel golden evaluation. All per-call state is
+// explicit: column mismatch is passed in as an *sram.Word (nil = matched
+// cells), integrator work buffers as a per-worker *spice.Scratch, and the
+// transient count of each call comes back in Result.Transients.
 type Golden struct {
 	Tech       device.Tech
 	Cfg        Config
@@ -489,8 +492,9 @@ func (g *Golden) Multiply(a, d uint) (Result, error) {
 // state: cells carries the per-column mismatch (cell i backs bit line i;
 // nil means matched columns), scr optionally reuses one worker's integrator
 // buffers across calls. Columns whose d-bit is set are simulated for their
-// bit time. The receiver is never mutated, so concurrent calls with
-// distinct cells/scr are safe.
+// bit time, one transient each — the cost the paper's speed-up experiment
+// times. The receiver is never mutated, so concurrent calls with distinct
+// cells/scr are safe.
 func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
@@ -498,32 +502,114 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 	if cells == nil {
 		cells = &sram.Word{}
 	}
+	var dv [OperandBits]float64
+	transients := 0
+	for i := 0; i < OperandBits; i++ {
+		if d&(1<<uint(i)) == 0 {
+			continue
+		}
+		v, err := g.bitDeltaV(a, i, &cells[i], scr)
+		if err != nil {
+			return Result{}, err
+		}
+		dv[i] = v
+		transients++
+	}
+	res := g.readout(a, d, &dv)
+	res.Transients = transients
+	return res, nil
+}
+
+// bitDeltaV is the golden per-bit-line step: one transient of bit line i's
+// discharge stack (cell's mismatch) under input code a for the bit time
+// 2^i·τ0, returning the clamped ΔV at sampling.
+func (g *Golden) bitDeltaV(a uint, i int, cell *sram.Cell, scr *spice.Scratch) (float64, error) {
+	dp := cell.DischargePath(g.Tech, g.Cfg.DACVoltage(a, g.Cond.VDD), g.Cond)
+	tr, err := dp.DischargeScratch(g.Cfg.BitTime(i), g.Spice, 0, scr)
+	if err != nil {
+		return 0, fmt.Errorf("mult: golden bit %d: %w", i, err)
+	}
+	dv := g.Cond.VDD - tr.Waveform.Final()[0]
+	if dv < 0 {
+		dv = 0
+	}
+	return dv, nil
+}
+
+// readout is the golden compose step: it charge-shares the sampled ΔV of
+// d's set bit lines (dv[i], summed in bit order), adds their recharge
+// energy, quantizes on the trimmed ADC and adds the peripheral energy.
+// Transients is left to the caller.
+func (g *Golden) readout(a, d uint, dv *[OperandBits]float64) Result {
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	vwl := g.Cfg.DACVoltage(a, g.Cond.VDD)
 	var sum float64
 	for i := 0; i < OperandBits; i++ {
 		if d&(1<<uint(i)) == 0 {
 			continue
 		}
-		dp := cells[i].DischargePath(g.Tech, vwl, g.Cond)
-		tr, err := dp.DischargeScratch(g.Cfg.BitTime(i), g.Spice, 0, scr)
-		if err != nil {
-			return Result{}, fmt.Errorf("mult: golden bit %d: %w", i, err)
-		}
-		res.Transients++
-		dv := g.Cond.VDD - tr.Waveform.Final()[0]
-		if dv < 0 {
-			dv = 0
-		}
-		res.DeltaV[i] = dv
-		sum += dv
+		res.DeltaV[i] = dv[i]
+		sum += dv[i]
 		// Recharge energy of this bit line (same physical definition the
 		// energy model was calibrated against).
-		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv
+		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv[i]
 	}
 	res.VComb = sum / OperandBits
 	res.Code = adcCode(res.VComb, g.OffsetVolt, g.LSBVolt)
 	// Same peripheral accounting as the behavioral backend.
+	vwl := g.Cfg.DACVoltage(a, g.Cond.VDD)
 	res.Energy += DefaultDACCap*g.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
-	return res, nil
+	return res
+}
+
+// TableTransients is the number of transients a GoldenTable runs: one per
+// (input code, bit line).
+const TableTransients = (OperandMax + 1) * OperandBits
+
+// GoldenTable is the golden twin of the behavioral detTable: the
+// matched-cell transfer of one golden multiplier. With matched columns a bit
+// line's discharge depends only on the input code a and its bit index i —
+// the stored operand d selects which bit lines take part, never what one
+// does — so the 16×4 ΔV table holds every transient of the 16×16 input
+// space, and Multiply composes any pair through MultiplyCells' readout.
+type GoldenTable struct {
+	g  *Golden
+	dv [OperandMax + 1][OperandBits]float64
+}
+
+// Table runs the TableTransients matched-cell transients of g across up to
+// workers goroutines (<= 0 = GOMAXPROCS), each with its own integrator
+// scratch. Every transient fills a fixed (code, bit) slot, so the table is
+// identical at any worker count.
+func (g *Golden) Table(workers int) (*GoldenTable, error) {
+	slots := make([]int, TableTransients)
+	for k := range slots {
+		slots[k] = k
+	}
+	var scratch sync.Pool
+	dv, err := sched.Map(workers, slots, func(_ int, k int) (float64, error) {
+		scr, _ := scratch.Get().(*spice.Scratch)
+		if scr == nil {
+			scr = &spice.Scratch{}
+		}
+		defer scratch.Put(scr)
+		return g.bitDeltaV(uint(k/OperandBits), k%OperandBits, &sram.Cell{}, scr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &GoldenTable{g: g}
+	for k, v := range dv {
+		t.dv[k/OperandBits][k%OperandBits] = v
+	}
+	return t, nil
+}
+
+// Multiply composes one matched-cell multiplication from the table: exactly
+// the Result of MultiplyCells(a, d, nil, ·) except that Transients is 0,
+// since the table already ran them.
+func (t *GoldenTable) Multiply(a, d uint) (Result, error) {
+	if a > OperandMax || d > OperandMax {
+		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
+	}
+	return t.g.readout(a, d, &t.dv[a]), nil
 }

@@ -34,7 +34,8 @@ const (
 //	v[1] = V_int (node between M6 and M4)
 //
 // A cell storing '0' never turns M4 on, so the path only exists for d = 1;
-// callers model d = 0 as "no discharge" exactly as the paper does.
+// callers model d = 0 as "no discharge" exactly as the paper does. The
+// fields stay settable until a transient starts (Discharge).
 type DischargePath struct {
 	Access *device.MOSFET // M6: gate = WL
 	Driver *device.MOSFET // M4: gate = VDD ('1' stored)
@@ -57,16 +58,35 @@ func NewDischargePath(tech device.Tech, vwl float64, cond device.PVT) *Discharge
 	}
 }
 
+// resolvedPath is the System one discharge transient integrates: the path
+// with both devices resolved at its condition, so the 12 drain-current
+// evaluations of each RK45 step skip the condition-dependent terms (β's
+// mobility-temperature power, Vth, Vt).
+type resolvedPath struct {
+	acc, drv            device.Resolved
+	vwl, vdd, cbl, cint float64
+}
+
+// resolve snapshots the path's devices, capacitances and voltages. It runs
+// when a transient starts, not at construction: callers set mismatch
+// (sram.Cell.DischargePath, SampleMismatch) and capacitances afterwards.
+func (d *DischargePath) resolve() *resolvedPath {
+	return &resolvedPath{
+		acc: d.Access.Resolve(d.Cond), drv: d.Driver.Resolve(d.Cond),
+		vwl: d.VWL, vdd: d.Cond.VDD, cbl: d.CBL, cint: d.CInt,
+	}
+}
+
 // Dim implements System.
-func (d *DischargePath) Dim() int { return 2 }
+func (r *resolvedPath) Dim() int { return 2 }
 
 // Derivatives implements System.
-func (d *DischargePath) Derivatives(_ float64, v, dv []float64) {
+func (r *resolvedPath) Derivatives(_ float64, v, dv []float64) {
 	vbl, vint := v[0], v[1]
-	iAcc := d.Access.Ids(d.VWL, vbl, vint, d.Cond)    // BLB → internal node
-	iDrv := d.Driver.Ids(d.Cond.VDD, vint, 0, d.Cond) // internal node → GND
-	dv[0] = -iAcc / d.CBL
-	dv[1] = (iAcc - iDrv) / d.CInt
+	iAcc := r.acc.Ids(r.vwl, vbl, vint) // BLB → internal node
+	iDrv := r.drv.Ids(r.vdd, vint, 0)   // internal node → GND
+	dv[0] = -iAcc / r.cbl
+	dv[1] = (iAcc - iDrv) / r.cint
 }
 
 // InitialState returns the pre-charged state: BLB at VDD, stack node at 0.
@@ -83,9 +103,10 @@ func (d *DischargePath) Discharge(duration float64, cfg Config, sampleEvery floa
 // DischargeScratch is Discharge with caller-owned integrator work buffers —
 // workers that run many discharges back to back pass their own Scratch to
 // avoid reallocating the stage vectors per transient. A nil scr allocates
-// per call.
+// per call. The devices are resolved at d.Cond once, as the transient
+// starts.
 func (d *DischargePath) DischargeScratch(duration float64, cfg Config, sampleEvery float64, scr *Scratch) (*Result, error) {
-	return TransientScratch(d, d.InitialState(), 0, duration, d.Cond.VDD, cfg, sampleEvery, scr)
+	return TransientScratch(d.resolve(), d.InitialState(), 0, duration, d.Cond.VDD, cfg, sampleEvery, scr)
 }
 
 // SampleMismatch draws fresh mismatch for both stack transistors.

@@ -62,6 +62,11 @@ var ErrStep = errors.New("spice: step size underflow")
 // ErrSteps is returned when MaxSteps is exceeded.
 var ErrSteps = errors.New("spice: step budget exhausted")
 
+// ErrNonFinite is returned when a step's trial state is NaN or infinite
+// (a NaN or ±Inf stage derivative). Such a step has no error estimate to
+// reject it by, so the transient fails instead of carrying the value on.
+var ErrNonFinite = errors.New("spice: non-finite state")
+
 // Result holds the outcome of a transient analysis.
 type Result struct {
 	Waveform *Waveform
@@ -200,6 +205,10 @@ func TransientScratch(sys System, v0 []float64, t0, t1 float64, vdd float64, cfg
 			e := math.Abs(v5[i]-v4[i]) / scale
 			if e > errMax {
 				errMax = e
+			} else if math.IsNaN(e) {
+				// A non-finite v5 or v4 makes e NaN, and a NaN never
+				// exceeds errMax, so the step would be accepted.
+				return res, fmt.Errorf("spice: node %d at t=%.3g s, step %g s: %w", i, t, h, ErrNonFinite)
 			}
 		}
 		if errMax <= 1 {

@@ -233,3 +233,95 @@ func TestDeviceEvalsCounted(t *testing.T) {
 		t.Fatalf("device evals %d < steps %d × 6", res.DeviceEvals, res.Steps)
 	}
 }
+
+// badAfter is an RC discharge whose derivative turns to val (NaN or ±Inf)
+// from time at onwards.
+type badAfter struct{ at, val float64 }
+
+func (b badAfter) Dim() int { return 1 }
+func (b badAfter) Derivatives(t float64, v, dv []float64) {
+	if t >= b.at {
+		dv[0] = b.val
+		return
+	}
+	dv[0] = -v[0] / 1e-9
+}
+
+// TestTransientRejectsNonFiniteDerivative pins the non-finite bugfix: a NaN
+// or ±Inf stage derivative makes the step's error estimate NaN, which no
+// tolerance rejects, so an unchecked integrator accepts the step and
+// returns a NaN state with a nil error. It must fail with ErrNonFinite
+// instead, having recorded only finite states.
+func TestTransientRejectsNonFiniteDerivative(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res, err := Transient(badAfter{at: 0.5e-9, val: bad}, []float64{1}, 0, 1e-9, 1, DefaultConfig(), 0)
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("derivative %g from 0.5 ns: err = %v, want ErrNonFinite", bad, err)
+		}
+		wf := res.Waveform
+		for i, v := range wf.V {
+			if math.IsNaN(v[0]) || math.IsInf(v[0], 0) {
+				t.Fatalf("derivative %g: non-finite state %g recorded at t=%g", bad, v[0], wf.T[i])
+			}
+		}
+		if last := wf.T[wf.Len()-1]; last >= 0.5e-9 {
+			t.Fatalf("derivative %g: a step past 0.5 ns was accepted (t=%g)", bad, last)
+		}
+	}
+}
+
+// perCallPath integrates a DischargePath the way Derivatives read before
+// the devices were resolved once per transient: MOSFET.Ids, which resolves
+// the condition's terms again on every call.
+type perCallPath struct{ *DischargePath }
+
+func (d perCallPath) Dim() int { return 2 }
+func (d perCallPath) Derivatives(_ float64, v, dv []float64) {
+	vbl, vint := v[0], v[1]
+	iAcc := d.Access.Ids(d.VWL, vbl, vint, d.Cond)
+	iDrv := d.Driver.Ids(d.Cond.VDD, vint, 0, d.Cond)
+	dv[0] = -iAcc / d.CBL
+	dv[1] = (iAcc - iDrv) / d.CInt
+}
+
+// TestDischargeResolvedMatchesPerCall pins the resolved-terms transient to
+// the per-call one bit for bit, over corners, supplies, temperatures and
+// word-line voltages. The mismatch and bit-line capacitance are set after
+// construction, so the test also shows they are read when the transient
+// starts.
+func TestDischargeResolvedMatchesPerCall(t *testing.T) {
+	tech := device.Generic65()
+	rng := stats.NewRNG(7)
+	conds := []device.PVT{
+		device.Nominal(),
+		{Corner: device.CornerSS, VDD: 0.9, TempC: 85},
+		{Corner: device.CornerFF, VDD: 1.1, TempC: -20},
+	}
+	for _, cond := range conds {
+		for _, vwl := range []float64{0.3, 0.65, 1.0} {
+			dp := NewDischargePath(tech, vwl, cond)
+			dp.SampleMismatch(rng)
+			dp.CBL = 200e-15
+			got, err := dp.Discharge(1.28e-9, DefaultConfig(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Transient(perCallPath{dp}, dp.InitialState(), 0, 1.28e-9, cond.VDD, DefaultConfig(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Steps != want.Steps || got.DeviceEvals != want.DeviceEvals || got.Waveform.Len() != want.Waveform.Len() {
+				t.Fatalf("%v vwl=%g: %d steps / %d evals / %d samples, per-call path %d / %d / %d", cond, vwl,
+					got.Steps, got.DeviceEvals, got.Waveform.Len(), want.Steps, want.DeviceEvals, want.Waveform.Len())
+			}
+			for i := range want.Waveform.T {
+				g, w := got.Waveform.V[i], want.Waveform.V[i]
+				if got.Waveform.T[i] != want.Waveform.T[i] || math.Float64bits(g[0]) != math.Float64bits(w[0]) ||
+					math.Float64bits(g[1]) != math.Float64bits(w[1]) {
+					t.Fatalf("%v vwl=%g sample %d: (%g, %v), per-call path (%g, %v)", cond, vwl, i,
+						got.Waveform.T[i], g, want.Waveform.T[i], w)
+				}
+			}
+		}
+	}
+}
