@@ -10,6 +10,8 @@
 //	              errors.Is/As keep working across package boundaries
 //	lockedcall    no evaluation, network call, or blocking channel send
 //	              while holding a receiver's mutex
+//	unusedapi     an exported identifier needs a non-test user among the
+//	              loaded packages (judges only what it loads: run it on ./...)
 //
 // Usage:
 //

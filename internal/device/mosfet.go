@@ -295,20 +295,3 @@ func (r Resolved) Ids(vg, vd, vs float64) float64 {
 	isat := r.beta * (vov*vdsat - 0.5*vdsat*vdsat) / (1 + vdsat/vc)
 	return isat * (1 + r.lambda*(vds-vdsat))
 }
-
-// SatVds returns the velocity-saturation-limited drain saturation voltage
-// for the given gate and source voltages. The pass transistor leaves
-// saturation when the bit line discharges below Vs + Vdsat (the
-// velocity-saturated refinement of the paper's Eq. 2 boundary
-// V_BL ≥ V_WL − Vth).
-func (m *MOSFET) SatVds(vg, vs float64, p PVT) float64 {
-	_, vdsat := m.Resolve(p).overdrive(vg, vs)
-	return vdsat
-}
-
-// Gm returns the numeric transconductance dId/dVg at the operating point,
-// used by sensitivity analyses.
-func (m *MOSFET) Gm(vg, vd, vs float64, p PVT) float64 {
-	const h = 1e-6
-	return (m.Ids(vg+h, vd, vs, p) - m.Ids(vg-h, vd, vs, p)) / (2 * h)
-}

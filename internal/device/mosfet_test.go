@@ -87,7 +87,9 @@ func TestSubthresholdSlope(t *testing.T) {
 func TestVelocitySaturationLimitsVdsat(t *testing.T) {
 	m := testDevice()
 	cond := Nominal()
-	vdsat := m.SatVds(1.0, 0, cond)
+	// The pass transistor leaves saturation when the bit line discharges
+	// below Vs + Vdsat, the velocity-saturated refinement of Eq. 2.
+	_, vdsat := m.Resolve(cond).overdrive(1.0, 0)
 	vov := 1.0 - m.Vth(cond)
 	if vdsat >= vov {
 		t.Fatalf("Vdsat %g not reduced below Vov %g by velocity saturation", vdsat, vov)
@@ -206,7 +208,8 @@ func TestMismatchShiftsCurrent(t *testing.T) {
 
 func TestGmPositive(t *testing.T) {
 	m := testDevice()
-	if gm := m.Gm(0.8, 1.0, 0, Nominal()); gm <= 0 {
+	const h = 1e-6
+	if gm := (m.Ids(0.8+h, 1.0, 0, Nominal()) - m.Ids(0.8-h, 1.0, 0, Nominal())) / (2 * h); gm <= 0 {
 		t.Fatalf("gm = %g, want positive", gm)
 	}
 }

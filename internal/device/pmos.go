@@ -22,11 +22,6 @@ func NewPMOS(tech Tech, w, l float64) *PMOS {
 	return &PMOS{N: MOSFET{Tech: t, W: w, L: l}}
 }
 
-// SampleMismatch draws a fresh mismatch state for the PMOS geometry.
-func (p *PMOS) SampleMismatch(rng Gaussianer) Mismatch {
-	return p.N.SampleMismatch(rng)
-}
-
 // Isd returns the source-to-drain current [A] flowing from the higher
 // potential terminal into vd, for gate voltage vg and source voltage vs
 // (conventionally near VDD). Positive current charges the drain node.
@@ -34,6 +29,3 @@ func (p *PMOS) Isd(vg, vd, vs float64, cond PVT) float64 {
 	// Reflect about the supply: the PMOS conducts when vg is low.
 	return p.N.Ids(cond.VDD-vg, cond.VDD-vd, cond.VDD-vs, cond)
 }
-
-// Vth returns the magnitude of the effective PMOS threshold voltage.
-func (p *PMOS) Vth(cond PVT) float64 { return p.N.Vth(cond) }

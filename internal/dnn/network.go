@@ -1,10 +1,8 @@
 package dnn
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"optima/internal/sched"
@@ -287,12 +285,6 @@ func (n *Network) TopKAccuracy(x *Tensor, labels []int, k int) (top1, topk float
 	return EvalTopKWorkers(n.Infer, x, labels, k, 32, workers)
 }
 
-// EvalTopK scores an arbitrary classifier function batch-by-batch on one
-// worker.
-func EvalTopK(forward func(*Tensor) *Tensor, x *Tensor, labels []int, k, batch int) (top1, topk float64) {
-	return EvalTopKWorkers(forward, x, labels, k, batch, 1)
-}
-
 // EvalTopKWorkers scores a classifier with the batches fanned out across
 // the shared scheduler (internal/sched). forward must be safe for concurrent calls whenever
 // workers != 1 (workers <= 0 uses GOMAXPROCS). The result is independent
@@ -381,79 +373,4 @@ func (n *Network) FoldAllBatchNorms() error {
 		}
 	}
 	return nil
-}
-
-// netState is the gob-serializable snapshot of a network's parameters.
-type netState struct {
-	Name   string
-	Params map[string][]float64
-	BNMean map[string][]float64
-	BNVar  map[string][]float64
-}
-
-// Save writes the network's parameters (including batch-norm running
-// statistics) to path.
-func (n *Network) Save(path string) error {
-	st := netState{Name: n.Name, Params: map[string][]float64{}, BNMean: map[string][]float64{}, BNVar: map[string][]float64{}}
-	for _, p := range n.Params() {
-		st.Params[p.Name] = p.W
-	}
-	n.visitBN(func(bn *BatchNorm2D) {
-		st.BNMean[bn.Name()] = bn.RunMean
-		st.BNVar[bn.Name()] = bn.RunVar
-	})
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return gob.NewEncoder(f).Encode(st)
-}
-
-// Load restores parameters saved by Save into an identically-constructed
-// network.
-func (n *Network) Load(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var st netState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return err
-	}
-	for _, p := range n.Params() {
-		saved, ok := st.Params[p.Name]
-		if !ok {
-			return fmt.Errorf("dnn: snapshot missing parameter %s", p.Name)
-		}
-		if len(saved) != len(p.W) {
-			return fmt.Errorf("dnn: parameter %s has %d values, snapshot has %d", p.Name, len(p.W), len(saved))
-		}
-		copy(p.W, saved)
-	}
-	var bnErr error
-	n.visitBN(func(bn *BatchNorm2D) {
-		if m, ok := st.BNMean[bn.Name()]; ok && len(m) == len(bn.RunMean) {
-			copy(bn.RunMean, m)
-		} else if bnErr == nil {
-			bnErr = fmt.Errorf("dnn: snapshot missing batch-norm stats for %s", bn.Name())
-		}
-		if v, ok := st.BNVar[bn.Name()]; ok && len(v) == len(bn.RunVar) {
-			copy(bn.RunVar, v)
-		}
-	})
-	return bnErr
-}
-
-func (n *Network) visitBN(fn func(*BatchNorm2D)) {
-	for _, l := range n.Layers {
-		switch t := l.(type) {
-		case *BatchNorm2D:
-			fn(t)
-		case *Residual:
-			fn(t.BN1)
-			fn(t.BN2)
-		}
-	}
 }

@@ -12,10 +12,7 @@
 // and in-memory-multiplier injection.
 package dnn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense 4-D tensor in NCHW layout (batch, channel, height,
 // width). Dense layers use C as the feature dimension with H = W = 1.
@@ -30,11 +27,6 @@ func NewTensor(n, c, h, w int) *Tensor {
 		panic(fmt.Sprintf("dnn: invalid tensor shape [%d %d %d %d]", n, c, h, w))
 	}
 	return &Tensor{N: n, C: c, H: h, W: w, Data: make([]float64, n*c*h*w)}
-}
-
-// ShapeEq reports whether two tensors have identical shapes.
-func (t *Tensor) ShapeEq(o *Tensor) bool {
-	return t.N == o.N && t.C == o.C && t.H == o.H && t.W == o.W
 }
 
 // Shape returns the shape as a human-readable string.
@@ -53,12 +45,6 @@ func (t *Tensor) Idx(n, c, h, w int) int {
 	return ((n*t.C+c)*t.H+h)*t.W + w
 }
 
-// At returns the element at (n, c, h, w).
-func (t *Tensor) At(n, c, h, w int) float64 { return t.Data[t.Idx(n, c, h, w)] }
-
-// Set assigns the element at (n, c, h, w).
-func (t *Tensor) Set(n, c, h, w int, v float64) { t.Data[t.Idx(n, c, h, w)] = v }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := NewTensor(t.N, t.C, t.H, t.W)
@@ -68,25 +54,6 @@ func (t *Tensor) Clone() *Tensor {
 
 // ZerosLike returns a zero tensor with the same shape.
 func (t *Tensor) ZerosLike() *Tensor { return NewTensor(t.N, t.C, t.H, t.W) }
-
-// Sample returns a view-copy of sample n as a 1×C×H×W tensor.
-func (t *Tensor) Sample(n int) *Tensor {
-	out := NewTensor(1, t.C, t.H, t.W)
-	f := t.FeatureLen()
-	copy(out.Data, t.Data[n*f:(n+1)*f])
-	return out
-}
-
-// MaxAbs returns the largest absolute element.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // Param is one learnable parameter array with its gradient.
 type Param struct {

@@ -49,7 +49,7 @@ func ProfileByResult(model *core.Model, cfg mult.Config, cond device.PVT) (Resul
 				g = &acc{}
 				groups[r.Expected] = g
 			}
-			sigma := math.Hypot(r.Sigma, b.ADCSigma)
+			sigma := math.Hypot(r.Sigma, mult.DefaultADCSigma)
 			g.err.Add(engine.ExpectedAbsError(r.VComb-b.OffsetVolt, sigma, b.LSBVolt, r.Expected))
 			g.sigSq.Add(r.Sigma * r.Sigma)
 		}
@@ -128,34 +128,6 @@ func conditionSweep(eng *engine.Engine, cfg mult.Config, what string, xs []float
 		out.AvgEnergy = append(out.AvgEnergy, met.EMul)
 	}
 	return out, nil
-}
-
-// MCValidation cross-checks the analytic expected-error metric with
-// Monte-Carlo sampling (per-operation mismatch and readout noise), returning
-// the sampled ϵ_mul. Used by tests and the MC speed-up benchmark.
-func MCValidation(model *core.Model, cfg mult.Config, cond device.PVT, samples int, seed uint64) (float64, error) {
-	b, err := mult.NewBehavioral(model, cfg, cond)
-	if err != nil {
-		return 0, err
-	}
-	rng := stats.NewRNG(seed)
-	var acc stats.Accumulator
-	for s := 0; s < samples; s++ {
-		for a := uint(0); a <= mult.OperandMax; a++ {
-			for d := uint(0); d <= mult.OperandMax; d++ {
-				r, err := b.Multiply(a, d, rng)
-				if err != nil {
-					return 0, err
-				}
-				e := r.ErrorLSB()
-				if e < 0 {
-					e = -e
-				}
-				acc.Add(float64(e))
-			}
-		}
-	}
-	return acc.Mean(), nil
 }
 
 // CornerCheck quantifies the global-process-corner sensitivity of one

@@ -82,13 +82,6 @@ func (g Grid) Configs() []mult.Config {
 // Metrics is the per-corner score produced by the evaluation engine.
 type Metrics = engine.Metrics
 
-// Evaluate scores one configuration at the given condition with the
-// behavioral backend (no pool, no cache — for one-off scoring; sweeps
-// should go through an engine).
-func Evaluate(model *core.Model, cfg mult.Config, cond device.PVT) (Metrics, error) {
-	return engine.Behavioral{Model: model}.Evaluate(cfg, cond)
-}
-
 // Sweep evaluates every corner of the grid at the nominal condition on a
 // fresh behavioral engine with the given worker count and returns the
 // metrics in grid order. Callers that run several sweeps (figures, tables,

@@ -56,7 +56,7 @@ func TestGridSkipsInvalidCombos(t *testing.T) {
 
 func TestEvaluateMetricsSanity(t *testing.T) {
 	m := testModel(t)
-	met, err := Evaluate(m, mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}, device.Nominal())
+	met, err := engine.Behavioral{Model: m}.Evaluate(mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}, device.Nominal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +225,34 @@ func TestExpectedAbsErrorAnalytic(t *testing.T) {
 	}
 }
 
+// TestMCValidationMatchesAnalytic cross-checks the analytic expected-error
+// metric with Monte-Carlo sampling of the behavioral multiplier
+// (per-operation mismatch and readout noise) over the full input space.
 func TestMCValidationMatchesAnalytic(t *testing.T) {
 	m := testModel(t)
 	cfg := mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}
-	met, err := Evaluate(m, cfg, device.Nominal())
+	met, err := engine.Behavioral{Model: m}.Evaluate(cfg, device.Nominal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MCValidation(m, cfg, device.Nominal(), 6, 99)
+	b, err := mult.NewBehavioral(m, cfg, device.Nominal())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := stats.NewRNG(99)
+	var acc stats.Accumulator
+	for s := 0; s < 6; s++ {
+		for a := uint(0); a <= mult.OperandMax; a++ {
+			for d := uint(0); d <= mult.OperandMax; d++ {
+				r, err := b.Multiply(a, d, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc.Add(math.Abs(float64(r.ErrorLSB())))
+			}
+		}
+	}
+	mc := acc.Mean()
 	if math.Abs(mc-met.EpsMul) > 0.35*met.EpsMul {
 		t.Fatalf("MC ϵ̄ %g vs analytic %g disagree by >35%%", mc, met.EpsMul)
 	}
@@ -517,7 +534,7 @@ func TestRobustSweepReductions(t *testing.T) {
 		// The synthetic backend's worst excursion is SS@0.9V@60C for eps
 		// (both VDD and temperature excursions add) — a sanity anchor that
 		// the arg-worst is a real condition of the set.
-		if set.Index(r.WorstEpsCond) < 0 || set.Index(r.WorstEMulCond) < 0 {
+		if !inSet(set, r.WorstEpsCond) || !inSet(set, r.WorstEMulCond) {
 			t.Fatalf("summary %d arg-worst conditions not members of the set", i)
 		}
 		// Score projects the worst case onto the Pareto plane.
@@ -612,4 +629,14 @@ func TestRobustParetoFront(t *testing.T) {
 	if got := RobustParetoFront(nil); len(got) != 0 {
 		t.Fatalf("nil input produced front %v", got)
 	}
+}
+
+// inSet reports whether cond is one of set's conditions.
+func inSet(set engine.ConditionSet, cond device.PVT) bool {
+	for j := 0; j < set.Len(); j++ {
+		if set.At(j) == cond {
+			return true
+		}
+	}
+	return false
 }

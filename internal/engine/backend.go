@@ -231,7 +231,7 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 		if err != nil {
 			return 0, 0, err
 		}
-		sigma := math.Hypot(r.Sigma, bm.ADCSigma)
+		sigma := math.Hypot(r.Sigma, mult.DefaultADCSigma)
 		eps = ExpectedAbsError(r.VComb-bm.OffsetVolt, sigma, bm.LSBVolt, r.Expected)
 		if a == mult.OperandMax && d == mult.OperandMax {
 			m.SigmaMaxVolt = r.Sigma
@@ -264,8 +264,8 @@ type Golden struct {
 
 	mu    sync.Mutex
 	trims map[mult.Config]*trimEntry
-	// cals counts the trim calibrations actually run: the one home of
-	// TrimCalibrations and of the optima_trim_calibrations_total series. It
+	// cals counts the trim calibrations actually run: the one home of the
+	// optima_trim_calibrations_total series. It
 	// is allocated apart from the backend so that a registry holding it
 	// never keeps the trim cache alive.
 	cals *atomic.Uint64
@@ -288,27 +288,14 @@ func NewGoldenBackend(tech device.Tech, scfg spice.Config) *Golden {
 // Name implements Backend.
 func (*Golden) Name() string { return BackendGolden }
 
-// TrimCalibrations returns how many trim calibrations (16 golden transients
-// each) the backend has run — evaluations beyond the first per configuration
-// hit the cache and add nothing, including concurrent first evaluations
-// (singleflight).
-func (g *Golden) TrimCalibrations() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cals == nil {
-		return 0
-	}
-	return int64(g.cals.Load())
-}
-
 // trimFor returns the configuration's ADC trim, calibrating on first use
 // with up to intra workers. Concurrent first calls of the same
 // configuration share one calibration: the first claims a cache entry and
 // computes, the rest wait on its done channel (the same claimed-entry
 // pattern as the engine's result cache). Errors are cached — the
 // calibration is deterministic, so a failing configuration fails the same
-// way every time. A calibration that runs is counted in TrimCalibrations,
-// which rec's registry reads.
+// way every time. A calibration that runs is counted in cals, which rec's
+// registry reads.
 func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent obs.SpanID) (mult.GoldenTrim, error) {
 	g.mu.Lock()
 	if g.trims == nil {
@@ -456,6 +443,8 @@ func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 
 // EvaluateBudget is EvaluateCell without telemetry: one corner with up to
 // intra workers (<= 0 = GOMAXPROCS, 1 = serial).
+//
+//lint:ignore unusedapi bench/ (a separate module) times golden cells through it
 func (g *Golden) EvaluateBudget(cfg mult.Config, cond device.PVT, intra int) (Metrics, error) {
 	return g.EvaluateCell(Eval{Workers: intra}, Job{Config: cfg, Cond: cond})
 }

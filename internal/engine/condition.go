@@ -141,21 +141,6 @@ func (s ConditionSet) Len() int { return len(s.conds) }
 // At returns the j-th condition in set order.
 func (s ConditionSet) At(j int) device.PVT { return s.conds[j] }
 
-// Conditions returns a copy of the conditions in set order.
-func (s ConditionSet) Conditions() []device.PVT {
-	return append([]device.PVT(nil), s.conds...)
-}
-
-// Index returns the position of cond in the set, or -1.
-func (s ConditionSet) Index(cond device.PVT) int {
-	for j, c := range s.conds {
-		if c == cond {
-			return j
-		}
-	}
-	return -1
-}
-
 // String returns the canonical spec form of the set —
 // ParseConditionSet(s.String()) reproduces s exactly.
 func (s ConditionSet) String() string {

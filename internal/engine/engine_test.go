@@ -353,27 +353,32 @@ func TestBackendEquivalenceSmoke(t *testing.T) {
 		{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0},
 		{Tau0: 0.28e-9, VDAC0: 0.4, VDACFS: 0.8},
 	}, device.Nominal())
-	cmps, err := CompareAll(behavioral, golden, jobs)
+	beh, err := behavioral.EvaluateBatch(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cmps {
-		if c.A.EpsMul <= 0 || c.B.EpsMul < 0 {
-			t.Fatalf("corner %v: degenerate errors %+v", c.Job.Config, c)
+	gold, err := golden.EvaluateBatch(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		a, b := beh[i], gold[i]
+		if a.EpsMul <= 0 || b.EpsMul < 0 {
+			t.Fatalf("corner %v: degenerate errors (behavioral %+v, golden %+v)", job.Config, a, b)
 		}
 		// Both backends must produce a usable variation criterion (the
 		// golden one comes from Monte-Carlo mismatch sampling).
-		if c.A.SigmaMaxLSB <= 0 || c.B.SigmaMaxLSB <= 0 {
+		if a.SigmaMaxLSB <= 0 || b.SigmaMaxLSB <= 0 {
 			t.Errorf("corner %v: σ@max missing (behavioral %.3f, golden %.3f LSB)",
-				c.Job.Config, c.A.SigmaMaxLSB, c.B.SigmaMaxLSB)
+				job.Config, a.SigmaMaxLSB, b.SigmaMaxLSB)
 		}
-		if math.Abs(c.DeltaEps) > 2.0 {
+		if d := b.EpsMul - a.EpsMul; math.Abs(d) > 2.0 {
 			t.Errorf("corner %v: ϵ disagreement %.2f LSB (behavioral %.2f, golden %.2f)",
-				c.Job.Config, c.DeltaEps, c.A.EpsMul, c.B.EpsMul)
+				job.Config, d, a.EpsMul, b.EpsMul)
 		}
-		if c.EnergyRatio < 0.7 || c.EnergyRatio > 1.3 {
+		if r := b.EMul / a.EMul; r < 0.7 || r > 1.3 {
 			t.Errorf("corner %v: energy ratio %.2f outside [0.7, 1.3] (behavioral %.1f fJ, golden %.1f fJ)",
-				c.Job.Config, c.EnergyRatio, c.A.EMul*1e15, c.B.EMul*1e15)
+				job.Config, r, a.EMul*1e15, b.EMul*1e15)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestGoldenTrimCachedAcrossConditions(t *testing.T) {
 	if second != first {
 		t.Fatalf("cached trim differs: %+v vs %+v", second, first)
 	}
-	if got := backend.TrimCalibrations(); got != 1 {
+	if got := backend.cals.Load(); got != 1 {
 		t.Fatalf("%d trim calibrations for one config, want 1", got)
 	}
 
@@ -49,7 +49,7 @@ func TestGoldenTrimCachedAcrossConditions(t *testing.T) {
 	if _, err := backend.trimFor(other, 1, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.TrimCalibrations(); got != 2 {
+	if got := backend.cals.Load(); got != 2 {
 		t.Fatalf("%d trim calibrations for two configs, want 2", got)
 	}
 
@@ -62,7 +62,7 @@ func TestGoldenTrimCachedAcrossConditions(t *testing.T) {
 	if _, err := zero.trimFor(cfg, 1, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := zero.TrimCalibrations(); got != 1 {
+	if got := zero.cals.Load(); got != 1 {
 		t.Fatalf("zero-value backend ran %d calibrations, want 1", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestGoldenTrimSingleflightConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d got a different trim: %+v vs %+v", i, trims[i], trims[0])
 		}
 	}
-	if got := backend.TrimCalibrations(); got != 1 {
+	if got := backend.cals.Load(); got != 1 {
 		t.Fatalf("%d trim calibrations under concurrent first use, want 1 (singleflight)", got)
 	}
 }
@@ -175,7 +175,7 @@ func BenchmarkGoldenTrim(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if got := backend.TrimCalibrations(); got != 1 {
+		if got := backend.cals.Load(); got != 1 {
 			b.Fatalf("cached path recalibrated: %d calibrations", got)
 		}
 	})

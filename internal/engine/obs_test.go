@@ -103,7 +103,7 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 
 	// ParentSpan nests a batch under a caller's span, a server job say.
-	parent := rec.Start(obs.CatJob, "test-job")
+	parent := rec.StartSpan(0, obs.CatJob, "test-job", "")
 	if _, err := eng.EvaluateBatchOpts(testJobs(14)[10:], BatchOptions{ParentSpan: parent.ID()}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim := NewSimulator()
 		for j := 0; j < 16; j++ {
-			if _, err := sim.Schedule(Time(j)*Picosecond, func() {}); err != nil {
+			if err := sim.Schedule(Time(j)*Picosecond, func() {}); err != nil {
 				b.Fatal(err)
 			}
 		}

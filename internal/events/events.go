@@ -1,7 +1,7 @@
 // Package events is a discrete-event simulation kernel in the style of the
 // SystemVerilog flow the paper embeds its behavioral models in: integer
-// femtosecond time, a deterministic event scheduler, and value-change
-// signals with monitors.
+// femtosecond time, a deterministic event scheduler, and real-valued
+// signals that events drive and sample.
 //
 // OPTIMA's key idea is that analog bit-line behavior can be simulated "in an
 // event-based fashion, akin to digital simulation tools" (Section IV): the
@@ -25,11 +25,7 @@ const (
 	Femtosecond Time = 1
 	Picosecond  Time = 1000 * Femtosecond
 	Nanosecond  Time = 1000 * Picosecond
-	Microsecond Time = 1000 * Nanosecond
 )
-
-// Seconds converts a Time to floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) * 1e-15 }
 
 // FromSeconds converts floating-point seconds to the nearest Time.
 func FromSeconds(s float64) Time { return Time(s*1e15 + 0.5) }
@@ -46,25 +42,16 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. Events are ordered by time, then by
+// event is a scheduled callback. Events are ordered by time, then by
 // scheduling sequence (FIFO among simultaneous events), which makes runs
 // deterministic.
-type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int // heap index, -1 once popped
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// Cancel prevents a pending event from firing. Canceling an already-fired
-// or already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Time returns the scheduled activation time.
-func (e *Event) Time() Time { return e.at }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -73,22 +60,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -100,75 +78,49 @@ var ErrPast = errors.New("events: cannot schedule in the past")
 // is ready to use. Simulators are not safe for concurrent use; run one
 // simulation per goroutine.
 type Simulator struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   Time
+	queue eventHeap
+	seq   uint64
 }
 
 // NewSimulator returns a simulator at time zero.
 func NewSimulator() *Simulator { return &Simulator{} }
 
-// Now returns the current simulation time.
-func (s *Simulator) Now() Time { return s.now }
-
-// EventsFired returns the number of events executed so far.
-func (s *Simulator) EventsFired() uint64 { return s.fired }
-
-// Pending returns the number of events still queued (including canceled
-// ones not yet reaped).
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Schedule queues fn to run after the given delay and returns a handle that
-// can cancel it. It returns ErrPast for negative delays.
-func (s *Simulator) Schedule(delay Time, fn func()) (*Event, error) {
+// Schedule queues fn to run after the given delay. It returns ErrPast for
+// negative delays.
+func (s *Simulator) Schedule(delay Time, fn func()) error {
 	return s.At(s.now+delay, fn)
 }
 
 // At queues fn to run at the absolute time t.
-func (s *Simulator) At(t Time, fn func()) (*Event, error) {
+func (s *Simulator) At(t Time, fn func()) error {
 	if t < s.now {
-		return nil, fmt.Errorf("events: at %v (now %v): %w", t, s.now, ErrPast)
+		return fmt.Errorf("events: at %v (now %v): %w", t, s.now, ErrPast)
 	}
 	if fn == nil {
-		return nil, errors.New("events: nil event function")
+		return errors.New("events: nil event function")
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
+	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e, nil
+	return nil
 }
 
-// Stop makes Run return after the current event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in order until the queue is empty or Stop is called.
+// Run executes events in order until the queue is empty.
 func (s *Simulator) Run() {
 	s.RunUntil(1<<62 - 1)
 }
 
 // RunUntil executes events with activation time ≤ limit. The clock is left
-// at the last executed event (or limit if nothing ran beyond it).
+// at the last executed event.
 func (s *Simulator) RunUntil(limit Time) {
-	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if next.at > limit {
 			break
 		}
 		heap.Pop(&s.queue)
-		if next.canceled {
-			continue
-		}
 		s.now = next.at
-		s.fired++
 		next.fn()
-	}
-	if s.now < limit && len(s.queue) == 0 {
-		// Leave the clock where the last event ran; an empty queue does not
-		// advance time further.
-		return
 	}
 }
 
@@ -177,6 +129,4 @@ func (s *Simulator) Reset() {
 	s.queue = nil
 	s.now = 0
 	s.seq = 0
-	s.stopped = false
-	s.fired = 0
 }

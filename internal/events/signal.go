@@ -1,19 +1,15 @@
 package events
 
 // Signal is an analog-valued net in the event-based simulation: a float64
-// value with change timestamps and optional watchers, mirroring the
-// value-change semantics of an HDL real-valued signal.
+// value that events drive and sample, mirroring an HDL real-valued signal.
 type Signal struct {
-	sim      *Simulator
-	name     string
-	value    float64
-	lastEdge Time
-	watchers []func(old, new float64)
+	name  string
+	value float64
 }
 
-// NewSignal creates a named signal with an initial value on the simulator.
-func NewSignal(sim *Simulator, name string, initial float64) *Signal {
-	return &Signal{sim: sim, name: name, value: initial}
+// NewSignal creates a named signal with an initial value.
+func NewSignal(name string, initial float64) *Signal {
+	return &Signal{name: name, value: initial}
 }
 
 // Name returns the signal's name.
@@ -22,24 +18,5 @@ func (s *Signal) Name() string { return s.name }
 // Value returns the current value.
 func (s *Signal) Value() float64 { return s.value }
 
-// LastEdge returns the time of the most recent value change.
-func (s *Signal) LastEdge() Time { return s.lastEdge }
-
-// Set assigns a new value at the current simulation time, notifying
-// watchers if the value changed.
-func (s *Signal) Set(v float64) {
-	if v == s.value {
-		return
-	}
-	old := s.value
-	s.value = v
-	s.lastEdge = s.sim.Now()
-	for _, w := range s.watchers {
-		w(old, v)
-	}
-}
-
-// Watch registers a callback invoked on every value change.
-func (s *Signal) Watch(fn func(old, new float64)) {
-	s.watchers = append(s.watchers, fn)
-}
+// Set assigns a new value at the current simulation time.
+func (s *Signal) Set(v float64) { s.value = v }

@@ -16,27 +16,3 @@ func BenchmarkQRFactorSolve(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCholeskySolve(b *testing.B) {
-	n := 16
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				a.Set(i, j, float64(n))
-			} else {
-				a.Set(i, j, 0.5)
-			}
-		}
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveSPD(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

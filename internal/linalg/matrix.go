@@ -1,6 +1,6 @@
 // Package linalg provides the dense linear-algebra kernels used by the
-// model-fitting pipeline: matrices, Householder QR, Cholesky factorization,
-// triangular solves, and linear least squares.
+// model-fitting pipeline: matrices, Householder QR, triangular solves, and
+// linear least squares.
 //
 // The package is intentionally small and allocation-conscious rather than a
 // general BLAS replacement; problem sizes in OPTIMA are a few thousand rows
@@ -53,15 +53,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -80,40 +71,10 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to the element at row i, column j.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.boundsCheck(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) boundsCheck(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of bounds for %d×%d matrix", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
 // Clone returns a deep copy of the matrix.
@@ -121,39 +82,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the product m·b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("linalg: mul %d×%d by %d×%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += mv * bv
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns the matrix-vector product m·x.
@@ -173,58 +101,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + b as a new matrix.
-func (m *Matrix) AddMatrix(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("linalg: add %d×%d and %d×%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m − b as a new matrix.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("linalg: sub %d×%d and %d×%d: %w", m.rows, m.cols, b.rows, b.cols, ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// MaxAbs returns the largest absolute element value (the max norm).
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns the Frobenius norm sqrt(Σ m_ij²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -239,18 +115,6 @@ func (m *Matrix) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-// Dot returns the dot product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: dot of vectors with lengths %d and %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of v, guarding against overflow.

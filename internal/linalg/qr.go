@@ -9,9 +9,8 @@ import (
 // The factorization is stored compactly: the upper triangle of qr holds R
 // and the lower trapezoid holds the Householder vectors.
 type QR struct {
-	qr   *Matrix
-	tau  []float64 // Householder scalar factors
-	perm []int     // reserved for future column pivoting; identity today
+	qr  *Matrix
+	tau []float64 // Householder scalar factors
 }
 
 // FactorQR computes the Householder QR factorization of a. The input is not
@@ -21,10 +20,7 @@ func FactorQR(a *Matrix) (*QR, error) {
 	if m < n {
 		return nil, fmt.Errorf("linalg: QR of %d×%d (rows < cols): %w", m, n, ErrShape)
 	}
-	f := &QR{qr: a.Clone(), tau: make([]float64, n), perm: make([]int, n)}
-	for j := range f.perm {
-		f.perm[j] = j
-	}
+	f := &QR{qr: a.Clone(), tau: make([]float64, n)}
 	for k := 0; k < n; k++ {
 		// Norm of the k-th column below the diagonal.
 		col := make([]float64, m-k)
@@ -114,38 +110,6 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		x[i] /= d
 	}
 	return x, nil
-}
-
-// R returns the upper-triangular factor as a dense n×n matrix.
-func (f *QR) R() *Matrix {
-	n := f.qr.Cols()
-	r := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, f.qr.At(i, j))
-		}
-	}
-	return r
-}
-
-// ConditionEstimate returns a cheap lower bound on the 1-norm condition
-// number of R (and hence of the factored matrix): max|r_ii| / min|r_ii|.
-func (f *QR) ConditionEstimate() float64 {
-	n := f.qr.Cols()
-	minD, maxD := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		d := math.Abs(f.qr.At(i, i))
-		if d < minD {
-			minD = d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	if minD == 0 {
-		return math.Inf(1)
-	}
-	return maxD / minD
 }
 
 // LeastSquares solves min ‖a·x − b‖₂ via Householder QR, returning the

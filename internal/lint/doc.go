@@ -2,7 +2,7 @@
 // suite. It loads, parses and type-checks packages using only the standard
 // library (go/parser, go/types, and `go list -e -export -json -deps` for
 // package enumeration and export data — no golang.org/x/tools), and runs
-// four analyzers. Each encodes an invariant this codebase has been bitten
+// five analyzers. Each encodes an invariant this codebase has been bitten
 // by, or depends on for correctness, that the Go compiler and vet do not
 // check:
 //
@@ -45,6 +45,21 @@
 // while locked: backend Evaluate calls, net/http or net traffic, and
 // blocking channel sends are flagged. The hub's drop-slow-subscriber idiom
 // — a send inside select with a default case — is recognized and allowed.
+//
+// # unusedapi
+//
+// Code nothing uses gets deleted: an exported package-level func, type,
+// var or const, or an exported method of an exported type, in a non-main
+// package must be referenced by some loaded package outside _test.go files
+// and outside its own declaration. A method whose name and signature match
+// a method of an interface declared in or imported by the loaded packages
+// (error included) counts as used, since it may be called through that
+// interface. The driver hands every pass the whole loaded package set
+// (Pass.Program), indexed once per Run; the analyzer judges only against
+// that set, so it belongs on ./... runs — a narrower pattern makes every
+// cross-package user invisible. An identifier whose user lives outside
+// the run (the bench/ module, a root benchmark) is kept with a suppression
+// that names the user.
 //
 // # Suppression
 //

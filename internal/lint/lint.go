@@ -45,8 +45,18 @@ type Package struct {
 // afterwards.
 type Pass struct {
 	*Package
+	// Program is the whole package set of the Run, for analyzers whose
+	// verdict on one package depends on the others.
+	Program  *Program
 	diags    *[]Diagnostic
 	analyzer string
+}
+
+// Program is the loaded package set one Run analyzes. Cross-package facts
+// are indexed on first use and shared by every pass of the Run.
+type Program struct {
+	Packages []*Package
+	api      *apiIndex
 }
 
 // Reportf records a finding at pos.
@@ -98,6 +108,7 @@ func Analyzers() []*Analyzer {
 		ClaimSafetyAnalyzer(),
 		ErrWrapAnalyzer(),
 		LockedCallAnalyzer(),
+		UnusedAPIAnalyzer(),
 	}
 }
 
@@ -157,6 +168,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	prog := &Program{Packages: pkgs}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
@@ -174,7 +186,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if !a.InScope(pkg.Path) {
 				continue
 			}
-			a.Run(&Pass{Package: pkg, diags: &raw, analyzer: a.Name})
+			a.Run(&Pass{Package: pkg, Program: prog, diags: &raw, analyzer: a.Name})
 		}
 		for _, d := range raw {
 			if !suppressed(ignores[d.Pos.Filename], d) {

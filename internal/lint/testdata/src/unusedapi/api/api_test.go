@@ -1,0 +1,9 @@
+package api
+
+import "testing"
+
+func TestTestOnly(t *testing.T) {
+	if TestOnly() != 2 {
+		t.Fatal("TestOnly")
+	}
+}

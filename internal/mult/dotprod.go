@@ -14,18 +14,21 @@ import (
 // charge-shares the sampled discharges of K words before one conversion,
 // amortizing the ADC and averaging uncorrelated mismatch.
 
+// accADCBits is the accumulation ADC resolution: the result range grows to
+// K·225, so the unit uses a wider converter than the multiplier's.
+const accADCBits = 12
+
 // DotProduct computes y = Σ_k a_k · d_k over K operand pairs in a single
 // analog accumulation window on the behavioral multiplier.
 type DotProduct struct {
 	B *Behavioral
-	// ADCBitsAcc is the accumulation ADC resolution (the result range grows
-	// to K·225, so the unit uses a wider converter than the multiplier's).
-	ADCBitsAcc int
 }
 
 // NewDotProduct wraps a behavioral multiplier into an accumulation unit.
+//
+//lint:ignore unusedapi the root bench_test.go's BenchmarkAblationAnalogAccumulation (IMAC's accumulation step) builds it
 func NewDotProduct(b *Behavioral) *DotProduct {
-	return &DotProduct{B: b, ADCBitsAcc: 12}
+	return &DotProduct{B: b}
 }
 
 // DotResult is the outcome of one analog dot product.
@@ -42,21 +45,22 @@ type DotResult struct {
 	K int
 }
 
-// ErrorUnits returns the signed error in product units.
-func (r DotResult) ErrorUnits() int { return r.Code - r.Expected }
-
 // Compute runs the dot product of equal-length code vectors. A nil rng
 // gives the deterministic result. The accumulation is a charge share of
 // the K per-word combined voltages: V_acc = (1/K)·Σ V_comb,k, quantized
 // with the multiplier's LSB scaled by 1/K so codes remain in product units.
+// K is limited to what the accumulation ADC holds at full scale
+// (K·ProductMax ≤ 2^accADCBits − 1, so K ≤ 18): a longer vector would clip.
+//
+//lint:ignore unusedapi the root bench_test.go's BenchmarkAblationAnalogAccumulation (IMAC's accumulation step) runs it
 func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) {
 	if len(as) != len(ds) || len(as) == 0 {
 		return DotResult{}, fmt.Errorf("mult: dot product needs equal non-empty vectors, got %d and %d", len(as), len(ds))
 	}
 	k := len(as)
-	maxCode := (1 << uint(dp.ADCBitsAcc)) - 1
-	if k*ProductMax > maxCode*2 { // keep quantization meaningful
-		return DotResult{}, fmt.Errorf("mult: %d products exceed the %d-bit accumulation range", k, dp.ADCBitsAcc)
+	const maxCode = 1<<accADCBits - 1
+	if k*ProductMax > maxCode {
+		return DotResult{}, fmt.Errorf("mult: %d products exceed the %d-bit accumulation range", k, accADCBits)
 	}
 	res := DotResult{K: k}
 	var sumV, varV float64
@@ -78,9 +82,9 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 			res.Energy += energy
 		}
 		// Per-word DAC drive; the conversion is shared.
-		res.Energy += dp.B.DACCap * cond.VDD * vwl
+		res.Energy += DefaultDACCap * cond.VDD * vwl
 	}
-	res.Energy += dp.B.ADCEnergy + dp.B.CtrlEnergy
+	res.Energy += DefaultADCEnergy + DefaultCtrlEnergy
 	// Charge share across K·4 sampling caps.
 	res.VAcc = sumV / float64(k*OperandBits)
 	res.Sigma = math.Sqrt(varV) / float64(k*OperandBits)
@@ -89,8 +93,8 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 	// accumulation ADC needs the wider range). The per-word trim offsets
 	// accumulate like the signal.
 	v := res.VAcc
-	if rng != nil && dp.B.ADCSigma > 0 {
-		v = rng.Gaussian(v, dp.B.ADCSigma)
+	if rng != nil {
+		v = rng.Gaussian(v, DefaultADCSigma)
 	}
 	code := int(math.Round((v*float64(k) - float64(k)*dp.B.OffsetVolt) / dp.B.LSBVolt))
 	if code < 0 {

@@ -103,7 +103,7 @@ func TestDotProductMatchesSumOfProducts(t *testing.T) {
 	if res.Expected != want {
 		t.Fatalf("expected field %d, want %d", res.Expected, want)
 	}
-	if e := res.ErrorUnits(); e < -30 || e > 30 {
+	if e := res.Code - res.Expected; e < -30 || e > 30 {
 		t.Fatalf("dot-product error %d units too large for K=8", e)
 	}
 	if res.K != 8 {
@@ -185,6 +185,18 @@ func TestDotProductValidation(t *testing.T) {
 	huge := make([]uint, 100)
 	if _, err := dp.Compute(huge, huge, nil); err == nil {
 		t.Fatal("range overflow accepted")
+	}
+	// 19 full-scale products sum to 4275 > 4095, the 12-bit accumulation
+	// range: the unit must refuse them rather than clip the code.
+	full := make([]uint, 19)
+	for i := range full {
+		full[i] = OperandMax
+	}
+	if res, err := dp.Compute(full, full, nil); err == nil {
+		t.Fatalf("K=19 at full scale accepted: expected %d, code %d", res.Expected, res.Code)
+	}
+	if _, err := dp.Compute(full[:18], full[:18], nil); err != nil {
+		t.Fatalf("K=18 at full scale rejected: %v", err)
 	}
 }
 

@@ -134,14 +134,6 @@ type Behavioral struct {
 	// UseEvents selects event-kernel evaluation (the paper's flow) versus
 	// direct model calls (ablation of the DES abstraction).
 	UseEvents bool
-	// ADCSigma is the Gaussian sampling/comparator input-referred noise [V]
-	// (0 = ideal readout; applied only when an RNG is supplied).
-	ADCSigma float64
-	// DACCap, ADCEnergy and CtrlEnergy set the peripheral energy accounting
-	// (see DefaultDACCap / DefaultADCEnergy / DefaultCtrlEnergy).
-	DACCap     float64
-	ADCEnergy  float64
-	CtrlEnergy float64
 	// DAC optionally replaces the linear code-to-voltage mapping with a
 	// trimmed nonlinear DAC (see CalibrateNonlinearDAC).
 	DAC *NonlinearDAC
@@ -161,14 +153,7 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Behavioral{
-		Model: model, Cfg: cfg, Cond: cond,
-		UseEvents:  true,
-		ADCSigma:   DefaultADCSigma,
-		DACCap:     DefaultDACCap,
-		ADCEnergy:  DefaultADCEnergy,
-		CtrlEnergy: DefaultCtrlEnergy,
-	}
+	b := &Behavioral{Model: model, Cfg: cfg, Cond: cond, UseEvents: true}
 	if err := b.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
@@ -257,7 +242,7 @@ func (r *Result) finish(b *Behavioral, vwl float64, rng *stats.RNG) {
 	r.VComb /= OperandBits
 	r.Sigma = math.Sqrt(r.Sigma) / OperandBits
 	r.Code = b.quantize(r.VComb, rng)
-	r.Energy += b.DACCap*b.Cond.VDD*vwl + b.ADCEnergy + b.CtrlEnergy
+	r.Energy += DefaultDACCap*b.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
 }
 
 // Multiply performs one multiplication. A nil rng gives the deterministic
@@ -294,18 +279,18 @@ func (b *Behavioral) multiplyDirect(a, d uint, rng *stats.RNG) Result {
 func (b *Behavioral) multiplyEvents(a, d uint, rng *stats.RNG) (Result, error) {
 	res := Result{A: a, D: d, Expected: int(a * d)}
 	sim := events.NewSimulator()
-	vwlSig := events.NewSignal(sim, "wl", 0)
+	vwlSig := events.NewSignal("wl", 0)
 	vwl := b.wordLineVoltage(a, b.Cond.VDD)
 
 	// t = 0: precharge released, word line driven to the DAC output.
-	if _, err := sim.Schedule(0, func() { vwlSig.Set(vwl) }); err != nil {
+	if err := sim.Schedule(0, func() { vwlSig.Set(vwl) }); err != nil {
 		return Result{}, err
 	}
 	for i := 0; i < OperandBits; i++ {
 		i := i
 		bit := d&(1<<uint(i)) != 0
 		// Sampling switch of bit line i opens at 2^i·τ0.
-		if _, err := sim.Schedule(events.FromSeconds(b.Cfg.BitTime(i)), func() {
+		if err := sim.Schedule(events.FromSeconds(b.Cfg.BitTime(i)), func() {
 			if bit {
 				dv, sigma, energy := b.bit(i, vwlSig.Value(), b.Cond, rng)
 				res.add(i, dv, sigma, energy)
@@ -315,7 +300,7 @@ func (b *Behavioral) multiplyEvents(a, d uint, rng *stats.RNG) (Result, error) {
 		}
 	}
 	// Combine and quantize after the last sampling event.
-	if _, err := sim.Schedule(events.FromSeconds(b.Cfg.MaxTime())+events.Picosecond, func() {
+	if err := sim.Schedule(events.FromSeconds(b.Cfg.MaxTime())+events.Picosecond, func() {
 		res.finish(b, vwl, rng)
 	}); err != nil {
 		return Result{}, err
@@ -325,11 +310,11 @@ func (b *Behavioral) multiplyEvents(a, d uint, rng *stats.RNG) (Result, error) {
 }
 
 // quantize maps a combined discharge voltage to an ADC code using the
-// calibrated gain and offset, with optional ADC input noise.
+// calibrated gain and offset, with ADC input noise when rng is non-nil.
 func (b *Behavioral) quantize(vcomb float64, rng *stats.RNG) int {
 	v := vcomb
-	if rng != nil && b.ADCSigma > 0 {
-		v = rng.Gaussian(v, b.ADCSigma)
+	if rng != nil {
+		v = rng.Gaussian(v, DefaultADCSigma)
 	}
 	return adcCode(v, b.OffsetVolt, b.LSBVolt)
 }
@@ -354,7 +339,7 @@ func (b *Behavioral) WriteEnergy() float64 {
 // space needs only the 16×4 distinct bit-line transients (Table).
 //
 // The receiver is immutable after construction, so a single Golden is safe
-// for concurrent Multiply/MultiplyCells/Table calls — the basis of the
+// for concurrent MultiplyCells/Table calls — the basis of the
 // engine's intra-job parallel golden evaluation. All per-call state is
 // explicit: column mismatch is passed in as an *sram.Word (nil = matched
 // cells), integrator work buffers as a per-worker *spice.Scratch, and the
@@ -389,22 +374,17 @@ type GoldenTrim struct {
 // sampling times, since the columns share the word line) and fits the
 // best-fit ADC gain/offset.
 func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config) (GoldenTrim, error) {
-	return CalibrateGoldenTrimParallel(tech, cfg, scfg, 1)
+	return CalibrateGoldenTrimObserved(tech, cfg, scfg, 1, nil, 0)
 }
 
-// CalibrateGoldenTrimParallel is CalibrateGoldenTrim with the sixteen
+// CalibrateGoldenTrimObserved is CalibrateGoldenTrim with the sixteen
 // independent transients fanned out across up to workers goroutines
-// (workers <= 0 uses GOMAXPROCS). Each worker fills a fixed per-code slot
-// and the least-squares fit reduces serially in code order, so the trim is
-// identical at any worker count.
-func CalibrateGoldenTrimParallel(tech device.Tech, cfg Config, scfg spice.Config, workers int) (GoldenTrim, error) {
-	return CalibrateGoldenTrimObserved(tech, cfg, scfg, workers, nil, 0)
-}
-
-// CalibrateGoldenTrimObserved is CalibrateGoldenTrimParallel recording one
-// trim-transient span per input code under parent — the intra-worker
-// fan-out a trace otherwise renders as one opaque calibration block. A nil
-// recorder records nothing; timing never feeds into the returned trim.
+// (workers <= 0 uses GOMAXPROCS), recording one trim-transient span per
+// input code under parent — the intra-worker fan-out a trace otherwise
+// renders as one opaque calibration block. Each worker fills a fixed
+// per-code slot and the least-squares fit reduces serially in code order,
+// so the trim is identical at any worker count. A nil recorder records
+// nothing; timing never feeds into the returned trim.
 func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config, workers int, rec *obs.Recorder, parent obs.SpanID) (GoldenTrim, error) {
 	if err := cfg.Validate(); err != nil {
 		return GoldenTrim{}, err
@@ -480,12 +460,6 @@ func NewGoldenWithTrim(tech device.Tech, cfg Config, cond device.PVT, scfg spice
 		Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg,
 		LSBVolt: trim.LSBVolt, OffsetVolt: trim.OffsetVolt,
 	}, nil
-}
-
-// Multiply performs one golden multiplication with matched cells. Safe for
-// concurrent use.
-func (g *Golden) Multiply(a, d uint) (Result, error) {
-	return g.MultiplyCells(a, d, nil, nil)
 }
 
 // MultiplyCells performs one golden multiplication with explicit per-call

@@ -292,7 +292,7 @@ func TestGoldenAgreesWithBehavioral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := g.Multiply(pair[0], pair[1])
+		rg, err := g.MultiplyCells(pair[0], pair[1], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestGoldenMismatchShiftsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := g.Multiply(9, 9)
+	ref, err := g.MultiplyCells(9, 9, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +338,13 @@ func TestGoldenMismatchShiftsResult(t *testing.T) {
 	if shifted.VComb == ref.VComb {
 		t.Fatal("mismatch had no effect on the golden result")
 	}
-	cells.ClearMismatch()
+	cells = sram.Word{}
 	restored, err := g.MultiplyCells(9, 9, &cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(restored.VComb-ref.VComb) > 1e-12 {
-		t.Fatal("ClearMismatch did not restore the nominal result")
+		t.Fatal("matched cells did not restore the nominal result")
 	}
 }
 
@@ -362,7 +362,7 @@ func TestGoldenConcurrentMultiplyDeterministic(t *testing.T) {
 	pairs := [][2]uint{{1, 1}, {3, 7}, {9, 9}, {15, 15}, {2, 13}, {11, 4}, {7, 7}, {5, 10}}
 	serial := make([]Result, len(pairs))
 	for i, p := range pairs {
-		r, err := g.Multiply(p[0], p[1])
+		r, err := g.MultiplyCells(p[0], p[1], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,8 @@ type NonlinearDAC struct {
 //
 // by bisection on the calibrated discharge model. The endpoints remain
 // V_DAC,0 (code 0) and V_DAC,FS (code 15) — only the interior codes move.
+//
+//lint:ignore unusedapi the root bench_test.go's BenchmarkAblationNonlinearDAC (AID's DAC) calibrates it
 func CalibrateNonlinearDAC(model *core.Model, cfg Config) (*NonlinearDAC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -69,6 +71,8 @@ func (d *NonlinearDAC) Voltage(a uint, vdd float64) float64 {
 // WithNonlinearDAC returns a copy of the behavioral multiplier that drives
 // the word line through the trimmed DAC and re-calibrates the ADC trim for
 // the linearized transfer.
+//
+//lint:ignore unusedapi the root bench_test.go's BenchmarkAblationNonlinearDAC (AID's DAC) drives it
 func (b *Behavioral) WithNonlinearDAC(dac *NonlinearDAC) (*Behavioral, error) {
 	nl := *b
 	nl.DAC = dac

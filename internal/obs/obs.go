@@ -156,11 +156,6 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped.Load()
 }
 
-// Start opens a root span. The span is recorded when the Timer ends.
-func (r *Recorder) Start(cat, name string) Timer {
-	return r.StartSpan(0, cat, name, "")
-}
-
 // StartSpan opens a span under parent (0 = root) with an optional
 // human-readable argument. The returned Timer is a value — no allocation —
 // and its ID is assigned now, so children can parent on a still-open span.
@@ -312,6 +307,8 @@ func Subtree(spans []Span, root SpanID) []Span {
 // FormatDuration renders a duration for span arguments and log lines with
 // stable precision (µs below a millisecond, ms below a second, seconds
 // above), so summary tables align.
+//
+//lint:ignore unusedapi bench/ (a separate module) prints its self-time table with it
 func FormatDuration(d time.Duration) string {
 	switch {
 	case d < time.Millisecond:

@@ -72,7 +72,7 @@ func TestSpanTiming(t *testing.T) {
 func TestRingOverflow(t *testing.T) {
 	rec, clk := newFakeRecorder(4)
 	for i := 0; i < 10; i++ {
-		tm := rec.Start(CatEval, "e")
+		tm := rec.StartSpan(0, CatEval, "e", "")
 		clk.advance(time.Microsecond)
 		tm.End()
 	}
@@ -110,7 +110,7 @@ func TestRecorderConcurrency(t *testing.T) {
 			var own atomic.Uint64
 			reg.CounterOf("c_total", "c", &own)
 			for i := 0; i < 500; i++ {
-				tm := rec.Start(CatEval, "e")
+				tm := rec.StartSpan(0, CatEval, "e", "")
 				ctr.Inc()
 				own.Add(1)
 				g.Add(1)
@@ -165,7 +165,7 @@ func TestSlowEvalWarning(t *testing.T) {
 
 	// Non-eval categories never warn, however long.
 	buf.Reset()
-	batch := rec.Start(CatBatch, "sweep")
+	batch := rec.StartSpan(0, CatBatch, "sweep", "")
 	clk.advance(time.Minute)
 	batch.End()
 	if buf.Len() != 0 {
@@ -187,7 +187,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil recorder returned a registry")
 	}
 	reg.Counter("c_total", "c").Inc()
-	reg.Gauge("g", "g").Set(3)
+	reg.Gauge("g", "g").Add(3)
 	reg.Histogram("h", "h", nil).Observe(1)
 	reg.GaugeFunc("gf", "gf", func() float64 { return 1 })
 	reg.CounterOf("co_total", "co", new(atomic.Uint64))
@@ -228,7 +228,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("optima_evals_total", "evals", "backend", "behavioral").Add(42)
 	reg.Counter("optima_evals_total", "evals", "backend", "golden").Add(7)
-	reg.Gauge("optima_workers_busy", "busy").Set(3)
+	reg.Gauge("optima_workers_busy", "busy").Add(3)
 	reg.GaugeFunc("optima_hub_topics", "topics", func() float64 { return 2 })
 	h := reg.Histogram("optima_eval_duration_seconds", "dur", nil, "backend", "behavioral")
 	h.Observe(0.5e-3)
@@ -280,7 +280,7 @@ func TestSamples(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b_total", "b").Add(2)
 	reg.Counter("a_total", "a") // zero — omitted
-	reg.Gauge("c", "c").Set(1.5)
+	reg.Gauge("c", "c").Add(1.5)
 	h := reg.Histogram("d_seconds", "d", nil)
 	h.Observe(0.25)
 	h.Observe(0.75)
@@ -370,9 +370,9 @@ func TestWriteTrace(t *testing.T) {
 func TestTraceLanesOverlap(t *testing.T) {
 	// Two root spans overlapping in time must land in different lanes.
 	rec, clk := newFakeRecorder(8)
-	a := rec.Start(CatEval, "a")
+	a := rec.StartSpan(0, CatEval, "a", "")
 	clk.advance(time.Millisecond)
-	b := rec.Start(CatEval, "b")
+	b := rec.StartSpan(0, CatEval, "b", "")
 	clk.advance(time.Millisecond)
 	a.End()
 	clk.advance(time.Millisecond)

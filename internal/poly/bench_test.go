@@ -9,7 +9,7 @@ import (
 func BenchmarkFitDegree4(b *testing.B) {
 	xs := stats.Linspace(0, 1, 200)
 	truth := New(1, -2, 3, -1, 0.5)
-	ys := truth.EvalAll(xs)
+	ys := evalAll(truth, xs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Fit(xs, ys, 4); err != nil {

@@ -35,10 +35,6 @@ func Zero(degree int) Polynomial {
 	return Polynomial{Coeffs: make([]float64, degree+1)}
 }
 
-// Degree returns the nominal degree (len(Coeffs)−1); trailing zero
-// coefficients are not trimmed.
-func (p Polynomial) Degree() int { return len(p.Coeffs) - 1 }
-
 // Eval evaluates the polynomial at x using Horner's rule.
 func (p Polynomial) Eval(x float64) float64 {
 	var y float64
@@ -46,27 +42,6 @@ func (p Polynomial) Eval(x float64) float64 {
 		y = y*x + p.Coeffs[i]
 	}
 	return y
-}
-
-// EvalAll evaluates the polynomial at every point of xs.
-func (p Polynomial) EvalAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = p.Eval(x)
-	}
-	return out
-}
-
-// Derivative returns the first derivative polynomial.
-func (p Polynomial) Derivative() Polynomial {
-	if len(p.Coeffs) <= 1 {
-		return Zero(0)
-	}
-	d := make([]float64, len(p.Coeffs)-1)
-	for i := 1; i < len(p.Coeffs); i++ {
-		d[i-1] = float64(i) * p.Coeffs[i]
-	}
-	return Polynomial{Coeffs: d}
 }
 
 // Scale returns the polynomial multiplied by s.
@@ -140,9 +115,6 @@ type Separable struct {
 	PX Polynomial
 	PY Polynomial
 }
-
-// Eval evaluates the product model at (x, y).
-func (s Separable) Eval(x, y float64) float64 { return s.PX.Eval(x) * s.PY.Eval(y) }
 
 // FitSeparable fits the rank-1 model PX(x)·PY(y) of the given degrees to the
 // samples by alternating least squares: holding PY fixed, the model is linear
@@ -254,65 +226,4 @@ func onesPoly(degree int) Polynomial {
 		c[i] = 1
 	}
 	return Polynomial{Coeffs: c}
-}
-
-// Tensor is the full tensor-product model f(x,y) = Σ_ij c_ij x^i y^j.
-// It is strictly more expressive than Separable and serves as the ablation
-// baseline for the paper's rank-1 form.
-type Tensor struct {
-	DegX, DegY int
-	// C[i][j] multiplies x^i·y^j.
-	C [][]float64
-}
-
-// Eval evaluates the tensor model at (x, y) with nested Horner recurrences.
-func (t Tensor) Eval(x, y float64) float64 {
-	var out float64
-	for i := t.DegX; i >= 0; i-- {
-		var row float64
-		for j := t.DegY; j >= 0; j-- {
-			row = row*y + t.C[i][j]
-		}
-		out = out*x + row
-	}
-	return out
-}
-
-// FitTensor fits the full tensor-product polynomial by least squares and
-// returns the model and RMS residual.
-func FitTensor(samples []Sample, degX, degY int) (Tensor, float64, error) {
-	cols := (degX + 1) * (degY + 1)
-	if len(samples) < cols {
-		return Tensor{}, 0, fmt.Errorf("poly: %d samples for tensor fit with %d terms: %w", len(samples), cols, ErrFit)
-	}
-	a := linalg.NewMatrix(len(samples), cols)
-	b := make([]float64, len(samples))
-	for i, s := range samples {
-		xp := 1.0
-		col := 0
-		for ix := 0; ix <= degX; ix++ {
-			yp := 1.0
-			for iy := 0; iy <= degY; iy++ {
-				a.Set(i, col, xp*yp)
-				col++
-				yp *= s.Y
-			}
-			xp *= s.X
-		}
-		b[i] = s.Z
-	}
-	coeffs, resid, err := linalg.LeastSquares(a, b)
-	if err != nil {
-		return Tensor{}, 0, fmt.Errorf("poly: %v: %w", err, ErrFit)
-	}
-	t := Tensor{DegX: degX, DegY: degY, C: make([][]float64, degX+1)}
-	col := 0
-	for ix := 0; ix <= degX; ix++ {
-		t.C[ix] = make([]float64, degY+1)
-		for iy := 0; iy <= degY; iy++ {
-			t.C[ix][iy] = coeffs[col]
-			col++
-		}
-	}
-	return t, resid / math.Sqrt(float64(len(samples))), nil
 }

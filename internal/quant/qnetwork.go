@@ -1,8 +1,6 @@
 package quant
 
 import (
-	"fmt"
-
 	"optima/internal/dnn"
 )
 
@@ -290,26 +288,4 @@ func residualStageFrom(r *dnn.Residual, input *dnn.Tensor) (qStage, *dnn.Tensor)
 // reluOf returns the block's output activation.
 func reluOf(r *dnn.Residual) dnn.Layer {
 	return dnn.NewReLU(r.Name() + ".qrelu2")
-}
-
-// CountQuantMACs returns the multiplications a quantized forward pass
-// performs per sample, skipping zero weights (which cause no discharge and
-// no multiplier operation). Used to cross-check the Table II counts.
-func (q *QNetwork) CountQuantMACs(sample *dnn.Tensor) (int64, error) {
-	if sample.N != 1 {
-		return 0, fmt.Errorf("quant: MAC counting expects a single sample, got %s", sample.Shape())
-	}
-	counter := &countingMultiplier{}
-	saved := q.Mult
-	q.Mult = counter
-	q.Forward(sample)
-	q.Mult = saved
-	return counter.ops, nil
-}
-
-type countingMultiplier struct{ ops int64 }
-
-func (c *countingMultiplier) Mul(a uint8, w int8) int32 {
-	c.ops++
-	return int32(a) * int32(w)
 }

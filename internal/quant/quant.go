@@ -61,7 +61,7 @@ func NewInMemory(b *mult.Behavioral, rng *stats.RNG) (*InMemory, error) {
 				return nil, fmt.Errorf("quant: LUT at (%d,%d): %w", a, d, err)
 			}
 			im.Mean[a][d] = (r.VComb - b.OffsetVolt) / b.LSBVolt
-			im.Sigma[a][d] = math.Hypot(r.Sigma, b.ADCSigma) / b.LSBVolt
+			im.Sigma[a][d] = math.Hypot(r.Sigma, mult.DefaultADCSigma) / b.LSBVolt
 		}
 	}
 	return im, nil
@@ -120,11 +120,6 @@ func (q ActQuant) Quantize(x float64) uint8 {
 		c = ActMax
 	}
 	return uint8(c)
-}
-
-// Dequantize maps a code back to the real domain.
-func (q ActQuant) Dequantize(c uint8) float64 {
-	return float64(int32(c)-q.Zero) * q.Scale
 }
 
 // calibrate derives the activation quantization from an observed range.

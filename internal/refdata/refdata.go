@@ -134,15 +134,9 @@ const (
 	// SpeedupMonteCarlo is the reported speed-up for mismatch Monte-Carlo
 	// sampling.
 	SpeedupMonteCarlo = 28.1
-	// HeadlineRMSmV is the headline RMS modeling error (supply model) [mV].
-	HeadlineRMSmV = 0.88
 	// EnergyPerOpPJ is the average energy per 4-bit operation including
 	// write and multiplication [pJ].
 	EnergyPerOpPJ = 1.05
 	// WorstCaseSigmaMV is the worst-case analog standard deviation [mV].
 	WorstCaseSigmaMV = 5.04
-	// AvgErrorFomLSB is the fom corner's average multiplication error [LSB].
-	AvgErrorFomLSB = 4.8
-	// ClockMHz is the operating frequency of the optimized multiplier.
-	ClockMHz = 167.0
 )

@@ -44,6 +44,8 @@ func trimFloat(v float64) string {
 }
 
 // NumRows returns the number of data rows.
+//
+//lint:ignore unusedapi the paper-table checks (exp and root tests) count rows through it
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the formatted table to w.

@@ -63,7 +63,7 @@ func TestSearchReportByteIdenticalWithRecorder(t *testing.T) {
 func TestSearchSpans(t *testing.T) {
 	m := testModel(t)
 	rec := obs.NewRecorder(obs.RecorderOptions{})
-	job := rec.Start(obs.CatJob, "test-job")
+	job := rec.StartSpan(0, obs.CatJob, "test-job", "")
 
 	screen := engine.New(engine.Behavioral{Model: m}, 4).WithRecorder(rec)
 	final := engine.New(&countingBackend{inner: engine.Behavioral{Model: m}, name: "golden"}, 4).WithRecorder(rec)

@@ -34,7 +34,7 @@ import (
 // Axis is one dimension of a design space: either an explicit point list
 // (Values) or a materialized range [Min, Max] with Steps points, spaced
 // linearly or — for Log axes — geometrically. The zero Axis is invalid;
-// construct axes with LinAxis/LogAxis/ValuesAxis or fill the fields and let
+// construct axes with LinAxis/ValuesAxis or fill the fields and let
 // Validate check them.
 type Axis struct {
 	// Name labels the axis in errors and reports ("tau0", "vdac0", ...).
@@ -56,11 +56,6 @@ type Axis struct {
 // LinAxis returns a linearly spaced axis.
 func LinAxis(name string, min, max float64, steps int) Axis {
 	return Axis{Name: name, Min: min, Max: max, Steps: steps}
-}
-
-// LogAxis returns a geometrically spaced axis.
-func LogAxis(name string, min, max float64, steps int) Axis {
-	return Axis{Name: name, Min: min, Max: max, Steps: steps, Log: true}
 }
 
 // ValuesAxis returns an axis over an explicit, strictly increasing point
@@ -203,19 +198,6 @@ func FromGrid(g dse.Grid) Space {
 	}
 }
 
-// Grid bridges the space back to a dse.Grid with the materialized axis
-// points — the exhaustive-sweep view of the same corners.
-func (s Space) Grid() (dse.Grid, error) {
-	if err := s.Validate(); err != nil {
-		return dse.Grid{}, err
-	}
-	return dse.Grid{
-		Tau0s:   s.Tau0.Points(),
-		VDAC0s:  s.VDAC0.Points(),
-		VDACFSs: s.VDACFS.Points(),
-	}, nil
-}
-
 // axes returns the three axes in canonical order.
 func (s Space) axes() [3]Axis { return [3]Axis{s.Tau0, s.VDAC0, s.VDACFS} }
 
@@ -266,18 +248,6 @@ func (s Space) Size() (int, error) {
 		return 0, err
 	}
 	return len(cfgs), nil
-}
-
-// Sample returns up to budget corners of the space, deterministically: the
-// full corner list when budget <= 0 or covers the space, otherwise a
-// seeded uniform sample without replacement, returned in space (grid)
-// order so downstream processing is independent of the shuffle.
-func (s Space) Sample(budget int, seed uint64) ([]mult.Config, error) {
-	cfgs, err := s.Configs()
-	if err != nil {
-		return nil, err
-	}
-	return sampleSubset(cfgs, budget, seed), nil
 }
 
 // sampleSubset picks min(budget, len) items without replacement using a

@@ -115,12 +115,6 @@ func (d *DischargePath) SampleMismatch(rng device.Gaussianer) {
 	d.Driver.MM = d.Driver.SampleMismatch(rng)
 }
 
-// ClearMismatch restores matched devices.
-func (d *DischargePath) ClearMismatch() {
-	d.Access.MM = device.Mismatch{}
-	d.Driver.MM = device.Mismatch{}
-}
-
 // SRAMCellWrite models the write transient of a full 6T cell with the bit
 // lines driven to rails by an ideal write driver. State vector:
 //

@@ -126,13 +126,13 @@ func TestClearMismatchRestoresNominal(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp.SampleMismatch(stats.NewRNG(1))
-	dp.ClearMismatch()
+	dp.Access.MM, dp.Driver.MM = device.Mismatch{}, device.Mismatch{}
 	res, err := dp.Discharge(1e-9, DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Waveform.Final()[0]-ref.Waveform.Final()[0]) > 1e-12 {
-		t.Fatal("ClearMismatch did not restore the nominal device")
+		t.Fatal("clearing the mismatch did not restore the nominal device")
 	}
 }
 
@@ -187,18 +187,6 @@ func TestWaveformInterpolation(t *testing.T) {
 	}
 	if got := wf.NodeAt(0, 5); got != 10 {
 		t.Fatalf("clamp high = %g", got)
-	}
-}
-
-func TestWaveformCrossingTime(t *testing.T) {
-	wf := NewWaveform(1)
-	wf.Append(0, []float64{1})
-	wf.Append(1, []float64{0})
-	if got := wf.CrossingTime(0, 0.5); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("crossing = %g, want 0.5", got)
-	}
-	if got := wf.CrossingTime(0, 2); got != -1 {
-		t.Fatalf("impossible crossing = %g, want -1", got)
 	}
 }
 

@@ -17,9 +17,6 @@ func NewWaveform(n int) *Waveform {
 	return &Waveform{n: n}
 }
 
-// Nodes returns the number of nodes per sample.
-func (w *Waveform) Nodes() int { return w.n }
-
 // Len returns the number of samples.
 func (w *Waveform) Len() int { return len(w.T) }
 
@@ -40,15 +37,6 @@ func (w *Waveform) Append(t float64, v []float64) {
 	cp := make([]float64, w.n)
 	copy(cp, v)
 	w.V = append(w.V, cp)
-}
-
-// Node returns the time series of node i as a fresh slice.
-func (w *Waveform) Node(i int) []float64 {
-	out := make([]float64, len(w.V))
-	for k, v := range w.V {
-		out[k] = v[i]
-	}
-	return out
 }
 
 // At returns the linearly interpolated state at time t. Times outside the
@@ -89,17 +77,4 @@ func (w *Waveform) Final() []float64 {
 	out := make([]float64, w.n)
 	copy(out, w.V[len(w.V)-1])
 	return out
-}
-
-// CrossingTime returns the first time node i crosses the given level (in
-// either direction), or -1 if it never does within the record.
-func (w *Waveform) CrossingTime(i int, level float64) float64 {
-	for k := 1; k < len(w.T); k++ {
-		a, b := w.V[k-1][i], w.V[k][i]
-		if (a-level)*(b-level) <= 0 && a != b {
-			f := (level - a) / (b - a)
-			return w.T[k-1] + f*(w.T[k]-w.T[k-1])
-		}
-	}
-	return -1
 }

@@ -1,20 +1,16 @@
 // Package sram provides the 6T-SRAM substrate for in-memory computing:
-// cells with per-transistor mismatch state, words and arrays, the standard
-// read/write/precharge operations with energy accounting, and the
-// cell-level analyses (hold static noise margin, write margin) that a
-// credible SRAM IMC study rests on.
+// cells and words with per-transistor mismatch state, and the write energy
+// of a word.
 //
 // Discharge-based computing operates the array off-spec: one operand is
 // stored in the cells and the other is applied as an analog word-line
 // voltage, producing a data-dependent bit-line discharge (paper Section
-// II-B). This package owns the cell/array bookkeeping; the transient
-// physics lives in package spice and the fast behavioral models in
-// package core.
+// II-B). This package owns the cell bookkeeping; the transient physics
+// lives in package spice and the fast behavioral models in package core.
 package sram
 
 import (
 	"fmt"
-	"math"
 
 	"optima/internal/device"
 	"optima/internal/spice"
@@ -23,12 +19,11 @@ import (
 // WordBits is the word width of the multiplier case-study array.
 const WordBits = 4
 
-// Cell is one 6T SRAM cell: a stored bit plus the local mismatch of the two
-// transistors in its BLB discharge stack (access and pull-down). Mismatch of
-// the remaining four transistors affects writes and hold stability but not
-// the compute discharge, so it is kept separately at analysis level.
+// Cell is the local mismatch of one 6T SRAM cell's BLB discharge stack
+// (access and pull-down transistors). Mismatch of the remaining four
+// transistors affects writes and hold stability but not the compute
+// discharge, so it is kept separately at analysis level.
 type Cell struct {
-	Bit      bool
 	AccessMM device.Mismatch
 	DriverMM device.Mismatch
 }
@@ -52,21 +47,9 @@ func (c *Cell) DischargePath(tech device.Tech, vwl float64, cond device.PVT) *sp
 	return dp
 }
 
-// Word is a little-endian group of WordBits cells storing an unsigned
-// integer: cell i holds bit i.
+// Word is a little-endian group of WordBits cells: cell i holds bit i of
+// the stored operand and backs bit line i.
 type Word [WordBits]Cell
-
-// Store writes the value into the word's cells. It returns an error if the
-// value does not fit in WordBits bits.
-func (w *Word) Store(value uint) error {
-	if value >= 1<<WordBits {
-		return fmt.Errorf("sram: value %d does not fit in %d bits", value, WordBits)
-	}
-	for i := range w {
-		w[i].Bit = value&(1<<i) != 0
-	}
-	return nil
-}
 
 // SampleMismatch draws fresh static mismatch for every cell of the word
 // (cell order is fixed, so a seeded rng reproduces the same word state).
@@ -74,76 +57,6 @@ func (w *Word) SampleMismatch(tech device.Tech, rng device.Gaussianer) {
 	for i := range w {
 		w[i].SampleMismatch(tech, rng)
 	}
-}
-
-// ClearMismatch restores matched cells, keeping the stored bits.
-func (w *Word) ClearMismatch() {
-	for i := range w {
-		w[i] = Cell{Bit: w[i].Bit}
-	}
-}
-
-// Value returns the stored unsigned integer.
-func (w *Word) Value() uint {
-	var v uint
-	for i := range w {
-		if w[i].Bit {
-			v |= 1 << i
-		}
-	}
-	return v
-}
-
-// Array is a bank of words sharing bit lines: word r sits on row r and its
-// bit-i cell connects to bit-line pair i. CBL is the per-bit-line
-// capacitance.
-type Array struct {
-	Tech  device.Tech
-	Words []Word
-	CBL   float64
-}
-
-// NewArray returns an array with the given number of rows, default bit-line
-// capacitance, and matched cells.
-func NewArray(tech device.Tech, rows int) *Array {
-	return &Array{Tech: tech, Words: make([]Word, rows), CBL: spice.DefaultCBL}
-}
-
-// SampleMismatch draws fresh mismatch for every cell in the array.
-func (a *Array) SampleMismatch(rng device.Gaussianer) {
-	for r := range a.Words {
-		for b := range a.Words[r] {
-			a.Words[r][b].SampleMismatch(a.Tech, rng)
-		}
-	}
-}
-
-// Write stores value into row r and returns the write energy at the given
-// condition. The energy is the full bit-line swing of every written pair
-// (the dominant term, C_BL·VDD²·bits, paper Section IV-B) plus the
-// cell-internal flip energy from the golden write transient.
-func (a *Array) Write(r int, value uint, cond device.PVT, cfg spice.Config) (float64, error) {
-	if r < 0 || r >= len(a.Words) {
-		return 0, fmt.Errorf("sram: row %d out of range [0,%d)", r, len(a.Words))
-	}
-	if err := a.Words[r].Store(value); err != nil {
-		return 0, err
-	}
-	energy := float64(WordBits) * a.CBL * cond.VDD * cond.VDD
-	flip, err := CellFlipEnergy(a.Tech, cond, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return energy + float64(WordBits)*flip, nil
-}
-
-// PrechargeEnergy returns the energy to restore one bit line that was
-// discharged by deltaV back to VDD: E = C_BL·VDD·ΔV.
-func (a *Array) PrechargeEnergy(deltaV float64, cond device.PVT) float64 {
-	if deltaV < 0 {
-		deltaV = 0
-	}
-	return a.CBL * cond.VDD * deltaV
 }
 
 // CellFlipEnergy runs the golden write transient of a single cell and
@@ -171,185 +84,4 @@ func WriteEnergy(tech device.Tech, cbl float64, cond device.PVT, cfg spice.Confi
 		return 0, err
 	}
 	return float64(WordBits) * (cbl*cond.VDD*cond.VDD + flip), nil
-}
-
-// ReadResult reports a differential read of one row.
-type ReadResult struct {
-	Value   uint
-	Latency float64 // time for the faster bit line to develop SenseMargin [s]
-	Energy  float64 // precharge restore energy for the developed swings [J]
-}
-
-// SenseMargin is the differential voltage the sense amplifiers need.
-const SenseMargin = 0.1
-
-// Read performs a standard differential read of row r using the golden
-// discharge physics: the word line is driven to VDD and each cell
-// discharges one of its bit lines until the sense margin develops.
-func (a *Array) Read(r int, cond device.PVT, cfg spice.Config) (ReadResult, error) {
-	if r < 0 || r >= len(a.Words) {
-		return ReadResult{}, fmt.Errorf("sram: row %d out of range [0,%d)", r, len(a.Words))
-	}
-	var out ReadResult
-	out.Value = a.Words[r].Value()
-	var worst float64
-	for b := range a.Words[r] {
-		cell := &a.Words[r][b]
-		dp := cell.DischargePath(a.Tech, cond.VDD, cond)
-		dp.CBL = a.CBL
-		res, err := dp.Discharge(3e-9, cfg, 0)
-		if err != nil {
-			return ReadResult{}, err
-		}
-		tCross := res.Waveform.CrossingTime(0, cond.VDD-SenseMargin)
-		if tCross < 0 {
-			return ReadResult{}, fmt.Errorf("sram: read of row %d bit %d did not develop %0.2f V margin", r, b, SenseMargin)
-		}
-		if tCross > worst {
-			worst = tCross
-		}
-		out.Energy += a.PrechargeEnergy(SenseMargin, cond)
-	}
-	out.Latency = worst
-	return out, nil
-}
-
-// HoldSNM computes the hold static noise margin of the cell at the given
-// condition: the side of the largest square that fits between the two
-// cross-coupled inverter transfer curves (Seevinck's construction,
-// evaluated on the 45°-rotated curves).
-func HoldSNM(tech device.Tech, cond device.PVT) float64 {
-	const n = 200
-	// VTC of one inverter (input sweep → output by bisection on current balance).
-	vtc := func(vin float64) float64 {
-		pd := device.NewMOSFET(tech, spice.PullDownW, spice.PullDownL)
-		pu := device.NewPMOS(tech, spice.PullUpW, spice.PullUpL)
-		lo, hi := 0.0, cond.VDD
-		for i := 0; i < 60; i++ {
-			mid := (lo + hi) / 2
-			iDown := pd.Ids(vin, mid, 0, cond)
-			iUp := pu.Isd(vin, mid, cond.VDD, cond)
-			if iUp > iDown {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return (lo + hi) / 2
-	}
-	// Sample both lobes of the butterfly and find the maximal embedded square
-	// via the diagonal-offset method: SNM = max over vin of the smaller of
-	// the two diagonal gaps, scaled by 1/√2 … approximated on a dense grid.
-	best := 0.0
-	for i := 0; i <= n; i++ {
-		vin := cond.VDD * float64(i) / n
-		v1 := vtc(vin) // inverter A: Q̄ = f(Q)
-		v2 := vtc(v1)  // inverter B applied to A's output
-		gap := math.Abs(v2 - vin)
-		// A square of side s fits when following the loop twice returns
-		// within s; use the contraction gap as the proxy metric.
-		side := gap / math.Sqrt2
-		if side > best {
-			best = side
-		}
-	}
-	return best
-}
-
-// WriteMargin returns the minimum word-line voltage at which a write flips
-// the cell within the given duration, found by bisection over golden write
-// transients. A higher margin (lower required V_WL) means easier writes.
-func WriteMargin(tech device.Tech, cond device.PVT, duration float64, cfg spice.Config) (float64, error) {
-	lo, hi := 0.0, cond.VDD
-	// Verify the full-VDD write works at all.
-	cw := spice.NewSRAMCellWrite(tech, 0, cond.VDD, cond)
-	cw.VWL = hi
-	ok, _, err := cw.Write(false, duration, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("sram: write fails even at V_WL = VDD at %v", cond)
-	}
-	for i := 0; i < 12; i++ {
-		mid := (lo + hi) / 2
-		cw := spice.NewSRAMCellWrite(tech, 0, cond.VDD, cond)
-		cw.VWL = mid
-		ok, _, err := cw.Write(false, duration, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
-// ComputeDisturbCheck analyzes whether a discharge-based compute operation
-// can corrupt the stored data — the core robustness risk of operating SRAM
-// cells off-spec (paper Section II-B). During the discharge, the cell's
-// internal node between the access and pull-down transistors bounces up;
-// if it approached the cross-coupled inverter trip point, the cell would
-// flip. The check runs the golden discharge at the worst case (maximum
-// word-line voltage, longest discharge) and reports the observed bounce
-// against the inverter trip point.
-type ComputeDisturbReport struct {
-	// MaxBounce is the largest internal-node excursion during the
-	// discharge [V].
-	MaxBounce float64
-	// TripPoint is the static trip point of the cell's inverter [V].
-	TripPoint float64
-	// Margin = TripPoint − MaxBounce [V]; positive means the stored bit
-	// survives the compute operation.
-	Margin float64
-}
-
-// ComputeDisturbCheck runs the worst-case disturb analysis for the given
-// word-line voltage and discharge duration.
-func ComputeDisturbCheck(tech device.Tech, vwl, duration float64, cond device.PVT, cfg spice.Config) (ComputeDisturbReport, error) {
-	dp := spice.NewDischargePath(tech, vwl, cond)
-	res, err := dp.Discharge(duration, cfg, 0)
-	if err != nil {
-		return ComputeDisturbReport{}, err
-	}
-	var report ComputeDisturbReport
-	for _, v := range res.Waveform.V {
-		if v[1] > report.MaxBounce {
-			report.MaxBounce = v[1]
-		}
-	}
-	report.TripPoint = inverterTripPoint(tech, cond)
-	report.Margin = report.TripPoint - report.MaxBounce
-	return report, nil
-}
-
-// inverterTripPoint finds Vin = Vout of the cell inverter by bisection.
-func inverterTripPoint(tech device.Tech, cond device.PVT) float64 {
-	pd := device.NewMOSFET(tech, spice.PullDownW, spice.PullDownL)
-	pu := device.NewPMOS(tech, spice.PullUpW, spice.PullUpL)
-	vout := func(vin float64) float64 {
-		lo, hi := 0.0, cond.VDD
-		for i := 0; i < 50; i++ {
-			mid := (lo + hi) / 2
-			if pu.Isd(vin, mid, cond.VDD, cond) > pd.Ids(vin, mid, 0, cond) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return (lo + hi) / 2
-	}
-	lo, hi := 0.0, cond.VDD
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if vout(mid) > mid {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }

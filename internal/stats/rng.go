@@ -136,11 +136,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the first n indices in place via the swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		swap(i, j)
-	}
-}

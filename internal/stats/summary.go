@@ -1,41 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
 )
-
-// Mean returns the arithmetic mean of xs. It returns NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (n−1 denominator).
-// It returns NaN for fewer than two samples.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // RMS returns the root-mean-square of xs: sqrt(mean(x²)). This is the metric
 // the paper reports for model residuals (e.g. "RMS modeling error 0.88 mV").
@@ -50,90 +17,21 @@ func RMS(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// MeanAbs returns the mean absolute value of xs.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}
-
-// MinMax returns the smallest and largest values in xs.
-// It returns (NaN, NaN) for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Accumulator is an online (Welford) accumulator for mean and variance,
 // usable without retaining samples. The zero value is ready to use.
 type Accumulator struct {
-	n     int
-	mean  float64
-	m2    float64
-	sumSq float64
-	min   float64
-	max   float64
+	n    int
+	mean float64
+	m2   float64
 }
 
 // Add incorporates one observation.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	a.n++
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-	a.sumSq += x * x
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean (NaN if empty).
 func (a *Accumulator) Mean() float64 {
@@ -153,100 +51,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the unbiased running standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// RMS returns the running root-mean-square.
-func (a *Accumulator) RMS() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(a.sumSq / float64(a.n))
-}
-
-// Min returns the smallest observation (NaN if empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation (NaN if empty).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Merge combines another accumulator into a (parallel reduction).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	a.sumSq += b.sumSq
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [lo, hi). It panics for invalid arguments.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation; out-of-range values are tallied separately.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard float rounding at the upper edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// Outliers returns the counts below Lo and at/above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 // n must be at least 2.

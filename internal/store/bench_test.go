@@ -89,7 +89,7 @@ func BenchmarkStorePutBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, ent := range ents {
-				if err := s.Put(ent.Key, ent.Met); err != nil {
+				if err := s.PutBatch([]engine.CacheEntry{ent}); err != nil {
 					b.Fatal(err)
 				}
 			}

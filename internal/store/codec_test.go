@@ -152,7 +152,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if err := s.Put(testKey(i), testMet(i)); err != nil {
+			if err := put(s, testKey(i), testMet(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,7 +176,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		if got := s.Len(); got != wantLive {
 			t.Fatalf("cut %d: %d records served, want %d", cut, got, wantLive)
 		}
-		if err := s.Put(testKey(100), testMet(100)); err != nil {
+		if err := put(s, testKey(100), testMet(100)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -236,7 +236,7 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 			t.Fatalf("prefix record %d lost or corrupted", i)
 		}
 	}
-	if err := s.Put(testKey(50), testMet(50)); err != nil {
+	if err := put(s, testKey(50), testMet(50)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(testKey(50)); !ok {

@@ -33,7 +33,7 @@ func TestPutBatchEquivalentToLoopedPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < n; i += 4 {
-				if err := sl.Put(testKey(i), testMet(i)); err != nil {
+				if err := put(sl, testKey(i), testMet(i)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -95,7 +95,7 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 	fillStore(t, s, 40)
 	// Overwrite 8 of 40 keys: 8 garbage / 48 total ≈ 17% < 25%.
 	for i := 0; i < 8; i++ {
-		if err := s.Put(testKey(i), testMet(i)); err != nil {
+		if err := put(s, testKey(i), testMet(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 8; i < 28; i++ {
-		if err := s.Put(testKey(i), testMet(i)); err != nil {
+		if err := put(s, testKey(i), testMet(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

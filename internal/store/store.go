@@ -242,7 +242,7 @@ func (s *Store) register() {
 	reg.CounterOf("optima_store_gets_total", "store index lookups", &s.n.getHits, "result", "hit")
 	reg.CounterOf("optima_store_gets_total", "store index lookups", &s.n.getMisses, "result", "miss")
 	reg.CounterOf("optima_store_put_records_total", "records appended to segment files", &s.n.putRecords)
-	reg.CounterOf("optima_store_compactions_total", "partition rewrites (open-time repair, garbage threshold, explicit Compact)", &s.n.compactions)
+	reg.CounterOf("optima_store_compactions_total", "partition rewrites (open-time repair, garbage threshold)", &s.n.compactions)
 	reg.CounterOf("optima_store_torn_tails_total", "segments whose torn or corrupt tail was repaired at open", &s.n.tornTails)
 	reg.GaugeFunc("optima_store_segment_bytes", "total size of the store's segment files",
 		func() float64 {
@@ -436,19 +436,6 @@ func (p *partition) rewrite(fp string) error {
 	return nil
 }
 
-// reopen refreshes the append handle after a rewrite replaced the file.
-func (p *partition) reopen() error {
-	if p.file != nil {
-		p.file.Close()
-	}
-	f, err := os.OpenFile(p.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	p.file = f
-	return nil
-}
-
 // part routes a key to its partition by content hash (engine.Key.Hash: the
 // hash covers every key field, so the mapping is stable across processes
 // and hosts — the property a key-range-sharded remote store needs — and
@@ -472,11 +459,6 @@ func (s *Store) Get(key engine.Key) (engine.Metrics, bool) {
 	return met, ok
 }
 
-// Put persists a single result.
-func (s *Store) Put(key engine.Key, met engine.Metrics) error {
-	return s.PutBatch([]engine.CacheEntry{{Key: key, Met: met}})
-}
-
 // PutBatch implements engine.Store: results are grouped by partition and
 // appended with one write per touched segment, amortizing syscall and lock
 // traffic for batched submission.
@@ -498,7 +480,7 @@ func (s *Store) PutBatch(entries []engine.CacheEntry) error {
 	// Bucket by partition into one exactly-sized backing array: a counting
 	// pass, prefix sums, then stable placement. Entries keep their input
 	// order within each partition, so duplicate keys in one batch resolve
-	// last-wins exactly as looped Puts would.
+	// last-wins exactly as one-entry batches would.
 	counts := make([]int, len(s.parts)+1)
 	for i := range entries {
 		counts[entries[i].Key.Hash()%nparts+1]++
@@ -552,26 +534,6 @@ func (p *partition) append(fp string, ents []engine.CacheEntry) error {
 	return nil
 }
 
-// Compact rewrites every partition down to its live records (current
-// fingerprint, latest value per key) via atomic write-then-rename.
-func (s *Store) Compact() error {
-	span := s.rec.StartSpan(0, obs.CatStore, "compact", "")
-	defer span.End()
-	for _, p := range s.parts {
-		p.mu.Lock()
-		err := p.rewrite(s.fp)
-		if err == nil {
-			err = p.reopen()
-		}
-		p.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		s.n.compactions.Add(1)
-	}
-	return nil
-}
-
 // Stats summarizes the store's contents and the maintenance work it has
 // performed since Open.
 type Stats struct {
@@ -582,8 +544,8 @@ type Stats struct {
 	Garbage int
 	// Partitions is the segment count.
 	Partitions int
-	// Compactions counts partition rewrites: open-time repairs, the
-	// open-time garbage threshold, and explicit Compact passes.
+	// Compactions counts partition rewrites: open-time repairs and the
+	// open-time garbage threshold.
 	Compactions int
 	// TornTails counts segments whose truncated or corrupt tail was
 	// repaired at open — the crash-recovery work that used to happen

@@ -40,6 +40,11 @@ func testMet(i int) engine.Metrics {
 	}
 }
 
+// put persists one result as a single-entry batch.
+func put(s *Store, key engine.Key, met engine.Metrics) error {
+	return s.PutBatch([]engine.CacheEntry{{Key: key, Met: met}})
+}
+
 func fillStore(t *testing.T, s *Store, n int) {
 	t.Helper()
 	batch := make([]engine.CacheEntry, n)
@@ -155,7 +160,7 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	}
 	// The open repaired the segments: new appends must land on readable
 	// ground and survive another reopen.
-	if err := s.Put(testKey(100), testMet(100)); err != nil {
+	if err := put(s, testKey(100), testMet(100)); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Len()
@@ -223,22 +228,34 @@ func TestFingerprintMismatchInvalidation(t *testing.T) {
 	if _, ok := s.Get(testKey(3)); ok {
 		t.Fatal("result from another calibration must never be served")
 	}
+	// A's records are garbage under B: the open rewrote every partition
+	// past the garbage threshold.
+	if st := s.Stats(); st.Garbage != 0 || st.Compactions == 0 {
+		t.Fatalf("open under a new fingerprint left %+v, want A's records compacted away", st)
+	}
 	// B writes its own result for the same key — same key, different
 	// fingerprint, different value.
 	bMet := testMet(3)
 	bMet.EpsMul += 1
-	if err := s.Put(testKey(3), bMet); err != nil {
+	if err := put(s, testKey(3), bMet); err != nil {
 		t.Fatal(err)
 	}
 	if met, _ := s.Get(testKey(3)); met != bMet {
 		t.Fatal("own write not served")
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{Fingerprint: "calibration-b"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.Live != 1 || st.Garbage != 0 {
 		t.Fatalf("post-compaction stats %+v, want 1 live / 0 garbage", st)
+	}
+	if met, _ := s.Get(testKey(3)); met != bMet {
+		t.Fatal("own write not served after reopening")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -251,11 +268,10 @@ func TestCompactionCollapsesOverwrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	final := testMet(0)
 	for rev := 0; rev < 50; rev++ {
 		final.EpsMul = float64(rev)
-		if err := s.Put(testKey(0), final); err != nil {
+		if err := put(s, testKey(0), final); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,10 +280,16 @@ func TestCompactionCollapsesOverwrites(t *testing.T) {
 		t.Fatalf("pre-compaction stats %+v, want 1 live / 49 garbage", st)
 	}
 	sizeBefore := dirSize(t, dir)
-	if err := s.Compact(); err != nil {
+	// 49 of 50 records are garbage, past the open-time rewrite threshold.
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Live != 1 || st.Garbage != 0 {
+	s, err = Open(dir, Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Live != 1 || st.Garbage != 0 || st.Compactions != 1 {
 		t.Fatalf("post-compaction stats %+v", st)
 	}
 	if sizeAfter := dirSize(t, dir); sizeAfter >= sizeBefore {
@@ -294,7 +316,7 @@ func dirSize(t *testing.T, dir string) int64 {
 }
 
 // TestConcurrentReadWrite exercises the store under -race: concurrent
-// PutBatch, Get and Compact must be safe.
+// PutBatch and Get must be safe.
 func TestConcurrentReadWrite(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Fingerprint: "fp"})
 	if err != nil {
@@ -309,7 +331,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				idx := g*50 + i
-				if err := s.Put(testKey(idx), testMet(idx)); err != nil {
+				if err := put(s, testKey(idx), testMet(idx)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -320,16 +342,6 @@ func TestConcurrentReadWrite(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if err := s.Compact(); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	if got := s.Len(); got != 400 {
 		t.Fatalf("store holds %d results, want 400", got)
@@ -478,7 +490,7 @@ func TestClosedStoreFailsWrites(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Put(testKey(0), testMet(0))
+	err = put(s, testKey(0), testMet(0))
 	if err == nil {
 		t.Fatal("write to closed store must error")
 	}
@@ -615,7 +627,7 @@ func TestRetentionEvictsOldestSegments(t *testing.T) {
 	if found >= 64 {
 		t.Fatal("eviction removed no results")
 	}
-	if err := s.Put(testKey(100), testMet(100)); err != nil {
+	if err := put(s, testKey(100), testMet(100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(testKey(100)); !ok {
@@ -722,7 +734,7 @@ func TestRetentionEvictsAgedSegments(t *testing.T) {
 	if found != s.Len() {
 		t.Fatalf("index count %d disagrees with Get survivors %d", s.Len(), found)
 	}
-	if err := s.Put(testKey(200), testMet(200)); err != nil {
+	if err := put(s, testKey(200), testMet(200)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(testKey(200)); !ok {
