@@ -216,34 +216,9 @@ func BenchmarkSpeedupMonteCarlo(b *testing.B) {
 	b.ReportMetric(speedup, "speedup-x")
 }
 
-// --- Ablation benches for the design choices DESIGN.md calls out. ---
-
-// BenchmarkAblationEventKernel compares evaluating a multiplication through
-// the discrete-event kernel (the paper's SystemVerilog-like flow) against
-// direct model calls — the cost of the event abstraction.
-func BenchmarkAblationEventKernel(b *testing.B) {
-	ctx := benchContext(b)
-	m, err := mult.NewBehavioral(ctx.Model, fomCfg(), device.Nominal())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("events", func(b *testing.B) {
-		m.UseEvents = true
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Multiply(uint(i)&15, uint(i>>4)&15, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		m.UseEvents = false
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Multiply(uint(i)&15, uint(i>>4)&15, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+// --- Ablation benches: what per-operation mismatch sampling costs, and the
+// two readout extensions the paper cites without adopting (AID's trimmed
+// nonlinear DAC, IMAC's analog accumulation). ---
 
 // BenchmarkAblationMismatchSampling compares deterministic evaluation with
 // the paper's per-operation mismatch sampling.
@@ -271,7 +246,8 @@ func BenchmarkAblationMismatchSampling(b *testing.B) {
 }
 
 // BenchmarkBehavioralModelEval measures one discharge-model evaluation —
-// the cost unit of OPTIMA's event-based flow.
+// the cost unit of OPTIMA's flow, which makes one per set bit at its
+// sampling instant.
 func BenchmarkBehavioralModelEval(b *testing.B) {
 	ctx := benchContext(b)
 	var sink float64

@@ -34,9 +34,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -208,11 +210,15 @@ func makeContext(modelPath string, quick bool, workers int, backend, conditions,
 	}
 	var ctx *exp.Context
 	if modelPath != "" {
-		if m, err := core.LoadModel(modelPath); err == nil {
+		// Only a missing file falls back to calibration, as in the optima CLI.
+		switch m, err := core.LoadModel(modelPath); {
+		case err == nil:
 			slog.Info("loaded model", "path", modelPath)
 			ctx = exp.NewContextWithModel(m, calib.Tech)
-		} else {
+		case errors.Is(err, fs.ErrNotExist):
 			slog.Warn("model not found; calibrating", "path", modelPath)
+		default:
+			return nil, err
 		}
 	}
 	if ctx == nil {

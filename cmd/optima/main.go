@@ -64,8 +64,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"time"
@@ -254,11 +256,16 @@ func makeContext(modelPath string, quick bool, eo engineOpts) (*exp.Context, err
 	}
 	var ctx *exp.Context
 	if modelPath != "" {
-		if m, err := core.LoadModel(modelPath); err == nil {
+		// Only a missing file falls back to calibration; a model that
+		// exists but does not load is an error, not a silent recalibration.
+		switch m, err := core.LoadModel(modelPath); {
+		case err == nil:
 			fmt.Printf("loaded model from %s\n", modelPath)
 			ctx = exp.NewContextWithModel(m, calib.Tech)
-		} else {
+		case errors.Is(err, fs.ErrNotExist):
 			fmt.Printf("model %s not found; calibrating\n", modelPath)
+		default:
+			return nil, err
 		}
 	}
 	if ctx == nil {

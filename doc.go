@@ -4,9 +4,10 @@
 // Energy-Accuracy Trade-Offs" (DAC 2024).
 //
 // The repository is organized as a set of substrates under internal/ (golden
-// transistor-level simulation, polynomial fitting, discrete-event kernel,
-// DNN inference and quantization) with the paper's behavioral models in
-// internal/core and the 4-bit in-SRAM multiplier case study in internal/mult.
+// transistor-level simulation, polynomial fitting, DNN inference and
+// quantization) with the paper's behavioral models in internal/core and the
+// 4-bit in-SRAM multiplier case study in internal/mult, which evaluates
+// those models only at the bit lines' sampling instants.
 // All corner/condition evaluations route through the concurrent memoizing
 // evaluation service in internal/engine, which the exploration layers
 // (internal/dse, internal/search, internal/exp) submit jobs to — as a batch

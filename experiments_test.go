@@ -1,7 +1,9 @@
 // Experiment tests: regenerate the paper's evaluation end-to-end and check
 // the qualitative claims — who wins, by roughly what factor, where the
 // failure modes sit. These are the integration tests of the reproduction;
-// EXPERIMENTS.md records the quantitative paper-vs-measured comparison.
+// the quantitative paper-vs-measured comparison is in the artifacts
+// themselves, which print the paper's numbers (package internal/refdata)
+// next to the measured ones.
 package optima_test
 
 import (

@@ -1,8 +1,8 @@
 // Package core implements the paper's primary contribution: OPTIMA's
 // parameterized behavioral models for 6T-SRAM bit-line discharge and energy
 // (Eq. 3–8), their least-squares calibration against golden circuit
-// simulation data, and the fast PVT/mismatch-aware evaluation used by the
-// event-based simulation flow.
+// simulation data, and the fast PVT/mismatch-aware evaluation the
+// multiplier runs at its bit lines' sampling instants.
 //
 // Model structure (paper Section IV):
 //

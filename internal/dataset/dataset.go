@@ -1,6 +1,6 @@
 // Package dataset generates the procedural synthetic image classification
-// datasets that substitute for ImageNet and CIFAR-10 (neither can ship with
-// an offline reproduction; see DESIGN.md §2).
+// datasets that substitute for ImageNet and CIFAR-10: neither can ship with
+// this repository, and the reproduction runs offline.
 //
 // Each class is defined by a randomly drawn prototype — a parametric
 // composition of an oriented sinusoidal texture, a colored blob and a color

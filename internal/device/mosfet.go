@@ -115,7 +115,7 @@ type Tech struct {
 
 // Generic65 returns the generic 65 nm low-power technology card used
 // throughout the repository. The values are chosen so the golden simulator's
-// discharge behavior lands in the paper's reported ranges (see DESIGN.md §5):
+// discharge behavior lands in the paper's reported ranges:
 // ≈0.3 V/ns bit-line slope at V_WL = 1 V with C_BL = 250 fF, ≈150 fJ
 // single-cell discharge energy at 2 ns, ±20 mV mismatch band over
 // 1000 samples.

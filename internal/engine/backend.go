@@ -224,9 +224,9 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 	m := Metrics{Config: cfg, Cond: cond, LSBVolt: bm.LSBVolt}
 	err = m.accumulate(func(a, d uint) (eps, energy float64, err error) {
 		// The deterministic table path returns exactly Multiply(a, d, nil)
-		// without the per-call model evaluations or event-kernel
-		// allocations — the metrics (and therefore every persisted cache
-		// entry) are unchanged.
+		// from models evaluated once per (code, bit) sampling instant
+		// instead of per call — the metrics (and therefore every
+		// persisted cache entry) are unchanged.
 		r, err := bm.MultiplyDet(a, d)
 		if err != nil {
 			return 0, 0, err
@@ -241,6 +241,16 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 	})
 	if err != nil {
 		return Metrics{}, err
+	}
+	// Calibration refuses a non-finite ADC gain, but a finite yet absurd
+	// corner (say V_DAC,FS = 1e30 V) can still overflow the energy or σ
+	// models. The engine would cache and persist a NaN metric as a result,
+	// so it is an error instead.
+	for _, v := range [...]float64{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Metrics{}, fmt.Errorf("engine: behavioral metrics of tau0 %g, VDAC0 %g, VDACFS %g at %v are not finite",
+				cfg.Tau0, cfg.VDAC0, cfg.VDACFS, cond)
+		}
 	}
 	return m, nil
 }

@@ -75,6 +75,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -472,6 +473,14 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	ctx := Eval{Ctx: opts.Ctx}.Context()
 	if err := ctx.Err(); err != nil {
 		return nil, err // canceled before anything was claimed
+	}
+	// A NaN never equals itself, so a key holding one could neither hit nor
+	// resolve its cache entry: refuse the batch before claiming anything.
+	for _, j := range jobs {
+		c, p := j.Config, j.Cond
+		if math.IsNaN(c.Tau0) || math.IsNaN(c.VDAC0) || math.IsNaN(c.VDACFS) || math.IsNaN(p.VDD) || math.IsNaN(p.TempC) {
+			return nil, fmt.Errorf("engine: corner %v at %v has a NaN parameter", c, p)
+		}
 	}
 	e.mu.Lock()
 	rec, em := e.rec, e.em

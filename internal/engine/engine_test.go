@@ -383,6 +383,62 @@ func TestBackendEquivalenceSmoke(t *testing.T) {
 	}
 }
 
+// TestNaNJobsRejectedBeforeClaim: a NaN never equals itself, so a key
+// holding one can neither hit nor resolve its cache entry. The engine
+// refuses such a batch up front: no backend call, no stranded claim.
+func TestNaNJobsRejectedBeforeClaim(t *testing.T) {
+	fake := &fakeBackend{}
+	eng := New(fake, 2)
+	good := testJobs(1)[0]
+	nanCfg, nanCond := good, good
+	nanCfg.Config.VDACFS = math.NaN()
+	nanCond.Cond.TempC = math.NaN()
+	for _, bad := range []Job{nanCfg, nanCond} {
+		if _, err := eng.EvaluateBatch([]Job{good, bad}); err == nil {
+			t.Errorf("batch with %v at %v evaluated", bad.Config, bad.Cond)
+		}
+	}
+	if n := fake.evals.Load(); n != 0 {
+		t.Fatalf("backend ran %d times for refused batches, want 0", n)
+	}
+	eng.mu.Lock()
+	claimed := len(eng.cache)
+	eng.mu.Unlock()
+	if claimed != 0 {
+		t.Fatalf("refused batches left %d cache entries", claimed)
+	}
+}
+
+// TestBehavioralRejectsNonFiniteMetrics: corners whose models overflow end
+// in an error, never in NaN metrics that the engine would cache and its
+// store persist. An infinite parameter fails Validate, an overflowing
+// transfer fails the ADC trim, and a transfer that stays finite while the
+// energy model overflows (V_DAC,FS = 1e30 V) fails the metrics check.
+func TestBehavioralRejectsNonFiniteMetrics(t *testing.T) {
+	equivOnce.Do(func() {
+		equivModel, equivErr = core.Calibrate(core.QuickCalibration())
+	})
+	if equivErr != nil {
+		t.Fatal(equivErr)
+	}
+	disk := newFakeStore()
+	eng := New(Behavioral{Model: equivModel}, 0).WithStore(disk)
+	for _, cfg := range []mult.Config{
+		{Tau0: math.Inf(1), VDAC0: 0.3, VDACFS: 1.0},
+		{Tau0: 1e300, VDAC0: 0.3, VDACFS: 1.0},
+		{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1e300},
+		{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1e30},
+	} {
+		m, err := evaluateOne(eng, cfg, device.Nominal())
+		if err == nil {
+			t.Errorf("tau0 %g, VDACFS %g: nil error with metrics %+v", cfg.Tau0, cfg.VDACFS, m)
+		}
+	}
+	if disk.putKeys != 0 {
+		t.Fatalf("store persisted %d results for corners with no finite metrics", disk.putKeys)
+	}
+}
+
 // fakeStore is an in-memory engine.Store with call accounting, so the
 // tiered lookup path is observable without touching disk (internal/store
 // tests the real implementation against a live engine).

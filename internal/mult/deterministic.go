@@ -12,18 +12,17 @@ import (
 // the per-bit discharge depends on (a, i) only — the stored operand d
 // selects which bit lines participate, it never changes what one bit line
 // does — so the whole 16×16 input space reduces to 16×4 distinct
-// discharges. A detTable precomputes exactly the model outputs the
-// per-multiplication loop would request (VBL, SigmaAt, DischargeEnergy per
-// set bit), letting MultiplyDet evaluate one multiplication with plain
-// table reads and the same float operations in the same order as
-// multiplyDirect — byte-identical Results (pinned by TestMultiplyDet
-// matchesMultiply) at a fraction of the cost and with zero allocations
-// (the event-kernel path allocates a simulator, signals and closures per
-// call).
+// discharges. A detTable precomputes exactly the model outputs Multiply's
+// per-bit loop would request at the sampling instants (VBL, SigmaAt,
+// DischargeEnergy per set bit), letting MultiplyDet evaluate one
+// multiplication with plain table reads and the same float operations in
+// the same order as Multiply — byte-identical Results (pinned by
+// TestMultiplyDetMatchesMultiply) without the per-call model evaluations.
 //
-// The engine's Behavioral backend and the DNN LUT builder ride this path;
-// Multiply keeps its UseEvents semantics for the paper's DES-ablation
-// experiments.
+// The engine's Behavioral backend and the DNN LUT builder ride this path.
+// Multiply calls the models per multiplication; it serves mismatch
+// sampling, the paper's speed-up experiments (which time exactly those
+// calls) and Fig. 8's error profile.
 
 // detTable holds the deterministic per-(a, bit) model outputs of one
 // configuration at one condition.
@@ -81,15 +80,14 @@ func (b *Behavioral) detFor() *detTable {
 // MultiplyDet performs one deterministic (mismatch-free) multiplication on
 // the precomputed table. It returns exactly the Result of
 // Multiply(a, d, nil) — the engine's metric accumulation and the DNN LUT
-// are built on this equivalence — without the per-call model evaluations or
-// event-kernel allocations.
+// are built on this equivalence — without the per-call model evaluations.
 func (b *Behavioral) MultiplyDet(a, d uint) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
 	t := b.detFor()
 	if t == nil {
-		return b.multiplyDirect(a, d, nil), nil
+		return b.Multiply(a, d, nil)
 	}
 	res := Result{A: a, D: d, Expected: int(a * d)}
 	for i := 0; i < OperandBits; i++ {

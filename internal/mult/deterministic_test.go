@@ -6,6 +6,7 @@ import (
 	"optima/internal/core"
 	"optima/internal/device"
 	"optima/internal/spice"
+	"optima/internal/stats"
 )
 
 // detTestConditions exercises the table at nominal and at a non-nominal
@@ -61,7 +62,7 @@ func TestMultiplyDetMatchesMultiply(t *testing.T) {
 }
 
 // TestMultiplyDetFallback: a Behavioral assembled without NewBehavioral has
-// no table; MultiplyDet must still answer (via direct model evaluation)
+// no table; MultiplyDet must still answer (via Multiply's model calls)
 // rather than misbehave.
 func TestMultiplyDetFallback(t *testing.T) {
 	b := &Behavioral{
@@ -72,9 +73,12 @@ func TestMultiplyDetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.multiplyDirect(9, 7, nil)
+	want, err := b.Multiply(9, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got != want {
-		t.Fatalf("table-less MultiplyDet = %+v, direct path gives %+v", got, want)
+		t.Fatalf("table-less MultiplyDet = %+v, Multiply gives %+v", got, want)
 	}
 }
 
@@ -90,9 +94,12 @@ func TestMultiplyDetStaleTableFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.multiplyDirect(15, 15, nil)
+	want, err := b.Multiply(15, 15, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got != want {
-		t.Fatalf("stale-table MultiplyDet = %+v, direct path gives %+v", got, want)
+		t.Fatalf("stale-table MultiplyDet = %+v, Multiply gives %+v", got, want)
 	}
 }
 
@@ -115,21 +122,31 @@ var detSink Result
 
 // TestMultiplyDetZeroAlloc is the hot-loop guarantee the engine's
 // Behavioral backend relies on: one deterministic multiplication allocates
-// nothing (the event-kernel path pays a simulator, signals and closures per
-// call).
+// nothing. Multiply, which evaluates the models at the sampling instants
+// per call, allocates nothing either, with or without mismatch sampling.
 func TestMultiplyDetZeroAlloc(t *testing.T) {
 	b, err := NewBehavioral(testModel(t), fomConfig(), device.Nominal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, d := uint(0), uint(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		detSink, _ = b.MultiplyDet(a, d)
-		a = (a + 1) & OperandMax
-		d = (d + 5) & OperandMax
-	})
-	if allocs != 0 {
-		t.Fatalf("MultiplyDet allocates %.1f objects per call, want 0", allocs)
+	rng := stats.NewRNG(1)
+	for _, c := range []struct {
+		name string
+		mul  func(a, d uint) (Result, error)
+	}{
+		{"MultiplyDet", b.MultiplyDet},
+		{"Multiply(nil)", func(a, d uint) (Result, error) { return b.Multiply(a, d, nil) }},
+		{"Multiply(rng)", func(a, d uint) (Result, error) { return b.Multiply(a, d, rng) }},
+	} {
+		a, d := uint(0), uint(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			detSink, _ = c.mul(a, d)
+			a = (a + 1) & OperandMax
+			d = (d + 5) & OperandMax
+		})
+		if allocs != 0 {
+			t.Fatalf("%s allocates %.1f objects per call, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -194,8 +211,8 @@ func TestDetTableAgainstModel(t *testing.T) {
 	}
 }
 
-// BenchmarkMultiplyDet measures the deterministic fast path against the
-// event-kernel and direct paths it replaces on the engine's hot loop.
+// BenchmarkMultiplyDet measures the deterministic fast path against
+// Multiply, which evaluates the models at the sampling instants per call.
 func BenchmarkMultiplyDet(b *testing.B) {
 	model, err := core.Calibrate(core.QuickCalibration())
 	if err != nil {
@@ -214,13 +231,7 @@ func BenchmarkMultiplyDet(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			detSink = bm.multiplyDirect(uint(i)&OperandMax, uint(i>>4)&OperandMax, nil)
-		}
-	})
-	b.Run("events", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			detSink, _ = bm.multiplyEvents(uint(i)&OperandMax, uint(i>>4)&OperandMax, nil)
+			detSink, _ = bm.Multiply(uint(i)&OperandMax, uint(i>>4)&OperandMax, nil)
 		}
 	})
 }

@@ -10,8 +10,8 @@
 //
 // Two interchangeable backends compute the same operation:
 //
-//   - Behavioral: OPTIMA's calibrated models evaluated on the discrete-event
-//     kernel (fast — this is the paper's contribution).
+//   - Behavioral: OPTIMA's calibrated models evaluated only at the sampling
+//     instants 2^i·τ0 (fast — this is the paper's contribution).
 //   - Golden: transistor-level transient simulation per bit line (slow —
 //     the reference the speed-up is measured against).
 package mult
@@ -24,7 +24,6 @@ import (
 
 	"optima/internal/core"
 	"optima/internal/device"
-	"optima/internal/events"
 	"optima/internal/obs"
 	"optima/internal/sched"
 	"optima/internal/spice"
@@ -70,6 +69,11 @@ func (c Config) String() string {
 
 // Validate checks that the configuration is physically meaningful.
 func (c Config) Validate() error {
+	for _, v := range [...]float64{c.Tau0, c.VDAC0, c.VDACFS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("mult: non-finite parameter in tau0 %g, VDAC0 %g, VDACFS %g", c.Tau0, c.VDAC0, c.VDACFS)
+		}
+	}
 	if c.Tau0 <= 0 {
 		return fmt.Errorf("mult: non-positive tau0 %g", c.Tau0)
 	}
@@ -131,9 +135,6 @@ type Behavioral struct {
 	LSBVolt float64
 	// OffsetVolt is the calibrated ADC zero offset [V].
 	OffsetVolt float64
-	// UseEvents selects event-kernel evaluation (the paper's flow) versus
-	// direct model calls (ablation of the DES abstraction).
-	UseEvents bool
 	// DAC optionally replaces the linear code-to-voltage mapping with a
 	// trimmed nonlinear DAC (see CalibrateNonlinearDAC).
 	DAC *NonlinearDAC
@@ -153,7 +154,7 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Behavioral{Model: model, Cfg: cfg, Cond: cond, UseEvents: true}
+	b := &Behavioral{Model: model, Cfg: cfg, Cond: cond}
 	if err := b.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
@@ -201,7 +202,9 @@ func fitADCTrim(deltaV func(a, d uint) float64) (gain, offset float64, err error
 		return 0, 0, ErrScale
 	}
 	gain = sumXY / sumXX
-	if gain <= 0 {
+	// A non-finite gain (an overflowing or NaN transfer) would quantize
+	// every product to a NaN metric, so it is as unusable as a zero one.
+	if !(gain > 0) || math.IsInf(gain, 1) {
 		return 0, 0, ErrScale
 	}
 	return gain, 0, nil
@@ -247,19 +250,13 @@ func (r *Result) finish(b *Behavioral, vwl float64, rng *stats.RNG) {
 
 // Multiply performs one multiplication. A nil rng gives the deterministic
 // (mismatch-free) result; a non-nil rng samples fresh mismatch per
-// discharge, following the paper's Monte-Carlo procedure.
+// discharge, following the paper's Monte-Carlo procedure. The models are
+// evaluated only at the sampling instants: bit line i's discharge at
+// 2^i·τ0, in bit order, then the charge-shared readout.
 func (b *Behavioral) Multiply(a, d uint, rng *stats.RNG) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
-	if b.UseEvents {
-		return b.multiplyEvents(a, d, rng)
-	}
-	return b.multiplyDirect(a, d, rng), nil
-}
-
-// multiplyDirect evaluates the models without the event kernel.
-func (b *Behavioral) multiplyDirect(a, d uint, rng *stats.RNG) Result {
 	res := Result{A: a, D: d, Expected: int(a * d)}
 	vwl := b.wordLineVoltage(a, b.Cond.VDD)
 	for i := 0; i < OperandBits; i++ {
@@ -269,43 +266,6 @@ func (b *Behavioral) multiplyDirect(a, d uint, rng *stats.RNG) Result {
 		}
 	}
 	res.finish(b, vwl, rng)
-	return res
-}
-
-// multiplyEvents runs the multiplication sequence on the discrete-event
-// kernel: word-line assertion at t=0, per-bit sampling events at 2^i·τ0,
-// and a final combine/ADC event — the paper's "event-based fashion, akin to
-// digital simulation tools".
-func (b *Behavioral) multiplyEvents(a, d uint, rng *stats.RNG) (Result, error) {
-	res := Result{A: a, D: d, Expected: int(a * d)}
-	sim := events.NewSimulator()
-	vwlSig := events.NewSignal("wl", 0)
-	vwl := b.wordLineVoltage(a, b.Cond.VDD)
-
-	// t = 0: precharge released, word line driven to the DAC output.
-	if err := sim.Schedule(0, func() { vwlSig.Set(vwl) }); err != nil {
-		return Result{}, err
-	}
-	for i := 0; i < OperandBits; i++ {
-		i := i
-		bit := d&(1<<uint(i)) != 0
-		// Sampling switch of bit line i opens at 2^i·τ0.
-		if err := sim.Schedule(events.FromSeconds(b.Cfg.BitTime(i)), func() {
-			if bit {
-				dv, sigma, energy := b.bit(i, vwlSig.Value(), b.Cond, rng)
-				res.add(i, dv, sigma, energy)
-			}
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-	// Combine and quantize after the last sampling event.
-	if err := sim.Schedule(events.FromSeconds(b.Cfg.MaxTime())+events.Picosecond, func() {
-		res.finish(b, vwl, rng)
-	}); err != nil {
-		return Result{}, err
-	}
-	sim.Run()
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package mult
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -37,14 +38,62 @@ func TestConfigValidate(t *testing.T) {
 	if err := fomConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A NaN or infinite parameter slips past the ordering checks (NaN
+	// compares false, +Inf exceeds any VDAC0) and would calibrate to NaN
+	// metrics, so it is rejected too.
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Tau0: 0, VDAC0: 0.3, VDACFS: 1},
 		{Tau0: 1e-10, VDAC0: 1.0, VDACFS: 0.7},
 		{Tau0: 1e-10, VDAC0: -0.1, VDACFS: 0.7},
+		{Tau0: nan, VDAC0: 0.3, VDACFS: 1},
+		{Tau0: inf, VDAC0: 0.3, VDACFS: 1},
+		{Tau0: 1e-10, VDAC0: nan, VDACFS: 1},
+		{Tau0: 1e-10, VDAC0: 0.3, VDACFS: nan},
+		{Tau0: 1e-10, VDAC0: 0.3, VDACFS: inf},
+		{Tau0: 1e-10, VDAC0: -inf, VDACFS: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("config %+v accepted", c)
+		}
+	}
+}
+
+// TestFitADCTrimRejectsNonFiniteGain: a transfer that overflows or turns
+// NaN has no usable full scale, exactly like a zero one.
+func TestFitADCTrimRejectsNonFiniteGain(t *testing.T) {
+	for name, dv := range map[string]func(a, d uint) float64{
+		"NaN":  func(a, d uint) float64 { return math.NaN() },
+		"+Inf": func(a, d uint) float64 { return math.Inf(1) },
+		"-Inf": func(a, d uint) float64 { return math.Inf(-1) },
+		"zero": func(a, d uint) float64 { return 0 },
+	} {
+		if gain, _, err := fitADCTrim(dv); !errors.Is(err, ErrScale) {
+			t.Errorf("%s transfer: gain %g, err %v, want ErrScale", name, gain, err)
+		}
+	}
+	gain, offset, err := fitADCTrim(func(a, d uint) float64 { return float64(a*d) / 4 })
+	if err != nil || gain != 0.25 || offset != 0 {
+		t.Fatalf("linear transfer: gain %g, offset %g, err %v; want 0.25, 0, nil", gain, offset, err)
+	}
+}
+
+// TestNewBehavioralRejectsOverflowingConfigs: finite but absurd parameters
+// overflow the models' transfer. They must fail calibration with ErrScale
+// instead of building a multiplier whose every metric is NaN.
+func TestNewBehavioralRejectsOverflowingConfigs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Tau0: 1e300, VDAC0: 0.3, VDACFS: 1},
+		{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1e300},
+	} {
+		b, err := NewBehavioral(testModel(t), cfg, device.Nominal())
+		if !errors.Is(err, ErrScale) {
+			lsb := math.NaN()
+			if b != nil {
+				lsb = b.LSBVolt
+			}
+			t.Errorf("tau0 %g, VDACFS %g: LSB %g, err %v, want ErrScale", cfg.Tau0, cfg.VDACFS, lsb, err)
 		}
 	}
 }
@@ -137,31 +186,6 @@ func TestBehavioralAverageErrorRegime(t *testing.T) {
 	// little more accurate. Fail if wildly off in either direction.
 	if acc.Mean() > 8 || acc.Mean() < 0.1 {
 		t.Fatalf("deterministic ϵ̄ = %.2f LSB outside plausible regime", acc.Mean())
-	}
-}
-
-func TestEventAndDirectPathsAgree(t *testing.T) {
-	b, err := NewBehavioral(testModel(t), fomConfig(), device.Nominal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := uint(0); a <= 15; a += 3 {
-		for d := uint(0); d <= 15; d += 3 {
-			b.UseEvents = true
-			ev, err := b.Multiply(a, d, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.UseEvents = false
-			dir, err := b.Multiply(a, d, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.Code != dir.Code || math.Abs(ev.VComb-dir.VComb) > 1e-15 ||
-				math.Abs(ev.Energy-dir.Energy) > 1e-21 {
-				t.Fatalf("(%d,%d): event %+v vs direct %+v", a, d, ev, dir)
-			}
-		}
 	}
 }
 
