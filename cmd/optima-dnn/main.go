@@ -27,15 +27,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"time"
 
-	"optima/internal/core"
-	"optima/internal/engine"
+	"optima/internal/cli"
 	"optima/internal/exp"
-	"optima/internal/obs"
-	"optima/internal/remote"
 	"optima/internal/report"
 )
 
@@ -43,118 +39,21 @@ func main() {
 	outDir := flag.String("out", "out", "artifact directory")
 	bench := flag.Bool("bench", false, "run the reduced protocol")
 	noisy := flag.Bool("noisy", false, "sample per-operation mismatch in the multiplier")
-	modelPath := flag.String("model", "", "load a calibrated model instead of recalibrating")
-	workers := flag.Int("workers", 0, "total worker budget, split between job-level and intra-job parallelism (0 = all CPUs)")
-	backend := flag.String("backend", engine.BackendBehavioral, "corner-selection backend: behavioral or golden")
-	cacheDir := flag.String("cache-dir", "",
-		"persist evaluation results in this directory (shared across runs; keyed by the calibration fingerprint)")
-	cacheMax := flag.Int64("cache-max-bytes", 0,
-		"evict least-recently-written cache segments beyond this size when the store opens (0 = unlimited)")
-	cacheAge := flag.Duration("cache-max-age", 0,
-		"evict cache segments older than this when the store opens (e.g. 720h; 0 = unlimited)")
-	cpuProfile := flag.String("cpuprofile", "",
-		"write a pprof CPU profile of the run to this file (analyze with `go tool pprof`)")
-	memProfile := flag.String("memprofile", "",
-		"write a pprof heap profile to this file when the run finishes")
-	traceOut := flag.String("trace-out", "",
-		"write a Chrome trace-format JSON timeline of the run to this file (open in Perfetto or chrome://tracing)")
-	logLevel := flag.String("log-level", "info",
-		"structured log level: debug, info, warn or error")
-	slowEval := flag.Duration("slow-eval", 0,
-		"log a warning for any single backend evaluation slower than this (e.g. 2s; 0 = off)")
-	remoteAddr := flag.String("remote", "",
-		"listen on this address (e.g. :9777) for optima-worker processes and distribute evaluations across them; with no connected workers evaluation stays local")
+	f := cli.NewFlags(flag.CommandLine, cli.Model|cli.Workers|cli.Backend|cli.Cache|
+		cli.Profile|cli.LogLevel|cli.SlowEval|cli.Remote)
 	flag.Parse()
-
-	opts := runOpts{
-		outDir: *outDir, bench: *bench, noisy: *noisy, modelPath: *modelPath,
-		workers: *workers, backend: *backend,
-		cacheDir: *cacheDir, cacheMax: *cacheMax, cacheAge: *cacheAge,
-		cpuProfile: *cpuProfile, memProfile: *memProfile,
-		traceOut: *traceOut, logLevel: *logLevel, slowEval: *slowEval,
-		remoteAddr: *remoteAddr,
-	}
-	if err := run(opts); err != nil {
+	if err := run(f, *outDir, *bench, *noisy); err != nil {
 		fmt.Fprintln(os.Stderr, "optima-dnn:", err)
 		os.Exit(1)
 	}
 }
 
-// runOpts carries the parsed flag values into run.
-type runOpts struct {
-	outDir                 string
-	bench, noisy           bool
-	modelPath              string
-	workers                int
-	backend                string
-	cacheDir               string
-	cacheMax               int64
-	cacheAge               time.Duration
-	cpuProfile, memProfile string
-	traceOut, logLevel     string
-	slowEval               time.Duration
-	remoteAddr             string
-}
-
-func run(o runOpts) error {
-	outDir, bench, noisy := o.outDir, o.bench, o.noisy
-	modelPath, workers, backend := o.modelPath, o.workers, o.backend
-	cacheDir, cacheMax, cacheAge := o.cacheDir, o.cacheMax, o.cacheAge
-	if o.logLevel != "" {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(o.logLevel)); err != nil {
-			return fmt.Errorf("bad -log-level %q: %w", o.logLevel, err)
-		}
-		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	}
-	if err := engine.ValidateBackendName(backend); err != nil {
+func run(f *cli.Flags, outDir string, bench, noisy bool) error {
+	ctx, err := f.Open()
+	if err != nil {
 		return err
-	}
-	calib := core.DefaultCalibration()
-	var ctx *exp.Context
-	if modelPath != "" {
-		m, err := core.LoadModel(modelPath)
-		if err != nil {
-			return err
-		}
-		ctx = exp.NewContextWithModel(m, calib.Tech)
-	} else {
-		start := time.Now()
-		var err error
-		ctx, err = exp.NewContext(calib)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("calibrated in %v\n", time.Since(start))
-	}
-	ctx.Workers = workers
-	ctx.Backend = backend
-	ctx.CacheDir = cacheDir
-	ctx.CacheMaxBytes = cacheMax
-	ctx.CacheMaxAge = cacheAge
-	ctx.CPUProfile = o.cpuProfile
-	ctx.MemProfile = o.memProfile
-	ctx.TraceOut = o.traceOut
-	ctx.Recorder = obs.NewRecorder(obs.RecorderOptions{
-		SlowEval: o.slowEval,
-		Logger:   slog.Default(),
-	})
-	if o.remoteAddr != "" {
-		fleet, err := remote.Listen(o.remoteAddr, remote.Options{
-			Fingerprint: ctx.Fingerprint(),
-			Recorder:    ctx.Recorder,
-			Logger:      slog.Default(),
-		})
-		if err != nil {
-			return fmt.Errorf("-remote: %w", err)
-		}
-		ctx.Fleet = fleet
-		fmt.Printf("remote fleet listening on %s\n", fleet.Addr())
 	}
 	defer ctx.Close()
-	if err := ctx.StartProfiling(); err != nil {
-		return err
-	}
 
 	sel, err := ctx.Selection()
 	if err != nil {
@@ -189,11 +88,6 @@ func run(o runOpts) error {
 	if err := out.WriteTable("table3_cifar", data.Table3); err != nil {
 		return err
 	}
-	if samples := ctx.Recorder.Metrics().Samples(); len(samples) > 0 {
-		fmt.Println("telemetry:")
-		for _, s := range samples {
-			fmt.Printf("  %-55s %g\n", s.Name, s.Value)
-		}
-	}
+	cli.PrintTelemetry(ctx.Recorder)
 	return nil
 }

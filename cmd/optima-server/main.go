@@ -34,11 +34,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -51,10 +49,9 @@ import (
 	"syscall"
 	"time"
 
+	"optima/internal/cli"
 	"optima/internal/core"
-	"optima/internal/engine"
 	"optima/internal/exp"
-	"optima/internal/obs"
 	"optima/internal/remote"
 	"optima/internal/server"
 )
@@ -66,72 +63,39 @@ func main() {
 	}
 }
 
+// sessionFlags are the shared flags the server opens its session from.
+const sessionFlags = cli.Model | cli.Quick | cli.Workers | cli.Backend | cli.Cache |
+	cli.Conditions | cli.LogLevel | cli.SlowEval | cli.Remote
+
 func run() error {
 	fs := flag.NewFlagSet("optima-server", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
-	quick := fs.Bool("quick", false, "use the reduced calibration grids")
-	workers := fs.Int("workers", 0, "total evaluation worker budget (0 = all CPUs)")
-	backend := fs.String("backend", engine.BackendBehavioral,
-		"default evaluation backend: behavioral or golden (jobs may override)")
-	conditions := fs.String("conditions", "",
-		"server-wide operating condition set: comma-separated CORNER@<vdd>V@<temp>C entries (empty = nominal only)")
-	cacheDir := fs.String("cache-dir", "",
-		"persist evaluation results in this directory (shared by all sessions and across restarts)")
-	cacheMax := fs.Int64("cache-max-bytes", 0,
-		"evict least-recently-written cache segments beyond this size at startup (0 = unlimited)")
-	cacheAge := fs.Duration("cache-max-age", 0,
-		"evict cache segments older than this at startup (e.g. 720h; 0 = unlimited)")
-	logLevel := fs.String("log-level", "info",
-		"structured log level: debug, info, warn or error")
-	slowEval := fs.Duration("slow-eval", 0,
-		"log a warning for any single backend evaluation slower than this (e.g. 2s; 0 = off)")
+	f := cli.NewFlags(fs, sessionFlags)
 	smoke := fs.Bool("smoke", false,
 		"run the serving-path self-check (ephemeral port, one sweep job, event stream to done, /metrics scrape) and exit")
 	smokeWorkers := fs.Int("smoke-workers", 0,
 		"with -smoke: spawn this many optima-worker processes and run a matrix job through the remote fleet (requires -worker-bin)")
 	workerBin := fs.String("worker-bin", "",
 		"with -smoke-workers: path to the optima-worker binary to spawn")
-	remoteAddr := fs.String("remote", "",
-		"listen on this address (e.g. :9777) for optima-worker processes and distribute evaluations across them; with no connected workers evaluation stays local")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return err
 	}
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-		return fmt.Errorf("bad -log-level %q: %w", *logLevel, err)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 
 	if *smoke {
-		// The smoke check pins its own fast settings; the flags above
-		// configure the serving mode only (except -smoke-workers/-worker-bin,
-		// which select the distributed variant).
+		// The smoke check pins its own fast settings; of the flags above
+		// it reads only -log-level (and -smoke-workers/-worker-bin, which
+		// select the distributed variant).
+		if err := f.SetupLogging(); err != nil {
+			return err
+		}
 		return runSmoke(*smokeWorkers, *workerBin)
 	}
 
-	ctx, err := makeContext(*modelPath, *quick, *workers, *backend, *conditions,
-		*cacheDir, *cacheMax, *cacheAge)
+	// The server adopts the session's recorder, so -slow-eval reaches the
+	// evaluation layers and /metrics serves the fleet's counters.
+	ctx, err := f.Open()
 	if err != nil {
 		return err
-	}
-	// The server adopts this recorder: -slow-eval and the structured
-	// logger only reach the evaluation layers through it.
-	ctx.Recorder = obs.NewRecorder(obs.RecorderOptions{
-		SlowEval: *slowEval,
-		Logger:   slog.Default(),
-	})
-	if *remoteAddr != "" {
-		fleet, err := remote.Listen(*remoteAddr, remote.Options{
-			Fingerprint: ctx.Fingerprint(),
-			Recorder:    ctx.Recorder,
-			Logger:      slog.Default(),
-		})
-		if err != nil {
-			return fmt.Errorf("-remote: %w", err)
-		}
-		ctx.Fleet = fleet
-		slog.Info("remote fleet listening", "addr", fleet.Addr())
 	}
 	srv := server.New(ctx)
 	// Build the engine (and open the store) before accepting traffic, so
@@ -190,53 +154,6 @@ func shutdown(httpSrv *http.Server, srv *server.Server, timeout time.Duration) e
 	flushCtx, cancelFlush := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancelFlush()
 	return httpSrv.Shutdown(flushCtx)
-}
-
-// makeContext mirrors the optima CLI's context construction.
-func makeContext(modelPath string, quick bool, workers int, backend, conditions, cacheDir string, cacheMax int64, cacheAge time.Duration) (*exp.Context, error) {
-	if err := engine.ValidateBackendName(backend); err != nil {
-		return nil, err
-	}
-	var conds engine.ConditionSet
-	if conditions != "" {
-		var err error
-		if conds, err = engine.ParseConditionSet(conditions); err != nil {
-			return nil, err
-		}
-	}
-	calib := core.DefaultCalibration()
-	if quick {
-		calib = core.QuickCalibration()
-	}
-	var ctx *exp.Context
-	if modelPath != "" {
-		// Only a missing file falls back to calibration, as in the optima CLI.
-		switch m, err := core.LoadModel(modelPath); {
-		case err == nil:
-			slog.Info("loaded model", "path", modelPath)
-			ctx = exp.NewContextWithModel(m, calib.Tech)
-		case errors.Is(err, fs.ErrNotExist):
-			slog.Warn("model not found; calibrating", "path", modelPath)
-		default:
-			return nil, err
-		}
-	}
-	if ctx == nil {
-		start := time.Now()
-		var err error
-		ctx, err = exp.NewContext(calib)
-		if err != nil {
-			return nil, err
-		}
-		slog.Info("calibrated", "duration", time.Since(start), "report", ctx.Model.Report.String())
-	}
-	ctx.Backend = backend
-	ctx.Conditions = conds
-	ctx.Workers = workers
-	ctx.CacheDir = cacheDir
-	ctx.CacheMaxBytes = cacheMax
-	ctx.CacheMaxAge = cacheAge
-	return ctx, nil
 }
 
 // runSmoke gates the serving path end to end: ephemeral listener, one

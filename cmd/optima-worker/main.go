@@ -8,8 +8,9 @@
 //	optima-worker -connect host:port [-workers N] [-model in.json] [-quick] [-log-level L]
 //
 // The worker must be calibrated identically to the coordinator — same
-// -model file, or the same (default vs -quick) calibration recipe — or the
-// coordinator rejects it in the handshake: the calibration fingerprint is
+// -model file, or the same (default vs -quick) calibration recipe, which is
+// also what a missing -model file calibrates with — or the coordinator
+// rejects it in the handshake: the calibration fingerprint is
 // part of every result's cache identity, and a mismatched worker would
 // silently poison the coordinator's content-addressed store.
 //
@@ -30,7 +31,7 @@ import (
 	"runtime"
 	"time"
 
-	"optima/internal/core"
+	"optima/internal/cli"
 	"optima/internal/engine"
 	"optima/internal/obs"
 	"optima/internal/remote"
@@ -39,50 +40,28 @@ import (
 
 func main() {
 	connect := flag.String("connect", "", "coordinator address to dial (required), e.g. coordinator-host:9777")
-	workers := flag.Int("workers", 0, "concurrent evaluations in this worker process (0 = all CPUs)")
-	modelPath := flag.String("model", "", "load a calibrated model instead of recalibrating (must match the coordinator's)")
-	quick := flag.Bool("quick", false, "use the reduced calibration grids (must match the coordinator's calibration)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error")
+	f := cli.NewFlags(flag.CommandLine, cli.Model|cli.Quick|cli.Workers|cli.LogLevel)
 	flag.Parse()
-	if err := run(*connect, *workers, *modelPath, *quick, *logLevel); err != nil {
+	if err := run(*connect, f); err != nil {
 		fmt.Fprintln(os.Stderr, "optima-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run(connect string, workers int, modelPath string, quick bool, logLevel string) error {
+func run(connect string, f *cli.Flags) error {
 	if connect == "" {
 		return fmt.Errorf("-connect is required")
 	}
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(logLevel)); err != nil {
-		return fmt.Errorf("bad -log-level %q: %w", logLevel, err)
+	if err := f.SetupLogging(); err != nil {
+		return err
 	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
+	workers := f.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	calib := core.DefaultCalibration()
-	if quick {
-		calib = core.QuickCalibration()
-	}
-	var model *core.Model
-	if modelPath != "" {
-		m, err := core.LoadModel(modelPath)
-		if err != nil {
-			return err
-		}
-		slog.Info("loaded model", "path", modelPath)
-		model = m
-	} else {
-		start := time.Now()
-		m, err := core.Calibrate(calib)
-		if err != nil {
-			return err
-		}
-		slog.Info("calibrated", "in", time.Since(start).Round(time.Millisecond))
-		model = m
+	model, calib, err := f.LoadModel()
+	if err != nil {
+		return err
 	}
 	fp, err := store.Fingerprint(engine.MetricsSchema, model, calib.Tech, calib.Spice)
 	if err != nil {

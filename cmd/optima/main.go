@@ -64,22 +64,18 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
-	"log/slog"
 	"os"
+	"path/filepath"
 	"time"
 
-	"optima/internal/core"
+	"optima/internal/cli"
 	"optima/internal/dse"
 	"optima/internal/engine"
 	"optima/internal/exp"
 	"optima/internal/mult"
-	"optima/internal/obs"
 	"optima/internal/refdata"
-	"optima/internal/remote"
 	"optima/internal/report"
 	"optima/internal/stats"
 )
@@ -131,228 +127,29 @@ commands:
   all         everything above into one output directory`)
 }
 
-// engineOpts carries the evaluation-engine flags shared by the
-// sweep-running subcommands. The zero value means defaults everywhere
-// (behavioral backend, all CPUs, no persistent store, nominal condition).
-type engineOpts struct {
-	workers    *int
-	backend    *string
-	cacheDir   *string
-	cacheMax   *int64
-	cacheAge   *time.Duration
-	conditions *string
-	cpuProfile *string
-	memProfile *string
-	traceOut   *string
-	logLevel   *string
-	slowEval   *time.Duration
-	remoteAddr *string
-}
-
-// engineFlags registers the shared evaluation-engine flags. -conditions is
-// NOT registered here: only the subcommands that consume the condition set
-// (dse, all, search) add it via conditionsFlag, so the flag can never be a
-// silent no-op on figures/pvt.
-func engineFlags(fs *flag.FlagSet) engineOpts {
-	eo := engineOpts{
-		workers: fs.Int("workers", 0, "total evaluation worker budget, split between job-level and intra-job parallelism (0 = all CPUs)"),
-		backend: fs.String("backend", engine.BackendBehavioral,
-			"evaluation backend: behavioral (fast models) or golden (transient simulation; orders of magnitude slower)"),
-	}
-	eo.cacheFlags(fs)
-	eo.profileFlags(fs)
-	eo.remoteFlag(fs)
-	return eo
-}
-
-// remoteFlag registers the distributed-evaluation coordinator flag (for
-// subcommands that register their engine flags piecemeal, like search).
-func (eo *engineOpts) remoteFlag(fs *flag.FlagSet) {
-	eo.remoteAddr = fs.String("remote", "",
-		"listen on this address (e.g. :9777) for optima-worker processes and distribute evaluations across them; with no connected workers evaluation stays local")
-}
-
-// cacheFlags registers only the persistent-store flags (for subcommands
-// that fix the backend themselves, like search).
-func (eo *engineOpts) cacheFlags(fs *flag.FlagSet) {
-	eo.cacheDir = fs.String("cache-dir", "",
-		"persist evaluation results in this directory (shared across runs; keyed by the calibration fingerprint)")
-	eo.cacheMax = fs.Int64("cache-max-bytes", 0,
-		"evict least-recently-written cache segments beyond this size when the store opens (0 = unlimited)")
-	eo.cacheAge = fs.Duration("cache-max-age", 0,
-		"evict cache segments older than this when the store opens (e.g. 720h; 0 = unlimited)")
-}
-
-// profileFlags registers the pprof and observability flags (for
-// subcommands that register their engine flags piecemeal, like search and
-// speedup).
-func (eo *engineOpts) profileFlags(fs *flag.FlagSet) {
-	eo.cpuProfile = fs.String("cpuprofile", "",
-		"write a pprof CPU profile of the run to this file (analyze with `go tool pprof`)")
-	eo.memProfile = fs.String("memprofile", "",
-		"write a pprof heap profile to this file when the run finishes")
-	eo.traceOut = fs.String("trace-out", "",
-		"write a Chrome trace-format JSON timeline of the run to this file (open in Perfetto or chrome://tracing)")
-	eo.logLevel = fs.String("log-level", "info",
-		"structured log level: debug, info, warn or error")
-	eo.slowEval = fs.Duration("slow-eval", 0,
-		"log a warning for any single backend evaluation slower than this (e.g. 2s; 0 = off)")
-}
-
-// setupLogging installs the process-wide structured logger at the
-// -log-level threshold.
-func setupLogging(level string) error {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	return nil
-}
-
-// conditionsFlag registers the operating-condition-set flag.
-func (eo *engineOpts) conditionsFlag(fs *flag.FlagSet) {
-	eo.conditions = fs.String("conditions", "",
-		"operating condition set for cross-condition (robust) analyses: comma-separated CORNER@<vdd>V@<temp>C entries, e.g. TT@1.0V@27C,SS@0.90V@60C,FF@1.10V@0C (empty = nominal only)")
-}
-
-func (eo engineOpts) backendName() string {
-	if eo.backend == nil {
-		return engine.BackendBehavioral
-	}
-	return *eo.backend
-}
-
-// conditionSet parses the -conditions spec; empty means the empty set
-// (nominal only, via exp.Context.ConditionSet).
-func (eo engineOpts) conditionSet() (engine.ConditionSet, error) {
-	if eo.conditions == nil || *eo.conditions == "" {
-		return engine.ConditionSet{}, nil
-	}
-	return engine.ParseConditionSet(*eo.conditions)
-}
-
-// makeContext builds an experiment context, loading a model when given.
-// The flag values configure the context's evaluation engine, persistent
-// store and condition set; flag errors surface before the expensive
-// calibration. Callers should defer ctx.Close() so the persistent store
-// flushes.
-func makeContext(modelPath string, quick bool, eo engineOpts) (*exp.Context, error) {
-	if eo.logLevel != nil {
-		if err := setupLogging(*eo.logLevel); err != nil {
-			return nil, err
-		}
-	}
-	if err := engine.ValidateBackendName(eo.backendName()); err != nil {
-		return nil, err
-	}
-	conds, err := eo.conditionSet()
-	if err != nil {
-		return nil, err
-	}
-	calib := core.DefaultCalibration()
-	if quick {
-		calib = core.QuickCalibration()
-	}
-	var ctx *exp.Context
-	if modelPath != "" {
-		// Only a missing file falls back to calibration; a model that
-		// exists but does not load is an error, not a silent recalibration.
-		switch m, err := core.LoadModel(modelPath); {
-		case err == nil:
-			fmt.Printf("loaded model from %s\n", modelPath)
-			ctx = exp.NewContextWithModel(m, calib.Tech)
-		case errors.Is(err, fs.ErrNotExist):
-			fmt.Printf("model %s not found; calibrating\n", modelPath)
-		default:
-			return nil, err
-		}
-	}
-	if ctx == nil {
-		start := time.Now()
-		var err error
-		ctx, err = exp.NewContext(calib)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("calibrated in %v: %v\n", time.Since(start), ctx.Model.Report)
-	}
-	ctx.Backend = eo.backendName()
-	ctx.Conditions = conds
-	if eo.workers != nil {
-		ctx.Workers = *eo.workers
-	}
-	if eo.cacheDir != nil {
-		ctx.CacheDir = *eo.cacheDir
-	}
-	if eo.cacheMax != nil {
-		ctx.CacheMaxBytes = *eo.cacheMax
-	}
-	if eo.cacheAge != nil {
-		ctx.CacheMaxAge = *eo.cacheAge
-	}
-	if eo.cpuProfile != nil {
-		ctx.CPUProfile = *eo.cpuProfile
-	}
-	if eo.memProfile != nil {
-		ctx.MemProfile = *eo.memProfile
-	}
-	if eo.traceOut != nil {
-		ctx.TraceOut = *eo.traceOut
-	}
-	// Every run records telemetry: the engine and store register their
-	// counters and spans against the recorder, printEngineStats renders
-	// the end-of-run summary, and -trace-out exports the span timeline.
-	// Timing never feeds results, so artifacts stay byte-identical.
-	var slowEval time.Duration
-	if eo.slowEval != nil {
-		slowEval = *eo.slowEval
-	}
-	ctx.Recorder = obs.NewRecorder(obs.RecorderOptions{
-		SlowEval: slowEval,
-		Logger:   slog.Default(),
-	})
-	if eo.remoteAddr != nil && *eo.remoteAddr != "" {
-		fleet, err := remote.Listen(*eo.remoteAddr, remote.Options{
-			Fingerprint: ctx.Fingerprint(),
-			Recorder:    ctx.Recorder,
-			Logger:      slog.Default(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("-remote: %w", err)
-		}
-		ctx.Fleet = fleet
-		fmt.Printf("remote fleet listening on %s (connect workers: optima-worker -connect <host>%s)\n",
-			fleet.Addr(), *eo.remoteAddr)
-	}
-	// The CPU profile runs until ctx.Close (which also snapshots the heap),
-	// so it covers exactly the experiment work between here and the caller's
-	// deferred Close.
-	if err := ctx.StartProfiling(); err != nil {
-		return nil, err
-	}
-	return ctx, nil
-}
+// engineFlags are the shared flags of the sweep-running subcommands
+// (figures, dse, pvt, all, and search without -backend). Only those that
+// consume a condition set (dse, all, search) add cli.Conditions.
+const engineFlags = cli.Model | cli.Workers | cli.Backend | cli.Cache |
+	cli.Profile | cli.LogLevel | cli.SlowEval | cli.Remote
 
 func runCalibrate(args []string) error {
 	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "use the reduced calibration grids")
+	f := cli.NewFlags(fs, cli.Quick)
 	out := fs.String("model", "out/model.json", "output model path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	calib := core.DefaultCalibration()
-	if *quick {
-		calib = core.QuickCalibration()
+	if err := f.SetupLogging(); err != nil {
+		return err
 	}
-	start := time.Now()
-	model, err := core.Calibrate(calib)
+	// Here -model names the output, so f.Model is empty and this
+	// calibrates; the duration and fit report are its slog line.
+	model, _, err := f.LoadModel()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("calibrated in %v\n", time.Since(start))
-	fmt.Println("fit report:", model.Report)
-	if err := os.MkdirAll(dirOf(*out), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
 		return err
 	}
 	if err := model.Save(*out); err != nil {
@@ -362,25 +159,15 @@ func runCalibrate(args []string) error {
 	return nil
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
-}
-
 func runFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	eo := engineFlags(fs)
+	f := cli.NewFlags(fs, engineFlags)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}
@@ -407,10 +194,10 @@ func writeFigures(ctx *exp.Context, out *report.Output, mc int) error {
 		return err
 	}
 	fmt.Printf("Fig. 4: '0'-code discharge after 2 ns = %.2f mV (Section III-1 asymmetry)\n", f4.SubVtDischarge*1e3)
-	if err := out.WriteChart("fig4a_discharge_time", f4.TimeChart); err != nil {
-		return err
-	}
-	if err := out.WriteChart("fig4b_discharge_vwl", f4.VWLChart); err != nil {
+	if err := writeCharts(out, []namedChart{
+		{"fig4a_discharge_time", f4.TimeChart},
+		{"fig4b_discharge_vwl", f4.VWLChart},
+	}); err != nil {
 		return err
 	}
 
@@ -419,15 +206,13 @@ func writeFigures(ctx *exp.Context, out *report.Output, mc int) error {
 		return err
 	}
 	fmt.Printf("Fig. 5d: mismatch ±3σ band at 2 ns = ±%.1f mV (paper: ≈ −10…+20 mV)\n", f5.MismatchSpreadMV)
-	for name, chart := range map[string]*report.Chart{
-		"fig5a_supply":   f5.SupplyChart,
-		"fig5b_temp":     f5.TempChart,
-		"fig5c_corners":  f5.CornerChart,
-		"fig5d_mismatch": f5.MismatchChart,
-	} {
-		if err := out.WriteChart(name, chart); err != nil {
-			return err
-		}
+	if err := writeCharts(out, []namedChart{
+		{"fig5a_supply", f5.SupplyChart},
+		{"fig5b_temp", f5.TempChart},
+		{"fig5c_corners", f5.CornerChart},
+		{"fig5d_mismatch", f5.MismatchChart},
+	}); err != nil {
+		return err
 	}
 
 	f6, err := ctx.Fig6()
@@ -438,13 +223,25 @@ func writeFigures(ctx *exp.Context, out *report.Output, mc int) error {
 	if err := out.WriteTable("fig6_rms", f6.RMSTable); err != nil {
 		return err
 	}
-	for name, chart := range map[string]*report.Chart{
-		"fig6a_supply_model": f6.SupplyChart,
-		"fig6b_temp_model":   f6.TempChart,
-		"fig6c_sigma_model":  f6.MismatchChart,
-		"fig6d_energy_model": f6.EnergyChart,
-	} {
-		if err := out.WriteChart(name, chart); err != nil {
+	return writeCharts(out, []namedChart{
+		{"fig6a_supply_model", f6.SupplyChart},
+		{"fig6b_temp_model", f6.TempChart},
+		{"fig6c_sigma_model", f6.MismatchChart},
+		{"fig6d_energy_model", f6.EnergyChart},
+	})
+}
+
+// namedChart is one chart artifact and its file name.
+type namedChart struct {
+	name  string
+	chart *report.Chart
+}
+
+// writeCharts writes the charts in slice order, so the `wrote` lines, and
+// which failed write is reported, are the same on every run.
+func writeCharts(out *report.Output, charts []namedChart) error {
+	for _, c := range charts {
+		if err := out.WriteChart(c.name, c.chart); err != nil {
 			return err
 		}
 	}
@@ -454,13 +251,11 @@ func writeFigures(ctx *exp.Context, out *report.Output, mc int) error {
 func runDSE(args []string) error {
 	fs := flag.NewFlagSet("dse", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
-	eo := engineFlags(fs)
-	eo.conditionsFlag(fs)
+	f := cli.NewFlags(fs, engineFlags|cli.Conditions)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}
@@ -486,15 +281,13 @@ func writeDSE(ctx *exp.Context, out *report.Output) error {
 	if err := out.WriteTable("fig7_corners", f7.CornersTable); err != nil {
 		return err
 	}
-	for name, chart := range map[string]*report.Chart{
-		"fig7_left_error":   f7.LeftError,
-		"fig7_left_energy":  f7.LeftEnergy,
-		"fig7_right_error":  f7.RightError,
-		"fig7_right_energy": f7.RightEnergy,
-	} {
-		if err := out.WriteChart(name, chart); err != nil {
-			return err
-		}
+	if err := writeCharts(out, []namedChart{
+		{"fig7_left_error", f7.LeftError},
+		{"fig7_left_energy", f7.LeftEnergy},
+		{"fig7_right_error", f7.RightError},
+		{"fig7_right_energy", f7.RightEnergy},
+	}); err != nil {
+		return err
 	}
 
 	t1, err := ctx.Table1()
@@ -514,15 +307,13 @@ func writeDSE(ctx *exp.Context, out *report.Output) error {
 	if err != nil {
 		return err
 	}
-	for name, chart := range map[string]*report.Chart{
-		"fig8_error_by_result": f8.ErrorByResult,
-		"fig8_sigma_by_result": f8.SigmaByResult,
-		"fig8_error_vs_vdd":    f8.ErrorVsVDD,
-		"fig8_error_vs_temp":   f8.ErrorVsTemp,
-	} {
-		if err := out.WriteChart(name, chart); err != nil {
-			return err
-		}
+	if err := writeCharts(out, []namedChart{
+		{"fig8_error_by_result", f8.ErrorByResult},
+		{"fig8_sigma_by_result", f8.SigmaByResult},
+		{"fig8_error_vs_vdd", f8.ErrorVsVDD},
+		{"fig8_error_vs_temp", f8.ErrorVsTemp},
+	}); err != nil {
+		return err
 	}
 	return writeRobustDSE(ctx, out)
 }
@@ -589,16 +380,15 @@ func writeRobustDSE(ctx *exp.Context, out *report.Output) error {
 func runPVT(args []string) error {
 	fs := flag.NewFlagSet("pvt", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
 	tau0 := fs.Float64("tau0", 0.16, "discharge time of the LSB bit line [ns]")
 	vdac0 := fs.Float64("vdac0", 0.3, "DAC output for code 0 [V]")
 	vdacfs := fs.Float64("vdacfs", 1.0, "DAC full-scale output [V]")
 	corners := fs.Bool("corners", true, "run the golden process-corner check (slow)")
-	eo := engineFlags(fs)
+	f := cli.NewFlags(fs, engineFlags)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}
@@ -641,15 +431,13 @@ func runPVT(args []string) error {
 
 func runSpeedup(args []string) error {
 	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
 	mc := fs.Int("mc", 200, "Monte-Carlo samples for the MC speed-up")
 	outDir := fs.String("out", "out", "artifact directory")
-	var eo engineOpts
-	eo.profileFlags(fs)
+	f := cli.NewFlags(fs, cli.Model|cli.Profile|cli.LogLevel|cli.SlowEval)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}
@@ -680,13 +468,11 @@ func runAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
-	eo := engineFlags(fs)
-	eo.conditionsFlag(fs)
+	f := cli.NewFlags(fs, engineFlags|cli.Conditions)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}
@@ -695,10 +481,11 @@ func runAll(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := ctx.Model.Save(*outDir + "/model.json"); err != nil {
+	modelOut := filepath.Join(*outDir, "model.json")
+	if err := ctx.Model.Save(modelOut); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s/model.json\n", *outDir)
+	fmt.Printf("wrote %s\n", modelOut)
 	if err := writeFigures(ctx, out, *mc); err != nil {
 		return err
 	}
@@ -712,9 +499,8 @@ func runAll(args []string) error {
 	return nil
 }
 
-// printEngineStats logs the evaluation-cache accounting, including the
-// persistent store's contents when one is attached, and the run's
-// telemetry summary (every non-zero metric the recorder accumulated).
+// printEngineStats prints the evaluation-cache accounting, the persistent
+// store's and the remote fleet's when attached, and the telemetry table.
 func printEngineStats(ctx *exp.Context) {
 	fmt.Printf("engine [%s]: %v\n", ctx.Engine().Backend().Name(), ctx.Engine().Stats())
 	if st := ctx.Store(); st != nil {
@@ -723,24 +509,5 @@ func printEngineStats(ctx *exp.Context) {
 	if ctx.Fleet != nil {
 		fmt.Printf("remote fleet: %v\n", ctx.Fleet.Stats())
 	}
-	printTelemetry(ctx.Recorder)
-}
-
-// printTelemetry renders the recorder's non-zero metrics as the
-// end-of-run summary table.
-func printTelemetry(rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	samples := rec.Metrics().Samples()
-	if len(samples) == 0 {
-		return
-	}
-	fmt.Println("telemetry:")
-	for _, s := range samples {
-		fmt.Printf("  %-55s %g\n", s.Name, s.Value)
-	}
-	if d := rec.Dropped(); d > 0 {
-		fmt.Printf("  (span ring overflowed: %d oldest spans overwritten)\n", d)
-	}
+	cli.PrintTelemetry(ctx.Recorder)
 }

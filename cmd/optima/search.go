@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"optima/internal/cli"
 	"optima/internal/engine"
 	"optima/internal/report"
 	"optima/internal/search"
@@ -17,12 +18,8 @@ import (
 func runSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
-	modelPath := fs.String("model", "", "load a calibrated model instead of recalibrating")
-	eo := engineOpts{workers: fs.Int("workers", 0, "total evaluation worker budget (0 = all CPUs)")}
-	eo.cacheFlags(fs)
-	eo.conditionsFlag(fs)
-	eo.profileFlags(fs)
-	eo.remoteFlag(fs)
+	// No -backend: the search screens on behavioral and promotes to golden.
+	f := cli.NewFlags(fs, engineFlags&^cli.Backend|cli.Conditions)
 	tau0 := fs.String("tau0", "0.16:0.28:100", "τ0 axis [ns]: min:max:steps[:log] or comma list")
 	vdac0 := fs.String("vdac0", "0.3:0.5:3", "V_DAC,0 axis [V]: min:max:steps[:log] or comma list")
 	vdacfs := fs.String("vdacfs", "0.7:1.0:4", "V_DAC,FS axis [V]: min:max:steps[:log] or comma list")
@@ -42,7 +39,7 @@ func runSearch(args []string) error {
 		return err
 	}
 
-	ctx, err := makeContext(*modelPath, false, eo)
+	ctx, err := f.Open()
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,10 @@
 // the 256 input pairs composed from them serially), so caching stays
 // sound.
 // Command-line tools under cmd/ and the benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation.
+// regenerate every table and figure of the paper's evaluation. The four
+// commands (optima, optima-server, optima-dnn, optima-worker) share one
+// session setup, internal/cli: the shared flags, loading or calibrating
+// the -model, logging, the telemetry recorder and the -remote fleet.
 //
 // internal/server exposes the exploration stack as a long-lived service
 // (the optima-server command): sessions own at most one active operation,
