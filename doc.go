@@ -44,11 +44,13 @@
 // and the telemetry sink), and a Dispatcher runs a batch of cache misses —
 // engine.Local in-process, or a remote fleet. Concurrency is two-level under
 // one total worker budget: engine.Local fans jobs out across a bounded
-// pool, and the golden backend additionally fans each cold corner's 176
-// transients out across its granted intra-job share — with Metrics
+// pool, and the golden backend additionally fans each corner's bit-line
+// discharges out across its granted intra-job share — with Metrics
 // byte-identical at any worker split (fixed (code, bit) and sample slots,
 // the 256 input pairs composed from them serially), so caching stays
-// sound.
+// sound. Each golden backend integrates a distinct discharge once and
+// serves every bit time, τ0 sibling and trim sample from it
+// (spice.Trajectories), bit for bit the fresh transient.
 // Command-line tools under cmd/ and the benchmarks in bench_test.go
 // regenerate every table and figure of the paper's evaluation. The four
 // commands (optima, optima-server, optima-dnn, optima-worker) share one

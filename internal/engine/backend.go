@@ -256,18 +256,22 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 }
 
 // Golden is the reference backend: every evaluation runs the full input
-// space through transistor-level transient simulation (176 transients for
-// a cold corner — orders of magnitude slower; that gap is the paper's
-// headline speed-up). The input space costs 64 of them: with matched cells
-// a bit line's discharge depends only on (code, bit), so the 256 pairs
-// compose from a mult.GoldenTable. The backend memoizes the 16
-// per-configuration ADC trim transients across operating conditions: the
-// trim depends only on the configuration, so a PVT sweep over one corner
-// pays it once instead of once per condition. Use NewGoldenBackend; the
-// zero value also works (the trim cache initializes lazily).
+// space through transistor-level transient simulation (orders of magnitude
+// slower; that gap is the paper's headline speed-up). A corner reads 176
+// bit-line discharges: 16 trim waveforms, the 64 (code, bit) discharges
+// its 256 input pairs compose from (with matched cells a bit line's
+// discharge depends only on (code, bit): mult.GoldenTable), and four per
+// Monte-Carlo sample. The backend's spice.Trajectories memo integrates
+// each distinct discharge once for every bit time, τ0 sibling, shared
+// Monte-Carlo sample and trim that reads it. The backend also memoizes the
+// per-configuration ADC trim across operating conditions, so a PVT sweep
+// over one corner pays it once. Both memos live and die with the backend.
+// Use NewGoldenBackend; the zero value also works (the caches initialize
+// lazily).
 //
-// EvaluateCell fans the transients of one corner out across the cell's
-// worker budget, with Metrics guaranteed identical at any budget.
+// EvaluateCell fans the discharges of one corner out across the cell's
+// worker budget, with Metrics guaranteed identical at any budget and in
+// any order of cells.
 type Golden struct {
 	Tech  device.Tech
 	Spice spice.Config
@@ -279,6 +283,7 @@ type Golden struct {
 	// is allocated apart from the backend so that a registry holding it
 	// never keeps the trim cache alive.
 	cals *atomic.Uint64
+	traj *spice.Trajectories
 }
 
 // trimEntry is one trim-cache slot with singleflight semantics: the first
@@ -290,7 +295,7 @@ type trimEntry struct {
 	err  error
 }
 
-// NewGoldenBackend returns a golden backend with an empty trim cache.
+// NewGoldenBackend returns a golden backend with empty caches.
 func NewGoldenBackend(tech device.Tech, scfg spice.Config) *Golden {
 	return &Golden{Tech: tech, Spice: scfg}
 }
@@ -307,11 +312,8 @@ func (*Golden) Name() string { return BackendGolden }
 // way every time. A calibration that runs is counted in cals, which rec's
 // registry reads.
 func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent obs.SpanID) (mult.GoldenTrim, error) {
+	traj := g.trajectories()
 	g.mu.Lock()
-	if g.trims == nil {
-		g.trims = map[mult.Config]*trimEntry{}
-		g.cals = new(atomic.Uint64)
-	}
 	if ent, ok := g.trims[cfg]; ok {
 		g.mu.Unlock()
 		<-ent.done
@@ -339,10 +341,23 @@ func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent o
 			}
 			close(ent.done)
 		}()
-		ent.trim, ent.err = mult.CalibrateGoldenTrimObserved(g.Tech, cfg, g.Spice, intra, rec, span.ID())
+		ent.trim, ent.err = mult.CalibrateGoldenTrimObserved(g.Tech, cfg, g.Spice, traj, intra, rec, span.ID())
 	}()
 	span.End()
 	return ent.trim, ent.err
+}
+
+// trajectories returns the backend's discharge memo, creating both caches
+// on first use.
+func (g *Golden) trajectories() *spice.Trajectories {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.trims == nil {
+		g.trims = map[mult.Config]*trimEntry{}
+		g.cals = new(atomic.Uint64)
+		g.traj = spice.NewTrajectories()
+	}
+	return g.traj
 }
 
 // GoldenSigmaSamples is the Monte-Carlo mismatch population the golden
@@ -358,21 +373,24 @@ const GoldenSigmaSamples = 24
 // job workers.
 const goldenSigmaSeed = 0x600dc0de
 
-// EvaluateCell implements Backend. The per-corner transients — the 16
-// trim transients of a cold configuration, the 64 (code, bit) transients
-// of the input-space table, and the four bit lines of each of the
-// GoldenSigmaSamples mismatch samples of the (15,15) input (176 in all) —
-// fan out across up to ev.Workers workers, each with its own integrator
-// scratch and — for the Monte-Carlo phase — its own per-sample seeded RNG
-// and cell state. Workers fill fixed slots indexed by (code, bit) and by
-// sample; the 256 input pairs compose from the (code, bit) slots serially
-// in (a, d) order, and the σ reduction walks the samples in order, so the
-// result is byte-identical to the serial path at any worker count — the
-// engine's content-addressed cache contract.
+// EvaluateCell implements Backend. The per-corner discharges — the 16
+// trim waveforms of a cold configuration, the 16 codes × 4 bit times of
+// the input-space table, and the four bit lines of each of the
+// GoldenSigmaSamples mismatch samples of the (15,15) input — fan out
+// across up to ev.Workers workers, each with its own integrator scratch
+// and — for the Monte-Carlo phase — its own per-sample seeded RNG and cell
+// state, and read through the backend's trajectory memo. Workers fill
+// fixed slots indexed by code and by sample; the 256 input pairs compose
+// from the (code, bit) slots serially in (a, d) order, and the σ reduction
+// walks the samples in order. Every memo read equals the fresh transient
+// bit for bit, so the result is byte-identical to the serial path at any
+// worker count and in any order of cells — the engine's content-addressed
+// cache contract.
 //
 // With ev.Rec set, a cold configuration records a trim span (with
-// per-transient children) and the input-space and Monte-Carlo phases one
-// span each, all under ev.Parent.
+// per-code children) and the input-space and Monte-Carlo phases one span
+// each, all under ev.Parent, and the memo's counts are attached to its
+// registry.
 func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	cfg, cond := job.Config, job.Cond
 	trim, err := g.trimFor(cfg, ev.Workers, ev.Rec, ev.Parent)
@@ -383,14 +401,16 @@ func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	gm.Trajectories = g.trajectories()
+	gm.Trajectories.Observe(ev.Rec.Metrics())
 	m := Metrics{Config: cfg, Cond: cond, LSBVolt: gm.LSBVolt}
 
-	// Input space: the 16×4 distinct (code, bit) transients fill the
+	// Input space: the 16×4 distinct (code, bit) discharges fill the
 	// matched-cell table, then the 256 pairs compose from it serially in
 	// (a, d) order through the shared scaffold.
 	var tableArg string
 	if ev.Rec != nil {
-		tableArg = fmt.Sprintf("%d transients", mult.TableTransients)
+		tableArg = fmt.Sprintf("%d codes × %d bit times", mult.OperandMax+1, mult.OperandBits)
 	}
 	tableSpan := ev.Rec.StartSpan(ev.Parent, obs.CatPhase, "input-space", tableArg)
 	table, err := gm.Table(ev.Workers)
@@ -408,7 +428,7 @@ func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 		return Metrics{}, err
 	}
 
-	// Monte-Carlo workers reuse integrator buffers between transients; the
+	// Monte-Carlo workers reuse integrator buffers between discharges; the
 	// pool hands each in-flight call a private Scratch.
 	var scratch sync.Pool
 

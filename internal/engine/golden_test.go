@@ -11,6 +11,7 @@ import (
 	"optima/internal/core"
 	"optima/internal/device"
 	"optima/internal/mult"
+	"optima/internal/obs"
 	"optima/internal/spice"
 	"optima/internal/sram"
 	"optima/internal/stats"
@@ -182,12 +183,13 @@ func BenchmarkGoldenTrim(b *testing.B) {
 }
 
 // BenchmarkGoldenEvaluate quantifies the intra-job budget: one cold golden
-// corner (16 trim + 64 input-space table + 4×GoldenSigmaSamples Monte-Carlo
-// transients, 176 in all) evaluated serially versus with an 8-worker
-// intra-job budget. A fresh backend per iteration keeps every run cold —
-// this is the per-corner cost a golden sweep pays, and the
-// serial-vs-parallel gap is the intra-job speed-up (recorded in CI's
-// BENCH_engine.json).
+// corner evaluated serially versus with an 8-worker intra-job budget. Its
+// backend's trajectory memo starts empty, so the corner integrates 16 trim
+// trajectories (which its nominal table reads too) and 4×GoldenSigmaSamples
+// Monte-Carlo ones. A fresh backend per iteration keeps every run cold —
+// the per-corner cost of a corner that shares nothing with the cells
+// before it — and the serial-vs-parallel gap is the intra-job speed-up
+// (recorded in CI's BENCH_engine.json).
 func BenchmarkGoldenEvaluate(b *testing.B) {
 	trimBenchSetup()
 	cfg := mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}
@@ -287,4 +289,78 @@ func TestGoldenNonFiniteCornerFails(t *testing.T) {
 		t.Fatalf("VDACFS=%g: err = %v with EMul %g, LSBVolt %g; want an error wrapping spice.ErrNonFinite",
 			cfg.VDACFS, err, m.EMul, m.LSBVolt)
 	}
+}
+
+// TestGoldenBackendReuseAcrossCells pins the trajectory memo across cells:
+// one backend evaluates the paper's 48-corner grid at nominal and three
+// corners at two off-nominal conditions, in shuffled order, and every
+// cell's Metrics equal those of a fresh backend that evaluates only that
+// cell. The cells share trajectories through τ0 siblings, the trim's
+// nominal waveforms and Monte-Carlo samples seeded per sample, and the
+// 1 MiB cap evicts along the way, so a read that differed from its fresh
+// transient anywhere would show here. The backend runs one cell at a time
+// at intra 1 and 2, and two cells at a time through Local.
+func TestGoldenBackendReuseAcrossCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden-simulation bound")
+	}
+	calib := core.QuickCalibration()
+	var jobs []Job
+	for _, tau := range []float64{0.16e-9, 0.20e-9, 0.24e-9, 0.28e-9} {
+		for _, v0 := range []float64{0.3, 0.4, 0.5} {
+			for _, fs := range []float64{0.7, 0.8, 0.9, 1.0} {
+				jobs = append(jobs, Job{Config: mult.Config{Tau0: tau, VDAC0: v0, VDACFS: fs}, Cond: device.Nominal()})
+			}
+		}
+	}
+	offNominal := []device.PVT{{Corner: device.CornerTT, VDD: 0.95, TempC: 27}, {Corner: device.CornerTT, VDD: 1.0, TempC: 85}}
+	for _, cfg := range []mult.Config{{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}, {Tau0: 0.28e-9, VDAC0: 0.5, VDACFS: 0.7}, {Tau0: 0.20e-9, VDAC0: 0.4, VDACFS: 0.9}} {
+		for _, cond := range offNominal {
+			jobs = append(jobs, Job{Config: cfg, Cond: cond})
+		}
+	}
+	want := make([]Metrics, len(jobs))
+	for i, job := range jobs {
+		m, err := NewGoldenBackend(calib.Tech, calib.Spice).EvaluateBudget(job.Config, job.Cond, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	check := func(name string, i int, got Metrics, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want[i] {
+			t.Fatalf("%s: %v at %v on a shared backend:\n  got  %+v\n  want %+v", name, jobs[i].Config, jobs[i].Cond, got, want[i])
+		}
+	}
+	for _, intra := range []int{1, 2} {
+		backend := NewGoldenBackend(calib.Tech, calib.Spice)
+		rec := obs.NewRecorder(obs.RecorderOptions{})
+		for _, i := range stats.NewRNG(uint64(intra)).Perm(len(jobs)) {
+			got, err := backend.EvaluateCell(Eval{Workers: intra, Rec: rec}, jobs[i])
+			check(fmt.Sprintf("intra %d", intra), i, got, err)
+		}
+		series := map[string]float64{}
+		for _, s := range rec.Metrics().Samples() {
+			series[s.Name] = s.Value
+		}
+		if series["optima_golden_trajectories_total"] == 0 || series["optima_golden_trajectory_reads_total"] == 0 ||
+			series["optima_golden_trajectory_evictions_total"] == 0 {
+			t.Fatalf("intra %d: the registry does not show the memo's reads, trajectories and evictions: %v", intra, series)
+		}
+	}
+	order := stats.NewRNG(3).Perm(len(jobs))
+	shuffled := make([]Job, len(jobs))
+	for k, i := range order {
+		shuffled[k] = jobs[i]
+	}
+	var mu sync.Mutex
+	Local{}.EvaluateJobs(Eval{Workers: 2}, NewGoldenBackend(calib.Tech, calib.Spice), shuffled, func(k int, met Metrics, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		check("two cells at a time", order[k], met, err)
+	})
 }

@@ -111,8 +111,9 @@ type Result struct {
 	Sigma    float64              // analytic mismatch std of VComb [V] (behavioral only)
 	Energy   float64              // multiplication energy (bit-line recharge) [J]
 	DeltaV   [OperandBits]float64 // per-bit-line discharge at sampling [V]
-	// Transients counts the golden simulations this multiplication ran
-	// (0 for the behavioral backend). Returning the count per call keeps
+	// Transients counts the golden bit-line discharges this multiplication
+	// ran or read from a memo (0 for the behavioral backend). Returning the
+	// count per call keeps
 	// the golden multiplier free of shared mutable state, so callers
 	// aggregate speed-up accounting themselves.
 	Transients int
@@ -311,6 +312,10 @@ type Golden struct {
 	Spice      spice.Config
 	LSBVolt    float64
 	OffsetVolt float64
+	// Trajectories, when set before first use, serves every bit-line
+	// discharge from a memo shared with other multipliers, bit for bit the
+	// fresh transient; nil runs one fresh transient per set bit.
+	Trajectories *spice.Trajectories
 }
 
 // The multiplier's per-column mismatch state is one sram.Word: cell i backs
@@ -334,29 +339,31 @@ type GoldenTrim struct {
 // sampling times, since the columns share the word line) and fits the
 // best-fit ADC gain/offset.
 func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config) (GoldenTrim, error) {
-	return CalibrateGoldenTrimObserved(tech, cfg, scfg, 1, nil, 0)
+	return CalibrateGoldenTrimObserved(tech, cfg, scfg, nil, 1, nil, 0)
 }
 
 // CalibrateGoldenTrimObserved is CalibrateGoldenTrim with the sixteen
 // independent transients fanned out across up to workers goroutines
 // (workers <= 0 uses GOMAXPROCS), recording one trim-transient span per
 // input code under parent — the intra-worker fan-out a trace otherwise
-// renders as one opaque calibration block. Each worker fills a fixed
-// per-code slot and the least-squares fit reduces serially in code order,
-// so the trim is identical at any worker count. A nil recorder records
-// nothing; timing never feeds into the returned trim.
-func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config, workers int, rec *obs.Recorder, parent obs.SpanID) (GoldenTrim, error) {
+// renders as one opaque calibration block. A non-nil traj serves the four
+// samples of each code's waveform from its memoized trajectory. Each
+// worker fills a fixed per-code slot and the least-squares fit reduces
+// serially in code order, so the trim is identical at any worker count
+// and with or without traj. A nil recorder records nothing; timing never
+// feeds into the returned trim.
+func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config, traj *spice.Trajectories, workers int, rec *obs.Recorder, parent obs.SpanID) (GoldenTrim, error) {
 	if err := cfg.Validate(); err != nil {
 		return GoldenTrim{}, err
 	}
 	nominal := device.Nominal()
+	var times [OperandBits]float64
+	for i := range times {
+		times[i] = cfg.BitTime(i)
+	}
 	// One transient per input code a; ΔV of bit i sampled at 2^i·τ0.
 	// sched.Map returns the rows in code order regardless of scheduling.
-	codes := make([]uint, OperandMax+1)
-	for a := range codes {
-		codes[a] = uint(a)
-	}
-	dv, err := sched.Map(workers, codes, func(_ int, a uint) ([OperandBits]float64, error) {
+	dv, err := sched.Map(workers, inputCodes(), func(_ int, a uint) ([OperandBits]float64, error) {
 		var span obs.Timer
 		if rec != nil {
 			span = rec.StartSpan(parent, obs.CatTrim, "trim-transient", fmt.Sprintf("code %d", a))
@@ -364,13 +371,13 @@ func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config
 		var row [OperandBits]float64
 		vwl := cfg.DACVoltage(a, nominal.VDD)
 		dp := spice.NewDischargePath(tech, vwl, nominal)
-		res, err := dp.Discharge(cfg.MaxTime(), scfg, 0)
+		vbl, err := traj.Samples(dp, cfg.MaxTime(), times[:], scfg, nil)
 		span.End()
 		if err != nil {
 			return row, fmt.Errorf("mult: golden trim calibration: %w", err)
 		}
 		for i := 0; i < OperandBits; i++ {
-			d := nominal.VDD - res.Waveform.NodeAt(0, cfg.BitTime(i))
+			d := nominal.VDD - vbl[i]
 			if d < 0 {
 				d = 0
 			}
@@ -381,7 +388,7 @@ func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config
 	if err != nil {
 		return GoldenTrim{}, err
 	}
-	trim := GoldenTrim{Transients: len(codes)}
+	trim := GoldenTrim{Transients: len(dv)}
 	gain, offset, err := fitADCTrim(func(a, d uint) float64 {
 		var sum float64
 		for i := 0; i < OperandBits; i++ {
@@ -397,6 +404,15 @@ func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config
 	trim.LSBVolt = gain
 	trim.OffsetVolt = offset
 	return trim, nil
+}
+
+// inputCodes returns the input codes 0…OperandMax in order.
+func inputCodes() []uint {
+	codes := make([]uint, OperandMax+1)
+	for a := range codes {
+		codes[a] = uint(a)
+	}
+	return codes
 }
 
 // NewGolden builds the golden multiplier, calibrating its ADC trim from
@@ -427,8 +443,8 @@ func NewGoldenWithTrim(tech device.Tech, cfg Config, cond device.PVT, scfg spice
 // nil means matched columns), scr optionally reuses one worker's integrator
 // buffers across calls. Columns whose d-bit is set are simulated for their
 // bit time, one transient each — the cost the paper's speed-up experiment
-// times. The receiver is never mutated, so concurrent calls with distinct
-// cells/scr are safe.
+// times — or read from g.Trajectories when it is set. The receiver is
+// never mutated, so concurrent calls with distinct cells/scr are safe.
 func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
@@ -454,16 +470,17 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 	return res, nil
 }
 
-// bitDeltaV is the golden per-bit-line step: one transient of bit line i's
-// discharge stack (cell's mismatch) under input code a for the bit time
-// 2^i·τ0, returning the clamped ΔV at sampling.
+// bitDeltaV is the golden per-bit-line step: the discharge of bit line i's
+// stack (cell's mismatch) under input code a for the bit time 2^i·τ0, one
+// transient or a read of g.Trajectories, returning the clamped ΔV at
+// sampling.
 func (g *Golden) bitDeltaV(a uint, i int, cell *sram.Cell, scr *spice.Scratch) (float64, error) {
 	dp := cell.DischargePath(g.Tech, g.Cfg.DACVoltage(a, g.Cond.VDD), g.Cond)
-	tr, err := dp.DischargeScratch(g.Cfg.BitTime(i), g.Spice, 0, scr)
+	vbl, err := g.Trajectories.Final(dp, g.Cfg.BitTime(i), g.Spice, scr)
 	if err != nil {
 		return 0, fmt.Errorf("mult: golden bit %d: %w", i, err)
 	}
-	dv := g.Cond.VDD - tr.Waveform.Final()[0]
+	dv := g.Cond.VDD - vbl
 	if dv < 0 {
 		dv = 0
 	}
@@ -495,8 +512,8 @@ func (g *Golden) readout(a, d uint, dv *[OperandBits]float64) Result {
 	return res
 }
 
-// TableTransients is the number of transients a GoldenTable runs: one per
-// (input code, bit line).
+// TableTransients is the number of bit-line discharges a GoldenTable runs
+// or reads: one per (input code, bit line).
 const TableTransients = (OperandMax + 1) * OperandBits
 
 // GoldenTable is the golden twin of the behavioral detTable: the
@@ -510,31 +527,36 @@ type GoldenTable struct {
 	dv [OperandMax + 1][OperandBits]float64
 }
 
-// Table runs the TableTransients matched-cell transients of g across up to
-// workers goroutines (<= 0 = GOMAXPROCS), each with its own integrator
-// scratch. Every transient fills a fixed (code, bit) slot, so the table is
-// identical at any worker count.
+// Table runs the TableTransients matched-cell transients of g with the 16
+// input codes fanned out across up to workers goroutines (<= 0 =
+// GOMAXPROCS), each with its own integrator scratch. A code's four bit
+// lines discharge one trajectory for 2^i·τ0, read in ascending i, so with
+// g.Trajectories set each read extends what the previous one integrated.
+// Every code fills a fixed row, so the table is identical at any worker
+// count.
 func (g *Golden) Table(workers int) (*GoldenTable, error) {
-	slots := make([]int, TableTransients)
-	for k := range slots {
-		slots[k] = k
-	}
 	var scratch sync.Pool
-	dv, err := sched.Map(workers, slots, func(_ int, k int) (float64, error) {
+	rows, err := sched.Map(workers, inputCodes(), func(_ int, a uint) ([OperandBits]float64, error) {
 		scr, _ := scratch.Get().(*spice.Scratch)
 		if scr == nil {
 			scr = &spice.Scratch{}
 		}
 		defer scratch.Put(scr)
-		return g.bitDeltaV(uint(k/OperandBits), k%OperandBits, &sram.Cell{}, scr)
+		var row [OperandBits]float64
+		for i := range row {
+			v, err := g.bitDeltaV(a, i, &sram.Cell{}, scr)
+			if err != nil {
+				return row, err
+			}
+			row[i] = v
+		}
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := &GoldenTable{g: g}
-	for k, v := range dv {
-		t.dv[k/OperandBits][k%OperandBits] = v
-	}
+	copy(t.dv[:], rows)
 	return t, nil
 }
 

@@ -109,6 +109,21 @@ func (d *DischargePath) DischargeScratch(duration float64, cfg Config, sampleEve
 	return TransientScratch(d.resolve(), d.InitialState(), 0, duration, d.Cond.VDD, cfg, sampleEvery, scr)
 }
 
+// DischargeFinal is DischargeScratch for a caller that reads only the end
+// of the run: it returns V_BLB at the final state, bit for bit
+// Waveform.Final()[0] of DischargeScratch(duration, cfg, 0, scr), without
+// recording a waveform.
+func (d *DischargePath) DischargeFinal(duration float64, cfg Config, scr *Scratch) (float64, error) {
+	st, err := newStepper(d.resolve(), d.InitialState(), 0, duration, cfg, scr)
+	if err != nil {
+		return 0, err
+	}
+	if err := st.run(duration); err != nil {
+		return 0, err
+	}
+	return st.v[0], nil
+}
+
 // SampleMismatch draws fresh mismatch for both stack transistors.
 func (d *DischargePath) SampleMismatch(rng device.Gaussianer) {
 	d.Access.MM = d.Access.SampleMismatch(rng)

@@ -57,11 +57,17 @@ func (w *Waveform) At(t float64) []float64 {
 	}
 	hi := sort.SearchFloat64s(w.T, t)
 	lo := hi - 1
-	f := (t - w.T[lo]) / (w.T[hi] - w.T[lo])
 	for i := 0; i < w.n; i++ {
-		out[i] = w.V[lo][i]*(1-f) + w.V[hi][i]*f
+		out[i] = lerp(t, w.T[lo], w.T[hi], w.V[lo][i], w.V[hi][i])
 	}
 	return out
+}
+
+// lerp interpolates linearly between (t0, v0) and (t1, v1) at t: the one
+// expression Waveform.At and Trajectories.Samples read with.
+func lerp(t, t0, t1, v0, v1 float64) float64 {
+	f := (t - t0) / (t1 - t0)
+	return v0*(1-f) + v1*f
 }
 
 // NodeAt returns the interpolated voltage of node i at time t.
