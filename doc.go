@@ -12,7 +12,9 @@
 // evaluation service in internal/engine, which the exploration layers
 // (internal/dse, internal/search, internal/exp) submit jobs to — as a batch
 // or as a cross-condition matrix. The
-// engine's cache is tiered: in-memory, then the persistent
+// engine's cache is tiered: in-memory (an LRU of at most 2^14 resolved
+// cells plus the in-flight claims, settled in submission order so its
+// evictions never depend on scheduling), then the persistent
 // content-addressed result store in internal/store (an append-only segment
 // log keyed on (backend, config, condition) plus a calibration
 // fingerprint; enabled with -cache-dir, bounded with Options.MaxBytes /
@@ -66,7 +68,10 @@
 // clients dedupe per cell, cancellation (DELETE, teardown, or shutdown
 // drain) abandons only unstarted work without memoizing it, and results
 // reuse the search package's JSON report shapes — byte-identical to the
-// optima search CLI at any worker count.
+// optima search CLI at any worker count. Finished jobs' results and event
+// histories share a 4 MiB budget beyond each session's latest finished
+// job; an evicted job keeps its record, reports result_evicted, and a
+// resubmission is served from the cache tiers.
 //
 // internal/remote distributes the evaluation plane across processes and
 // hosts (stdlib only): a coordinator plugged into the engine's batch seam

@@ -510,6 +510,16 @@ func (m *Metrics) accumulate(eval func(a, d uint) (eps, energy float64, err erro
 // ExpectedAbsError returns E[|code − expected|] for a Gaussian analog value
 // N(mu, sigma) quantized with the given LSB and clamped to the ADC range.
 // Exported for the per-result profile analyses in internal/dse.
+//
+// Neighbouring codes share a boundary, so each boundary's CDF is computed
+// once: code k's upper CDF is carried forward as code k+1's lower CDF, and
+// the two tail terms reuse the window's first lower and last upper CDF.
+// (k+0.5)·lsb and ((k+1)−0.5)·lsb are the same float64, so every math.Erf
+// argument, every term and the order of the sum are those of scoring each
+// code on its own — the result is bit for bit the same, and so is every
+// cached and persisted Metrics. An empty window (lo > hi: the mean far
+// outside the ADC range) keeps its own expression, because there the tail
+// boundaries are not boundaries of any summed code.
 func ExpectedAbsError(mu, sigma, lsb float64, expected int) float64 {
 	if sigma <= 0 {
 		code := int(math.Round(mu / lsb))
@@ -533,26 +543,44 @@ func ExpectedAbsError(mu, sigma, lsb float64, expected int) float64 {
 	inv := 1 / (sigma * math.Sqrt2)
 	cdf := func(v float64) float64 { return 0.5 * (1 + math.Erf((v-mu)*inv)) }
 	var sum float64
+	if lo > hi {
+		// Empty window: only the truncated tails contribute.
+		if lo > 0 {
+			sum += math.Abs(float64(lo-expected)) * cdf((float64(lo)-0.5)*lsb)
+		}
+		if hi < mult.ADCMax {
+			sum += math.Abs(float64(hi-expected)) * (1 - cdf((float64(hi)+0.5)*lsb))
+		}
+		return sum
+	}
+	// lower is the CDF at code k's lower boundary; code 0 has none.
+	var lower float64
+	if lo > 0 {
+		lower = cdf((float64(lo) - 0.5) * lsb)
+	}
+	first := lower
 	for k := lo; k <= hi; k++ {
-		lower := (float64(k) - 0.5) * lsb
-		upper := (float64(k) + 0.5) * lsb
-		var p float64
+		var upper, p float64
 		switch {
 		case k == 0:
-			p = cdf(upper) // everything below the first boundary clamps to 0
+			upper = cdf((float64(k) + 0.5) * lsb)
+			p = upper // everything below the first boundary clamps to 0
 		case k == mult.ADCMax:
-			p = 1 - cdf(lower)
+			p = 1 - lower // the last code; no upper boundary is read after it
 		default:
-			p = cdf(upper) - cdf(lower)
+			upper = cdf((float64(k) + 0.5) * lsb)
+			p = upper - lower
 		}
 		sum += math.Abs(float64(k-expected)) * p
+		lower = upper
 	}
-	// Account for truncated tails outside [lo, hi] when they clamp.
+	// Account for truncated tails outside [lo, hi] when they clamp. After
+	// the loop, lower holds code hi's upper CDF.
 	if lo > 0 {
-		sum += math.Abs(float64(lo-expected)) * cdf((float64(lo)-0.5)*lsb)
+		sum += math.Abs(float64(lo-expected)) * first
 	}
 	if hi < mult.ADCMax {
-		sum += math.Abs(float64(hi-expected)) * (1 - cdf((float64(hi)+0.5)*lsb))
+		sum += math.Abs(float64(hi-expected)) * (1 - lower)
 	}
 	return sum
 }

@@ -12,11 +12,19 @@
 // Backend so the same sweep can run against the fast behavioral models or
 // the golden transient solver (or both, for comparison mode).
 //
-// The cache has up to three tiers: the in-memory map (always on), an
+// The cache has up to three tiers: the in-memory tier (always on), an
 // optional persistent Store (internal/store — survives the process, shared
 // across runs and CI jobs), and the backend itself. Lookups fall through
 // memory → store → backend; results computed by the backend are written
 // back to the store, in groups on the batched submission path.
+//
+// The memory tier is bounded: it holds every in-flight claim plus at most
+// 2^14 resolved entries, least recently used first out. A submission
+// settles its entries onto the LRU in job order once all of them are
+// resolved, so which keys a sequence of submissions evicts does not depend
+// on scheduling or on the worker count. An evicted key comes back from the
+// store tier when one is attached and is evaluated again otherwise; results
+// are deterministic, so the Metrics are the same either way.
 //
 // # One evaluation seam
 //
@@ -143,7 +151,11 @@ type Stats struct {
 	// StoreErrors counts failed persistence attempts (the result is still
 	// returned and cached in memory; the store write is best-effort).
 	StoreErrors uint64 `json:"store_errors"`
-	// Entries is the number of distinct results held in memory.
+	// Evictions counts resolved entries the memory tier dropped to stay
+	// within its cap of 2^14.
+	Evictions uint64 `json:"evictions"`
+	// Entries is the number of keys the memory tier holds: at most 2^14
+	// resolved entries plus the claims of unfinished submissions.
 	Entries int `json:"entries"`
 }
 
@@ -158,6 +170,9 @@ func (s Stats) String() string {
 	if s.StoreErrors > 0 {
 		out += fmt.Sprintf(", %d store errors", s.StoreErrors)
 	}
+	if s.Evictions > 0 {
+		out += fmt.Sprintf(", %d evicted", s.Evictions)
+	}
 	return out
 }
 
@@ -171,9 +186,16 @@ func (s Stats) Sub(prev Stats) Stats {
 		DiskHits:    s.DiskHits - prev.DiskHits,
 		Misses:      s.Misses - prev.Misses,
 		StoreErrors: s.StoreErrors - prev.StoreErrors,
+		Evictions:   s.Evictions - prev.Evictions,
 		Entries:     s.Entries,
 	}
 }
+
+// memoryCap bounds the resolved entries the memory tier holds. An entry is
+// a fixed-size Key and Metrics, so the cap is also a byte cap. At 2^14 a
+// long-lived server's engine stops growing with the cells it has served,
+// while the paper's sweeps and the default search stay far below it.
+const memoryCap = 1 << 14
 
 // entry is one cache slot. done is closed when met/err are valid, so
 // concurrent submitters of the same key wait instead of recomputing.
@@ -181,14 +203,32 @@ type entry struct {
 	done chan struct{}
 	met  Metrics
 	err  error
+
+	// The rest is guarded by Engine.mu. key is the entry's slot in the
+	// map; prev and next link a settled entry into the LRU in place.
+	key        Key
+	prev, next *entry
+	state      entryState
 }
+
+// entryState is where an entry is: claimed (in the map, not yet settled —
+// in flight, or resolved under a submission that has not assembled its
+// results), listed (in the map and on the LRU), or dropped (out of the
+// map: abandoned or evicted).
+type entryState uint8
+
+const (
+	claimed entryState = iota
+	listed
+	dropped
+)
 
 // counts is the engine's cache accounting, the one home of each count:
 // Stats reads it, and WithRecorder attaches it to the recorder's registry.
 // It is allocated apart from the Engine so that a registry holding it never
 // keeps the engine's cache alive.
 type counts struct {
-	hits, diskHits, misses, storeErrs atomic.Uint64
+	hits, diskHits, misses, storeErrs, evictions atomic.Uint64
 }
 
 // engineMetrics holds the engine's timing instruments. The zero value — no
@@ -213,15 +253,21 @@ type Engine struct {
 
 	mu    sync.Mutex
 	cache map[Key]*entry
-	rec   *obs.Recorder
-	em    engineMetrics
+	// lru is the sentinel of the settled entries' ring: lru.next is the
+	// most recently used, lru.prev the next to evict. listed counts them.
+	lru    entry
+	listed int
+	rec    *obs.Recorder
+	em     engineMetrics
 }
 
 // New returns an engine over the given backend, dispatching locally.
 // workers is the total worker budget of one submission; workers <= 0 uses
 // GOMAXPROCS.
 func New(backend Backend, workers int) *Engine {
-	return &Engine{backend: backend, dispatcher: Local{}, workers: workers, n: &counts{}, cache: map[Key]*entry{}}
+	e := &Engine{backend: backend, dispatcher: Local{}, workers: workers, n: &counts{}, cache: map[Key]*entry{}}
+	e.lru.prev, e.lru.next = &e.lru, &e.lru
+	return e
 }
 
 // WithDispatcher replaces the Local dispatcher that runs a submission's
@@ -262,6 +308,7 @@ func (e *Engine) WithRecorder(rec *obs.Recorder) *Engine {
 		reg.CounterOf("optima_cache_hits_total", hitsHelp, &e.n.diskHits, "tier", "store")
 		reg.CounterOf("optima_evals_total", "backend evaluations run", &e.n.misses, "backend", backend)
 		reg.CounterOf("optima_store_errors_total", "failed best-effort store writes", &e.n.storeErrs)
+		reg.CounterOf("optima_cache_evictions_total", "resolved entries the memory tier evicted to stay within its cap", &e.n.evictions)
 		em = engineMetrics{
 			evalDur:   reg.Histogram("optima_eval_duration_seconds", "backend evaluation wall time", nil, "backend", backend),
 			queueWait: reg.Histogram("optima_queue_wait_seconds", "delay between batch submission and a cell starting on the backend", nil),
@@ -293,7 +340,45 @@ func (e *Engine) Stats() Stats {
 	e.mu.Unlock()
 	return Stats{
 		Hits: e.n.hits.Load(), DiskHits: e.n.diskHits.Load(), Misses: e.n.misses.Load(),
-		StoreErrors: e.n.storeErrs.Load(), Entries: entries,
+		StoreErrors: e.n.storeErrs.Load(), Evictions: e.n.evictions.Load(), Entries: entries,
+	}
+}
+
+// settle moves a submission's entries to the front of the LRU in job
+// order, then evicts from the back down to memoryCap. The caller has waited
+// on every entry, so an in-flight claim is never listed and never evicted;
+// an entry that was abandoned or evicted meanwhile is skipped. Settling in
+// job order under one lock makes the LRU order — and with it every
+// eviction — follow the submission sequence, not scheduling.
+func (e *Engine) settle(ents []*entry) {
+	var evicted uint64
+	e.mu.Lock()
+	head := &e.lru
+	for _, ent := range ents {
+		switch ent.state {
+		case dropped:
+			continue
+		case listed:
+			ent.prev.next, ent.next.prev = ent.next, ent.prev
+		default:
+			ent.state = listed
+			e.listed++
+		}
+		ent.prev, ent.next = head, head.next
+		head.next.prev = ent
+		head.next = ent
+	}
+	for ; e.listed > memoryCap; e.listed-- {
+		victim := head.prev
+		victim.prev.next, head.prev = head, victim.prev
+		victim.prev, victim.next = nil, nil
+		victim.state = dropped
+		delete(e.cache, victim.key)
+		evicted++
+	}
+	e.mu.Unlock()
+	if evicted > 0 {
+		e.n.evictions.Add(evicted)
 	}
 }
 
@@ -383,6 +468,7 @@ func (e *Engine) abandon(key Key, ent *entry, cause error) {
 	if e.cache[key] == ent {
 		delete(e.cache, key)
 	}
+	ent.state = dropped
 	e.mu.Unlock()
 	ent.err = cause
 	close(ent.done)
@@ -522,7 +608,7 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 			ents[i] = ent
 			continue
 		}
-		ent := &entry{done: make(chan struct{})}
+		ent := &entry{done: make(chan struct{}), key: key}
 		e.cache[key] = ent
 		owned[key] = ent
 		ownedKeys = append(ownedKeys, key)
@@ -585,10 +671,15 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 		}
 	}
 
-	// Assemble in job order; first error (by index) wins.
+	// Settle every entry onto the LRU — an erroring batch too — once all of
+	// them are resolved, then assemble in job order; first error (by index)
+	// wins.
+	for _, ent := range ents {
+		<-ent.done
+	}
+	e.settle(ents)
 	results := make([]Metrics, len(jobs))
 	for i, ent := range ents {
-		<-ent.done
 		if ent.err != nil {
 			// The condition is part of the failure's identity: a PVT sweep
 			// fails at one excursion point, and the caller needs to know which.

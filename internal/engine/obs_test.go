@@ -114,9 +114,9 @@ func TestEngineTelemetry(t *testing.T) {
 }
 
 // TestStatsMatchRegistry pins one home per count: with every count driven
-// to a nonzero value — a memory hit, a store hit, a miss and a failed
-// store write — each Stats field equals its registry sample, and a second
-// engine on the recorder adds to the same series.
+// to a nonzero value — a memory hit, a store hit, a miss, a failed store
+// write and an eviction — each Stats field equals its registry sample, and
+// a second engine on the recorder adds to the same series.
 func TestStatsMatchRegistry(t *testing.T) {
 	rec := obs.NewRecorder(obs.RecorderOptions{})
 	reg := rec.Metrics()
@@ -130,7 +130,11 @@ func TestStatsMatchRegistry(t *testing.T) {
 	if _, err := eng.EvaluateBatch(append(jobs, jobs[1])); err != nil {
 		t.Fatal(err)
 	}
-	// registry reads the four counts back from the recorder as a Stats.
+	// A full cap of other cells evicts those three.
+	if _, err := eng.EvaluateBatch(lruJobs(0, memoryCap)); err != nil {
+		t.Fatal(err)
+	}
+	// registry reads the five counts back from the recorder as a Stats.
 	registry := func() Stats {
 		c := func(name string, labels ...string) uint64 { return uint64(reg.Counter(name, "", labels...).Value()) }
 		return Stats{
@@ -138,11 +142,12 @@ func TestStatsMatchRegistry(t *testing.T) {
 			DiskHits:    c("optima_cache_hits_total", "tier", "store"),
 			Misses:      c("optima_evals_total", "backend", "fake"),
 			StoreErrors: c("optima_store_errors_total"),
+			Evictions:   c("optima_cache_evictions_total"),
 		}
 	}
 	st := eng.Stats()
 	st.Entries = 0
-	if st.Hits == 0 || st.DiskHits == 0 || st.Misses == 0 || st.StoreErrors == 0 {
+	if st.Hits == 0 || st.DiskHits == 0 || st.Misses == 0 || st.StoreErrors == 0 || st.Evictions == 0 {
 		t.Fatalf("stats %+v: want every count nonzero", st)
 	}
 	if got := registry(); got != st {
@@ -155,7 +160,8 @@ func TestStatsMatchRegistry(t *testing.T) {
 	}
 	st2 := eng2.Stats()
 	sum := Stats{Hits: st.Hits + st2.Hits, DiskHits: st.DiskHits + st2.DiskHits,
-		Misses: st.Misses + st2.Misses, StoreErrors: st.StoreErrors + st2.StoreErrors}
+		Misses: st.Misses + st2.Misses, StoreErrors: st.StoreErrors + st2.StoreErrors,
+		Evictions: st.Evictions + st2.Evictions}
 	if got := registry(); got != sum {
 		t.Errorf("after a second engine: registry %+v, the engines' Stats sum %+v", got, sum)
 	}

@@ -432,16 +432,26 @@ func paretoOrder(mets []dse.Metrics) []int {
 	return order
 }
 
+// objectives is one candidate's (EpsMul, EMul), the pair the ranking
+// compares: paretoRanks projects them out of the Metrics once, so its
+// quadratic dominance loop reads two floats per candidate rather than
+// copying two whole Metrics per comparison.
+type objectives struct{ eps, energy float64 }
+
 // dominates reports Pareto dominance of a over b in (EpsMul, EMul).
-func dominates(a, b dse.Metrics) bool {
-	return a.EpsMul <= b.EpsMul && a.EMul <= b.EMul &&
-		(a.EpsMul < b.EpsMul || a.EMul < b.EMul)
+func (a objectives) dominates(b objectives) bool {
+	return a.eps <= b.eps && a.energy <= b.energy &&
+		(a.eps < b.eps || a.energy < b.energy)
 }
 
 // paretoRanks peels non-dominated fronts: rank 0 is the Pareto front, rank
 // 1 the front of the rest, and so on (the NSGA-II layering).
 func paretoRanks(mets []dse.Metrics) []int {
 	n := len(mets)
+	obj := make([]objectives, n)
+	for i, m := range mets {
+		obj[i] = objectives{m.EpsMul, m.EMul}
+	}
 	rank := make([]int, n)
 	remaining := make([]int, n)
 	for i := range remaining {
@@ -452,7 +462,7 @@ func paretoRanks(mets []dse.Metrics) []int {
 		for _, i := range remaining {
 			dominated := false
 			for _, j := range remaining {
-				if i != j && dominates(mets[j], mets[i]) {
+				if i != j && obj[j].dominates(obj[i]) {
 					dominated = true
 					break
 				}

@@ -2,11 +2,16 @@ package server
 
 // hub.go is the live-progress fan-out behind the event streams: one topic
 // per job, each event marshaled exactly once and broadcast as raw bytes to
-// every subscriber. Topics keep their full event history, so a subscriber
-// attaching after a job finished still replays every event up to and
-// including the terminal one, and a client resuming from a seq (its
-// Last-Event-ID) replays exactly what it has not seen — the CI smoke's
-// "follow the stream to done" never races job completion.
+// every subscriber. A topic is opened once, when its job is submitted, and
+// keeps its job's full event history until it is dropped — with its
+// session, or when the server evicts the finished job's result to stay
+// within its retention budget (retention.go), which counts the history's
+// bytes with the result. Until then a subscriber attaching after a job
+// finished still replays every event up to and including the terminal
+// one, and a client resuming from a seq (its Last-Event-ID) replays
+// exactly what it has not seen — the CI smoke's "follow the stream to
+// done" never races job completion. Nothing re-creates a dropped topic:
+// publishing to it does nothing, and subscribing to it reports it gone.
 
 import (
 	"encoding/json"
@@ -69,10 +74,12 @@ type Hub struct {
 	topics map[string]*topic
 }
 
-// topic is one job's stream. history[i] is the event with seq i+1.
+// topic is one job's stream. history[i] is the event with seq i+1, and
+// bytes is the history's total size.
 type topic struct {
 	seq     uint64
 	history [][]byte
+	bytes   int
 	// subs maps each live channel to the seq its subscriber resumed after;
 	// only a subscriber that resumed past the current seq skips anything.
 	subs map[chan []byte]uint64
@@ -84,23 +91,26 @@ func NewHub() *Hub {
 	return &Hub{topics: make(map[string]*topic)}
 }
 
-func (h *Hub) topic(id string) *topic {
-	t := h.topics[id]
-	if t == nil {
-		t = &topic{subs: make(map[chan []byte]uint64)}
-		h.topics[id] = t
+// Open creates a job's topic. The server opens each job's topic once, at
+// submission, before the job can be looked up.
+func (h *Hub) Open(job string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.topics[job] == nil {
+		h.topics[job] = &topic{subs: make(map[chan []byte]uint64)}
 	}
-	return t
 }
 
 // Publish stamps the event's sequence number, marshals it once, and fans
 // the bytes out. A terminal event closes the topic: subscriber channels
-// are closed after delivery and later publishes are ignored.
+// are closed after delivery and later publishes are ignored. Publishing
+// to a topic that is not open — dropped, say, while its job still runs —
+// does nothing.
 func (h *Hub) Publish(job string, ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := h.topic(job)
-	if t.done {
+	t := h.topics[job]
+	if t == nil || t.done {
 		return
 	}
 	t.seq++
@@ -112,6 +122,7 @@ func (h *Hub) Publish(job string, ev Event) {
 		panic("server: " + err.Error())
 	}
 	t.history = append(t.history, data)
+	t.bytes += len(data)
 	for ch, after := range t.subs {
 		if ev.Seq <= after {
 			continue
@@ -138,22 +149,38 @@ func (h *Hub) Publish(job string, ev Event) {
 // boundary: the events returned and then received carry seqs after+1,
 // after+2, … without a gap. after = 0 replays everything. On a finished
 // topic the returned channel is already closed — the history ends with the
-// terminal event, or is empty when after is at or past it.
-func (h *Hub) Subscribe(job string, after uint64) ([][]byte, chan []byte) {
+// terminal event, or is empty when after is at or past it. On a topic that
+// is not open (dropped, or never opened) the channel is closed and ok is
+// false.
+func (h *Hub) Subscribe(job string, after uint64) (history [][]byte, ch chan []byte, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := h.topic(job)
-	var history [][]byte
+	ch = make(chan []byte, subBuffer)
+	t := h.topics[job]
+	if t == nil {
+		close(ch)
+		return nil, ch, false
+	}
 	if after < t.seq {
 		history = append(history, t.history[after:]...)
 	}
-	ch := make(chan []byte, subBuffer)
 	if t.done {
 		close(ch)
-		return history, ch
+		return history, ch, true
 	}
 	t.subs[ch] = after
-	return history, ch
+	return history, ch, true
+}
+
+// historyBytes returns the size of a topic's event history (0 when it is
+// not open).
+func (h *Hub) historyBytes(job string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if t := h.topics[job]; t != nil {
+		return t.bytes
+	}
+	return 0
 }
 
 // Unsubscribe detaches a subscriber channel (e.g. the client hung up).
@@ -194,8 +221,9 @@ func (h *Hub) Counts() (topics, subscribers int) {
 	return len(h.topics), subscribers
 }
 
-// Drop discards a topic and disconnects its subscribers — used when a
-// session is deleted so finished jobs' histories do not accumulate forever.
+// Drop discards a topic and disconnects its subscribers — when its session
+// is deleted, or when the server evicts its finished job's result. Later
+// publishes to it do nothing, and later subscribers find it gone.
 func (h *Hub) Drop(job string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 func decodeEvent(t *testing.T, data []byte) Event {
@@ -22,13 +27,14 @@ func decodeEvent(t *testing.T, data []byte) Event {
 func TestHubHistoryReplay(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
+	h.Open("j1")
 	h.Publish("j1", Event{Type: EventState, State: JobRunning})
 	h.Publish("j1", Event{Type: EventProgress, Done: 3, Total: 10})
 	h.Publish("j1", Event{Type: EventDone})
 	h.Publish("j1", Event{Type: EventProgress, Done: 9, Total: 10}) // after terminal: dropped
 
 	for _, after := range []uint64{0, 1, 2, 3, 4, 1 << 40} {
-		history, ch := h.Subscribe("j1", after)
+		history, ch, _ := h.Subscribe("j1", after)
 		want := 3 - int(min(after, 3))
 		if len(history) != want {
 			t.Fatalf("after %d: replayed %d events, want %d (publishes after the terminal event are dropped)", after, len(history), want)
@@ -59,10 +65,11 @@ func TestHubHistoryReplay(t *testing.T) {
 func TestHubResumeLive(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
+	h.Open("j1")
 	h.Publish("j1", Event{Type: EventState, State: JobQueued})
 	h.Publish("j1", Event{Type: EventState, State: JobRunning})
-	history, mid := h.Subscribe("j1", 1)
-	_, ahead := h.Subscribe("j1", 3)
+	history, mid, _ := h.Subscribe("j1", 1)
+	_, ahead, _ := h.Subscribe("j1", 3)
 	h.Publish("j1", Event{Type: EventProgress, Done: 1, Total: 2})
 	h.Publish("j1", Event{Type: EventProgress, Done: 2, Total: 2})
 	h.Publish("j1", Event{Type: EventDone})
@@ -90,8 +97,9 @@ func TestHubResumeLive(t *testing.T) {
 func TestHubLiveDelivery(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
+	h.Open("j1")
 	h.Publish("j1", Event{Type: EventState, State: JobQueued})
-	history, ch := h.Subscribe("j1", 0)
+	history, ch, _ := h.Subscribe("j1", 0)
 	if len(history) != 1 {
 		t.Fatalf("history %d, want 1", len(history))
 	}
@@ -122,7 +130,8 @@ func TestHubLiveDelivery(t *testing.T) {
 func TestHubDropsSlowSubscriber(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
-	_, slow := h.Subscribe("j1", 0)
+	h.Open("j1")
+	_, slow, _ := h.Subscribe("j1", 0)
 	for i := 0; i < subBuffer+8; i++ {
 		h.Publish("j1", Event{Type: EventProgress, Done: i + 1, Total: subBuffer + 8})
 	}
@@ -136,11 +145,11 @@ func TestHubDropsSlowSubscriber(t *testing.T) {
 	if n != subBuffer {
 		t.Fatalf("slow subscriber buffered %d events before the drop, want %d", n, subBuffer)
 	}
-	if rest, _ := h.Subscribe("j1", last); len(rest) != 8 || decodeEvent(t, rest[0]).Seq != last+1 {
+	if rest, _, _ := h.Subscribe("j1", last); len(rest) != 8 || decodeEvent(t, rest[0]).Seq != last+1 {
 		t.Fatalf("resume after seq %d replayed %d events, want 8 from seq %d", last, len(rest), last+1)
 	}
 	// A fresh subscriber still gets the complete history.
-	history, _ := h.Subscribe("j1", 0)
+	history, _, _ := h.Subscribe("j1", 0)
 	if len(history) != subBuffer+8 {
 		t.Fatalf("history %d events, want %d", len(history), subBuffer+8)
 	}
@@ -151,7 +160,8 @@ func TestHubDropsSlowSubscriber(t *testing.T) {
 func TestHubUnsubscribeIdempotent(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
-	_, ch := h.Subscribe("j1", 0)
+	h.Open("j1")
+	_, ch, _ := h.Subscribe("j1", 0)
 	h.Unsubscribe("j1", ch)
 	h.Unsubscribe("j1", ch)                 // repeat: no panic
 	h.Publish("j1", Event{Type: EventDone}) // terminal after detach: no panic
@@ -164,14 +174,89 @@ func TestHubUnsubscribeIdempotent(t *testing.T) {
 func TestHubDrop(t *testing.T) {
 	leakCheck(t)
 	h := NewHub()
+	h.Open("j1")
+	h.Open("j2")
 	h.Publish("j1", Event{Type: EventDone})
-	_, ch := h.Subscribe("j2", 0)
+	_, ch, _ := h.Subscribe("j2", 0)
 	h.Drop("j1")
 	h.Drop("j2")
 	if _, ok := <-ch; ok {
 		t.Fatal("Drop left the subscriber channel open")
 	}
-	if history, _ := h.Subscribe("j1", 0); len(history) != 0 {
-		t.Fatalf("dropped topic still replays %d events", len(history))
+	if history, _, ok := h.Subscribe("j1", 0); ok || len(history) != 0 {
+		t.Fatalf("dropped topic still open (%v) or replays %d events", ok, len(history))
+	}
+}
+
+// TestHubDropPublishRace: publishers, subscribers and a dropper race on
+// the same topics. A dropped topic is never re-created: once every
+// goroutine is done the hub holds no topic and no subscriber, every
+// subscriber's channel was closed, and a publish or subscribe after the
+// drop finds nothing. CI runs it under -race -count=10.
+func TestHubDropPublishRace(t *testing.T) {
+	leakCheck(t)
+	h := NewHub()
+	ids := make([]string, 32)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("j%d", i)
+		h.Open(ids[i])
+	}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 1; round <= 40; round++ {
+				for _, id := range ids {
+					h.Publish(id, Event{Type: EventProgress, Done: round, Total: 40})
+				}
+			}
+		}()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids {
+				// Every channel closes: on the drop, on falling behind, or
+				// at once when the topic is already gone. One that stays
+				// open belongs to a topic a publish re-created.
+				_, ch, _ := h.Subscribe(id, 0)
+			drain:
+				for {
+					select {
+					case _, open := <-ch:
+						if !open {
+							break drain
+						}
+					case <-ctx.Done():
+						t.Errorf("the subscriber channel of %s never closed", id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, id := range ids {
+			runtime.Gosched()
+			h.Drop(id)
+		}
+	}()
+	wg.Wait()
+	if topics, subs := h.Counts(); topics != 0 || subs != 0 {
+		t.Fatalf("%d topics and %d subscribers after every topic was dropped", topics, subs)
+	}
+	h.Publish(ids[0], Event{Type: EventDone})
+	history, ch, ok := h.Subscribe(ids[0], 0)
+	if _, open := <-ch; ok || open || history != nil {
+		t.Fatalf("subscribe after the drop: ok %v, channel open %v, %d events", ok, open, len(history))
+	}
+	if topics, _ := h.Counts(); topics != 0 {
+		t.Fatalf("a publish after the drop re-created %d topics", topics)
 	}
 }

@@ -120,6 +120,7 @@ type job struct {
 	finished time.Time
 	stats    engine.Stats
 	result   json.RawMessage
+	evicted  bool       // result and topic given up to the retention budget
 	span     obs.SpanID // root of the job's trace subtree; 0 until running
 }
 
@@ -141,8 +142,14 @@ type JobStatus struct {
 	// shared engines did while this job ran".
 	Stats *engine.Stats `json:"stats,omitempty"`
 	// Result is the kind-specific payload (SweepResult, MatrixResult, or
-	// search.JSONReport), present once the job is done.
+	// search.JSONReport), present once the job is done until the server
+	// evicts it.
 	Result json.RawMessage `json:"result,omitempty"`
+	// ResultEvicted reports that the server gave up this finished job's
+	// result and event history to stay within its retention budget; each
+	// session's latest finished job is never evicted. Resubmit the request
+	// to get the result again — the engine's cache tiers serve it.
+	ResultEvicted bool `json:"result_evicted,omitempty"`
 }
 
 func newJob(id, sid, kind string) *job {
@@ -166,6 +173,15 @@ func (j *job) finish(state string, result json.RawMessage, stats engine.Stats, e
 	if err != nil {
 		j.errMsg = err.Error()
 	}
+}
+
+// evict gives up the finished job's result (its topic is dropped by the
+// caller); the record stays.
+func (j *job) evict() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.result = nil
+	j.evicted = true
 }
 
 func (j *job) setSpan(id obs.SpanID) {
@@ -192,6 +208,8 @@ func (j *job) status(withResult bool) JobStatus {
 		State:   j.state,
 		Error:   j.errMsg,
 		Created: j.created,
+
+		ResultEvicted: j.evicted,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -384,20 +402,21 @@ func (s *Server) runJob(sess *session, j *job, p plan, ctx context.Context, canc
 	case err == nil:
 		data, merr := json.Marshal(result)
 		if merr != nil {
-			s.finishJob(j, JobFailed, nil, delta, merr, dur)
+			s.finishJob(sess, j, JobFailed, nil, delta, merr, dur)
 			return
 		}
-		s.finishJob(j, JobDone, data, delta, nil, dur)
+		s.finishJob(sess, j, JobDone, data, delta, nil, dur)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.finishJob(j, JobCanceled, nil, delta, err, dur)
+		s.finishJob(sess, j, JobCanceled, nil, delta, err, dur)
 	default:
-		s.finishJob(j, JobFailed, nil, delta, err, dur)
+		s.finishJob(sess, j, JobFailed, nil, delta, err, dur)
 	}
 }
 
 // finishJob records a job's terminal state everywhere it surfaces: the
-// job record, the event topic, the jobs_total counters, and the log.
-func (s *Server) finishJob(j *job, state string, result json.RawMessage, delta engine.Stats, err error, dur time.Duration) {
+// job record, the event topic, the jobs_total counters, and the log. Then
+// it puts the job under the retention budget.
+func (s *Server) finishJob(sess *session, j *job, state string, result json.RawMessage, delta engine.Stats, err error, dur time.Duration) {
 	j.finish(state, result, delta, err)
 	ev := Event{Type: EventDone}
 	ctr := s.sm.jobsDone
@@ -411,6 +430,7 @@ func (s *Server) finishJob(j *job, state string, result json.RawMessage, delta e
 	}
 	s.hub.Publish(j.id, ev)
 	ctr.Inc()
+	s.retain(sess, j, len(result)+s.hub.historyBytes(j.id))
 	if err != nil {
 		slog.Warn("job finished", "session", j.sid, "job", j.id, "kind", j.kind,
 			"state", state, "duration", dur, "err", err)
@@ -428,6 +448,7 @@ func addStats(a, b engine.Stats) engine.Stats {
 		DiskHits:    a.DiskHits + b.DiskHits,
 		Misses:      a.Misses + b.Misses,
 		StoreErrors: a.StoreErrors + b.StoreErrors,
+		Evictions:   a.Evictions + b.Evictions,
 		Entries:     a.Entries + b.Entries,
 	}
 }

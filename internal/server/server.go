@@ -14,6 +14,14 @@
 // against one exp.Context, so overlapping submissions from different users
 // dedupe against the same memory cache and persistent store.
 //
+// Memory stays bounded for the life of the server: the engine's memory
+// tier holds at most 2^14 resolved cells (internal/engine), and finished
+// jobs' results and event histories share a 4 MiB budget beyond each
+// session's latest finished job (retention.go). A GET on a job whose
+// result was evicted says result_evicted, its event stream answers 410,
+// and resubmitting it is served from the cache tiers. Job records and
+// sessions themselves are kept until their session is deleted.
+//
 // Results use the same JSON shapes the optima CLI writes (search jobs
 // return search.JSONReport — byte-identical to `optima search`'s
 // search.json payload for identical options, at any worker count).
@@ -22,6 +30,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -52,6 +61,7 @@ type Server struct {
 	mu        sync.Mutex
 	sessions  map[string]*session
 	sessOrder []string
+	retained  retention
 
 	nextSess atomic.Uint64
 	nextJob  atomic.Uint64
@@ -67,6 +77,7 @@ type serverMetrics struct {
 	jobsDone   *obs.Counter // optima_jobs_total{state="done"}
 	jobsFailed *obs.Counter // optima_jobs_total{state="failed"}
 	jobsCancel *obs.Counter // optima_jobs_total{state="canceled"}
+	evicted    *obs.Counter // optima_job_results_evicted_total
 }
 
 func newServerMetrics(rec *obs.Recorder) serverMetrics {
@@ -77,6 +88,8 @@ func newServerMetrics(rec *obs.Recorder) serverMetrics {
 		jobsDone:   reg.Counter("optima_jobs_total", jobsHelp, "state", JobDone),
 		jobsFailed: reg.Counter("optima_jobs_total", jobsHelp, "state", JobFailed),
 		jobsCancel: reg.Counter("optima_jobs_total", jobsHelp, "state", JobCanceled),
+		evicted: reg.Counter("optima_job_results_evicted_total",
+			"Finished jobs whose result and event history were evicted to stay within the retention budget."),
 	}
 }
 
@@ -328,28 +341,49 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	// Look up and remove in one critical section: of two concurrent
 	// DELETEs only the one that removes the entry tears the session down;
-	// the other sees a 404.
+	// the other sees a 404. The same section stops the retention account
+	// of the session's jobs, so a job finishing later is not retained.
 	sid := r.PathValue("sid")
 	s.mu.Lock()
 	sess := s.sessions[sid]
 	if sess != nil {
 		delete(s.sessions, sid)
 		s.sessOrder = slices.DeleteFunc(s.sessOrder, func(id string) bool { return id == sid })
+		s.retained.forget(sid)
 	}
 	s.mu.Unlock()
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "no session %q", sid)
 		return
 	}
-	sess.cancelActive()
-	slog.Info("session deleted", "session", sess.id, "jobs", len(sess.jobIDs()))
+	ids := sess.close()
+	slog.Info("session deleted", "session", sess.id, "jobs", len(ids))
 	// Disconnect watchers and free the event histories. A still-running
-	// job keeps running to its terminal state (its runner holds direct
-	// references); it just has no audience anymore.
-	for _, id := range sess.jobIDs() {
+	// job runs to its terminal state (its runner holds direct references);
+	// its publishes to the dropped topic do nothing.
+	for _, id := range ids {
 		s.hub.Drop(id)
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// retain puts a finished job's result and event history, size bytes
+// together, under the retention budget, and evicts the jobs the budget
+// gives up: each keeps its record and loses its result and topic, under
+// the table lock, so a finished job of a live session keeps both exactly
+// while it is retained. A job whose session was deleted while it ran is
+// not retained; the delete drops its topic.
+func (s *Server) retain(sess *session, j *job, size int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sessions[sess.id] != sess {
+		return
+	}
+	for _, v := range s.retained.add(j, size) {
+		v.evict()
+		s.hub.Drop(v.id)
+		s.sm.evicted.Inc()
+	}
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -375,13 +409,20 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := sess.begin(req.Kind, jobID, cancel); err != nil {
+	j := newJob(jobID, sess.id, req.Kind)
+	// The topic opens before the job becomes visible, so a session delete
+	// that finds the job also finds its topic to drop.
+	s.hub.Open(jobID)
+	if err := sess.begin(j, cancel); err != nil {
 		cancel()
+		s.hub.Drop(jobID)
+		if errors.Is(err, errSessionClosed) {
+			writeError(w, http.StatusNotFound, "no session %q", sess.id)
+			return
+		}
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	j := newJob(jobID, sess.id, req.Kind)
-	sess.addJob(j)
 	s.hub.Publish(jobID, Event{Type: EventState, State: JobQueued})
 	s.jobWG.Add(1)
 	go s.runJob(sess, j, p, ctx, cancel)

@@ -9,6 +9,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -22,24 +23,36 @@ type session struct {
 	opKind string
 	opJob  string
 	cancel context.CancelFunc
+	closed bool // deleted: begin refuses new jobs
 	jobs   map[string]*job
 	order  []string // job IDs in submission order
 }
+
+// errSessionClosed is begin's answer in a session being deleted.
+var errSessionClosed = errors.New("session was deleted")
 
 func newSession(id string) *session {
 	return &session{id: id, created: time.Now(), jobs: make(map[string]*job)}
 }
 
-// begin claims the session's single operation slot for a job. The error
+// begin claims the session's single operation slot for a job and
+// registers the job record under the session, in one step with respect to
+// close: a job either lands in a live session — and a later close cancels
+// it and finds its ID — or is refused with errSessionClosed. A busy error
 // names the active job so a 409 response tells the client what to wait
 // for (or DELETE).
-func (s *session) begin(kind, jobID string, cancel context.CancelFunc) error {
+func (s *session) begin(j *job, cancel context.CancelFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errSessionClosed
+	}
 	if s.opJob != "" {
 		return fmt.Errorf("session %s is busy: %s job %s is active", s.id, s.opKind, s.opJob)
 	}
-	s.opKind, s.opJob, s.cancel = kind, jobID, cancel
+	s.opKind, s.opJob, s.cancel = j.kind, j.id, cancel
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	return nil
 }
 
@@ -62,8 +75,8 @@ func (s *session) cancelJob(jobID string) {
 	}
 }
 
-// cancelActive cancels whatever operation is running (session teardown,
-// server shutdown deadline).
+// cancelActive cancels whatever operation is running (server shutdown
+// deadline).
 func (s *session) cancelActive() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,12 +85,16 @@ func (s *session) cancelActive() {
 	}
 }
 
-// addJob registers a job record under the session.
-func (s *session) addJob(j *job) {
+// close tears the session down: it cancels the running operation, refuses
+// new ones, and returns every job ID the session ever held.
+func (s *session) close() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.closed = true
+	if s.cancel != nil {
+		s.cancel()
+	}
+	return append([]string(nil), s.order...)
 }
 
 // getJob returns a job record by ID.
@@ -85,13 +102,6 @@ func (s *session) getJob(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-// jobIDs returns the session's job IDs in submission order.
-func (s *session) jobIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
 }
 
 // SessionStatus is the JSON view of a session. Jobs are summarized

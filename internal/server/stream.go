@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -20,7 +21,9 @@ import (
 // Last-Event-ID header resumes after that seq (missing means 0). The
 // response ends when the topic closes — after the terminal event, or when
 // the hub drops this subscriber for falling behind, whereupon the client
-// resumes — or when the client hangs up.
+// resumes — or when the client hangs up. A job whose topic is gone — its
+// result was evicted, or its session deleted after the lookup — is a 410
+// that says which.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	_, j := s.lookupJob(w, r)
 	if j == nil {
@@ -34,7 +37,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	history, ch := s.hub.Subscribe(j.id, after)
+	history, ch, ok := s.hub.Subscribe(j.id, after)
+	if !ok {
+		if j.status(false).ResultEvicted {
+			writeError(w, http.StatusGone, "job %s finished and its result and events were evicted to stay within the server's retention budget; resubmit it to have the cache tiers serve it", j.id)
+		} else {
+			writeError(w, http.StatusGone, "job %s's events were dropped with its session", j.id)
+		}
+		return
+	}
 	defer s.hub.Unsubscribe(j.id, ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -110,7 +121,11 @@ func FollowEvents(ctx context.Context, url string) ([]Event, error) {
 // carry nothing the JSON lacks.
 func readEvents(resp *http.Response, events []Event) ([]Event, error) {
 	if resp.StatusCode != http.StatusOK {
-		return events, fmt.Errorf("server: GET %s: %s", resp.Request.URL, resp.Status)
+		// Error replies carry {"error": why} — a 410 says why the events
+		// are gone. A body that is not one leaves the reason empty.
+		var reply struct{ Error string }
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&reply)
+		return events, fmt.Errorf("server: GET %s: %s: %s", resp.Request.URL, resp.Status, reply.Error)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
