@@ -101,9 +101,6 @@ func run() error {
 	// Build the engine (and open the store) before accepting traffic, so
 	// a bad cache directory is reported at startup, not on the first job.
 	ctx.Engine()
-	if err := ctx.StoreError(); err != nil {
-		slog.Warn("persistent store degraded", "err", err)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

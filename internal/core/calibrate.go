@@ -2,12 +2,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"optima/internal/device"
 	"optima/internal/linalg"
 	"optima/internal/poly"
+	"optima/internal/sched"
 	"optima/internal/spice"
 	"optima/internal/sram"
 	"optima/internal/stats"
@@ -40,8 +39,6 @@ type CalibrationConfig struct {
 	DegEdcVDD, DegEdcDV, DegEdcT int // Eq. 8: p1, p3, p1
 	// Spice solver settings.
 	Spice spice.Config
-	// Workers bounds the calibration worker pool (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultCalibration returns the standard calibration recipe: a 17-point
@@ -130,22 +127,20 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 			}
 		}
 	}
-	curves := make([]goldenCurve, len(jobs))
-	if err := parallelFor(cfg.Workers, len(jobs), func(i int) error {
-		j := jobs[i]
+	curves, err := sched.Map(0, jobs, func(_ int, j job) (goldenCurve, error) {
 		cond := device.PVT{Corner: device.CornerTT, VDD: j.vdd, TempC: j.tempC}
 		dp := spice.NewDischargePath(cfg.Tech, SupplyScaledVWL(j.vwl, j.vdd), cond)
 		res, err := dp.Discharge(cfg.TMax, cfg.Spice, cfg.TStep/2)
 		if err != nil {
-			return fmt.Errorf("core: golden sweep vwl=%.2f vdd=%.2f T=%.0f: %w", j.vwl, j.vdd, j.tempC, err)
+			return goldenCurve{}, fmt.Errorf("core: golden sweep vwl=%.2f vdd=%.2f T=%.0f: %w", j.vwl, j.vdd, j.tempC, err)
 		}
 		vbl := make([]float64, len(tGrid))
 		for k, t := range tGrid {
 			vbl[k] = res.Waveform.NodeAt(0, t)
 		}
-		curves[i] = goldenCurve{vwl: j.vwl, vdd: j.vdd, tempC: j.tempC, vbl: vbl}
-		return nil
-	}); err != nil {
+		return goldenCurve{vwl: j.vwl, vdd: j.vdd, tempC: j.tempC, vbl: vbl}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	transients += len(jobs)
@@ -274,14 +269,12 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 			vwl   float64
 			sigma []float64 // per t-grid point
 		}
-		results := make([]mcResult, len(cfg.MCVWLs))
 		rngs := make([]*stats.RNG, len(cfg.MCVWLs))
 		master := stats.NewRNG(cfg.Seed)
 		for i := range rngs {
 			rngs[i] = master.Split()
 		}
-		if err := parallelFor(cfg.Workers, len(cfg.MCVWLs), func(i int) error {
-			vwl := cfg.MCVWLs[i]
+		results, err := sched.Map(0, cfg.MCVWLs, func(i int, vwl float64) (mcResult, error) {
 			rng := rngs[i]
 			accs := make([]stats.Accumulator, len(tGrid))
 			cond := device.Nominal()
@@ -290,7 +283,7 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 				dp.SampleMismatch(rng)
 				res, err := dp.Discharge(cfg.TMax, cfg.Spice, cfg.TStep/2)
 				if err != nil {
-					return fmt.Errorf("core: mismatch MC vwl=%.2f sample %d: %w", vwl, s, err)
+					return mcResult{}, fmt.Errorf("core: mismatch MC vwl=%.2f sample %d: %w", vwl, s, err)
 				}
 				for k, t := range tGrid {
 					accs[k].Add(res.Waveform.NodeAt(0, t))
@@ -300,9 +293,9 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 			for k := range accs {
 				sig[k] = accs[k].StdDev()
 			}
-			results[i] = mcResult{vwl: vwl, sigma: sig}
-			return nil
-		}); err != nil {
+			return mcResult{vwl: vwl, sigma: sig}, nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		transients += len(cfg.MCVWLs) * cfg.MCSamples
@@ -378,55 +371,4 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// parallelFor runs fn(i) for i in [0, n) on a bounded worker pool and
-// returns the first error encountered.
-func parallelFor(workers, n int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		next  int
-		first error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if first != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
 }

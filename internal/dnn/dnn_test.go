@@ -279,26 +279,6 @@ func TestReplaceHead(t *testing.T) {
 	}
 }
 
-func TestFreezeAllButLast(t *testing.T) {
-	rng := stats.NewRNG(12)
-	net := NewNetwork("tl", 2, 1, 1)
-	net.Add(NewDense("fc1", 2, 4, rng))
-	net.Add(NewReLU("r"))
-	net.Add(NewDense("fc2", 4, 2, rng))
-	frozen := append([]float64(nil), net.Layers[0].Params()[0].W...)
-	x := randomTensor(rng, 8, 2, 1, 1)
-	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	cfg := TrainConfig{Epochs: 3, BatchSize: 4, LR: 0.1, Momentum: 0.9, Seed: 1, FreezeAllButLast: true}
-	if _, err := net.Fit(x, labels, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range net.Layers[0].Params()[0].W {
-		if v != frozen[i] {
-			t.Fatal("frozen layer changed during transfer learning")
-		}
-	}
-}
-
 func TestEvalTopK(t *testing.T) {
 	// Classifier that always ranks class 1 first, class 0 second.
 	forward := func(b *Tensor) *Tensor {
@@ -311,7 +291,7 @@ func TestEvalTopK(t *testing.T) {
 		return out
 	}
 	x := NewTensor(4, 1, 1, 1)
-	top1, top2 := EvalTopKWorkers(forward, x, []int{1, 1, 0, 2}, 2, 2, 1)
+	top1, top2 := EvalTopKWorkers(forward, x, []int{1, 1, 0, 2}, 2, 1)
 	if top1 != 50 {
 		t.Fatalf("top1 = %g, want 50", top1)
 	}
@@ -328,37 +308,9 @@ func randomTensor(rng *stats.RNG, n, c, h, w int) *Tensor {
 	return x
 }
 
-// TestInferMatchesForward pins the stateless inference path against the
-// training forward in eval mode, across every built-in layer type (the zoo
-// covers conv, batch-norm, ReLU, pooling, residual blocks and dense heads).
-func TestInferMatchesForward(t *testing.T) {
-	rng := stats.NewRNG(11)
-	for _, name := range ZooModels() {
-		net, err := NewZooModel(name, 3, 12, 12, 10, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !net.StatelessOnly() {
-			t.Fatalf("%s has a layer without a stateless forward", name)
-		}
-		x := randomTensor(rng, 3, 3, 12, 12)
-		want := net.Forward(x, false)
-		got := net.Infer(x)
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("%s: shape mismatch %s vs %s", name, got.Shape(), want.Shape())
-		}
-		for i := range want.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-				t.Fatalf("%s: Infer diverges from Forward at %d: %g vs %g",
-					name, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-// TestConcurrentInferRaceFree runs parallel Infer calls on one network
-// under -race: the split of inference from training state is exactly what
-// makes this legal.
+// TestConcurrentInferRaceFree runs parallel inference passes,
+// Forward(x, false), on one network under -race: an inference pass writes
+// no layer state, which is exactly what makes this legal.
 func TestConcurrentInferRaceFree(t *testing.T) {
 	rng := stats.NewRNG(12)
 	net, err := NewZooModel("ResNet50S", 3, 12, 12, 10, rng)
@@ -366,22 +318,59 @@ func TestConcurrentInferRaceFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randomTensor(rng, 2, 3, 12, 12)
-	want := net.Infer(x)
+	want := net.Forward(x, false)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := net.Infer(x)
+			got := net.Forward(x, false)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Errorf("concurrent Infer diverged at %d", i)
+					t.Errorf("concurrent Forward(x, false) diverged at %d", i)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestInferenceForwardKeepsTrainingState: an inference pass on a batch of
+// another size between a training Forward and its Backward must leave the
+// recorded state alone, so the parameter gradients equal those of a run
+// without it. The zoo covers every layer type.
+func TestInferenceForwardKeepsTrainingState(t *testing.T) {
+	grads := func(name string, infer bool) [][]float64 {
+		t.Helper()
+		rng := stats.NewRNG(14)
+		net, err := NewZooModel(name, 3, 12, 12, 10, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomTensor(rng, 4, 3, 12, 12)
+		y := randomTensor(rng, 3, 3, 12, 12)
+		_, grad := CrossEntropyLoss(net.Forward(x, true), []int{0, 3, 7, 9})
+		if infer {
+			net.Forward(y, false)
+		}
+		net.Backward(grad)
+		var out [][]float64
+		for _, p := range net.Params() {
+			out = append(out, p.G)
+		}
+		return out
+	}
+	for _, name := range ZooModels() {
+		want, got := grads(name, false), grads(name, true)
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%s: param %d grad %d is %g after an inference pass, want %g", name, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
 }
 
 // TestTopKAccuracyWorkerInvariance: the parallel evaluation path must give

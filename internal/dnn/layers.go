@@ -7,9 +7,12 @@ import (
 	"optima/internal/stats"
 )
 
-// Layer is one differentiable network stage. Forward must retain whatever
-// it needs for the subsequent Backward call (layers are stateful across one
-// forward/backward pair, as in classic define-by-run frameworks).
+// Layer is one differentiable network stage. Forward with train set
+// retains whatever the subsequent Backward call needs (layers are stateful
+// across one forward/backward pair, as in classic define-by-run
+// frameworks). Forward with train unset is the inference pass: it writes
+// no layer state, so concurrent inference calls on one layer are
+// race-free and leave a pending Backward's state intact.
 type Layer interface {
 	Name() string
 	Forward(x *Tensor, train bool) *Tensor
@@ -73,15 +76,11 @@ func (c *Conv2D) wIdx(oc, ic, kh, kw int) int {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
-	c.lastIn = x
-	return c.infer(x)
-}
-
-// infer computes the convolution without recording training state, so it is
-// safe for concurrent inference (see InferenceForward).
-func (c *Conv2D) infer(x *Tensor) *Tensor {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("dnn: %s expects %d channels, got %s", c.name, c.InC, x.Shape()))
+	}
+	if train {
+		c.lastIn = x
 	}
 	out := NewTensor(x.N, c.OutC, x.H, x.W)
 	pad := c.K / 2
@@ -193,15 +192,11 @@ func (d *Dense) MACs(c, h, w int) (int64, int, int, int) {
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *Tensor, train bool) *Tensor {
-	d.lastIn = x
-	return d.infer(x)
-}
-
-// infer computes the dense transform without recording training state, so
-// it is safe for concurrent inference (see InferenceForward).
-func (d *Dense) infer(x *Tensor) *Tensor {
 	if x.FeatureLen() != d.In {
 		panic(fmt.Sprintf("dnn: %s expects %d features, got %s", d.name, d.In, x.Shape()))
+	}
+	if train {
+		d.lastIn = x
 	}
 	out := NewTensor(x.N, d.Out, 1, 1)
 	for n := 0; n < x.N; n++ {
@@ -262,16 +257,16 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *Tensor, train bool) *Tensor {
 	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	if train {
+		r.mask = r.mask[:0]
 	}
-	r.mask = r.mask[:len(out.Data)]
 	for i, v := range out.Data {
-		if v <= 0 {
+		off := v <= 0
+		if off {
 			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
+		}
+		if train {
+			r.mask = append(r.mask, !off)
 		}
 	}
 	return out
@@ -313,11 +308,13 @@ func (p *MaxPool2) Params() []*Param { return nil }
 func (p *MaxPool2) Forward(x *Tensor, train bool) *Tensor {
 	oh, ow := x.H/2, x.W/2
 	out := NewTensor(x.N, x.C, oh, ow)
-	p.inTpl = x
-	if cap(p.argmax) < out.Len() {
-		p.argmax = make([]int, out.Len())
+	if train {
+		p.inTpl = x
+		if cap(p.argmax) < out.Len() {
+			p.argmax = make([]int, out.Len())
+		}
+		p.argmax = p.argmax[:out.Len()]
 	}
-	p.argmax = p.argmax[:out.Len()]
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
 			for i := 0; i < oh; i++ {
@@ -335,7 +332,9 @@ func (p *MaxPool2) Forward(x *Tensor, train bool) *Tensor {
 					}
 					oIdx := out.Idx(n, c, i, j)
 					out.Data[oIdx] = best
-					p.argmax[oIdx] = bestIdx
+					if train {
+						p.argmax[oIdx] = bestIdx
+					}
 				}
 			}
 		}
@@ -373,7 +372,9 @@ func (p *GlobalAvgPool) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (p *GlobalAvgPool) Forward(x *Tensor, train bool) *Tensor {
-	p.inTpl = x
+	if train {
+		p.inTpl = x
+	}
 	out := NewTensor(x.N, x.C, 1, 1)
 	inv := 1.0 / float64(x.H*x.W)
 	for n := 0; n < x.N; n++ {

@@ -17,8 +17,8 @@ type Network struct {
 	// InC/InH/InW record the expected input shape for MAC counting.
 	InC, InH, InW int
 	// EvalWorkers bounds the batch fan-out of TopKAccuracy (0 = GOMAXPROCS).
-	// Evaluation falls back to one worker when the network contains a
-	// user-defined layer without a stateless forward.
+	// Its batches run concurrent Forward(x, false) calls, which write no
+	// layer state.
 	EvalWorkers int
 }
 
@@ -48,41 +48,16 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// Forward runs the network and returns the logits. The layers record state
-// for Backward, so Forward is not safe for concurrent use — inference-only
-// callers should prefer Infer.
+// Forward runs the network and returns the logits. With train set the
+// layers record state for Backward, so a training Forward is not safe for
+// concurrent use. With train unset it is the inference pass: it writes no
+// layer state, so concurrent inference calls on one network are race-free —
+// the property batched evaluation relies on.
 func (n *Network) Forward(x *Tensor, train bool) *Tensor {
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)
 	}
 	return x
-}
-
-// Infer runs a stateless inference pass and returns the logits. For the
-// built-in layer types no training state is touched, so concurrent Infer
-// calls on one network are race-free — the property batched evaluation
-// relies on. User-defined layers without a stateless forward fall back to
-// their training Forward (see StatelessOnly).
-func (n *Network) Infer(x *Tensor) *Tensor {
-	for _, l := range n.Layers {
-		if out, ok := InferenceForward(l, x); ok {
-			x = out
-			continue
-		}
-		x = l.Forward(x, false)
-	}
-	return x
-}
-
-// StatelessOnly reports whether every layer has a stateless inference
-// forward, i.e. whether concurrent Infer calls are race-free.
-func (n *Network) StatelessOnly() bool {
-	for _, l := range n.Layers {
-		if !StatelessCapable(l) {
-			return false
-		}
-	}
-	return true
 }
 
 // Backward propagates dL/dlogits through all layers.
@@ -200,9 +175,6 @@ type TrainConfig struct {
 	Seed        uint64
 	// Verbose prints per-epoch loss/accuracy.
 	Verbose bool
-	// FreezeAllButLast trains only the final layer's parameters
-	// (transfer learning, the paper's CIFAR-10 protocol).
-	FreezeAllButLast bool
 }
 
 // DefaultTrainConfig returns the training recipe used by the experiments.
@@ -223,9 +195,6 @@ func (n *Network) Fit(x *Tensor, labels []int, cfg TrainConfig) (float64, error)
 		cfg.BatchSize = 32
 	}
 	params := n.Params()
-	if cfg.FreezeAllButLast && len(n.Layers) > 0 {
-		params = n.Layers[len(n.Layers)-1].Params()
-	}
 	opt := NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	rng := stats.NewRNG(cfg.Seed)
 	feat := x.FeatureLen()
@@ -254,12 +223,6 @@ func (n *Network) Fit(x *Tensor, labels []int, cfg TrainConfig) (float64, error)
 			loss, grad := CrossEntropyLoss(logits, blabels)
 			n.Backward(grad)
 			opt.Step(params)
-			if cfg.FreezeAllButLast {
-				// Clear the gradients the frozen layers accumulated.
-				for _, p := range n.Params() {
-					p.ZeroGrad()
-				}
-			}
 			epochLoss += loss
 			batches++
 		}
@@ -272,35 +235,30 @@ func (n *Network) Fit(x *Tensor, labels []int, cfg TrainConfig) (float64, error)
 }
 
 // TopKAccuracy evaluates top-1 and top-k accuracy of the network's float
-// inference pass, fanning batches out across the shared scheduler (the
-// stateless Infer path makes concurrent batches race-free, mirroring the
-// quantized networks in internal/quant). Results are independent of the
-// worker count; networks containing a user-defined layer without a
-// stateless forward evaluate serially.
+// inference pass, fanning batches out across the shared scheduler
+// (Forward(x, false) writes no layer state, so concurrent batches are
+// race-free, mirroring the quantized networks in internal/quant). Results
+// are independent of the worker count.
 func (n *Network) TopKAccuracy(x *Tensor, labels []int, k int) (top1, topk float64) {
-	workers := n.EvalWorkers
-	if !n.StatelessOnly() {
-		workers = 1
-	}
-	return EvalTopKWorkers(n.Infer, x, labels, k, 32, workers)
+	return EvalTopKWorkers(func(b *Tensor) *Tensor { return n.Forward(b, false) }, x, labels, k, n.EvalWorkers)
 }
 
-// EvalTopKWorkers scores a classifier with the batches fanned out across
-// the shared scheduler (internal/sched). forward must be safe for concurrent calls whenever
-// workers != 1 (workers <= 0 uses GOMAXPROCS). The result is independent
-// of the worker count.
-func EvalTopKWorkers(forward func(*Tensor) *Tensor, x *Tensor, labels []int, k, batch, workers int) (top1, topk float64) {
-	if batch <= 0 {
-		batch = 32
-	}
+// evalBatch is the sample count of one EvalTopKWorkers batch.
+const evalBatch = 32
+
+// EvalTopKWorkers scores a classifier in batches of evalBatch samples
+// fanned out across the shared scheduler (internal/sched). forward must be
+// safe for concurrent calls whenever workers != 1 (workers <= 0 uses
+// GOMAXPROCS). The result is independent of the worker count.
+func EvalTopKWorkers(forward func(*Tensor) *Tensor, x *Tensor, labels []int, k, workers int) (top1, topk float64) {
 	feat := x.FeatureLen()
-	starts := make([]int, 0, (x.N+batch-1)/batch)
-	for start := 0; start < x.N; start += batch {
+	starts := make([]int, 0, (x.N+evalBatch-1)/evalBatch)
+	for start := 0; start < x.N; start += evalBatch {
 		starts = append(starts, start)
 	}
 	type hits struct{ h1, hk int }
 	perBatch, _ := sched.Map(workers, starts, func(_ int, start int) (hits, error) {
-		end := start + batch
+		end := start + evalBatch
 		if end > x.N {
 			end = x.N
 		}

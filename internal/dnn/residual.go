@@ -19,8 +19,6 @@ type Residual struct {
 	BN2   *BatchNorm2D
 	Proj  *Conv2D // nil when input channels == output channels
 	relu2 *ReLU
-
-	lastSum *Tensor
 }
 
 // NewResidual builds a basic residual block mapping inC → outC channels.
@@ -81,7 +79,6 @@ func (r *Residual) Forward(x *Tensor, train bool) *Tensor {
 	for i := range sum.Data {
 		sum.Data[i] += skip.Data[i]
 	}
-	r.lastSum = sum
 	return r.relu2.Forward(sum, train)
 }
 

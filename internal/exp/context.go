@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"sync"
 	"time"
@@ -153,7 +154,7 @@ func (c *Context) Engine() *engine.Engine {
 				// running without persistence (StoreError), not just log
 				// once at startup.
 				c.storeErr = fmt.Errorf("persistent result store disabled: %w", err)
-				fmt.Fprintf(os.Stderr, "exp: %v\n", c.storeErr)
+				slog.Warn("persistent store degraded", "err", c.storeErr)
 			} else {
 				c.resultStore = st
 			}

@@ -22,7 +22,7 @@ type DNNScale struct {
 	Models []string
 	// VGGEpochs / ResNetEpochs set the pretraining budgets.
 	VGGEpochs, ResNetEpochs int
-	// TransferEpochs sets the CIFAR last-layer budget.
+	// TransferEpochs sets the CIFAR fine-tuning budget after the head swap.
 	TransferEpochs int
 	// QATEpochs sets the post-quantization retraining budget.
 	QATEpochs int
@@ -175,14 +175,14 @@ func (c *Context) runOneModel(name string, scale DNNScale, sel dse.Selection, im
 		return DNNRow{}, DNNRow{}, err
 	}
 
-	// Transfer learning: reload the pretrained backbone, swap the head to
-	// 10 classes and train only the head (the paper's CIFAR protocol).
+	// Transfer learning (the paper's CIFAR protocol): swap the head of the
+	// ImageNet-trained network, as evaluateAllModes left it, for a 10-class
+	// dense layer, then fine-tune the whole network briefly.
 	if err := net.ReplaceHead(cifar.Classes, rng); err != nil {
 		return DNNRow{}, DNNRow{}, err
 	}
 	tCfg := cfg
 	tCfg.Epochs = scale.TransferEpochs
-	tCfg.FreezeAllButLast = false // fine-tune whole net briefly after head swap
 	if _, err := net.Fit(cifar.Train, cifar.TrainY, tCfg); err != nil {
 		return DNNRow{}, DNNRow{}, err
 	}
@@ -199,8 +199,8 @@ func (c *Context) runOneModel(name string, scale DNNScale, sel dse.Selection, im
 func (c *Context) evaluateAllModes(name string, net *dnn.Network, scale DNNScale, sel dse.Selection,
 	evalWorkers int, trainX *dnn.Tensor, trainY []int, testX *dnn.Tensor, testY []int) (DNNRow, error) {
 	row := DNNRow{Model: name, MultsMillions: float64(net.MACsPerInference()) / 1e6}
-	// Float evaluation fans out on the stateless Infer path, under the same
-	// per-model worker split as the quantized modes below.
+	// Float evaluation fans out on the inference pass, Forward(x, false),
+	// under the same per-model worker split as the quantized modes below.
 	net.EvalWorkers = evalWorkers
 	row.Float32[0], row.Float32[1] = net.TopKAccuracy(testX, testY, 5)
 

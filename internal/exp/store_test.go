@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"bytes"
+	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,7 +168,7 @@ func TestStoreFingerprintSeparatesCalibrations(t *testing.T) {
 
 // TestStoreOpenFailureDegrades: an unusable cache directory — a file in
 // its place, or a directory of the retired v1 layout — produces a working
-// (memory-only) session, not a failed run.
+// (memory-only) session, not a failed run, and logs the cause once.
 func TestStoreOpenFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	// A file where the store directory should be makes Open fail.
@@ -180,10 +183,21 @@ func TestStoreOpenFailureDegrades(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(v1, "manifest.json"), []byte(`{"version": 1, "partitions": 16}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Capture the default slog logger. SetDefault also redirects the log
+	// package, so restore both.
+	var logs bytes.Buffer
+	prevSlog, prevOut, prevFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer func() {
+		slog.SetDefault(prevSlog)
+		log.SetOutput(prevOut)
+		log.SetFlags(prevFlags)
+	}()
 	for _, tc := range []struct{ dir, cause string }{
 		{blocked, "persistent result store disabled"},
 		{v1, "format version 1"},
 	} {
+		logs.Reset()
 		ctx := newCachedContext(t, tc.dir)
 		if _, err := ctx.Sweep(); err != nil {
 			t.Fatalf("%s: store open failure must degrade, not fail: %v", tc.dir, err)
@@ -201,6 +215,10 @@ func TestStoreOpenFailureDegrades(t *testing.T) {
 		}
 		if err := ctx.Close(); err != nil {
 			t.Fatal(err)
+		}
+		// One WARN record per degraded session, however often Engine runs.
+		if n := strings.Count(logs.String(), `level=WARN msg="persistent store degraded"`); n != 1 {
+			t.Fatalf("%s: %d degraded-store log records, want 1:\n%s", tc.dir, n, logs.String())
 		}
 	}
 }

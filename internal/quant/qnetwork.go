@@ -15,12 +15,10 @@ type QNetwork struct {
 	// Mult is the scalar multiplier used by all quantized layers.
 	Mult Multiplier
 	// Workers bounds the evaluation fan-out of TopKAccuracy
-	// (0 = GOMAXPROCS). Ignored when the graph or multiplier forces
-	// serial evaluation.
+	// (0 = GOMAXPROCS). Ignored when Mult is not safe for concurrent use
+	// (a sampled InMemory draws from one RNG): evaluation then stays on
+	// one worker.
 	Workers int
-	// serialOnly marks a graph with a stage that has no stateless forward;
-	// evaluation then stays on one worker.
-	serialOnly bool
 }
 
 // qStage is one executable stage of the quantized graph.
@@ -32,17 +30,7 @@ type qStage interface {
 type floatStage struct{ layer dnn.Layer }
 
 func (s floatStage) forward(x *dnn.Tensor, _ Multiplier) *dnn.Tensor {
-	return inferForward(s.layer, x)
-}
-
-// inferForward runs a float glue layer statelessly so concurrent batches
-// don't race on training state, falling back to the training Forward for
-// uncovered layer types (those graphs evaluate serially).
-func inferForward(l dnn.Layer, x *dnn.Tensor) *dnn.Tensor {
-	if out, ok := dnn.InferenceForward(l, x); ok {
-		return out
-	}
-	return l.Forward(x, false)
+	return s.layer.Forward(x, false)
 }
 
 // qConv executes a quantized convolution.
@@ -147,7 +135,7 @@ type qResidual struct {
 
 func (s *qResidual) forward(x *dnn.Tensor, m Multiplier) *dnn.Tensor {
 	main := s.conv1.forward(x, m)
-	main = inferForward(s.relu1, main)
+	main = s.relu1.Forward(main, false)
 	main = s.conv2.forward(main, m)
 	skip := x
 	if s.proj != nil {
@@ -157,13 +145,14 @@ func (s *qResidual) forward(x *dnn.Tensor, m Multiplier) *dnn.Tensor {
 	for i := range sum.Data {
 		sum.Data[i] += skip.Data[i]
 	}
-	return inferForward(s.relu2, sum)
+	return s.relu2.Forward(sum, false)
 }
 
 // Forward runs the quantized network on a float input tensor and returns
-// float logits. It is safe for concurrent use when every stage has a
-// stateless forward and the multiplier is deterministic — the conditions
-// evalWorkers checks before fanning batches out.
+// float logits. The float glue stages run their inference pass, which
+// writes no layer state, so Forward is safe for concurrent use whenever
+// the multiplier is — the condition TopKAccuracy checks before fanning
+// batches out.
 func (q *QNetwork) Forward(x *dnn.Tensor) *dnn.Tensor {
 	for _, s := range q.stages {
 		x = s.forward(x, q.Mult)
@@ -172,18 +161,13 @@ func (q *QNetwork) Forward(x *dnn.Tensor) *dnn.Tensor {
 }
 
 // TopKAccuracy evaluates the quantized network, fanning batches out across
-// the engine scheduler when the graph and multiplier allow it.
+// the shared scheduler when the multiplier allows it.
 func (q *QNetwork) TopKAccuracy(x *dnn.Tensor, labels []int, k int) (top1, topk float64) {
-	return dnn.EvalTopKWorkers(q.Forward, x, labels, k, 32, q.evalWorkers())
-}
-
-// evalWorkers returns the evaluation fan-out width: the configured bound
-// when concurrent forwards cannot race, one worker otherwise.
-func (q *QNetwork) evalWorkers() int {
-	if q.serialOnly || !multSafe(q.Mult) {
-		return 1
+	workers := q.Workers
+	if !multSafe(q.Mult) {
+		workers = 1
 	}
-	return q.Workers
+	return dnn.EvalTopKWorkers(q.Forward, x, labels, k, workers)
 }
 
 // multSafe reports whether the multiplier tolerates concurrent Mul calls.
@@ -227,9 +211,6 @@ func Quantize(net *dnn.Network, calib *dnn.Tensor) (*QNetwork, error) {
 			// Folded: identity at inference; keep for shape fidelity.
 			x = t.Forward(x, false)
 		default:
-			if !dnn.StatelessCapable(l) {
-				q.serialOnly = true
-			}
 			q.stages = append(q.stages, floatStage{layer: l})
 			x = l.Forward(x, false)
 		}

@@ -254,3 +254,48 @@ func TestQATFineTuneImprovesOrKeepsInt4(t *testing.T) {
 		t.Fatalf("post-QAT INT4 accuracy %g%% too low", top1)
 	}
 }
+
+// TestTopKAccuracyWorkerInvariance: a quantized network scores the same at
+// one worker and at four, for the exact multiplier and a deterministic
+// in-memory one. ResNet50S adds qResidual, whose float ReLUs are layers of
+// the float network, to the concurrent batches.
+func TestTopKAccuracyWorkerInvariance(t *testing.T) {
+	b, err := mult.NewBehavioral(testModel(t), mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}, device.Nominal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := NewInMemory(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"VGG16S", "ResNet50S"} {
+		rng := stats.NewRNG(31)
+		net, err := dnn.NewZooModel(name, 3, 12, 12, 10, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 40 samples: a full batch and a partial one.
+		x := dnn.NewTensor(40, 3, 12, 12)
+		for i := range x.Data {
+			x.Data[i] = rng.Gaussian(0, 1)
+		}
+		labels := make([]int, x.N)
+		for i := range labels {
+			labels[i] = int(rng.Uint64() % 10)
+		}
+		qnet, err := Quantize(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Multiplier{Exact{}, im} {
+			qnet.Mult = m
+			qnet.Workers = 1
+			s1, sk := qnet.TopKAccuracy(x, labels, 2)
+			qnet.Workers = 4
+			p1, pk := qnet.TopKAccuracy(x, labels, 2)
+			if s1 != p1 || sk != pk {
+				t.Fatalf("%s with %T: serial (%g, %g) vs 4 workers (%g, %g)", name, m, s1, sk, p1, pk)
+			}
+		}
+	}
+}

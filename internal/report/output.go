@@ -10,8 +10,6 @@ import (
 // .txt and .csv and charts as .svg.
 type Output struct {
 	Dir string
-	// Quiet suppresses the "wrote …" notes on stdout.
-	Quiet bool
 }
 
 // NewOutput creates (if necessary) and returns an artifact directory.
@@ -59,7 +57,5 @@ func (o *Output) WriteChart(name string, c *Chart) error {
 }
 
 func (o *Output) note(name string) {
-	if !o.Quiet {
-		fmt.Printf("wrote %s\n", filepath.Join(o.Dir, name))
-	}
+	fmt.Printf("wrote %s\n", filepath.Join(o.Dir, name))
 }

@@ -115,7 +115,6 @@ func TestOutputWritesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Quiet = true
 	tb := NewTable("T", "a")
 	tb.AddRow(1)
 	if err := o.WriteTable("table1", tb); err != nil {

@@ -1,9 +1,10 @@
 // Package sched is the repo's shared job scheduler: a generic bounded
 // worker pool with deterministic result ordering. It is a dependency-free
-// leaf so every layer can use it — the evaluation engine fans corner jobs
-// out on it, the experiment harness runs its per-model DNN protocol on it,
-// and batched network evaluation parallelizes through it — without
-// coupling those layers to each other.
+// leaf so every layer can use it — model calibration runs its golden
+// sweeps on it, the evaluation engine fans corner jobs out on it, the
+// experiment harness runs its per-model DNN protocol on it, and batched
+// network evaluation parallelizes through it — without coupling those
+// layers to each other.
 package sched
 
 import (

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"optima/internal/device"
 	"optima/internal/dse"
 	"optima/internal/engine"
 	"optima/internal/mult"
@@ -18,9 +17,6 @@ import (
 type Options struct {
 	// Space is the explored design space.
 	Space Space
-	// Cond is the operating condition every corner is scored at; the zero
-	// value means device.Nominal(). Ignored when Conditions is non-empty.
-	Cond device.PVT
 	// Conditions switches the search to the cross-condition evaluation
 	// plane: every rung screens its candidates at EVERY condition of the set
 	// (one engine matrix batch per rung) and, when the set has more than one
@@ -28,7 +24,7 @@ type Options struct {
 	// (ϵ_mul, E_mul) over the set — the robust mode, ranking designs by
 	// their worst PVT excursion instead of their nominal showing. Finalists
 	// are promoted to the Final engine at every condition. Empty means the
-	// single condition Cond.
+	// single nominal condition (engine.NominalConditions).
 	Conditions engine.ConditionSet
 	// Screen is the cheap-fidelity engine every rung's candidates are
 	// submitted to (behavioral in the CLI wiring).
@@ -227,14 +223,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	conds := opts.Conditions
 	if conds.Len() == 0 {
-		cond := opts.Cond
-		if cond == (device.PVT{}) {
-			cond = device.Nominal()
-		}
-		var err error
-		if conds, err = engine.NewConditionSet(cond); err != nil {
-			return nil, fmt.Errorf("search: %w", err)
-		}
+		conds = engine.NominalConditions()
 	}
 	// Robust mode: more than one condition — rank by worst-case excursion.
 	robust := conds.Len() > 1
