@@ -188,7 +188,7 @@ func (f *Flags) Open() (*exp.Context, error) {
 	ctx.Conditions = conds
 	ctx.CacheDir, ctx.CacheMaxBytes, ctx.CacheMaxAge = f.CacheDir, f.CacheMaxBytes, f.CacheMaxAge
 	ctx.CPUProfile, ctx.MemProfile, ctx.TraceOut = f.CPUProfile, f.MemProfile, f.TraceOut
-	ctx.Recorder = obs.NewRecorder(obs.RecorderOptions{SlowEval: f.SlowEval, Logger: slog.Default()})
+	ctx.Recorder = obs.NewRecorder(obs.RecorderOptions{SlowEval: f.SlowEval})
 	if f.Remote != "" {
 		fleet, err := remote.Listen(f.Remote, remote.Options{
 			Fingerprint: ctx.Fingerprint(),

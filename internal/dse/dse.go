@@ -159,27 +159,74 @@ func Select(metrics []Metrics) (Selection, error) {
 	return sel, nil
 }
 
-// ParetoFront returns the corners not dominated in (EpsMul, EMul): a corner
-// dominates another if it is no worse in both metrics and strictly better
-// in at least one. The result is sorted by energy.
+// ParetoFront returns the corners not dominated in (EpsMul, EMul), rank 0
+// of ParetoRanks, sorted by energy.
 func ParetoFront(metrics []Metrics) []Metrics {
 	var front []Metrics
-	for i, m := range metrics {
-		dominated := false
-		for j, o := range metrics {
-			if i == j {
-				continue
-			}
-			if o.EpsMul <= m.EpsMul && o.EMul <= m.EMul &&
-				(o.EpsMul < m.EpsMul || o.EMul < m.EMul) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, m)
+	for i, rank := range ParetoRanks(metrics) {
+		if rank == 0 {
+			front = append(front, metrics[i])
 		}
 	}
 	sort.Slice(front, func(i, j int) bool { return front[i].EMul < front[j].EMul })
 	return front
+}
+
+// objectives is one corner's (EpsMul, EMul), the pair Pareto dominance
+// compares: ParetoRanks projects them out of the Metrics once, so its
+// quadratic dominance loop reads two floats per corner rather than
+// copying two whole Metrics per comparison.
+type objectives struct{ eps, energy float64 }
+
+// dominates reports Pareto dominance of a over b in (EpsMul, EMul): a is no
+// worse in both and strictly better in at least one.
+func (a objectives) dominates(b objectives) bool {
+	return a.eps <= b.eps && a.energy <= b.energy &&
+		(a.eps < b.eps || a.energy < b.energy)
+}
+
+// ParetoRanks peels non-dominated fronts: rank 0 is the Pareto front, rank
+// 1 the front of the rest, and so on (the NSGA-II layering).
+func ParetoRanks(mets []Metrics) []int {
+	n := len(mets)
+	obj := make([]objectives, n)
+	for i, m := range mets {
+		obj[i] = objectives{m.EpsMul, m.EMul}
+	}
+	rank := make([]int, n)
+	remaining := make([]int, n)
+	for i := range remaining {
+		remaining[i] = i
+	}
+	for level := 0; len(remaining) > 0; level++ {
+		var front, rest []int
+		for _, i := range remaining {
+			dominated := false
+			for _, j := range remaining {
+				if i != j && obj[j].dominates(obj[i]) {
+					dominated = true
+					break
+				}
+			}
+			if dominated {
+				rest = append(rest, i)
+			} else {
+				front = append(front, i)
+			}
+		}
+		if len(front) == 0 {
+			// Cannot happen with a strict dominance relation (every finite
+			// poset has minimal elements); guard against infinite loops if
+			// metrics contain NaN, which breaks the order axioms.
+			for _, i := range rest {
+				rank[i] = level
+			}
+			break
+		}
+		for _, i := range front {
+			rank[i] = level
+		}
+		remaining = rest
+	}
+	return rank
 }

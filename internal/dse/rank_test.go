@@ -1,18 +1,16 @@
-package search
+package dse
 
 import (
 	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"optima/internal/dse"
 )
 
-// refParetoRanks is paretoRanks as it was before the objectives were
+// refParetoRanks is ParetoRanks as it was before the objectives were
 // projected: the dominance test reads two whole Metrics per comparison.
-func refParetoRanks(mets []dse.Metrics) []int {
-	dominates := func(a, b dse.Metrics) bool {
+func refParetoRanks(mets []Metrics) []int {
+	dominates := func(a, b Metrics) bool {
 		return a.EpsMul <= b.EpsMul && a.EMul <= b.EMul &&
 			(a.EpsMul < b.EpsMul || a.EMul < b.EMul)
 	}
@@ -67,7 +65,7 @@ func TestParetoRanksMatchReference(t *testing.T) {
 	for pool := 0; pool < 400; pool++ {
 		n := 1 + rng.IntN(120)
 		levels := []int{0, 3, 8, 30}[pool%4]
-		mets := make([]dse.Metrics, n)
+		mets := make([]Metrics, n)
 		for i := range mets {
 			mets[i].EpsMul, mets[i].EMul = draw(levels), draw(levels)*1e-15
 			mets[i].SigmaMaxLSB = rng.Float64() // not an objective
@@ -82,7 +80,7 @@ func TestParetoRanksMatchReference(t *testing.T) {
 		if n > 1 && pool%3 == 0 {
 			mets[n-1] = mets[0] // an exact duplicate
 		}
-		if got, want := paretoRanks(mets), refParetoRanks(mets); !slices.Equal(got, want) {
+		if got, want := ParetoRanks(mets), refParetoRanks(mets); !slices.Equal(got, want) {
 			t.Fatalf("pool %d (%d candidates, %d levels): ranks %v, reference %v", pool, n, levels, got, want)
 		}
 	}

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -134,14 +133,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 		b.ReportMetric(float64(st.Hits), "cache-hits")
 	})
 	// warm-from-disk: a fresh engine (a new "process") served entirely by
-	// the persistent store — the cross-run/CI reuse the store exists for.
-	// Set OPTIMA_BENCH_CACHE to a directory to carry the store across bench
-	// invocations (CI does, via actions/cache).
+	// the persistent store — the cross-run reuse the store exists for.
 	b.Run("warm-from-disk", func(b *testing.B) {
-		dir := os.Getenv("OPTIMA_BENCH_CACHE")
-		if dir == "" {
-			dir = b.TempDir()
-		}
+		dir := b.TempDir()
 		fp, err := store.Fingerprint(engine.MetricsSchema, model)
 		if err != nil {
 			b.Fatal(err)
@@ -150,8 +144,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Populate (or verify) the store outside the timed loop; with a
-		// carried-over cache directory this is itself disk-served.
+		// Populate the store outside the timed loop.
 		if _, err := engine.New(engine.Behavioral{Model: model}, runtime.NumCPU()).WithStore(seed).EvaluateBatch(jobs); err != nil {
 			b.Fatal(err)
 		}
@@ -179,10 +172,10 @@ func BenchmarkEngineSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkRecorderOverhead pins the tentpole's cost ceiling: the same
-// cold 48-corner sweep with no recorder vs a fully attached one (spans +
-// counters + histograms on every evaluation). CI gates the instrumented
-// case like any other benchmark; the target is < 5% ns/op over nil.
+// BenchmarkRecorderOverhead measures the recorder's cost: the same cold
+// 48-corner sweep with no recorder vs a fully attached one (spans +
+// counters + histograms on every evaluation); the target is < 5% ns/op
+// over nil.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	model := benchModelFixture(b)
 	jobs := benchJobs()

@@ -14,7 +14,7 @@
 //
 // The cache has up to three tiers: the in-memory tier (always on), an
 // optional persistent Store (internal/store — survives the process, shared
-// across runs and CI jobs), and the backend itself. Lookups fall through
+// across runs), and the backend itself. Lookups fall through
 // memory → store → backend; results computed by the backend are written
 // back to the store, in groups on the batched submission path.
 //

@@ -188,8 +188,7 @@ func BenchmarkGoldenTrim(b *testing.B) {
 // trajectories (which its nominal table reads too) and 4×GoldenSigmaSamples
 // Monte-Carlo ones. A fresh backend per iteration keeps every run cold —
 // the per-corner cost of a corner that shares nothing with the cells
-// before it — and the serial-vs-parallel gap is the intra-job speed-up
-// (recorded in CI's BENCH_engine.json).
+// before it — and the serial-vs-parallel gap is the intra-job speed-up.
 func BenchmarkGoldenEvaluate(b *testing.B) {
 	trimBenchSetup()
 	cfg := mult.Config{Tau0: 0.16e-9, VDAC0: 0.3, VDACFS: 1.0}

@@ -42,8 +42,8 @@ type Context struct {
 	Backend string
 	// CacheDir, when non-empty, backs the engine with the persistent
 	// content-addressed result store (internal/store) rooted there, keyed
-	// by the session's calibration fingerprint: separate runs — and CI
-	// jobs — sharing the directory never re-evaluate a corner. Set it
+	// by the session's calibration fingerprint: separate runs sharing the
+	// directory never re-evaluate a corner. Set it
 	// before the first evaluation. A store that cannot be opened degrades
 	// to the memory-only cache with a warning, never a failed run.
 	CacheDir string

@@ -16,7 +16,7 @@ import (
 // nominalCond returns the nominal operating condition.
 func nominalCond() device.PVT { return device.Nominal() }
 
-// SpeedupResult compares OPTIMA's event-based behavioral evaluation against
+// SpeedupResult compares OPTIMA's evaluation with behavioral models against
 // golden circuit simulation on the same workload.
 type SpeedupResult struct {
 	Name           string
@@ -124,7 +124,7 @@ func (c *Context) SpeedupMonteCarlo(cfg mult.Config, samples int) (SpeedupResult
 // SpeedupTable renders both speed-up experiments against the paper's
 // headline numbers.
 func SpeedupTable(inputSpace, monteCarlo SpeedupResult) *report.Table {
-	t := report.NewTable("Simulation speed-up: OPTIMA (event-based) vs golden circuit simulation",
+	t := report.NewTable("Simulation speed-up: OPTIMA (behavioral models) vs golden circuit simulation",
 		"experiment", "behavioral", "golden", "golden transients", "speed-up", "paper")
 	t.AddRow(inputSpace.Name,
 		inputSpace.BehavioralTime.String(), inputSpace.GoldenTime.String(),

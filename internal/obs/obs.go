@@ -76,13 +76,10 @@ type RecorderOptions struct {
 	// instrumented deterministic packages only ever see durations through
 	// spans and metrics. Tests inject a fake clock for exact timings.
 	Clock func() time.Duration
-	// SlowEval, when > 0, logs a warning through Logger whenever a CatEval
-	// span's duration reaches it — the "one corner is pathologically slow"
-	// signal a progress bar hides.
+	// SlowEval, when > 0, logs a warning through slog.Default() whenever a
+	// CatEval span's duration reaches it — the "one corner is
+	// pathologically slow" signal a progress bar hides.
 	SlowEval time.Duration
-	// Logger receives the slow-eval warnings (nil = slog.Default()). Only
-	// consulted when SlowEval > 0.
-	Logger *slog.Logger
 }
 
 // Recorder collects spans into a fixed ring and owns the run's metrics
@@ -91,7 +88,6 @@ type RecorderOptions struct {
 type Recorder struct {
 	clock    func() time.Duration
 	slowEval time.Duration
-	logger   *slog.Logger
 	reg      *Registry
 
 	nextID  atomic.Uint64
@@ -114,14 +110,9 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 		epoch := time.Now()
 		clock = func() time.Duration { return time.Since(epoch) }
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
 	r := &Recorder{
 		clock:    clock,
 		slowEval: opts.SlowEval,
-		logger:   logger,
 		reg:      NewRegistry(),
 		ring:     make([]Span, cap),
 	}
@@ -264,7 +255,7 @@ func (t Timer) End() time.Duration {
 		Start: t.start, Dur: d,
 	})
 	if t.cat == CatEval && t.rec.slowEval > 0 && d >= t.rec.slowEval {
-		t.rec.logger.Warn("slow evaluation",
+		slog.Warn("slow evaluation",
 			"backend", t.name, "corner", t.arg,
 			"duration", d, "threshold", t.rec.slowEval)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"log"
 	"log/slog"
 	"math"
 	"regexp"
@@ -140,12 +141,15 @@ func TestRecorderConcurrency(t *testing.T) {
 
 func TestSlowEvalWarning(t *testing.T) {
 	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, nil))
+	// SetDefault redirects package log; restoring slog's default does not.
+	defer slog.SetDefault(slog.Default())
+	defer log.SetFlags(log.Flags())
+	defer log.SetOutput(log.Writer())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
 	clk := &fakeClock{}
 	rec := NewRecorder(RecorderOptions{
 		Clock:    clk.read,
 		SlowEval: 10 * time.Millisecond,
-		Logger:   logger,
 	})
 
 	fast := rec.StartSpan(0, CatEval, "behavioral", "cfg@nominal")

@@ -68,14 +68,13 @@ func (b sleepBackend) EvaluateCell(_ engine.Eval, j engine.Job) (engine.Metrics,
 	return fakeMetrics(j.Config, j.Cond), nil
 }
 
-// BenchmarkRemoteMatrix quantifies the tentpole in three regimes. cold/* is
-// the real end-to-end cost of a golden matrix on this host, serial versus
+// BenchmarkRemoteMatrix measures the fleet in three regimes. cold/* is the
+// real end-to-end cost of a golden matrix on this host, serial versus
 // fleet (on a single-core host the fleet's duplicated per-worker trims make
 // this an overhead measurement; on multi-core it is the speed-up). scale/*
-// pins the distribution win itself with service-time-bound workers: 4
-// workers must beat local serial by well over 2×. warm/* is the rerun over
-// a shared store, which must ship nothing. CI records all series in
-// BENCH_remote.json and gates them against the previous run.
+// shows the distribution win itself with service-time-bound workers: 4
+// workers should beat local serial by well over 2×. warm/* is the rerun
+// over a shared store, which must ship nothing (it fails otherwise).
 func BenchmarkRemoteMatrix(b *testing.B) {
 	calib := core.QuickCalibration()
 	jobs := benchJobs()

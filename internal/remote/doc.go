@@ -13,8 +13,10 @@
 // local run, and cells no worker can take run through engine.Local.
 //
 // Sharding is key-range over engine.Key.Hash, the same host-stable hash the
-// store uses, so a given cell lands on the same worker across batches and
-// runs (store/trim affinity). Work stealing rebalances slow workers, dead
+// store uses. Workers keep no store, and the hash covers the condition, so
+// a config's cells spread across workers, each calibrating its golden trim
+// (41 of the 48 default-grid configs at three conditions split across 2
+// workers). Work stealing rebalances slow workers, dead
 // workers have their in-flight cells reassigned exactly once per loss, and
 // a fleet with zero live workers degrades to local evaluation rather than
 // failing. Backends are deterministic, so first-result-wins deduplication

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,10 +218,11 @@ type dispatch struct {
 	span    obs.SpanID
 	onDone  func(i int, met engine.Metrics, err error)
 
-	mu         sync.Mutex
-	cells      []dispCell
-	unresolved int
-	done       chan struct{}
+	mu          sync.Mutex
+	cells       []dispCell
+	outstanding map[uint64]int // per worker ID: unresolved cells it owns
+	unresolved  int
+	done        chan struct{}
 }
 
 // dispCell tracks one cell's shipment state.
@@ -231,10 +233,10 @@ type dispCell struct {
 }
 
 // shardIndex maps a key hash onto [0, n) by range: the upper 32 bits of
-// the hash scaled into n equal segments. Contiguous hash ranges land on
-// the same worker, so a worker repeatedly sees the same key region —
-// store/trim affinity — and the mapping is a pure function of (hash, n):
-// identical across processes and runs.
+// the hash scaled into n equal segments. The mapping is a pure function of
+// (hash, n), identical across processes and runs. The hash covers the
+// condition, so one config's cells can land on different workers, and each
+// of them calibrates that config's golden trim.
 func shardIndex(hash uint64, n int) int {
 	return int((hash >> 32) * uint64(n) >> 32)
 }
@@ -252,15 +254,16 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	}
 	bname := backend.Name()
 	d := &dispatch{
-		fleet:   f,
-		ev:      ev,
-		local:   backend,
-		backend: bname,
-		jobs:    jobs,
-		hashes:  make([]uint64, len(jobs)),
-		cells:   make([]dispCell, len(jobs)),
-		done:    make(chan struct{}),
-		onDone:  onDone,
+		fleet:       f,
+		ev:          ev,
+		local:       backend,
+		backend:     bname,
+		jobs:        jobs,
+		hashes:      make([]uint64, len(jobs)),
+		cells:       make([]dispCell, len(jobs)),
+		outstanding: map[uint64]int{},
+		done:        make(chan struct{}),
+		onDone:      onDone,
 	}
 	for i, j := range jobs {
 		d.hashes[i] = engine.Key{Backend: bname, Job: j}.Hash()
@@ -330,12 +333,12 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	}
 }
 
-// ship marks idxs outstanding on w and writes one batch frame. The cells
-// are marked BEFORE the write, so any failure path — the worker died
-// between snapshot and ship, or the write itself broke — finds them owned
-// by a dead worker and reassigns them through the uniform reassignFrom
-// path; no interleaving can strand a cell. steal re-ships cells that are
-// already outstanding elsewhere.
+// ship marks idxs outstanding on w and writes them in frames of at most
+// maxBatchCells, the worker's decoding bound. All cells are marked BEFORE
+// the first write, so any failure path — the worker died between snapshot
+// and ship, or a write broke — finds them owned by a dead worker and
+// reassigns them through the uniform reassignFrom path; no interleaving
+// can strand a cell. steal re-ships cells outstanding elsewhere.
 func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 	cells := make([]batchCell, 0, len(idxs))
 	d.mu.Lock()
@@ -346,6 +349,7 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		}
 		c.ships++
 		c.owners = append(c.owners, w.id)
+		d.outstanding[w.id]++
 		cells = append(cells, batchCell{Index: uint32(i), Job: d.jobs[i]})
 	}
 	d.mu.Unlock()
@@ -356,7 +360,6 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		f.reassignAfterFailedShip(d, w)
 		return
 	}
-	frame := appendBatch(nil, batchFrame{Dispatch: d.id, Backend: d.backend, Cells: cells})
 
 	var arg string
 	if f.rec != nil {
@@ -367,9 +370,22 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		name = "re-ship"
 	}
 	sspan := f.rec.StartSpan(d.span, obs.CatRemote, name, arg)
-	w.wmu.Lock()
-	_, err := w.conn.Write(frame)
-	w.wmu.Unlock()
+	var err error
+	for len(cells) > 0 && err == nil {
+		n := min(len(cells), maxBatchCells)
+		frame := appendBatch(nil, batchFrame{Dispatch: d.id, Backend: d.backend, Cells: cells[:n]})
+		cells = cells[n:]
+		w.wmu.Lock()
+		_, err = w.conn.Write(frame)
+		w.wmu.Unlock()
+		if err == nil {
+			f.n.cellsShipped.Add(uint64(n))
+			f.n.bytesSent.Add(uint64(len(frame)))
+			if steal {
+				f.n.retries.Add(uint64(n))
+			}
+		}
+	}
 	sspan.End()
 	if err != nil {
 		// dropWorker reassigns everything w owned — unless another path
@@ -378,12 +394,6 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		// concurrent reassignment already moved).
 		f.dropWorker(w, fmt.Errorf("write: %w", err))
 		f.reassignAfterFailedShip(d, w)
-		return
-	}
-	f.n.cellsShipped.Add(uint64(len(cells)))
-	f.n.bytesSent.Add(uint64(len(frame)))
-	if steal {
-		f.n.retries.Add(uint64(len(cells)))
 	}
 }
 
@@ -412,6 +422,9 @@ func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint
 		return
 	}
 	d.cells[idx].resolved = true
+	for _, owner := range d.cells[idx].owners {
+		d.outstanding[owner]--
+	}
 	d.mu.Unlock()
 
 	if err == nil {
@@ -453,34 +466,28 @@ func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint
 // work unboundedly.
 func (d *dispatch) maybeSteal(w *workerConn) {
 	d.mu.Lock()
-	perOwner := map[uint64][]int{}
-	for i := range d.cells {
-		c := &d.cells[i]
-		if c.resolved {
-			continue
-		}
-		for _, owner := range c.owners {
-			perOwner[owner] = append(perOwner[owner], i)
-		}
-	}
-	if len(perOwner[w.id]) > 0 {
+	if d.outstanding[w.id] > 0 {
 		d.mu.Unlock()
 		return // w still has outstanding cells; nothing to steal yet
 	}
 	busiest, busiestN := uint64(0), 0
-	for owner, idxs := range perOwner {
+	for owner, n := range d.outstanding {
 		// Deterministic victim choice: strictly more cells wins, ties go to
 		// the lower worker ID (map order must not pick the victim).
-		if len(idxs) > busiestN || (len(idxs) == busiestN && busiestN > 0 && owner < busiest) {
-			busiest, busiestN = owner, len(idxs)
+		if n > busiestN || (n == busiestN && busiestN > 0 && owner < busiest) {
+			busiest, busiestN = owner, n
 		}
 	}
 	if busiestN < 2 {
 		d.mu.Unlock()
 		return
 	}
-	victim := perOwner[busiest]
-	sort.Ints(victim)
+	var victim []int // ascending
+	for i := range d.cells {
+		if c := &d.cells[i]; !c.resolved && slices.Contains(c.owners, busiest) {
+			victim = append(victim, i)
+		}
+	}
 	var take []int
 	for _, i := range victim[len(victim)/2:] {
 		if d.cells[i].ships < 2 {
@@ -560,6 +567,7 @@ func (f *Fleet) reassignFrom(d *dispatch, w *workerConn, remaining []*workerConn
 		for _, owner := range c.owners {
 			if owner == w.id {
 				owned = true
+				d.outstanding[owner]--
 				continue
 			}
 			kept = append(kept, owner)

@@ -466,6 +466,26 @@ func TestFleetSingleCell(t *testing.T) {
 	}
 }
 
+// TestFleetSplitsOversizedBatch: a worker's share above maxBatchCells goes
+// out as several frames, not one the worker rejects (losing the fleet).
+func TestFleetSplitsOversizedBatch(t *testing.T) {
+	leakCheck(t)
+	fleet := startFleet(t, nil)
+	startWorker(t, fleet, &fakeBackend{name: "behavioral"}, 2)
+	jobs := testJobs(maxBatchCells/3 + 1) // 131,073 cells
+	got, want := make([]engine.Metrics, len(jobs)), make([]engine.Metrics, len(jobs))
+	fleet.EvaluateJobs(engine.Eval{Workers: 2}, &fakeBackend{name: "behavioral"}, jobs, func(i int, met engine.Metrics, err error) {
+		if err != nil {
+			t.Errorf("cell %d: %v", i, err)
+		}
+		got[i], want[i] = met, fakeMetrics(jobs[i].Config, jobs[i].Cond)
+	})
+	metricsEqual(t, got, want)
+	if st := fleet.Stats(); st.Results != uint64(len(jobs)) || st.LocalFallbacks != 0 || st.Reassignments != 0 || st.Workers != 1 {
+		t.Fatalf("fleet after %d cells: %v, want every result from the one worker", len(jobs), st)
+	}
+}
+
 // TestDispatchNestsUnderBatch: with one recorder shared by the engine and
 // the fleet, the engine's batch span parents the remote work — the dispatch,
 // its ship spans and the worker-reported eval spans — so a subtree of the

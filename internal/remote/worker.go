@@ -56,7 +56,6 @@ type Worker struct {
 	backends map[string]engine.Backend
 	berrs    map[string]error
 
-	wg     sync.WaitGroup
 	donec  chan struct{}
 	closed sync.Once
 }
@@ -119,7 +118,6 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 		berrs:    map[string]error{},
 		donec:    make(chan struct{}),
 	}
-	w.wg.Add(1)
 	go w.readLoop(r)
 	return w, nil
 }
@@ -133,19 +131,16 @@ func (w *Worker) Close() error {
 	return err
 }
 
-// Wait blocks until the connection is gone — coordinator shutdown, a
-// network failure, or Close — and returns the cause (nil after a clean
-// Close). cmd/optima-worker's reconnect loop sits on it.
-func (w *Worker) Wait() error {
+// Wait blocks until the connection is gone: coordinator shutdown, a
+// network failure, or Close. cmd/optima-worker's reconnect loop sits on it.
+func (w *Worker) Wait() {
 	<-w.donec
-	return nil
 }
 
 // readLoop consumes batch frames until the connection breaks. Each batch
 // evaluates on its own goroutine so a long batch never blocks the intake
 // of the next frame.
 func (w *Worker) readLoop(r *bufio.Reader) {
-	defer w.wg.Done()
 	defer close(w.donec)
 	for {
 		typ, payload, _, err := readFrame(r)
@@ -164,7 +159,6 @@ func (w *Worker) readLoop(r *bufio.Reader) {
 			w.Close()
 			return
 		}
-		w.wg.Add(1)
 		go w.runBatch(batch)
 	}
 }
@@ -195,7 +189,6 @@ func (w *Worker) backendFor(name string) (engine.Backend, error) {
 // batch spends the whole capacity inside the cell — the same budget logic
 // as engine.Local for n = 1.
 func (w *Worker) runBatch(batch batchFrame) {
-	defer w.wg.Done()
 	backend, berr := w.backendFor(batch.Backend)
 	intra := 1
 	if len(batch.Cells) == 1 {
@@ -210,9 +203,7 @@ func (w *Worker) runBatch(batch batchFrame) {
 			continue
 		}
 		w.sem <- struct{}{}
-		w.wg.Add(1)
 		go func(cell batchCell) {
-			defer w.wg.Done()
 			defer func() { <-w.sem }()
 			w.runCell(batch.Dispatch, backend, batch.Backend, cell, intra)
 		}(cell)

@@ -12,8 +12,7 @@ import (
 
 // BenchmarkSearchAdaptive tracks the adaptive explorer end to end on the
 // 1200-corner acceptance space: a cold behavioral screen plus halving and
-// selection overhead. It rides in CI's BENCH_engine.json next to the sweep
-// benchmarks, so the bench-regression gate covers the search hot path too.
+// selection overhead.
 func BenchmarkSearchAdaptive(b *testing.B) {
 	m := testModel(b)
 	sp := search.FromGrid(dse.DefaultGrid())

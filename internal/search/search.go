@@ -402,7 +402,7 @@ func evaluateRung(ctx context.Context, eng *engine.Engine, pool []mult.Config, c
 // worker-invariance contract.
 func paretoOrder(mets []dse.Metrics) []int {
 	n := len(mets)
-	rank := paretoRanks(mets)
+	rank := dse.ParetoRanks(mets)
 	crowd := crowdingDistances(mets, rank)
 	order := make([]int, n)
 	for i := range order {
@@ -419,64 +419,6 @@ func paretoOrder(mets []dse.Metrics) []int {
 		return ia < ib
 	})
 	return order
-}
-
-// objectives is one candidate's (EpsMul, EMul), the pair the ranking
-// compares: paretoRanks projects them out of the Metrics once, so its
-// quadratic dominance loop reads two floats per candidate rather than
-// copying two whole Metrics per comparison.
-type objectives struct{ eps, energy float64 }
-
-// dominates reports Pareto dominance of a over b in (EpsMul, EMul).
-func (a objectives) dominates(b objectives) bool {
-	return a.eps <= b.eps && a.energy <= b.energy &&
-		(a.eps < b.eps || a.energy < b.energy)
-}
-
-// paretoRanks peels non-dominated fronts: rank 0 is the Pareto front, rank
-// 1 the front of the rest, and so on (the NSGA-II layering).
-func paretoRanks(mets []dse.Metrics) []int {
-	n := len(mets)
-	obj := make([]objectives, n)
-	for i, m := range mets {
-		obj[i] = objectives{m.EpsMul, m.EMul}
-	}
-	rank := make([]int, n)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for level := 0; len(remaining) > 0; level++ {
-		var front, rest []int
-		for _, i := range remaining {
-			dominated := false
-			for _, j := range remaining {
-				if i != j && obj[j].dominates(obj[i]) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				rest = append(rest, i)
-			} else {
-				front = append(front, i)
-			}
-		}
-		if len(front) == 0 {
-			// Cannot happen with a strict dominance relation (every finite
-			// poset has minimal elements); guard against infinite loops if
-			// metrics contain NaN, which breaks the order axioms.
-			for _, i := range rest {
-				rank[i] = level
-			}
-			break
-		}
-		for _, i := range front {
-			rank[i] = level
-		}
-		remaining = rest
-	}
-	return rank
 }
 
 // crowdingDistances computes the per-candidate crowding distance within its

@@ -103,7 +103,7 @@ func newServerMetrics(rec *obs.Recorder) serverMetrics {
 // /metrics, and serves per-job span subtrees as Chrome trace JSON.
 func New(expCtx *exp.Context) *Server {
 	if expCtx.Recorder == nil {
-		expCtx.Recorder = obs.NewRecorder(obs.RecorderOptions{Logger: slog.Default()})
+		expCtx.Recorder = obs.NewRecorder(obs.RecorderOptions{})
 	}
 	s := &Server{
 		exp:      expCtx,

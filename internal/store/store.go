@@ -2,8 +2,7 @@
 // the evaluation engine's disk tier: engine.Metrics keyed on the engine's
 // stable (backend, config, condition) key plus a model/calibration
 // fingerprint, spilled to disk so corner results survive the process —
-// `optima all` after `optima dse` pays zero re-evaluation, and CI jobs
-// reuse each other's corners.
+// `optima all` after `optima dse` pays zero re-evaluation.
 //
 // Layout and durability model:
 //
