@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -133,7 +132,7 @@ type Dispatcher interface {
 
 // Local is the default Dispatcher: it fans the batch out on the shared
 // scheduler (internal/sched), splitting the worker budget between job-level
-// fan-out and each cell's intra-job share (splitBudget). A cell whose turn
+// fan-out and each cell's intra-job share (sched.Split). A cell whose turn
 // comes after cancellation is reported with ctx.Err() without running, and
 // a panicking backend is recovered into that cell's error.
 type Local struct{}
@@ -141,7 +140,7 @@ type Local struct{}
 // EvaluateJobs implements Dispatcher.
 func (Local) EvaluateJobs(ev Eval, backend Backend, jobs []Job, onDone func(i int, met Metrics, err error)) {
 	ctx := ev.Context()
-	jobWorkers, intra, extra := splitBudget(ev.Workers, len(jobs))
+	jobWorkers, intra, extra := sched.Split(ev.Workers, len(jobs))
 	_, _ = sched.Map(jobWorkers, jobs, func(i int, job Job) (struct{}, error) {
 		if err := ctx.Err(); err != nil {
 			onDone(i, Metrics{}, err)
@@ -167,35 +166,6 @@ func evaluateCell(backend Backend, ev Eval, job Job) (met Metrics, err error) {
 		}
 	}()
 	return backend.EvaluateCell(ev, job)
-}
-
-// splitBudget divides a total worker budget (<= 0 = GOMAXPROCS) across n
-// runnable jobs: up to n jobs run concurrently, each granted intra workers
-// of internal parallelism, with the first extra jobs granted one more so a
-// budget that doesn't divide evenly is not stranded. The sum of grants over
-// any jobWorkers concurrent jobs never exceeds the budget (when n <= total
-// every job may be in flight and the grants sum to exactly total;
-// otherwise intra is 1). A single job gets the whole budget — the case
-// that makes a lone golden corner ~Nx faster.
-func splitBudget(total, n int) (jobWorkers, intra, extra int) {
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	jobWorkers = total
-	if jobWorkers > n {
-		jobWorkers = n
-	}
-	if jobWorkers < 1 {
-		jobWorkers = 1
-	}
-	intra = total / jobWorkers
-	if intra < 1 {
-		intra = 1
-	}
-	if n <= total {
-		extra = total % jobWorkers
-	}
-	return jobWorkers, intra, extra
 }
 
 // Behavioral is the fast backend: OPTIMA's calibrated models, with the

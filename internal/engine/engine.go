@@ -10,7 +10,7 @@
 // worker pool with deterministic result ordering, a tiered content-addressed
 // result cache keyed on (backend, config, condition), and a pluggable
 // Backend so the same sweep can run against the fast behavioral models or
-// the golden transient solver (or both, for comparison mode).
+// the golden transient solver.
 //
 // The cache has up to three tiers: the in-memory tier (always on), an
 // optional persistent Store (internal/store — survives the process, shared

@@ -227,39 +227,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestSplitBudget(t *testing.T) {
-	eng := New(&fakeBackend{}, 8)
-	cases := []struct {
-		jobs                              int
-		wantWorkers, wantIntra, wantExtra int
-	}{
-		{1, 1, 8, 0},  // one job gets the whole budget
-		{3, 3, 2, 2},  // 3×2 + 2 remainder grants = exactly 8
-		{8, 8, 1, 0},  // exact fit
-		{48, 8, 1, 0}, // more jobs than budget: job-level fan-out only
-	}
-	for _, c := range cases {
-		gotW, gotI, gotE := splitBudget(eng.Workers(), c.jobs)
-		if gotW != c.wantWorkers || gotI != c.wantIntra || gotE != c.wantExtra {
-			t.Errorf("splitBudget(%d) = (%d, %d, %d), want (%d, %d, %d)",
-				c.jobs, gotW, gotI, gotE, c.wantWorkers, c.wantIntra, c.wantExtra)
-		}
-		// The grants of all potentially concurrent jobs must cover — and
-		// never exceed — the budget.
-		inFlight := c.jobs
-		if inFlight > gotW {
-			inFlight = gotW
-		}
-		sum := inFlight*gotI + gotE
-		if sum > eng.Workers() {
-			t.Errorf("splitBudget(%d) oversubscribes: %d×%d + %d extra > %d", c.jobs, inFlight, gotI, gotE, eng.Workers())
-		}
-		if c.jobs <= eng.Workers() && sum != eng.Workers() {
-			t.Errorf("splitBudget(%d) strands budget: %d×%d + %d extra < %d", c.jobs, inFlight, gotI, gotE, eng.Workers())
-		}
-	}
-}
-
 // intraFake records the intra-job budgets the engine grants, so the
 // job-level/intra-job negotiation is observable.
 type intraFake struct {

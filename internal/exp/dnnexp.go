@@ -2,9 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 
 	"optima/internal/dataset"
+	"optima/internal/device"
 	"optima/internal/dnn"
 	"optima/internal/dse"
 	"optima/internal/mult"
@@ -101,7 +101,7 @@ func (c *Context) RunDNN(scale DNNScale) (*DNNData, error) {
 	// session's worker budget is split between the two nesting levels —
 	// models outside, evaluation batches inside — so total concurrency
 	// stays ≈ Workers rather than Workers².
-	inner := splitWorkers(c.Workers, len(scale.Models))
+	_, inner, _ := sched.Split(c.Workers, len(scale.Models))
 	type modelResult struct {
 		imagenet, cifar DNNRow
 	}
@@ -134,21 +134,6 @@ func capDataset(ds *dataset.Dataset, testCap int) {
 	copy(trimmed.Data, ds.Test.Data[:testCap*feat])
 	ds.Test = trimmed
 	ds.TestY = ds.TestY[:testCap]
-}
-
-// splitWorkers divides a worker budget (0 = GOMAXPROCS) across n
-// concurrent outer tasks, returning the per-task inner fan-out.
-func splitWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > workers {
-		n = workers
-	}
-	return workers / n
 }
 
 // runOneModel executes the full protocol for one network. evalWorkers
@@ -234,7 +219,7 @@ func (c *Context) evaluateAllModes(name string, net *dnn.Network, scale DNNScale
 		{sel.Variation.Config, &row.Variation},
 	}
 	for _, corner := range corners {
-		b, err := mult.NewBehavioral(c.Model, corner.cfg, nominalCond())
+		b, err := mult.NewBehavioral(c.Model, corner.cfg, device.Nominal())
 		if err != nil {
 			return row, err
 		}

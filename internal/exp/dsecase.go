@@ -3,16 +3,13 @@ package exp
 import (
 	"fmt"
 
-	"optima/internal/core"
+	"optima/internal/device"
 	"optima/internal/dse"
 	"optima/internal/mult"
 	"optima/internal/refdata"
 	"optima/internal/report"
 	"optima/internal/stats"
 )
-
-// scaledVWL forwards to the shared supply-tracking convention.
-func scaledVWL(vwl, vdd float64) float64 { return core.SupplyScaledVWL(vwl, vdd) }
 
 // Fig7Data holds the design-space exploration artifacts (paper Fig. 7).
 type Fig7Data struct {
@@ -177,7 +174,7 @@ func (c *Context) Fig8() (*Fig8Data, error) {
 		{"variation", sel.Variation.Config},
 	}
 	for _, corner := range corners {
-		prof, err := dse.ProfileByResult(c.Model, corner.cfg, nominalCond())
+		prof, err := dse.ProfileByResult(c.Model, corner.cfg, device.Nominal())
 		if err != nil {
 			return nil, err
 		}

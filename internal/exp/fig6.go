@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"optima/internal/core"
 	"optima/internal/device"
 	"optima/internal/refdata"
 	"optima/internal/report"
@@ -126,7 +127,7 @@ func (c *Context) Fig6() (*Fig6Data, error) {
 // word-line voltage follows the supply-tracking convention of the
 // calibration sweeps.
 func (c *Context) goldenCurve(vwl float64, cond device.PVT, ts []float64) ([]float64, error) {
-	dp := spice.NewDischargePath(c.Tech, scaledVWL(vwl, cond.VDD), cond)
+	dp := spice.NewDischargePath(c.Tech, core.SupplyScaledVWL(vwl, cond.VDD), cond)
 	last := ts[len(ts)-1]
 	res, err := dp.Discharge(last, c.Spice, 0)
 	if err != nil {

@@ -13,9 +13,6 @@ import (
 	"optima/internal/stats"
 )
 
-// nominalCond returns the nominal operating condition.
-func nominalCond() device.PVT { return device.Nominal() }
-
 // SpeedupResult compares OPTIMA's evaluation with behavioral models against
 // golden circuit simulation on the same workload.
 type SpeedupResult struct {
@@ -40,7 +37,7 @@ func (s SpeedupResult) Speedup() float64 {
 // behavioral backend versus the golden backend (paper: 101×).
 func (c *Context) SpeedupInputSpace(cfg mult.Config) (SpeedupResult, error) {
 	out := SpeedupResult{Name: "input-space iteration"}
-	cond := nominalCond()
+	cond := device.Nominal()
 
 	b, err := mult.NewBehavioral(c.Model, cfg, cond)
 	if err != nil {
@@ -82,7 +79,7 @@ func (c *Context) SpeedupInputSpace(cfg mult.Config) (SpeedupResult, error) {
 // the multiplier result distribution at one input pair (paper: 28.1×).
 func (c *Context) SpeedupMonteCarlo(cfg mult.Config, samples int) (SpeedupResult, error) {
 	out := SpeedupResult{Name: "mismatch Monte Carlo"}
-	cond := nominalCond()
+	cond := device.Nominal()
 	const a, d = 11, 13
 
 	b, err := mult.NewBehavioral(c.Model, cfg, cond)

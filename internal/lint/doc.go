@@ -43,8 +43,9 @@
 //
 // Methods of mutex-carrying types must not do expensive or blocking work
 // while locked: backend Evaluate calls, net/http or net traffic, and
-// blocking channel sends are flagged. The hub's drop-slow-subscriber idiom
-// — a send inside select with a default case — is recognized and allowed.
+// blocking channel sends are flagged. The job event stream's
+// drop-slow-subscriber idiom — a send inside select with a default case —
+// is recognized and allowed.
 //
 // # unusedapi
 //

@@ -16,7 +16,8 @@ import (
 // sync.Mutex/RWMutex field, while the receiver's lock is held:
 //
 //   - blocking channel sends (a send inside a select with a default branch
-//     is non-blocking and allowed — the hub's drop-slow-subscriber fan-out);
+//     is non-blocking and allowed — the job event stream's
+//     drop-slow-subscriber fan-out);
 //   - calls to evaluation work (*Evaluate*, Multiply*) or net/http and net
 //     functions.
 //

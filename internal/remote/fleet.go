@@ -83,7 +83,8 @@ type Fleet struct {
 	closed     bool
 	nextWorker uint64
 	nextDisp   uint64
-	workers    []*workerConn // join order; the shard routing domain
+	joining    map[net.Conn]struct{} // accepted, handshake not yet over
+	workers    []*workerConn         // join order; the shard routing domain
 	dispatches map[uint64]*dispatch
 
 	wg sync.WaitGroup
@@ -128,6 +129,7 @@ func Listen(addr string, opts Options) (*Fleet, error) {
 		ln:          ln,
 		log:         log,
 		rec:         opts.Recorder,
+		joining:     map[net.Conn]struct{}{},
 		dispatches:  map[uint64]*dispatch{},
 		n:           &counts{},
 	}
@@ -185,8 +187,9 @@ func (f *Fleet) Stats() FleetStats {
 
 // Close shuts the coordinator down: the listener closes, every worker
 // connection is dropped (their in-flight cells resolve through the local
-// fallback), and Close blocks until the accept loop and every reader have
-// exited. Safe to call more than once.
+// fallback), so is every connection still in its handshake, and Close
+// blocks until the accept loop and every reader have exited. Safe to call
+// more than once.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -194,6 +197,9 @@ func (f *Fleet) Close() error {
 		return nil
 	}
 	f.closed = true
+	for conn := range f.joining {
+		conn.Close() // a peer that never sends its hello would block wg.Wait
+	}
 	ws := append([]*workerConn(nil), f.workers...)
 	f.mu.Unlock()
 	err := f.ln.Close()
@@ -639,18 +645,47 @@ func (f *Fleet) acceptLoop() {
 	}
 }
 
-// handshake validates a dialing worker's hello (protocol version and
-// calibration fingerprint), replies with a welcome, and on acceptance
-// registers the worker and runs its read loop. A rejected worker gets
-// the reason in its welcome frame — its operator sees why, instead of a
-// silent drop.
+// handshake admits a dialing worker: greet validates its hello, and an
+// accepted worker is registered and runs its read loop. Until then the
+// connection is in joining, so Close can end a peer that never speaks.
 func (f *Fleet) handshake(conn net.Conn) {
 	defer f.wg.Done()
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		conn.Close()
+		return
+	}
+	f.joining[conn] = struct{}{}
+	f.mu.Unlock()
+
+	w, r := f.greet(conn)
+	f.mu.Lock()
+	delete(f.joining, conn)
+	if w == nil || f.closed {
+		f.mu.Unlock()
+		conn.Close()
+		return
+	}
+	f.nextWorker++
+	w.id = f.nextWorker
+	f.workers = append(f.workers, w)
+	n := len(f.workers)
+	f.mu.Unlock()
+	f.log.Info("remote: worker joined", "worker", w.id,
+		"addr", conn.RemoteAddr().String(), "capacity", w.capacity, "workers", n)
+	f.readLoop(w, r)
+}
+
+// greet validates a dialing worker's hello (protocol version and
+// calibration fingerprint) and replies with a welcome; it returns the
+// accepted worker, or nil. A rejected worker gets the reason in its
+// welcome frame — its operator sees why, instead of a silent drop.
+func (f *Fleet) greet(conn net.Conn) (*workerConn, *bufio.Reader) {
 	r := bufio.NewReader(conn)
 	typ, payload, n, err := readFrame(r)
 	if err != nil || typ != frameHello {
-		conn.Close()
-		return
+		return nil, nil
 	}
 	f.n.bytesReceived.Add(uint64(n))
 	hello, err := decodeHello(payload)
@@ -669,26 +704,10 @@ func (f *Fleet) handshake(conn net.Conn) {
 			f.n.rejected.Add(1)
 			f.log.Warn("remote: worker rejected", "addr", conn.RemoteAddr().String(), "reason", reject)
 		}
-		conn.Close()
-		return
+		return nil, nil
 	}
 	f.n.bytesSent.Add(uint64(len(frame)))
-
-	w := &workerConn{conn: conn, capacity: int(hello.Capacity)}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		conn.Close()
-		return
-	}
-	f.nextWorker++
-	w.id = f.nextWorker
-	f.workers = append(f.workers, w)
-	n2 := len(f.workers)
-	f.mu.Unlock()
-	f.log.Info("remote: worker joined", "worker", w.id,
-		"addr", conn.RemoteAddr().String(), "capacity", w.capacity, "workers", n2)
-	f.readLoop(w, r)
+	return &workerConn{conn: conn, capacity: int(hello.Capacity)}, r
 }
 
 // readLoop consumes one worker's result stream until the connection

@@ -3,6 +3,8 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -521,5 +523,72 @@ func TestDispatchNestsUnderBatch(t *testing.T) {
 	if dispatches != 1 || ships == 0 || remoteEvals != len(jobs) {
 		t.Fatalf("batch subtree holds %d dispatch, %d ship and %d remote eval spans, want 1, >0 and %d",
 			dispatches, ships, remoteEvals, len(jobs))
+	}
+}
+
+// running reports whether some goroutine's stack holds fn.
+func running(fn string) bool {
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFleetCloseWithSilentPeer: a peer that connects and never sends its
+// hello — a port scan, a stuck worker — does not hold Close up, so it
+// cannot hang a coordinator's shutdown.
+func TestFleetCloseWithSilentPeer(t *testing.T) {
+	leakCheck(t)
+	fleet := startFleet(t, nil)
+	conn, err := net.Dial("tcp", fleet.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitFor(t, time.Second, func() bool { return running("(*Fleet).handshake") })
+
+	closed := make(chan error, 1)
+	go func() { closed <- fleet.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on a peer that never sent its hello")
+	}
+}
+
+// TestWorkerCloseStopsQueuedCells: a worker closed while a batch runs
+// finishes its in-flight cells but starts none of the queued ones — the
+// coordinator has reassigned them, and their results would go nowhere. At
+// most capacity + 1 cells start in total: the one slot, and a cell that
+// may win the slot before the read loop notices the close.
+func TestWorkerCloseStopsQueuedCells(t *testing.T) {
+	leakCheck(t)
+	fleet := startFleet(t, nil)
+	gate := make(chan struct{})
+	remote := &fakeBackend{name: "behavioral", gate: gate}
+	const capacity = 1
+	w := startWorker(t, fleet, remote, capacity)
+
+	jobs := testJobs(10) // 30 cells, one batch frame
+	dispatched := make(chan struct{})
+	go func() {
+		defer close(dispatched)
+		fleet.EvaluateJobs(engine.Eval{Workers: 1}, &fakeBackend{name: "behavioral"}, jobs, func(int, engine.Metrics, error) {})
+	}()
+	waitFor(t, time.Second, func() bool { return remote.evals.Load() == 1 })
+	w.Close()
+	w.Wait()
+	close(gate)
+	<-dispatched
+	waitFor(t, 5*time.Second, func() bool {
+		return !running("(*Worker).runBatch") && !running("(*Worker).runCell")
+	})
+	if n := remote.evals.Load(); n > capacity+1 {
+		t.Fatalf("the closed worker started %d of %d cells, want at most %d", n, len(jobs), capacity+1)
 	}
 }

@@ -123,8 +123,8 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 }
 
 // Close drops the connection. In-flight evaluations finish but their
-// results are discarded (the coordinator reassigns them); Close does not
-// wait for them.
+// results are discarded (the coordinator reassigns them), and queued cells
+// never start; Close does not wait for them.
 func (w *Worker) Close() error {
 	var err error
 	w.closed.Do(func() { err = w.conn.Close() })
@@ -187,7 +187,9 @@ func (w *Worker) backendFor(name string) (engine.Backend, error) {
 // runBatch evaluates one batch's cells under the worker's capacity
 // semaphore, streaming each result back as it completes. A single-cell
 // batch spends the whole capacity inside the cell — the same budget logic
-// as engine.Local for n = 1.
+// as engine.Local for n = 1. Once the connection is gone no further cell
+// starts: the coordinator has reassigned them, and nothing would read
+// their results.
 func (w *Worker) runBatch(batch batchFrame) {
 	backend, berr := w.backendFor(batch.Backend)
 	intra := 1
@@ -202,7 +204,11 @@ func (w *Worker) runBatch(batch batchFrame) {
 			})
 			continue
 		}
-		w.sem <- struct{}{}
+		select {
+		case w.sem <- struct{}{}:
+		case <-w.donec:
+			return
+		}
 		go func(cell batchCell) {
 			defer func() { <-w.sem }()
 			w.runCell(batch.Dispatch, backend, batch.Backend, cell, intra)

@@ -72,3 +72,32 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 	}
 	return out, nil
 }
+
+// Split divides a total worker budget (<= 0 = GOMAXPROCS) across n
+// runnable jobs: up to n jobs run concurrently, each granted intra workers
+// of internal parallelism, with the first extra jobs granted one more so a
+// budget that doesn't divide evenly is not stranded. The sum of grants over
+// any jobWorkers concurrent jobs never exceeds the budget (when n <= total
+// every job may be in flight and the grants sum to exactly total;
+// otherwise intra is 1). A single job gets the whole budget — the case
+// that makes a lone golden corner ~Nx faster.
+func Split(total, n int) (jobWorkers, intra, extra int) {
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	jobWorkers = total
+	if jobWorkers > n {
+		jobWorkers = n
+	}
+	if jobWorkers < 1 {
+		jobWorkers = 1
+	}
+	intra = total / jobWorkers
+	if intra < 1 {
+		intra = 1
+	}
+	if n <= total {
+		extra = total % jobWorkers
+	}
+	return jobWorkers, intra, extra
+}

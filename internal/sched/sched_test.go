@@ -44,3 +44,36 @@ func TestMapWorkerClamping(t *testing.T) {
 		}
 	}
 }
+
+func TestSplit(t *testing.T) {
+	const total = 8
+	cases := []struct {
+		jobs                              int
+		wantWorkers, wantIntra, wantExtra int
+	}{
+		{1, 1, 8, 0},  // one job gets the whole budget
+		{3, 3, 2, 2},  // 3×2 + 2 remainder grants = exactly 8
+		{8, 8, 1, 0},  // exact fit
+		{48, 8, 1, 0}, // more jobs than budget: job-level fan-out only
+	}
+	for _, c := range cases {
+		gotW, gotI, gotE := Split(total, c.jobs)
+		if gotW != c.wantWorkers || gotI != c.wantIntra || gotE != c.wantExtra {
+			t.Errorf("Split(%d) = (%d, %d, %d), want (%d, %d, %d)",
+				c.jobs, gotW, gotI, gotE, c.wantWorkers, c.wantIntra, c.wantExtra)
+		}
+		// The grants of all potentially concurrent jobs must cover — and
+		// never exceed — the budget.
+		inFlight := c.jobs
+		if inFlight > gotW {
+			inFlight = gotW
+		}
+		sum := inFlight*gotI + gotE
+		if sum > total {
+			t.Errorf("Split(%d) oversubscribes: %d×%d + %d extra > %d", c.jobs, inFlight, gotI, gotE, total)
+		}
+		if c.jobs <= total && sum != total {
+			t.Errorf("Split(%d) strands budget: %d×%d + %d extra < %d", c.jobs, inFlight, gotI, gotE, total)
+		}
+	}
+}

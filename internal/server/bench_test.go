@@ -9,7 +9,7 @@ import (
 // store: POST the job, follow its event stream to the terminal event,
 // GET the result. After the first iteration every cell is a memory-tier
 // hit, so this tracks the server's own overhead (routing, session
-// bookkeeping, hub fan-out, JSON) rather than backend time.
+// bookkeeping, event fan-out, JSON) rather than backend time.
 func BenchmarkServerSubmitSweep(b *testing.B) {
 	srv := New(testExp(b))
 	ts := httptest.NewServer(srv.Handler())

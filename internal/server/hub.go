@@ -1,21 +1,22 @@
 package server
 
-// hub.go is the live-progress fan-out behind the event streams: one topic
-// per job, each event marshaled exactly once and broadcast as raw bytes to
-// every subscriber. A topic is opened once, when its job is submitted, and
-// keeps its job's full event history until it is dropped — with its
-// session, or when the server evicts the finished job's result to stay
-// within its retention budget (retention.go), which counts the history's
-// bytes with the result. Until then a subscriber attaching after a job
-// finished still replays every event up to and including the terminal
-// one, and a client resuming from a seq (its Last-Event-ID) replays
-// exactly what it has not seen — the CI smoke's "follow the stream to
-// done" never races job completion. Nothing re-creates a dropped topic:
-// publishing to it does nothing, and subscribing to it reports it gone.
+// hub.go is the live-progress fan-out behind the event streams. Each job
+// owns its stream: the events live on the job record, under the job's
+// lock, each marshaled exactly once and broadcast as raw bytes to every
+// subscriber. A stream opens with the job's first event and keeps the
+// job's full event history until it is dropped — with its session, or
+// when the server evicts the finished job's result to stay within its
+// retention budget (retention.go), which counts the history's bytes with
+// the result. Until then a subscriber attaching after a job finished still
+// replays every event up to and including the terminal one, and a client
+// resuming from a seq (its Last-Event-ID) replays exactly what it has not
+// seen — the CI smoke's "follow the stream to done" never races job
+// completion. A dropped stream never reopens: publishing to it does
+// nothing, and subscribing to it reports it gone.
 
 import (
 	"encoding/json"
-	"sync"
+	"sync/atomic"
 
 	"optima/internal/obs"
 	"optima/internal/search"
@@ -43,17 +44,18 @@ type Event struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// Event types. The last three are terminal: they close the topic.
+// Event types. The last three are terminal: they end the stream, and each
+// is the name of the job state it reports.
 const (
 	EventState    = "state"
 	EventProgress = "progress"
 	EventRung     = "rung"
-	EventDone     = "done"
-	EventFailed   = "failed"
-	EventCanceled = "canceled"
+	EventDone     = JobDone
+	EventFailed   = JobFailed
+	EventCanceled = JobCanceled
 )
 
-// Terminal reports whether the event ends its topic's stream.
+// Terminal reports whether the event ends its job's stream.
 func (e Event) Terminal() bool {
 	return e.Type == EventDone || e.Type == EventFailed || e.Type == EventCanceled
 }
@@ -63,177 +65,145 @@ func (e Event) Terminal() bool {
 // closed) rather than allowed to stall the job's progress callbacks.
 const subBuffer = 64
 
-// Hub routes job events to event-stream subscribers, one topic per job ID.
-type Hub struct {
-	// dropped counts slow subscribers disconnected by Publish
-	// (optima_hub_dropped_total); nil until instrument — a nil counter
-	// no-ops, so the hub works unregistered (tests construct it bare).
-	dropped *obs.Counter
-
-	mu     sync.Mutex
-	topics map[string]*topic
+// streamCounts is the server-wide account of its jobs' streams behind the
+// optima_hub_* series and the /api/status hub block: streams open (jobs
+// whose stream has an event and is not dropped), subscribers attached, and
+// slow subscribers disconnected. Jobs update it where a stream opens or
+// drops and where a subscriber attaches or detaches.
+type streamCounts struct {
+	open, subscribers atomic.Int64
+	dropped           *obs.Counter // nil-safe: a bare count records no drops
 }
 
-// topic is one job's stream. history[i] is the event with seq i+1, and
-// bytes is the history's total size.
-type topic struct {
-	seq     uint64
-	history [][]byte
-	bytes   int
-	// subs maps each live channel to the seq its subscriber resumed after;
-	// only a subscriber that resumed past the current seq skips anything.
-	subs map[chan []byte]uint64
-	done bool
+// publish appends an event to the job's stream; see emit.
+func (j *job) publish(ev Event) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.emit(ev)
 }
 
-// NewHub returns an empty hub.
-func NewHub() *Hub {
-	return &Hub{topics: make(map[string]*topic)}
-}
-
-// Open creates a job's topic. The server opens each job's topic once, at
-// submission, before the job can be looked up.
-func (h *Hub) Open(job string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.topics[job] == nil {
-		h.topics[job] = &topic{subs: make(map[chan []byte]uint64)}
-	}
-}
-
-// Publish stamps the event's sequence number, marshals it once, and fans
-// the bytes out. A terminal event closes the topic: subscriber channels
-// are closed after delivery and later publishes are ignored. Publishing
-// to a topic that is not open — dropped, say, while its job still runs —
-// does nothing.
-func (h *Hub) Publish(job string, ev Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topics[job]
-	if t == nil || t.done {
+// emit stamps the event's sequence number, marshals it once, and fans the
+// bytes out. A terminal event ends the stream: subscriber channels are
+// closed after delivery and later events are ignored, as they are on a
+// dropped stream. j.mu must be held.
+func (j *job) emit(ev Event) {
+	if j.ended || j.dropped {
 		return
 	}
-	t.seq++
-	ev.Seq = t.seq
-	ev.Job = job
+	if len(j.history) == 0 {
+		j.streams.open.Add(1)
+	}
+	ev.Seq = uint64(len(j.history)) + 1
+	ev.Job = j.id
 	data, err := json.Marshal(ev)
 	if err != nil {
 		// Event is a plain value struct; marshaling cannot fail.
 		panic("server: " + err.Error())
 	}
-	t.history = append(t.history, data)
-	t.bytes += len(data)
-	for ch, after := range t.subs {
-		if ev.Seq <= after {
-			continue
+	j.history = append(j.history, data)
+	j.historyBytes += len(data)
+	if !ev.Terminal() {
+		for ch, after := range j.subs {
+			if ev.Seq > after && !j.deliver(ch, data) {
+				j.detach(ch)
+			}
 		}
-		select {
-		case ch <- data:
-		default:
-			delete(t.subs, ch)
-			close(ch)
-			h.dropped.Inc()
-		}
+		return
 	}
-	if ev.Terminal() {
-		t.done = true
-		for ch := range t.subs {
-			delete(t.subs, ch)
-			close(ch)
+	// The subscribers are counted off before the terminal event reaches
+	// them, so a client that has read it finds none attached.
+	j.ended = true
+	j.streams.subscribers.Add(-int64(len(j.subs)))
+	for ch, after := range j.subs {
+		if ev.Seq > after {
+			j.deliver(ch, data)
 		}
+		close(ch)
+	}
+	j.subs = nil
+}
+
+// deliver hands data to a subscriber without blocking. A subscriber that
+// has fallen subBuffer events behind is not waited for: deliver counts it
+// as dropped and reports false, and the caller closes its channel.
+func (j *job) deliver(ch chan []byte, data []byte) bool {
+	select {
+	case ch <- data:
+		return true
+	default:
+		j.streams.dropped.Inc()
+		return false
 	}
 }
 
-// Subscribe atomically snapshots the topic's history after seq `after` and
-// registers a live channel, so no event is missed or duplicated across the
-// boundary: the events returned and then received carry seqs after+1,
-// after+2, … without a gap. after = 0 replays everything. On a finished
-// topic the returned channel is already closed — the history ends with the
-// terminal event, or is empty when after is at or past it. On a topic that
-// is not open (dropped, or never opened) the channel is closed and ok is
-// false.
-func (h *Hub) Subscribe(job string, after uint64) (history [][]byte, ch chan []byte, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// subscribe atomically snapshots the stream's history after seq `after`
+// and attaches a live channel, so no event is missed or duplicated across
+// the boundary: the events returned and then received carry seqs after+1,
+// after+2, … without a gap. after = 0 replays everything. On an ended
+// stream the returned channel is already closed — the history ends with
+// the terminal event, or is empty when after is at or past it. On a
+// dropped stream the channel is closed and ok is false.
+func (j *job) subscribe(after uint64) (history [][]byte, ch chan []byte, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	ch = make(chan []byte, subBuffer)
-	t := h.topics[job]
-	if t == nil {
+	if j.dropped {
 		close(ch)
 		return nil, ch, false
 	}
-	if after < t.seq {
-		history = append(history, t.history[after:]...)
+	if after < uint64(len(j.history)) {
+		history = append(history, j.history[after:]...)
 	}
-	if t.done {
+	if j.ended {
 		close(ch)
 		return history, ch, true
 	}
-	t.subs[ch] = after
+	if j.subs == nil {
+		j.subs = make(map[chan []byte]uint64)
+	}
+	j.subs[ch] = after
+	j.streams.subscribers.Add(1)
 	return history, ch, true
 }
 
-// historyBytes returns the size of a topic's event history (0 when it is
-// not open).
-func (h *Hub) historyBytes(job string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t := h.topics[job]; t != nil {
-		return t.bytes
-	}
-	return 0
-}
-
-// Unsubscribe detaches a subscriber channel (e.g. the client hung up).
+// unsubscribe detaches a subscriber channel (e.g. the client hung up).
 // Idempotent, and safe to race with a terminal publish: the channel is
-// closed exactly once, by whichever side removes it from the topic.
-func (h *Hub) Unsubscribe(job string, ch chan []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t := h.topics[job]; t != nil {
-		if _, ok := t.subs[ch]; ok {
-			delete(t.subs, ch)
-			close(ch)
-		}
+// closed exactly once, by whichever side removes it from the stream.
+func (j *job) unsubscribe(ch chan []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if _, ok := j.subs[ch]; ok {
+		j.detach(ch)
 	}
 }
 
-// instrument registers the hub's telemetry on a recorder: live topic and
-// subscriber gauges plus the dropped-slow-subscriber counter.
-func (h *Hub) instrument(rec *obs.Recorder) {
-	reg := rec.Metrics()
-	h.dropped = reg.Counter("optima_hub_dropped_total",
-		"Event-stream subscribers disconnected for falling behind (they resume with Last-Event-ID).")
-	reg.GaugeFunc("optima_hub_topics",
-		"Live progress topics (one per job not yet dropped).",
-		func() float64 { t, _ := h.Counts(); return float64(t) })
-	reg.GaugeFunc("optima_hub_subscribers",
-		"Attached event-stream subscribers across all topics.",
-		func() float64 { _, s := h.Counts(); return float64(s) })
+// dropEvents discards the job's stream and disconnects its subscribers,
+// when its session is deleted. Later events do nothing, and later
+// subscribers find it gone.
+func (j *job) dropEvents() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.drop()
 }
 
-// Counts reports the hub's live topic and subscriber totals.
-func (h *Hub) Counts() (topics, subscribers int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, t := range h.topics {
-		subscribers += len(t.subs)
-	}
-	return len(h.topics), subscribers
-}
-
-// Drop discards a topic and disconnects its subscribers — when its session
-// is deleted, or when the server evicts its finished job's result. Later
-// publishes to it do nothing, and later subscribers find it gone.
-func (h *Hub) Drop(job string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topics[job]
-	if t == nil {
+// drop is dropEvents with j.mu held.
+func (j *job) drop() {
+	if j.dropped {
 		return
 	}
-	for ch := range t.subs {
-		delete(t.subs, ch)
-		close(ch)
+	if len(j.history) > 0 {
+		j.streams.open.Add(-1)
 	}
-	delete(h.topics, job)
+	j.dropped = true
+	j.history, j.historyBytes = nil, 0
+	for ch := range j.subs {
+		j.detach(ch)
+	}
+}
+
+// detach removes and closes a subscriber channel. j.mu must be held.
+func (j *job) detach(ch chan []byte) {
+	delete(j.subs, ch)
+	close(ch)
+	j.streams.subscribers.Add(-1)
 }

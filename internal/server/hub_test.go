@@ -11,6 +11,11 @@ import (
 	"time"
 )
 
+// streamJob returns a queued job whose stream reports to counts.
+func streamJob(id string, counts *streamCounts) *job {
+	return newJob(id, "s1", KindSweep, func() {}, counts)
+}
+
 func decodeEvent(t *testing.T, data []byte) Event {
 	t.Helper()
 	var ev Event
@@ -26,15 +31,14 @@ func decodeEvent(t *testing.T, data []byte) Event {
 // nothing from the terminal seq or beyond.
 func TestHubHistoryReplay(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	h.Publish("j1", Event{Type: EventState, State: JobRunning})
-	h.Publish("j1", Event{Type: EventProgress, Done: 3, Total: 10})
-	h.Publish("j1", Event{Type: EventDone})
-	h.Publish("j1", Event{Type: EventProgress, Done: 9, Total: 10}) // after terminal: dropped
+	j := streamJob("j1", &streamCounts{})
+	j.publish(Event{Type: EventState, State: JobRunning})
+	j.publish(Event{Type: EventProgress, Done: 3, Total: 10})
+	j.publish(Event{Type: EventDone})
+	j.publish(Event{Type: EventProgress, Done: 9, Total: 10}) // after terminal: dropped
 
 	for _, after := range []uint64{0, 1, 2, 3, 4, 1 << 40} {
-		history, ch, _ := h.Subscribe("j1", after)
+		history, ch, _ := j.subscribe(after)
 		want := 3 - int(min(after, 3))
 		if len(history) != want {
 			t.Fatalf("after %d: replayed %d events, want %d (publishes after the terminal event are dropped)", after, len(history), want)
@@ -54,7 +58,7 @@ func TestHubHistoryReplay(t *testing.T) {
 			}
 		}
 		if _, ok := <-ch; ok {
-			t.Fatalf("after %d: subscriber channel on a finished topic is not closed", after)
+			t.Fatalf("after %d: subscriber channel on an ended stream is not closed", after)
 		}
 	}
 }
@@ -64,15 +68,14 @@ func TestHubHistoryReplay(t *testing.T) {
 // skips live events up to its seq instead of seeing them twice.
 func TestHubResumeLive(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	h.Publish("j1", Event{Type: EventState, State: JobQueued})
-	h.Publish("j1", Event{Type: EventState, State: JobRunning})
-	history, mid, _ := h.Subscribe("j1", 1)
-	_, ahead, _ := h.Subscribe("j1", 3)
-	h.Publish("j1", Event{Type: EventProgress, Done: 1, Total: 2})
-	h.Publish("j1", Event{Type: EventProgress, Done: 2, Total: 2})
-	h.Publish("j1", Event{Type: EventDone})
+	j := streamJob("j1", &streamCounts{})
+	j.publish(Event{Type: EventState, State: JobQueued})
+	j.publish(Event{Type: EventState, State: JobRunning})
+	history, mid, _ := j.subscribe(1)
+	_, ahead, _ := j.subscribe(3)
+	j.publish(Event{Type: EventProgress, Done: 1, Total: 2})
+	j.publish(Event{Type: EventProgress, Done: 2, Total: 2})
+	j.publish(Event{Type: EventDone})
 
 	seqs := func(history [][]byte, ch chan []byte) []uint64 {
 		var out []uint64
@@ -96,15 +99,14 @@ func TestHubResumeLive(t *testing.T) {
 // order, and the terminal event closes its channel.
 func TestHubLiveDelivery(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	h.Publish("j1", Event{Type: EventState, State: JobQueued})
-	history, ch, _ := h.Subscribe("j1", 0)
+	j := streamJob("j1", &streamCounts{})
+	j.publish(Event{Type: EventState, State: JobQueued})
+	history, ch, _ := j.subscribe(0)
 	if len(history) != 1 {
 		t.Fatalf("history %d, want 1", len(history))
 	}
-	h.Publish("j1", Event{Type: EventProgress, Done: 1, Total: 2})
-	h.Publish("j1", Event{Type: EventDone})
+	j.publish(Event{Type: EventProgress, Done: 1, Total: 2})
+	j.publish(Event{Type: EventDone})
 
 	got := []Event{decodeEvent(t, history[0])}
 	for data := range ch {
@@ -129,11 +131,10 @@ func TestHubLiveDelivery(t *testing.T) {
 // and repeats nothing.
 func TestHubDropsSlowSubscriber(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	_, slow, _ := h.Subscribe("j1", 0)
+	j := streamJob("j1", &streamCounts{})
+	_, slow, _ := j.subscribe(0)
 	for i := 0; i < subBuffer+8; i++ {
-		h.Publish("j1", Event{Type: EventProgress, Done: i + 1, Total: subBuffer + 8})
+		j.publish(Event{Type: EventProgress, Done: i + 1, Total: subBuffer + 8})
 	}
 	// The slow channel was closed on overflow: drain to the close marker.
 	var last uint64
@@ -145,61 +146,58 @@ func TestHubDropsSlowSubscriber(t *testing.T) {
 	if n != subBuffer {
 		t.Fatalf("slow subscriber buffered %d events before the drop, want %d", n, subBuffer)
 	}
-	if rest, _, _ := h.Subscribe("j1", last); len(rest) != 8 || decodeEvent(t, rest[0]).Seq != last+1 {
+	if rest, _, _ := j.subscribe(last); len(rest) != 8 || decodeEvent(t, rest[0]).Seq != last+1 {
 		t.Fatalf("resume after seq %d replayed %d events, want 8 from seq %d", last, len(rest), last+1)
 	}
 	// A fresh subscriber still gets the complete history.
-	history, _, _ := h.Subscribe("j1", 0)
+	history, _, _ := j.subscribe(0)
 	if len(history) != subBuffer+8 {
 		t.Fatalf("history %d events, want %d", len(history), subBuffer+8)
 	}
 }
 
-// TestHubUnsubscribeIdempotent: Unsubscribe is safe to repeat and to race
+// TestHubUnsubscribeIdempotent: unsubscribe is safe to repeat and to race
 // with a terminal publish (no double close).
 func TestHubUnsubscribeIdempotent(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	_, ch, _ := h.Subscribe("j1", 0)
-	h.Unsubscribe("j1", ch)
-	h.Unsubscribe("j1", ch)                 // repeat: no panic
-	h.Publish("j1", Event{Type: EventDone}) // terminal after detach: no panic
+	j := streamJob("j1", &streamCounts{})
+	_, ch, _ := j.subscribe(0)
+	j.unsubscribe(ch)
+	j.unsubscribe(ch)                 // repeat: no panic
+	j.publish(Event{Type: EventDone}) // terminal after detach: no panic
 	if _, ok := <-ch; ok {
 		t.Fatal("unsubscribed channel not closed")
 	}
 }
 
-// TestHubDrop disconnects subscribers and forgets the topic entirely.
+// TestHubDrop disconnects subscribers and forgets the stream entirely.
 func TestHubDrop(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	h.Open("j1")
-	h.Open("j2")
-	h.Publish("j1", Event{Type: EventDone})
-	_, ch, _ := h.Subscribe("j2", 0)
-	h.Drop("j1")
-	h.Drop("j2")
+	counts := &streamCounts{}
+	j1, j2 := streamJob("j1", counts), streamJob("j2", counts)
+	j1.publish(Event{Type: EventDone})
+	_, ch, _ := j2.subscribe(0)
+	j1.dropEvents()
+	j2.dropEvents()
 	if _, ok := <-ch; ok {
-		t.Fatal("Drop left the subscriber channel open")
+		t.Fatal("dropEvents left the subscriber channel open")
 	}
-	if history, _, ok := h.Subscribe("j1", 0); ok || len(history) != 0 {
-		t.Fatalf("dropped topic still open (%v) or replays %d events", ok, len(history))
+	if history, _, ok := j1.subscribe(0); ok || len(history) != 0 {
+		t.Fatalf("dropped stream still open (%v) or replays %d events", ok, len(history))
 	}
 }
 
 // TestHubDropPublishRace: publishers, subscribers and a dropper race on
-// the same topics. A dropped topic is never re-created: once every
-// goroutine is done the hub holds no topic and no subscriber, every
+// the same jobs' streams. A dropped stream never reopens: once every
+// goroutine is done no stream is open and no subscriber attached, every
 // subscriber's channel was closed, and a publish or subscribe after the
 // drop finds nothing. CI runs it under -race -count=10.
 func TestHubDropPublishRace(t *testing.T) {
 	leakCheck(t)
-	h := NewHub()
-	ids := make([]string, 32)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("j%d", i)
-		h.Open(ids[i])
+	counts := &streamCounts{}
+	jobs := make([]*job, 32)
+	for i := range jobs {
+		jobs[i] = streamJob(fmt.Sprintf("j%d", i), counts)
 	}
 	var wg sync.WaitGroup
 	for range 2 {
@@ -207,8 +205,8 @@ func TestHubDropPublishRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 1; round <= 40; round++ {
-				for _, id := range ids {
-					h.Publish(id, Event{Type: EventProgress, Done: round, Total: 40})
+				for _, j := range jobs {
+					j.publish(Event{Type: EventProgress, Done: round, Total: 40})
 				}
 			}
 		}()
@@ -219,11 +217,11 @@ func TestHubDropPublishRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, id := range ids {
+			for _, j := range jobs {
 				// Every channel closes: on the drop, on falling behind, or
-				// at once when the topic is already gone. One that stays
-				// open belongs to a topic a publish re-created.
-				_, ch, _ := h.Subscribe(id, 0)
+				// at once when the stream is already gone. One that stays
+				// open belongs to a stream a publish reopened.
+				_, ch, _ := j.subscribe(0)
 			drain:
 				for {
 					select {
@@ -232,7 +230,7 @@ func TestHubDropPublishRace(t *testing.T) {
 							break drain
 						}
 					case <-ctx.Done():
-						t.Errorf("the subscriber channel of %s never closed", id)
+						t.Errorf("the subscriber channel of %s never closed", j.id)
 						return
 					}
 				}
@@ -242,21 +240,21 @@ func TestHubDropPublishRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, id := range ids {
+		for _, j := range jobs {
 			runtime.Gosched()
-			h.Drop(id)
+			j.dropEvents()
 		}
 	}()
 	wg.Wait()
-	if topics, subs := h.Counts(); topics != 0 || subs != 0 {
-		t.Fatalf("%d topics and %d subscribers after every topic was dropped", topics, subs)
+	if topics, subs := counts.open.Load(), counts.subscribers.Load(); topics != 0 || subs != 0 {
+		t.Fatalf("%d streams open and %d subscribers after every stream was dropped", topics, subs)
 	}
-	h.Publish(ids[0], Event{Type: EventDone})
-	history, ch, ok := h.Subscribe(ids[0], 0)
+	jobs[0].publish(Event{Type: EventDone})
+	history, ch, ok := jobs[0].subscribe(0)
 	if _, open := <-ch; ok || open || history != nil {
 		t.Fatalf("subscribe after the drop: ok %v, channel open %v, %d events", ok, open, len(history))
 	}
-	if topics, _ := h.Counts(); topics != 0 {
-		t.Fatalf("a publish after the drop re-created %d topics", topics)
+	if topics := counts.open.Load(); topics != 0 {
+		t.Fatalf("a publish after the drop reopened %d streams", topics)
 	}
 }

@@ -5,7 +5,7 @@ package server
 // canceled), and the planners that turn a validated request into a
 // cancellable closure over the shared evaluation engines. Validation
 // errors surface synchronously as 400s at submission; everything after
-// submission is reported through the job record and its event topic.
+// submission is reported through the job record and its event stream.
 
 import (
 	"context"
@@ -106,11 +106,14 @@ type MatrixResult struct {
 	Robust     []search.RobustPoint `json:"robust"`
 }
 
-// job is one submitted operation's record.
+// job is one submitted operation's record: its state, result, cancel func
+// and event stream (hub.go), under one lock.
 type job struct {
-	id   string
-	sid  string
-	kind string
+	id      string
+	sid     string
+	kind    string
+	cancel  context.CancelFunc // cancels the run; a no-op once it finished
+	streams *streamCounts      // the server's stream accounting
 
 	mu       sync.Mutex
 	state    string
@@ -120,8 +123,19 @@ type job struct {
 	finished time.Time
 	stats    engine.Stats
 	result   json.RawMessage
-	evicted  bool       // result and topic given up to the retention budget
+	evicted  bool       // result and stream given up to the retention budget
 	span     obs.SpanID // root of the job's trace subtree; 0 until running
+
+	// The event stream: history[i] is the event with seq i+1, and
+	// historyBytes its total size. subs maps each live channel to the seq
+	// its subscriber resumed after; only a subscriber that resumed past
+	// the current seq skips anything. ended is set by the terminal event,
+	// dropped when the stream is given up.
+	history      [][]byte
+	historyBytes int
+	subs         map[chan []byte]uint64
+	ended        bool
+	dropped      bool
 }
 
 // JobStatus is the JSON view of a job.
@@ -152,17 +166,23 @@ type JobStatus struct {
 	ResultEvicted bool `json:"result_evicted,omitempty"`
 }
 
-func newJob(id, sid, kind string) *job {
-	return &job{id: id, sid: sid, kind: kind, state: JobQueued, created: time.Now()}
+func newJob(id, sid, kind string, cancel context.CancelFunc, streams *streamCounts) *job {
+	return &job{id: id, sid: sid, kind: kind, cancel: cancel, streams: streams,
+		state: JobQueued, created: time.Now()}
 }
 
-func (j *job) setRunning() {
+// setRunning starts the job under its trace root and publishes the state.
+func (j *job) setRunning(span obs.SpanID) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = JobRunning
 	j.started = time.Now()
+	j.span = span
+	j.emit(Event{Type: EventState, State: JobRunning})
 }
 
+// finish records the terminal state and publishes it as the stream's
+// terminal event, which carries the job's error text.
 func (j *job) finish(state string, result json.RawMessage, stats engine.Stats, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -173,21 +193,25 @@ func (j *job) finish(state string, result json.RawMessage, stats engine.Stats, e
 	if err != nil {
 		j.errMsg = err.Error()
 	}
+	j.emit(Event{Type: state, Error: j.errMsg})
 }
 
-// evict gives up the finished job's result (its topic is dropped by the
-// caller); the record stays.
+// retainedBytes is what the finished job holds for the retention budget:
+// its result plus its event history.
+func (j *job) retainedBytes() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.result) + j.historyBytes
+}
+
+// evict gives up the finished job's result and event stream; the record
+// stays.
 func (j *job) evict() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.result = nil
 	j.evicted = true
-}
-
-func (j *job) setSpan(id obs.SpanID) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.span = id
+	j.drop()
 }
 
 // rootSpan returns the job's trace root (0 before the job started —
@@ -236,9 +260,9 @@ type plan struct {
 	stats func() engine.Stats
 }
 
-// buildPlan validates a request and compiles it into a plan. Every error
-// is a client error (HTTP 400).
-func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
+// buildPlan validates a request and compiles it into a plan that reports
+// to j's stream. Every error is a client error (HTTP 400).
+func (s *Server) buildPlan(req JobRequest, j *job) (plan, error) {
 	orDefault := func(v, def string) string {
 		if v == "" {
 			return def
@@ -283,7 +307,7 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 	if err != nil {
 		return plan{}, err
 	}
-	progress := s.progressFunc(jobID)
+	progress := j.progressFunc()
 
 	switch req.Kind {
 	case KindSweep, KindMatrix:
@@ -334,7 +358,7 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 			return plan{}, err
 		}
 		opts.OnRung = func(rs search.RungStats) {
-			s.hub.Publish(jobID, Event{Type: EventRung, Rung: &rs})
+			j.publish(Event{Type: EventRung, Rung: &rs})
 		}
 		statsFn := eng.Stats
 		if opts.Final != nil && opts.Final != eng {
@@ -359,12 +383,12 @@ func (s *Server) buildPlan(req JobRequest, jobID string) (plan, error) {
 	}
 }
 
-// progressFunc returns the per-cell progress callback for a job, throttled
-// to ~100 events per batch (plus rung transitions and the final cell) so
-// a 100k-cell sweep does not push 100k stream events — and so topic
+// progressFunc returns the job's per-cell progress callback, throttled to
+// ~100 events per batch (plus rung transitions and the final cell) so a
+// 100k-cell sweep does not push 100k stream events — and so stream
 // histories stay bounded. Calls are serialized by the engine per batch and
 // rungs run sequentially, so the closure needs no lock.
-func (s *Server) progressFunc(jobID string) func(rung, done, total int) {
+func (j *job) progressFunc() func(rung, done, total int) {
 	lastRung, lastDone := -1, -1
 	return func(rung, done, total int) {
 		step := total / 100
@@ -375,62 +399,46 @@ func (s *Server) progressFunc(jobID string) func(rung, done, total int) {
 			return
 		}
 		lastRung, lastDone = rung, done
-		s.hub.Publish(jobID, Event{Type: EventProgress, RungIndex: rung, Done: done, Total: total})
+		j.publish(Event{Type: EventProgress, RungIndex: rung, Done: done, Total: total})
 	}
 }
 
-// runJob executes a planned job to its terminal state. It owns the job's
-// lifecycle events and always releases the session's operation slot.
-func (s *Server) runJob(sess *session, j *job, p plan, ctx context.Context, cancel context.CancelFunc) {
+// runJob executes a planned job to its terminal state: the job publishes
+// its running and terminal events, and runJob releases the session's
+// operation slot, counts the outcome, logs it, and puts the finished job
+// under the retention budget.
+func (s *Server) runJob(sess *session, j *job, p plan, ctx context.Context) {
 	defer s.jobWG.Done()
-	defer cancel()
+	defer j.cancel()
 
-	j.setRunning()
-	s.hub.Publish(j.id, Event{Type: EventState, State: JobRunning})
-	slog.Info("job running", "session", sess.id, "job", j.id, "kind", j.kind)
 	span := s.rec.StartSpan(0, obs.CatJob, j.kind, j.id)
-	j.setSpan(span.ID())
+	j.setRunning(span.ID())
+	slog.Info("job running", "session", sess.id, "job", j.id, "kind", j.kind)
 	s.sm.jobsActive.Add(1)
 	pre := p.stats()
 	result, err := p.run(ctx, span.ID())
 	delta := p.stats().Sub(pre)
 	dur := span.End()
 	s.sm.jobsActive.Add(-1)
-	sess.end(j.id)
+	sess.end(j)
 
+	state := JobDone
+	var data json.RawMessage
 	switch {
 	case err == nil:
-		data, merr := json.Marshal(result)
-		if merr != nil {
-			s.finishJob(sess, j, JobFailed, nil, delta, merr, dur)
-			return
+		if data, err = json.Marshal(result); err != nil {
+			state = JobFailed
 		}
-		s.finishJob(sess, j, JobDone, data, delta, nil, dur)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.finishJob(sess, j, JobCanceled, nil, delta, err, dur)
+		state = JobCanceled
 	default:
-		s.finishJob(sess, j, JobFailed, nil, delta, err, dur)
+		state = JobFailed
 	}
-}
-
-// finishJob records a job's terminal state everywhere it surfaces: the
-// job record, the event topic, the jobs_total counters, and the log. Then
-// it puts the job under the retention budget.
-func (s *Server) finishJob(sess *session, j *job, state string, result json.RawMessage, delta engine.Stats, err error, dur time.Duration) {
-	j.finish(state, result, delta, err)
-	ev := Event{Type: EventDone}
-	ctr := s.sm.jobsDone
-	switch state {
-	case JobFailed:
-		ev = Event{Type: EventFailed, Error: err.Error()}
-		ctr = s.sm.jobsFailed
-	case JobCanceled:
-		ev = Event{Type: EventCanceled, Error: err.Error()}
-		ctr = s.sm.jobsCancel
-	}
-	s.hub.Publish(j.id, ev)
-	ctr.Inc()
-	s.retain(sess, j, len(result)+s.hub.historyBytes(j.id))
+	// Counted before finish publishes the terminal event, so a client that
+	// has read that event finds the job in optima_jobs_total.
+	s.sm.jobs[state].Inc()
+	j.finish(state, data, delta, err)
+	s.retain(sess, j)
 	if err != nil {
 		slog.Warn("job finished", "session", j.sid, "job", j.id, "kind", j.kind,
 			"state", state, "duration", dur, "err", err)

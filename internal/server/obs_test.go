@@ -154,7 +154,7 @@ func TestServerStatusSessionAndHubCounts(t *testing.T) {
 	if len(st.SessionJobs) != 2 || st.SessionJobs[0] != want[0] || st.SessionJobs[1] != want[1] {
 		t.Errorf("session job counts %+v, want %+v", st.SessionJobs, want)
 	}
-	// The finished job's topic is retained for late subscribers; nobody is
+	// The finished job's stream is retained for late subscribers; nobody is
 	// attached anymore.
 	if st.Hub.Topics != 1 || st.Hub.Subscribers != 0 {
 		t.Errorf("hub = %+v, want 1 topic and 0 subscribers", st.Hub)

@@ -3,10 +3,10 @@ package server
 // retention.go bounds what finished jobs keep for the life of the server.
 // Sessions are long-lived and clients rarely delete them, so without a
 // budget every job's result JSON and event history would stay in memory
-// forever. A finished job's retained size is its result plus its topic's
-// event history; once the total passes resultBudget the oldest finished
-// jobs give theirs up — except each session's latest finished job, the one
-// its client is polling. An evicted job keeps its small record (state,
+// forever. A finished job's retained size is its result plus its event
+// history; once the total passes resultBudget the oldest finished jobs
+// give theirs up — except each session's latest finished job, the one its
+// client is polling. An evicted job keeps its small record (state,
 // times, stats); a GET says result_evicted, its event stream answers 410,
 // and resubmitting it is served from the engine's cache tiers.
 
@@ -17,8 +17,8 @@ import "container/list"
 const resultBudget = 4 << 20
 
 // retention is the account of finished jobs that still hold their result
-// and topic, oldest finished first. It is guarded by Server.mu, the lock
-// of the session table, so that a job finishing and its session being
+// and event stream, oldest finished first. It is guarded by Server.mu, the
+// lock of the session table, so that a job finishing and its session being
 // deleted are ordered.
 type retention struct {
 	order  list.List       // of retainedJob
@@ -31,8 +31,8 @@ type retainedJob struct {
 	size int
 }
 
-// add accounts a finished job of a live session and returns the jobs
-// that must give up their result and topic to bring the total back within
+// add accounts a finished job of a live session and returns the jobs that
+// must give up their result and stream to bring the total back within
 // resultBudget: the oldest first, never a session's latest finished job.
 func (r *retention) add(j *job, size int) (victims []*job) {
 	if r.latest == nil {

@@ -31,13 +31,13 @@ func (instantBackend) EvaluateCell(_ engine.Eval, j engine.Job) (engine.Metrics,
 func TestRetentionKeepsEachSessionsLatest(t *testing.T) {
 	var r retention
 	const size = resultBudget / 4
-	idle := newJob("j0", "s-idle", KindSweep)
+	idle := newJob("j0", "s-idle", KindSweep, nil, nil)
 	if v := r.add(idle, size); len(v) != 0 {
 		t.Fatalf("evicted %d jobs within the budget", len(v))
 	}
 	var evicted []string
 	for i := 1; i <= 8; i++ {
-		for _, v := range r.add(newJob(fmt.Sprintf("j%d", i), "s-busy", KindSweep), size) {
+		for _, v := range r.add(newJob(fmt.Sprintf("j%d", i), "s-busy", KindSweep, nil, nil), size) {
 			evicted = append(evicted, v.id)
 		}
 		if r.bytes > resultBudget {
@@ -58,10 +58,10 @@ func TestRetentionKeepsEachSessionsLatest(t *testing.T) {
 }
 
 // TestServerDeleteSessionWhileJobRuns: deleting a session while its job
-// runs leaves no hub topic once the job ends — its publishes after the
-// drop do nothing — a stream opened on a dropped topic answers 410
-// instead of waiting for events that never come, and a submission racing
-// the delete is refused without leaving a topic.
+// runs leaves no open stream once the job ends — its publishes after the
+// drop do nothing — a stream opened on a dropped one answers 410 instead
+// of waiting for events that never come, and a submission racing the
+// delete is refused without leaving a stream.
 func TestServerDeleteSessionWhileJobRuns(t *testing.T) {
 	leakCheck(t)
 	gate := newGateBackend()
@@ -79,7 +79,7 @@ func TestServerDeleteSessionWhileJobRuns(t *testing.T) {
 	}
 	close(gate.release)
 	srv.jobWG.Wait()
-	if topics, _ := srv.hub.Counts(); topics != 0 {
+	if topics := srv.sm.streams.open.Load(); topics != 0 {
 		t.Fatalf("%d hub topics after the deleted session's job ended, want 0", topics)
 	}
 	if v := srv.rec.Metrics().Gauge("optima_hub_topics", "").Value(); v != 0 {
@@ -93,34 +93,34 @@ func TestServerDeleteSessionWhileJobRuns(t *testing.T) {
 	}
 
 	// A stream handler that looked its job up before the drop subscribes
-	// after it: the topic is gone, so the answer is a 410, not a stream
+	// after it: the stream is gone, so the answer is a 410, not a stream
 	// that stays open until the client hangs up.
 	sid = createSession(t, ts.URL)
 	jid := submitJob(t, ts.URL, sid, smallSweep)
 	watchToTerminal(t, ts.URL, sid, jid)
-	srv.hub.Drop(jid)
-	code, _, body := getStream(t, eventsURL(ts.URL, sid, jid), "")
-	if code != http.StatusGone || !strings.Contains(body, "dropped with its session") {
-		t.Fatalf("stream of a dropped topic: %d %s, want 410 saying it was dropped", code, body)
-	}
-
-	// A submission that looked its session up before a delete and begins
-	// after it is refused, and opens no topic that nothing would drop.
 	srv.mu.Lock()
 	sess := srv.sessions[sid]
 	srv.mu.Unlock()
+	sess.getJob(jid).dropEvents()
+	code, _, body := getStream(t, eventsURL(ts.URL, sid, jid), "")
+	if code != http.StatusGone || !strings.Contains(body, "dropped with its session") {
+		t.Fatalf("events of a dropped stream: %d %s, want 410 saying it was dropped", code, body)
+	}
+
+	// A submission that looked its session up before a delete and begins
+	// after it is refused, and opens no stream that nothing would drop.
 	sess.close()
 	if code, body := postJSON(t, ts.URL+"/api/sessions/"+sid+"/jobs", smallSweep, nil); code != http.StatusNotFound {
 		t.Fatalf("submit into a closed session: %d %s, want 404", code, body)
 	}
-	if topics, _ := srv.hub.Counts(); topics != 0 {
+	if topics := srv.sm.streams.open.Load(); topics != 0 {
 		t.Fatalf("%d hub topics after a refused submission, want 0", topics)
 	}
 }
 
 // TestServerRetentionSoak: 2,000 jobs across four sessions on an instant
 // backend. Retained result and event bytes stay within the budget plus each
-// session's latest job, and hub topics never outnumber the retained jobs
+// session's latest job, and open streams never outnumber the retained jobs
 // plus two per session (the active job and the one being retained). An
 // evicted job's GET says so, its events endpoint answers 410 at once, and
 // resubmitting it returns the same result bytes from the cache. No
@@ -163,7 +163,7 @@ func TestServerRetentionSoak(t *testing.T) {
 		if srv.retained.bytes > resultBudget+latest {
 			return fmt.Errorf("%d bytes retained, budget %d plus %d of latest jobs", srv.retained.bytes, resultBudget, latest)
 		}
-		if topics, _ := srv.hub.Counts(); topics > srv.retained.order.Len()+2*sessions {
+		if topics := int(srv.sm.streams.open.Load()); topics > srv.retained.order.Len()+2*sessions {
 			return fmt.Errorf("%d hub topics for %d retained jobs", topics, srv.retained.order.Len())
 		}
 		return nil
@@ -212,7 +212,7 @@ func TestServerRetentionSoak(t *testing.T) {
 	srv.mu.Lock()
 	retained := srv.retained.order.Len()
 	srv.mu.Unlock()
-	if topics, _ := srv.hub.Counts(); topics != retained {
+	if topics := int(srv.sm.streams.open.Load()); topics != retained {
 		t.Fatalf("%d hub topics at rest for %d retained jobs", topics, retained)
 	}
 

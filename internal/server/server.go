@@ -14,6 +14,11 @@
 // against one exp.Context, so overlapping submissions from different users
 // dedupe against the same memory cache and persistent store.
 //
+// Each job is one record: its state, result, cancel func and event stream
+// live under the job's lock, and its own transitions publish its events.
+// Its stream is dropped with its result or its session and never reopens,
+// so no table keyed by job ID outlives the job.
+//
 // Memory stays bounded for the life of the server: the engine's memory
 // tier holds at most 2^14 resolved cells (internal/engine), and finished
 // jobs' results and event histories share a 4 MiB budget beyond each
@@ -43,12 +48,10 @@ import (
 	"optima/internal/obs"
 )
 
-// Server is the service state: the shared experiment context, the session
-// table, and the progress hub. Create with New, serve Handler, stop with
-// Shutdown.
+// Server is the service state: the shared experiment context and the
+// session table. Create with New, serve Handler, stop with Shutdown.
 type Server struct {
 	exp *exp.Context
-	hub *Hub
 	mux *http.ServeMux
 	rec *obs.Recorder
 	sm  serverMetrics
@@ -70,26 +73,34 @@ type Server struct {
 	closing atomic.Bool
 }
 
-// serverMetrics holds the server-level instrument handles. The zero value
-// (every handle nil) is inert, so a bare Server in tests records nothing.
+// serverMetrics holds the server-level instrument handles and the jobs'
+// stream accounting, which its gauges read.
 type serverMetrics struct {
-	jobsActive *obs.Gauge   // optima_jobs_active
-	jobsDone   *obs.Counter // optima_jobs_total{state="done"}
-	jobsFailed *obs.Counter // optima_jobs_total{state="failed"}
-	jobsCancel *obs.Counter // optima_jobs_total{state="canceled"}
-	evicted    *obs.Counter // optima_job_results_evicted_total
+	jobsActive *obs.Gauge              // optima_jobs_active
+	jobs       map[string]*obs.Counter // optima_jobs_total by terminal state
+	evicted    *obs.Counter            // optima_job_results_evicted_total
+	streams    *streamCounts           // optima_hub_*
 }
 
 func newServerMetrics(rec *obs.Recorder) serverMetrics {
 	reg := rec.Metrics()
 	const jobsHelp = "Jobs finished, by terminal state."
+	streams := &streamCounts{dropped: reg.Counter("optima_hub_dropped_total",
+		"Event-stream subscribers disconnected for falling behind (they resume with Last-Event-ID).")}
+	reg.GaugeFunc("optima_hub_topics", "Live progress topics (one per job not yet dropped).",
+		func() float64 { return float64(streams.open.Load()) })
+	reg.GaugeFunc("optima_hub_subscribers", "Attached event-stream subscribers across all topics.",
+		func() float64 { return float64(streams.subscribers.Load()) })
 	return serverMetrics{
 		jobsActive: reg.Gauge("optima_jobs_active", "Jobs currently running."),
-		jobsDone:   reg.Counter("optima_jobs_total", jobsHelp, "state", JobDone),
-		jobsFailed: reg.Counter("optima_jobs_total", jobsHelp, "state", JobFailed),
-		jobsCancel: reg.Counter("optima_jobs_total", jobsHelp, "state", JobCanceled),
+		jobs: map[string]*obs.Counter{
+			JobDone:     reg.Counter("optima_jobs_total", jobsHelp, "state", JobDone),
+			JobFailed:   reg.Counter("optima_jobs_total", jobsHelp, "state", JobFailed),
+			JobCanceled: reg.Counter("optima_jobs_total", jobsHelp, "state", JobCanceled),
+		},
 		evicted: reg.Counter("optima_job_results_evicted_total",
 			"Finished jobs whose result and event history were evicted to stay within the retention budget."),
+		streams: streams,
 	}
 }
 
@@ -107,7 +118,6 @@ func New(expCtx *exp.Context) *Server {
 	}
 	s := &Server{
 		exp:      expCtx,
-		hub:      NewHub(),
 		mux:      http.NewServeMux(),
 		rec:      expCtx.Recorder,
 		sessions: make(map[string]*session),
@@ -118,7 +128,6 @@ func New(expCtx *exp.Context) *Server {
 		defer s.mu.Unlock()
 		return float64(len(s.sessions))
 	})
-	s.hub.instrument(s.rec)
 	s.engineFor = expCtx.EngineFor
 	s.routes()
 	return s
@@ -143,8 +152,8 @@ func (s *Server) routes() {
 
 // handleMetrics serves the recorder's registry in the Prometheus text
 // exposition format — the scrape surface for the whole stack (engine,
-// store, hub, search, server), since every layer registers against the
-// one adopted recorder.
+// store, job streams, search, server), since every layer registers
+// against the one adopted recorder.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.rec.Metrics().WritePrometheus(w); err != nil {
@@ -215,7 +224,8 @@ type SessionJobCounts struct {
 	Total  int `json:"total"`
 }
 
-// HubStatus reports the progress hub's fan-out state on GET /api/status.
+// HubStatus reports the job event streams' fan-out state on GET
+// /api/status: Topics counts jobs whose stream is open (not dropped).
 type HubStatus struct {
 	Topics      int     `json:"topics"`
 	Subscribers int     `json:"subscribers"`
@@ -252,8 +262,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		// could not open, so the server runs memory-only.
 		resp.Store.Error = err.Error()
 	}
-	resp.Hub.Topics, resp.Hub.Subscribers = s.hub.Counts()
-	resp.Hub.DroppedSlow = s.hub.dropped.Value()
+	resp.Hub = HubStatus{
+		Topics:      int(s.sm.streams.open.Load()),
+		Subscribers: int(s.sm.streams.subscribers.Load()),
+		DroppedSlow: s.sm.streams.dropped.Value(),
+	}
 	sessions := s.orderedSessions()
 	resp.Sessions = len(sessions)
 	// Per-session counts walk creation order so the response is stable
@@ -261,7 +274,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for _, sess := range sessions {
 		sess.mu.Lock()
 		sc := SessionJobCounts{ID: sess.id, Total: len(sess.order)}
-		if sess.opJob != "" {
+		if sess.active != nil {
 			sc.Active = 1
 			resp.ActiveJobs++
 		}
@@ -356,32 +369,31 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", sid)
 		return
 	}
-	ids := sess.close()
-	slog.Info("session deleted", "session", sess.id, "jobs", len(ids))
+	jobs := sess.close()
+	slog.Info("session deleted", "session", sess.id, "jobs", len(jobs))
 	// Disconnect watchers and free the event histories. A still-running
 	// job runs to its terminal state (its runner holds direct references);
-	// its publishes to the dropped topic do nothing.
-	for _, id := range ids {
-		s.hub.Drop(id)
+	// its events after the drop do nothing.
+	for _, j := range jobs {
+		j.dropEvents()
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// retain puts a finished job's result and event history, size bytes
-// together, under the retention budget, and evicts the jobs the budget
-// gives up: each keeps its record and loses its result and topic, under
-// the table lock, so a finished job of a live session keeps both exactly
-// while it is retained. A job whose session was deleted while it ran is
-// not retained; the delete drops its topic.
-func (s *Server) retain(sess *session, j *job, size int) {
+// retain puts a finished job's result and event history under the
+// retention budget, and evicts the jobs the budget gives up: each keeps
+// its record and loses its result and stream, under the table lock, so a
+// finished job of a live session keeps both exactly while it is retained.
+// A job whose session was deleted while it ran is not retained; the
+// delete dropped its stream.
+func (s *Server) retain(sess *session, j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sessions[sess.id] != sess {
 		return
 	}
-	for _, v := range s.retained.add(j, size) {
+	for _, v := range s.retained.add(j, j.retainedBytes()) {
 		v.evict()
-		s.hub.Drop(v.id)
 		s.sm.evicted.Inc()
 	}
 }
@@ -402,20 +414,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
 	}
-	jobID := fmt.Sprintf("j%d", s.nextJob.Add(1))
-	p, err := s.buildPlan(req, jobID)
+	ctx, cancel := context.WithCancel(context.Background())
+	j := newJob(fmt.Sprintf("j%d", s.nextJob.Add(1)), sess.id, req.Kind, cancel, s.sm.streams)
+	p, err := s.buildPlan(req, j)
 	if err != nil {
+		cancel()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := newJob(jobID, sess.id, req.Kind)
-	// The topic opens before the job becomes visible, so a session delete
-	// that finds the job also finds its topic to drop.
-	s.hub.Open(jobID)
-	if err := sess.begin(j, cancel); err != nil {
+	// A refused job published nothing, so it leaves no stream behind.
+	if err := sess.begin(j); err != nil {
 		cancel()
-		s.hub.Drop(jobID)
 		if errors.Is(err, errSessionClosed) {
 			writeError(w, http.StatusNotFound, "no session %q", sess.id)
 			return
@@ -423,9 +432,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	s.hub.Publish(jobID, Event{Type: EventState, State: JobQueued})
+	j.publish(Event{Type: EventState, State: JobQueued})
 	s.jobWG.Add(1)
-	go s.runJob(sess, j, p, ctx, cancel)
+	go s.runJob(sess, j, p, ctx)
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
@@ -436,14 +445,14 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	sess, j := s.lookupJob(w, r)
+	_, j := s.lookupJob(w, r)
 	if j == nil {
 		return
 	}
 	// Delivering the cancellation is all DELETE does; the job reaches its
 	// terminal state asynchronously (follow its events or poll GET). On
 	// an already-finished job this is a no-op returning the final state.
-	sess.cancelJob(j.id)
+	j.cancel()
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 

@@ -2,15 +2,15 @@ package server
 
 // session.go is the multi-user surface of the evaluation service. A
 // session is a lightweight claim ticket: it serializes ITS OWN operations
-// (one active job per session, guarded by a mutex holding the op kind and
-// cancel func) while all sessions share the server's single exp.Context —
-// so two users sweeping overlapping spaces dedupe against the same memory
-// cache and persistent store instead of re-evaluating each other's work.
+// (one active job per session, guarded by a mutex) while all sessions
+// share the server's single exp.Context — so two users sweeping
+// overlapping spaces dedupe against the same memory cache and persistent
+// store instead of re-evaluating each other's work.
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,12 +20,10 @@ type session struct {
 	created time.Time
 
 	mu     sync.Mutex
-	opKind string
-	opJob  string
-	cancel context.CancelFunc
+	active *job // holds the operation slot; nil when idle
 	closed bool // deleted: begin refuses new jobs
 	jobs   map[string]*job
-	order  []string // job IDs in submission order
+	order  []*job // submission order
 }
 
 // errSessionClosed is begin's answer in a session being deleted.
@@ -38,40 +36,30 @@ func newSession(id string) *session {
 // begin claims the session's single operation slot for a job and
 // registers the job record under the session, in one step with respect to
 // close: a job either lands in a live session — and a later close cancels
-// it and finds its ID — or is refused with errSessionClosed. A busy error
+// it and returns it — or is refused with errSessionClosed. A busy error
 // names the active job so a 409 response tells the client what to wait
 // for (or DELETE).
-func (s *session) begin(j *job, cancel context.CancelFunc) error {
+func (s *session) begin(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errSessionClosed
 	}
-	if s.opJob != "" {
-		return fmt.Errorf("session %s is busy: %s job %s is active", s.id, s.opKind, s.opJob)
+	if a := s.active; a != nil {
+		return fmt.Errorf("session %s is busy: %s job %s is active", s.id, a.kind, a.id)
 	}
-	s.opKind, s.opJob, s.cancel = j.kind, j.id, cancel
+	s.active = j
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.order = append(s.order, j)
 	return nil
 }
 
 // end releases the operation slot if the job still holds it.
-func (s *session) end(jobID string) {
+func (s *session) end(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opJob == jobID {
-		s.opKind, s.opJob, s.cancel = "", "", nil
-	}
-}
-
-// cancelJob cancels the job's context if it is the session's active
-// operation.
-func (s *session) cancelJob(jobID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opJob == jobID && s.cancel != nil {
-		s.cancel()
+	if s.active == j {
+		s.active = nil
 	}
 }
 
@@ -80,21 +68,21 @@ func (s *session) cancelJob(jobID string) {
 func (s *session) cancelActive() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cancel != nil {
-		s.cancel()
+	if s.active != nil {
+		s.active.cancel()
 	}
 }
 
 // close tears the session down: it cancels the running operation, refuses
-// new ones, and returns every job ID the session ever held.
-func (s *session) close() []string {
+// new ones, and returns every job the session ever held.
+func (s *session) close() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	if s.cancel != nil {
-		s.cancel()
+	if s.active != nil {
+		s.active.cancel()
 	}
-	return append([]string(nil), s.order...)
+	return slices.Clone(s.order)
 }
 
 // getJob returns a job record by ID.
@@ -119,16 +107,14 @@ type SessionStatus struct {
 func (s *session) status() SessionStatus {
 	s.mu.Lock()
 	st := SessionStatus{
-		ID:         s.id,
-		Created:    s.created,
-		ActiveJob:  s.opJob,
-		ActiveKind: s.opKind,
-		Jobs:       make([]JobStatus, 0, len(s.order)),
+		ID:      s.id,
+		Created: s.created,
+		Jobs:    make([]JobStatus, 0, len(s.order)),
 	}
-	jobs := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+	if a := s.active; a != nil {
+		st.ActiveJob, st.ActiveKind = a.id, a.kind
 	}
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
 	// Job statuses are taken outside the session lock: job.mu is held by
 	// the runner goroutine while it publishes, and lock nesting here would

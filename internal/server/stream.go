@@ -19,11 +19,11 @@ import (
 // handleJobEvents streams a job's events as text/event-stream, one
 // `id: <seq>` / `data: <event JSON>` frame per event, history first. A
 // Last-Event-ID header resumes after that seq (missing means 0). The
-// response ends when the topic closes — after the terminal event, or when
-// the hub drops this subscriber for falling behind, whereupon the client
-// resumes — or when the client hangs up. A job whose topic is gone — its
-// result was evicted, or its session deleted after the lookup — is a 410
-// that says which.
+// response ends when the stream closes the subscriber — after the terminal
+// event, or when it drops this subscriber for falling behind, whereupon
+// the client resumes — or when the client hangs up. A job whose stream is
+// gone — its result was evicted, or its session deleted after the lookup —
+// is a 410 that says which.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	_, j := s.lookupJob(w, r)
 	if j == nil {
@@ -37,7 +37,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	history, ch, ok := s.hub.Subscribe(j.id, after)
+	history, ch, ok := j.subscribe(after)
 	if !ok {
 		if j.status(false).ResultEvicted {
 			writeError(w, http.StatusGone, "job %s finished and its result and events were evicted to stay within the server's retention budget; resubmit it to have the cache tiers serve it", j.id)
@@ -46,7 +46,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	defer s.hub.Unsubscribe(j.id, ch)
+	defer j.unsubscribe(ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -56,7 +56,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Seqs are contiguous from after+1 across history and live channel
-	// (Subscribe's contract), so counting recovers each event's id.
+	// (subscribe's contract), so counting recovers each event's id.
 	seq := after
 	send := func(data []byte) bool {
 		seq++
@@ -84,7 +84,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // FollowEvents reads a job's event stream (url is …/jobs/{jid}/events) to
 // its terminal event and returns every event in seq order. A stream that
-// ends early — the hub drops a subscriber that falls behind — is resumed
+// ends early — the server drops a subscriber that falls behind — is resumed
 // with Last-Event-ID, so no event is lost or repeated. ctx bounds the
 // whole follow; on error the events read so far are returned too.
 func FollowEvents(ctx context.Context, url string) ([]Event, error) {

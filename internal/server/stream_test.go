@@ -54,8 +54,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func subscribers(srv *Server) int {
-	_, n := srv.hub.Counts()
-	return n
+	return int(srv.sm.streams.subscribers.Load())
 }
 
 // TestServerEventsResume: on a finished job, Last-Event-ID k yields exactly
@@ -113,7 +112,7 @@ func TestServerEventsResume(t *testing.T) {
 }
 
 // TestServerEventsHangUp: a client that hangs up mid-job makes the stream
-// handler return — the hub is left with no subscriber and no goroutine
+// handler return — the job is left with no subscriber and no goroutine
 // outlives the test.
 func TestServerEventsHangUp(t *testing.T) {
 	leakCheck(t)
