@@ -20,6 +20,12 @@
 // fingerprint; enabled with -cache-dir, bounded with Options.MaxBytes /
 // MaxAge retention), then the backend.
 //
+// internal/codec is the one binary form of a result, shared by the store's
+// records and the remote fleet's frames: a CRC32-checked frame, the job
+// and metrics words, and a strict reader that refuses non-finite metrics
+// (engine.Metrics.Finite), so no value a backend did not compute enters a
+// cache.
+//
 // The operating condition is a first-class evaluation dimension: an
 // engine.ConditionSet (ordered, validated, canonical
 // "TT@1V@27C,SS@0.9V@60C" spec form — the CLIs' -conditions flag) spans
@@ -75,8 +81,8 @@
 //
 // internal/remote distributes the evaluation plane across processes and
 // hosts (stdlib only): a coordinator plugged into the engine's batch seam
-// ships batches of (backend, config, condition) cells over a CRC-framed
-// binary TCP protocol to a fleet of optima-worker processes, sharded by
+// ships batches of (backend, config, condition) cells over TCP in
+// internal/codec frames to a fleet of optima-worker processes, sharded by
 // the store's host-stable key hash so a worker keeps seeing the same key
 // ranges. The coordinator is an engine.Dispatcher, so EvaluateBatch,
 // EvaluateMatrix, the search, the CLIs, and optima-server gain

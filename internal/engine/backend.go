@@ -74,6 +74,19 @@ type Metrics struct {
 	LSBVolt float64
 }
 
+// Finite reports whether every metric word is a finite number. The
+// built-in backends return an error instead of a non-finite metric, so one
+// met after them is damage or a lying peer: the store neither writes nor
+// loads one, and the fleet refuses one off the wire.
+func (m Metrics) Finite() bool {
+	for _, v := range [...]float64{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt, m.LSBVolt} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // FOM is the paper's Eq. 9 figure of merit 1/(ϵ_mul·E_mul), in 1/(LSB·fJ).
 func (m Metrics) FOM() float64 {
 	if m.EpsMul <= 0 || m.EMul <= 0 {
@@ -216,11 +229,9 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 	// corner (say V_DAC,FS = 1e30 V) can still overflow the energy or σ
 	// models. The engine would cache and persist a NaN metric as a result,
 	// so it is an error instead.
-	for _, v := range [...]float64{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Metrics{}, fmt.Errorf("engine: behavioral metrics of tau0 %g, VDAC0 %g, VDACFS %g at %v are not finite",
-				cfg.Tau0, cfg.VDAC0, cfg.VDACFS, cond)
-		}
+	if !m.Finite() {
+		return Metrics{}, fmt.Errorf("engine: behavioral metrics of tau0 %g, VDAC0 %g, VDACFS %g at %v are not finite",
+			cfg.Tau0, cfg.VDAC0, cfg.VDACFS, cond)
 	}
 	return m, nil
 }

@@ -19,6 +19,8 @@ var deterministicPkgs = []string{
 	"internal/search",
 	"internal/dse",
 	"internal/store",
+	// The one binary form of a result, on disk and on the wire.
+	"internal/codec",
 	"internal/mult",
 	"internal/exp",
 	// The distributed coordinator/worker layer feeds the same cache and

@@ -23,11 +23,15 @@
 // is sound and results are byte-identical to a local run at any worker
 // count.
 //
-// The wire protocol is length-prefixed binary frames with the same framing
-// discipline as internal/store's codec: a u32 body length, a u32 CRC32 of
-// the body, u16-length-prefixed strings, and metrics as little-endian
-// math.Float64bits words — exact round-trip, no JSON in the hot path.
-// The handshake carries a calibration fingerprint; a worker whose model
-// calibration differs from the coordinator's is rejected at connect time,
-// never silently mixed into results.
+// The wire protocol is internal/codec frames, the codec of internal/store's
+// records: a u32 body length, a u32 CRC32 of the body, u16-length strings,
+// and the job and metrics words bit for bit — exact round-trip, no JSON in
+// the hot path. Each read is bounded by the largest frame of the type it
+// expects, so a peer cannot make the coordinator allocate more than about
+// 4 KiB before it has joined. The handshake carries a calibration
+// fingerprint; a worker whose model calibration differs from the
+// coordinator's is rejected at connect time, never silently mixed into
+// results. A worker that sends a frame that does not decode (non-finite
+// metrics included) or a result for a cell it was never shipped is
+// dropped and its cells reassigned, like a dead one.
 package remote

@@ -418,9 +418,20 @@ func (f *Fleet) reassignAfterFailedShip(d *dispatch, w *workerConn) {
 // settled only once its onDone has returned, so done — and with it
 // EvaluateJobs — never finishes while another resolver's callback is
 // still running.
+//
+// A worker's result counts only for a cell it was shipped and still owns.
+// An honest worker never answers any other, so one that does is lying or
+// broken: it is a protocol violation, and the worker is dropped and its
+// cells reassigned rather than trusted with the rest. (A worker already
+// dropped may still have results in flight; dropping it again is a no-op.)
 func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint64, from *workerConn) {
 	d.mu.Lock()
-	if int(idx) >= len(d.cells) || d.cells[idx].resolved {
+	if from != nil && (int(idx) >= len(d.cells) || !slices.Contains(d.cells[idx].owners, from.id)) {
+		d.mu.Unlock()
+		d.fleet.dropWorker(from, fmt.Errorf("result for cell %d of dispatch %d, which it was never shipped", idx, d.id))
+		return
+	}
+	if d.cells[idx].resolved {
 		d.mu.Unlock()
 		if from != nil {
 			d.fleet.n.duplicates.Add(1)
@@ -683,7 +694,7 @@ func (f *Fleet) handshake(conn net.Conn) {
 // welcome frame — its operator sees why, instead of a silent drop.
 func (f *Fleet) greet(conn net.Conn) (*workerConn, *bufio.Reader) {
 	r := bufio.NewReader(conn)
-	typ, payload, n, err := readFrame(r)
+	typ, payload, n, err := readFrame(r, maxHelloLen)
 	if err != nil || typ != frameHello {
 		return nil, nil
 	}
@@ -711,10 +722,13 @@ func (f *Fleet) greet(conn net.Conn) (*workerConn, *bufio.Reader) {
 }
 
 // readLoop consumes one worker's result stream until the connection
-// breaks, then drops the worker (reassigning its in-flight cells).
+// breaks, then drops the worker (reassigning its in-flight cells). A frame
+// that does not decode as a result (corrupt, over maxResultLen, non-finite
+// metrics) drops the worker too, as does a result for a cell it was never
+// shipped (see resolve).
 func (f *Fleet) readLoop(w *workerConn, r *bufio.Reader) {
 	for {
-		typ, payload, n, err := readFrame(r)
+		typ, payload, n, err := readFrame(r, maxResultLen)
 		if err != nil {
 			f.dropWorker(w, err)
 			return

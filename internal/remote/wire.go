@@ -1,44 +1,33 @@
 package remote
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
-	"optima/internal/device"
+	"optima/internal/codec"
 	"optima/internal/engine"
-	"optima/internal/mult"
 )
 
 // Wire format v1: both directions of the coordinator/worker connection are
-// sequences of length-prefixed binary frames, each integrity-checked by its
-// own CRC32 — the same framing discipline as the store codec's records
-// (internal/store), applied to a stream instead of a segment file.
+// streams of internal/codec frames, the store's record framing applied to
+// a stream instead of a segment file: a u32 body length and a u32 CRC32 of
+// the body, which is
 //
-// Frame layout (all integers little-endian):
+//	u8   frame type (frameHello, frameWelcome, frameBatch, frameResult)
+//	type-specific payload of codec words (see the frame types below)
 //
-//	u32  body length (bytes after the 8-byte header)
-//	u32  CRC32 (IEEE) of the body
-//	body:
-//	  u8   frame type (frameHello, frameWelcome, frameBatch, frameResult)
-//	  type-specific payload (see the payload codecs below)
+// Jobs and metrics are the codec's words, so a remote evaluation is
+// byte-identical to a local one. Metrics.Config and Metrics.Cond are not
+// sent; the coordinator fills them from the job it shipped.
 //
-// Floats travel as math.Float64bits, so every value — including -0 and
-// denormals — round-trips exactly: a remote evaluation is byte-identical
-// to a local one. Metrics.Config and Metrics.Cond are not serialized; the
-// coordinator reconstructs them from the shipped job, exactly as the store
-// codec reconstructs them from the record key.
-//
-// Payload decoding is strict: a frame with trailing bytes, an out-of-range
-// length prefix, or an unknown status byte is an error, never a partial
-// decode. The CRC catches corruption inside a fully framed body; the
-// length prefix catches truncation. Either failure poisons the connection
-// — unlike a store segment there is no readable-prefix recovery, the peer
-// is simply dropped and its cells reassigned.
+// Decoding is strict (codec.Reader): trailing bytes, a truncated word, an
+// out-of-range count, an unknown status byte or a non-finite metric is an
+// error, never a partial decode. So is a frame over the bound its reader
+// passes, which is the largest frame of the type it expects: a hello or a
+// result costs the coordinator at most about 4 KiB, whatever the header
+// claims. Any failure poisons the connection. Unlike a store segment there
+// is no readable-prefix recovery; the peer is dropped and its cells
+// reassigned.
 
 // protoVersion is the wire protocol version, checked in the hello/welcome
 // handshake. Bump it on any frame-layout change.
@@ -60,180 +49,43 @@ const (
 	frameResult = 4
 )
 
-// frameHeaderLen is the fixed per-frame header: body length + CRC32.
-const frameHeaderLen = 8
-
-// maxFrameLen bounds a single frame's body. A batch of a few thousand
-// cells is under a megabyte; a length prefix beyond this bound is framing
-// damage or a hostile peer, not a large frame.
-const maxFrameLen = 1 << 24
-
-// maxStringLen bounds the variable-length strings inside payloads
-// (fingerprints, backend names, error messages).
+// maxStringLen bounds the strings a peer sends inside payloads
+// (fingerprints, rejection reasons, error messages).
 const maxStringLen = 1 << 12
 
-var frameCRCTable = crc32.IEEETable
+// Body bounds of each frame type, as read: the type byte, the fixed words
+// and at most one maxStringLen string. A batch of a few thousand cells is
+// under a megabyte, so maxFrameLen bounds it with room to spare.
+const (
+	maxHelloLen   = 1 + 4 + 2 + maxStringLen + 4
+	maxWelcomeLen = 1 + 2 + maxStringLen
+	maxResultLen  = 1 + 8 + 4 + 8 + 1 + 2 + maxStringLen
+	maxFrameLen   = 1 << 24
+)
 
-// errFrame is the sentinel wrapped by every frame-decode failure.
-var errFrame = errors.New("remote: bad frame")
-
-// appendFrame appends one framed body (type byte + payload) to buf and
-// returns the extended slice (append-style, like the store codec, so a
-// writer encodes a frame with at most one grow).
-func appendFrame(buf []byte, typ byte, payload []byte) []byte {
-	bodyLen := 1 + len(payload)
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHeaderLen+bodyLen)...)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(bodyLen))
-	body := buf[start+frameHeaderLen:]
-	body[0] = typ
-	copy(body[1:], payload)
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, frameCRCTable))
-	return buf
+// readFrame reads one frame of at most maxBody body bytes and splits its
+// body into the type byte and the payload. It blocks until a full frame
+// arrives; a closed or broken connection surfaces as the read error.
+func readFrame(r io.Reader, maxBody int) (typ byte, payload []byte, n int, err error) {
+	return typed(codec.ReadFrame(r, maxBody))
 }
 
-// decodeFrame decodes the frame at the head of data, returning the frame
-// type, its payload (aliasing data), and the bytes consumed. A truncated,
-// oversized or corrupt head is an error; the caller drops the connection.
-func decodeFrame(data []byte) (typ byte, payload []byte, n int, err error) {
-	if len(data) < frameHeaderLen {
-		return 0, nil, 0, fmt.Errorf("%w: truncated header (%d bytes)", errFrame, len(data))
+// typed splits a frame body into its type byte and payload.
+func typed(body []byte, n int, err error) (byte, []byte, int, error) {
+	if err == nil && len(body) == 0 {
+		err = fmt.Errorf("%w: empty body", codec.ErrCorrupt)
 	}
-	bodyLen := int(binary.LittleEndian.Uint32(data))
-	if bodyLen < 1 || bodyLen > maxFrameLen {
-		return 0, nil, 0, fmt.Errorf("%w: body length %d out of range", errFrame, bodyLen)
-	}
-	if frameHeaderLen+bodyLen > len(data) {
-		return 0, nil, 0, fmt.Errorf("%w: truncated body (%d of %d bytes)", errFrame, len(data)-frameHeaderLen, bodyLen)
-	}
-	body := data[frameHeaderLen : frameHeaderLen+bodyLen]
-	if crc32.Checksum(body, frameCRCTable) != binary.LittleEndian.Uint32(data[4:]) {
-		return 0, nil, 0, fmt.Errorf("%w: CRC mismatch", errFrame)
-	}
-	return body[0], body[1:], frameHeaderLen + bodyLen, nil
-}
-
-// readFrame reads exactly one frame from r, validating the CRC. It blocks
-// until a full frame arrives; a closed or broken connection surfaces as
-// the underlying read error.
-func readFrame(r *bufio.Reader) (typ byte, payload []byte, n int, err error) {
-	var head [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	if err != nil {
 		return 0, nil, 0, err
 	}
-	bodyLen := int(binary.LittleEndian.Uint32(head[:]))
-	if bodyLen < 1 || bodyLen > maxFrameLen {
-		return 0, nil, 0, fmt.Errorf("%w: body length %d out of range", errFrame, bodyLen)
-	}
-	buf := make([]byte, frameHeaderLen+bodyLen)
-	copy(buf, head[:])
-	if _, err := io.ReadFull(r, buf[frameHeaderLen:]); err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: short body: %w", errFrame, err)
-	}
-	return decodeFrame(buf)
+	return body[0], body[1:], n, nil
 }
 
-// cursor is a strict little-endian payload reader: every read checks
-// bounds, and finish rejects trailing bytes, so a malformed payload is an
-// error instead of a silent mis-decode.
-type cursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %s", errFrame, fmt.Sprintf(format, args...))
-	}
-}
-
-func (c *cursor) u8() byte {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+1 > len(c.data) {
-		c.fail("truncated u8 at offset %d", c.off)
-		return 0
-	}
-	v := c.data[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) u16() uint16 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+2 > len(c.data) {
-		c.fail("truncated u16 at offset %d", c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.data[c.off:])
-	c.off += 2
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.data) {
-		c.fail("truncated u32 at offset %d", c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.data[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+8 > len(c.data) {
-		c.fail("truncated u64 at offset %d", c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.data[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
-func (c *cursor) str() string {
-	n := int(c.u16())
-	if c.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
-		c.fail("string length %d over bound %d", n, maxStringLen)
-		return ""
-	}
-	if c.off+n > len(c.data) {
-		c.fail("truncated string (%d of %d bytes)", len(c.data)-c.off, n)
-		return ""
-	}
-	v := string(c.data[c.off : c.off+n])
-	c.off += n
-	return v
-}
-
-// finish returns the accumulated decode error, rejecting trailing bytes.
-func (c *cursor) finish() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(c.data) {
-		return fmt.Errorf("%w: %d trailing bytes", errFrame, len(c.data)-c.off)
-	}
-	return nil
-}
-
-func appendU16Str(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+// begin starts a frame of type typ whose payload is about payloadLen
+// bytes; the encoder appends the payload and closes the frame with
+// codec.End.
+func begin(buf []byte, typ byte, payloadLen int) []byte {
+	return append(codec.Begin(buf, 1+payloadLen), typ)
 }
 
 // helloFrame is the worker's handshake payload.
@@ -244,19 +96,16 @@ type helloFrame struct {
 }
 
 func appendHello(buf []byte, h helloFrame) []byte {
-	p := make([]byte, 0, 4+2+len(h.Fingerprint)+4)
-	p = binary.LittleEndian.AppendUint32(p, h.Proto)
-	p = appendU16Str(p, h.Fingerprint)
-	p = binary.LittleEndian.AppendUint32(p, h.Capacity)
-	return appendFrame(buf, frameHello, p)
+	start := len(buf)
+	buf = begin(buf, frameHello, 4+2+len(h.Fingerprint)+4)
+	buf = codec.AppendStr(codec.AppendU32(buf, h.Proto), h.Fingerprint)
+	return codec.End(codec.AppendU32(buf, h.Capacity), start)
 }
 
 func decodeHello(payload []byte) (helloFrame, error) {
-	c := cursor{data: payload}
-	h := helloFrame{Proto: c.u32()}
-	h.Fingerprint = c.str()
-	h.Capacity = c.u32()
-	return h, c.finish()
+	r := codec.NewReader(payload)
+	h := helloFrame{Proto: r.U32(), Fingerprint: r.Str(), Capacity: r.U32()}
+	return h, r.Done()
 }
 
 // welcomeFrame is the coordinator's handshake reply. An empty Reject
@@ -266,13 +115,15 @@ type welcomeFrame struct {
 }
 
 func appendWelcome(buf []byte, w welcomeFrame) []byte {
-	return appendFrame(buf, frameWelcome, appendU16Str(nil, w.Reject))
+	start := len(buf)
+	buf = begin(buf, frameWelcome, 2+len(w.Reject))
+	return codec.End(codec.AppendStr(buf, w.Reject), start)
 }
 
 func decodeWelcome(payload []byte) (welcomeFrame, error) {
-	c := cursor{data: payload}
-	w := welcomeFrame{Reject: c.str()}
-	return w, c.finish()
+	r := codec.NewReader(payload)
+	w := welcomeFrame{Reject: r.Str()}
+	return w, r.Done()
 }
 
 // batchCell is one shipped (config, condition) cell, addressed by its
@@ -281,6 +132,9 @@ type batchCell struct {
 	Index uint32
 	Job   engine.Job
 }
+
+// batchCellLen is a cell's encoded size: its index and its job.
+const batchCellLen = 4 + codec.JobLen
 
 // batchFrame ships a group of cells of one dispatch to one worker. Cells
 // are always encoded in ascending Index order — the coordinator sorts
@@ -297,47 +151,32 @@ type batchFrame struct {
 const maxBatchCells = 1 << 17
 
 func appendBatch(buf []byte, b batchFrame) []byte {
-	p := make([]byte, 0, 8+2+len(b.Backend)+4+len(b.Cells)*(4+6*8))
-	p = binary.LittleEndian.AppendUint64(p, b.Dispatch)
-	p = appendU16Str(p, b.Backend)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(b.Cells)))
+	start := len(buf)
+	buf = begin(buf, frameBatch, 8+2+len(b.Backend)+4+len(b.Cells)*batchCellLen)
+	buf = codec.AppendStr(codec.AppendU64(buf, b.Dispatch), b.Backend)
+	buf = codec.AppendU32(buf, uint32(len(b.Cells)))
 	for _, cell := range b.Cells {
-		p = binary.LittleEndian.AppendUint32(p, cell.Index)
-		for _, v := range [...]uint64{
-			math.Float64bits(cell.Job.Config.Tau0),
-			math.Float64bits(cell.Job.Config.VDAC0),
-			math.Float64bits(cell.Job.Config.VDACFS),
-			uint64(cell.Job.Cond.Corner),
-			math.Float64bits(cell.Job.Cond.VDD),
-			math.Float64bits(cell.Job.Cond.TempC),
-		} {
-			p = binary.LittleEndian.AppendUint64(p, v)
-		}
+		buf = codec.AppendJob(codec.AppendU32(buf, cell.Index), cell.Job)
 	}
-	return appendFrame(buf, frameBatch, p)
+	return codec.End(buf, start)
 }
 
 func decodeBatch(payload []byte) (batchFrame, error) {
-	c := cursor{data: payload}
-	b := batchFrame{Dispatch: c.u64()}
-	b.Backend = c.str()
-	n := int(c.u32())
-	if c.err == nil && n > maxBatchCells {
-		c.fail("batch cell count %d over bound %d", n, maxBatchCells)
-	}
-	if c.err == nil && len(c.data)-c.off != n*(4+6*8) {
-		c.fail("batch body %d bytes, want %d for %d cells", len(c.data)-c.off, n*(4+6*8), n)
-	}
-	if c.err == nil {
+	r := codec.NewReader(payload)
+	b := batchFrame{Dispatch: r.U64(), Backend: r.Str()}
+	n := int(r.U32())
+	switch {
+	case n > maxBatchCells:
+		r.Fail("batch cell count %d over bound %d", n, maxBatchCells)
+	case r.Len() != n*batchCellLen:
+		r.Fail("batch body %d bytes, want %d for %d cells", r.Len(), n*batchCellLen, n)
+	default:
 		b.Cells = make([]batchCell, n)
 		for i := range b.Cells {
-			cell := &b.Cells[i]
-			cell.Index = c.u32()
-			cell.Job.Config = mult.Config{Tau0: c.f64(), VDAC0: c.f64(), VDACFS: c.f64()}
-			cell.Job.Cond = device.PVT{Corner: device.ProcessCorner(c.u64()), VDD: c.f64(), TempC: c.f64()}
+			b.Cells[i] = batchCell{Index: r.U32(), Job: r.Job()}
 		}
 	}
-	return b, c.finish()
+	return b, r.Done()
 }
 
 // Result statuses.
@@ -349,7 +188,7 @@ const (
 // resultFrame streams one evaluated cell back. DurNS is the worker-side
 // evaluation duration on the worker recorder's clock — telemetry only, it
 // never feeds the metrics. Status selects the tail: metrics on resultOK,
-// an error string on resultErr.
+// an error string (at most maxStringLen bytes) on resultErr.
 type resultFrame struct {
 	Dispatch uint64
 	Index    uint32
@@ -360,50 +199,32 @@ type resultFrame struct {
 }
 
 func appendResult(buf []byte, r resultFrame) []byte {
-	p := make([]byte, 0, 8+4+8+1+7*8)
-	p = binary.LittleEndian.AppendUint64(p, r.Dispatch)
-	p = binary.LittleEndian.AppendUint32(p, r.Index)
-	p = binary.LittleEndian.AppendUint64(p, r.DurNS)
-	p = append(p, r.Status)
+	msg := r.Err[:min(len(r.Err), maxStringLen)]
+	start := len(buf)
+	buf = begin(buf, frameResult, 8+4+8+1+max(codec.MetricsLen, 2+len(msg)))
+	buf = codec.AppendU64(codec.AppendU32(codec.AppendU64(buf, r.Dispatch), r.Index), r.DurNS)
+	buf = append(buf, r.Status)
 	switch r.Status {
 	case resultOK:
-		for _, v := range [...]uint64{
-			math.Float64bits(r.Met.EpsMul),
-			math.Float64bits(r.Met.EpsLarge),
-			math.Float64bits(r.Met.EpsSmall),
-			math.Float64bits(r.Met.EMul),
-			math.Float64bits(r.Met.SigmaMaxLSB),
-			math.Float64bits(r.Met.SigmaMaxVolt),
-			math.Float64bits(r.Met.LSBVolt),
-		} {
-			p = binary.LittleEndian.AppendUint64(p, v)
-		}
+		buf = codec.AppendMetrics(buf, r.Met)
 	case resultErr:
-		msg := r.Err
-		if len(msg) > maxStringLen {
-			msg = msg[:maxStringLen]
-		}
-		p = appendU16Str(p, msg)
+		buf = codec.AppendStr(buf, msg)
 	}
-	return appendFrame(buf, frameResult, p)
+	return codec.End(buf, start)
 }
 
 func decodeResult(payload []byte) (resultFrame, error) {
-	c := cursor{data: payload}
-	r := resultFrame{Dispatch: c.u64(), Index: c.u32(), DurNS: c.u64(), Status: c.u8()}
-	switch r.Status {
+	r := codec.NewReader(payload)
+	res := resultFrame{Dispatch: r.U64(), Index: r.U32(), DurNS: r.U64(), Status: r.U8()}
+	switch res.Status {
 	case resultOK:
-		r.Met.EpsMul = c.f64()
-		r.Met.EpsLarge = c.f64()
-		r.Met.EpsSmall = c.f64()
-		r.Met.EMul = c.f64()
-		r.Met.SigmaMaxLSB = c.f64()
-		r.Met.SigmaMaxVolt = c.f64()
-		r.Met.LSBVolt = c.f64()
+		res.Met = r.Metrics()
 	case resultErr:
-		r.Err = c.str()
+		if res.Err = r.Str(); len(res.Err) > maxStringLen {
+			r.Fail("error string length %d over bound %d", len(res.Err), maxStringLen)
+		}
 	default:
-		c.fail("unknown result status %d", r.Status)
+		r.Fail("unknown result status %d", res.Status)
 	}
-	return r, c.finish()
+	return res, r.Done()
 }

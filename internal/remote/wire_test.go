@@ -3,14 +3,23 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
 
+	"optima/internal/codec"
 	"optima/internal/device"
 	"optima/internal/engine"
 	"optima/internal/mult"
 )
+
+// decodeFrame splits the frame at the head of data, as readFrame does for
+// a stream.
+func decodeFrame(data []byte) (typ byte, payload []byte, n int, err error) {
+	return typed(codec.Frame(data, maxFrameLen))
+}
 
 // testBatch exercises every encoded field, including the float values that
 // only exact bit round-trips preserve (-0, denormals, huge magnitudes).
@@ -144,9 +153,53 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBytesPinned pins protocol v1 byte for byte: one frame of each
+// type, with the batch carrying -0, the smallest denormal and 1e300, and an
+// error result over 4 KiB (its message truncated to maxStringLen). The
+// expected bytes were captured from the wire encoder before it was rebuilt
+// on internal/codec, so coordinators and workers of earlier v1 builds
+// interoperate with this one.
+func TestFrameBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"hello", appendHello(nil, helloFrame{Proto: protoVersion, Fingerprint: "fp-abc123", Capacity: 8}),
+			"1400000096f2317a0101000000090066702d61626331323308000000"},
+		{"welcome/accept", appendWelcome(nil, welcomeFrame{}), "030000007c0dc5fc020000"},
+		{"welcome/reject", appendWelcome(nil, welcomeFrame{Reject: "calibration fingerprint mismatch"}),
+			"230000001e66ed3e02200063616c6962726174696f6e2066696e6765727072696e74206d69736d61746368"},
+		{"batch", appendBatch(nil, testBatch()),
+			"810000005d5e93ca0307000000000000000a006265686176696f72616c0200000000000000956479e17ffde53d333333333333d33f" +
+				"000000000000f03f0000000000000000000000000000f03f0000000000003b400300000000000000000000800100000000000000" +
+				"9c7500883ce4377e0200000000000000cdccccccccccec3f00000000000044c0"},
+		{"result/ok", appendResult(nil, resultFrame{
+			Dispatch: 9, Index: 4, DurNS: 12345, Status: resultOK,
+			Met: engine.Metrics{
+				EpsMul: 0.25, EpsLarge: 0.5, EpsSmall: math.Copysign(0, -1),
+				EMul: 21e-15, SigmaMaxLSB: 0.04, SigmaMaxVolt: 5.04e-3, LSBVolt: 1e300,
+			},
+		}),
+			"4e000000e1c8ddbf04090000000000000004000000393000000000000001000000000000d03f000000000000e03f0000000000000080" +
+				"fca08f80d6a4173d7b14ae47e17aa43f4ddbbfb2d2a4743f9c7500883ce4377e"},
+		{"result/err", appendResult(nil, resultFrame{Dispatch: 9, Index: 5, DurNS: 77, Status: resultErr, Err: "backend exploded"}),
+			"28000000d05e12b4040900000000000000050000004d000000000000000210006261636b656e64206578706c6f646564"},
+	} {
+		if got := hex.EncodeToString(tc.frame); got != tc.want {
+			t.Errorf("%s frame bytes changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+	long := appendResult(nil, resultFrame{Dispatch: 2, Index: 1, Status: resultErr, Err: strings.Repeat("x", maxStringLen+100)})
+	sum := sha256.Sum256(long)
+	if got, want := hex.EncodeToString(sum[:]), "bb6b99f3e57e93e2767b3e5b40168a149f637877a3b0fefd0500a33a0a6f6ceb"; len(long) != 4128 || got != want {
+		t.Errorf("long error result: %d bytes, sha256 %s; want 4128 bytes, sha256 %s", len(long), got, want)
+	}
+}
+
 func TestReadFrameMatchesDecodeFrame(t *testing.T) {
 	frame := appendBatch(nil, testBatch())
-	typ, payload, n, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	typ, payload, n, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), maxFrameLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +260,7 @@ func TestDecodeStrictness(t *testing.T) {
 	}
 
 	// Unknown result status.
-	bad := appendFrame(nil, frameResult, func() []byte {
-		p := make([]byte, 0, 21)
-		p = append(p, make([]byte, 8+4+8)...) // dispatch, index, durns
-		return append(p, 99)                  // bogus status
-	}())
+	bad := appendResult(nil, resultFrame{Status: 99}) // zero words, bogus status
 	_, payload, _, err = decodeFrame(bad)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +300,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n < frameHeaderLen+1 || n > len(data) {
+		if n < codec.HeaderLen+1 || n > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n, len(data))
 		}
 		switch typ {

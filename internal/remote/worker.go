@@ -85,7 +85,7 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 		return nil, fmt.Errorf("remote: handshake write: %w", err)
 	}
 	r := bufio.NewReader(conn)
-	typ, payload, _, err := readFrame(r)
+	typ, payload, _, err := readFrame(r, maxWelcomeLen)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("remote: handshake read: %w", err)
@@ -143,7 +143,7 @@ func (w *Worker) Wait() {
 func (w *Worker) readLoop(r *bufio.Reader) {
 	defer close(w.donec)
 	for {
-		typ, payload, _, err := readFrame(r)
+		typ, payload, _, err := readFrame(r, maxFrameLen)
 		if err != nil {
 			w.Close()
 			return

@@ -1,153 +1,60 @@
 package store
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"math"
+import "optima/internal/codec"
 
-	"optima/internal/device"
-	"optima/internal/engine"
-)
-
-// Format v2 wire codec: one segment is a sequence of length-prefixed binary
-// records, each integrity-checked by its own CRC32. Compared to the v1
-// JSONL lines the codec replaces, a record costs no encoding/json round
-// trip on either side and roughly a third of the bytes (the numeric fields
-// are fixed-width float bits instead of decimal text, and the config/
-// condition values are stored once, in the key, instead of twice).
+// Format v2: a segment is a sequence of records, each one internal/codec
+// frame (u32 body length, u32 CRC32 of the body) whose body is
 //
-// Record layout (all integers little-endian):
+//	string   fingerprint
+//	string   backend name
+//	job      the key's six words
+//	metrics  the seven metric words
 //
-//	u32  body length (bytes after the 8-byte header)
-//	u32  CRC32 (IEEE) of the body
-//	body:
-//	  u16 fingerprint length, fingerprint bytes
-//	  u16 backend-name length, backend-name bytes
-//	  6 × u64  key fields:    Tau0, VDAC0, VDACFS, Corner, VDD, TempC
-//	  7 × u64  metric fields: EpsMul, EpsLarge, EpsSmall, EMul,
-//	           SigmaMaxLSB, SigmaMaxVolt, LSBVolt
+// Metrics.Config and Metrics.Cond are not stored; they come back from the
+// key.
 //
-// Floats travel as math.Float64bits, so every value — including -0 and
-// denormals — round-trips exactly. Metrics.Config and Metrics.Cond are not
-// serialized: they duplicate the key by construction (the engine fills
-// them from the job), so decode reconstructs them from the key fields.
-//
-// The length prefix frames the log (a torn append is detected as a short
-// or absurd length), and the CRC catches bit rot inside a fully framed
-// record. Either failure ends the readable prefix: everything behind a bad
-// record is unreliable, so the loader keeps the prefix and compacts — the
-// same torn-tail durability model as v1, without v1's reliance on newline
-// framing surviving corruption.
+// Any decode failure (a short or out-of-bound length, a CRC mismatch, a
+// malformed body, a non-finite metric) ends the segment's readable prefix:
+// everything behind a bad record is unreliable, so the loader keeps the
+// prefix and compacts.
 
-// recordHeaderLen is the fixed per-record header: body length + CRC32.
-const recordHeaderLen = 8
+// recordBodyFixedLen is the fixed-width part of a record body: the two
+// string length prefixes, the job and the metrics.
+const recordBodyFixedLen = 2 + 2 + codec.JobLen + codec.MetricsLen
 
-// recordBodyFixedLen is the fixed-width portion of a record body: the two
-// string-length prefixes plus the 13 numeric fields.
-const recordBodyFixedLen = 2 + 2 + 8*(6+7)
-
-// maxRecordLen bounds a single record's body. Fingerprints are 32-byte hex
+// maxRecordLen bounds a record's body. Fingerprints are 32-byte hex
 // strings and backend names are short identifiers, so a length prefix
 // beyond this bound is framing damage, not a large record.
 const maxRecordLen = 1 << 16
 
-var crcTable = crc32.IEEETable
-
-// appendRecord appends the v2 wire form of one record to buf and returns
-// the extended slice (append-style, so batched writers encode a whole
-// group into one buffer with at most one grow).
+// appendRecord appends the v2 form of one record to buf and returns the
+// extended slice.
 func appendRecord(buf []byte, rec record) []byte {
-	bodyLen := recordBodyFixedLen + len(rec.FP) + len(rec.Key.Backend)
 	start := len(buf)
-	buf = append(buf, make([]byte, recordHeaderLen+bodyLen)...)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(bodyLen))
-	body := buf[start+recordHeaderLen:]
-
-	off := 0
-	binary.LittleEndian.PutUint16(body[off:], uint16(len(rec.FP)))
-	off += 2
-	off += copy(body[off:], rec.FP)
-	binary.LittleEndian.PutUint16(body[off:], uint16(len(rec.Key.Backend)))
-	off += 2
-	off += copy(body[off:], rec.Key.Backend)
-	for _, v := range [...]uint64{
-		math.Float64bits(rec.Key.Config.Tau0),
-		math.Float64bits(rec.Key.Config.VDAC0),
-		math.Float64bits(rec.Key.Config.VDACFS),
-		uint64(rec.Key.Cond.Corner),
-		math.Float64bits(rec.Key.Cond.VDD),
-		math.Float64bits(rec.Key.Cond.TempC),
-		math.Float64bits(rec.Met.EpsMul),
-		math.Float64bits(rec.Met.EpsLarge),
-		math.Float64bits(rec.Met.EpsSmall),
-		math.Float64bits(rec.Met.EMul),
-		math.Float64bits(rec.Met.SigmaMaxLSB),
-		math.Float64bits(rec.Met.SigmaMaxVolt),
-		math.Float64bits(rec.Met.LSBVolt),
-	} {
-		binary.LittleEndian.PutUint64(body[off:], v)
-		off += 8
-	}
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, crcTable))
-	return buf
+	buf = codec.Begin(buf, recordBodyFixedLen+len(rec.FP)+len(rec.Key.Backend))
+	buf = codec.AppendStr(buf, rec.FP)
+	buf = codec.AppendStr(buf, rec.Key.Backend)
+	buf = codec.AppendJob(buf, rec.Key.Job)
+	return codec.End(codec.AppendMetrics(buf, rec.Met), start)
 }
 
 // decodeRecord decodes the record at the head of data. It returns the
 // record, the bytes consumed, and whether the head held a complete, intact
-// record. ok == false means the readable prefix of the segment ends here —
-// a torn append, a truncated file, or CRC-detected corruption — and is
-// never fatal to the caller: the loader repairs by compaction.
+// record. ok == false means the readable prefix of the segment ends here;
+// it is never fatal to the caller, whose loader repairs by compaction.
 func decodeRecord(data []byte) (rec record, n int, ok bool) {
-	if len(data) < recordHeaderLen {
+	body, n, err := codec.Frame(data, maxRecordLen)
+	if err != nil {
 		return record{}, 0, false
 	}
-	bodyLen := int(binary.LittleEndian.Uint32(data))
-	if bodyLen < recordBodyFixedLen || bodyLen > maxRecordLen || recordHeaderLen+bodyLen > len(data) {
+	r := codec.NewReader(body)
+	rec.FP = r.Str()
+	rec.Key.Backend = r.Str()
+	rec.Key.Job = r.Job()
+	rec.Met = r.Metrics()
+	if r.Done() != nil {
 		return record{}, 0, false
 	}
-	body := data[recordHeaderLen : recordHeaderLen+bodyLen]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
-		return record{}, 0, false
-	}
-
-	fpLen := int(binary.LittleEndian.Uint16(body))
-	if 2+fpLen+2 > len(body) {
-		return record{}, 0, false
-	}
-	rec.FP = string(body[2 : 2+fpLen])
-	off := 2 + fpLen
-	backendLen := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	if off+backendLen+8*13 != len(body) {
-		return record{}, 0, false
-	}
-	rec.Key.Backend = string(body[off : off+backendLen])
-	off += backendLen
-
-	var vals [13]uint64
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint64(body[off:])
-		off += 8
-	}
-	rec.Key.Config.Tau0 = math.Float64frombits(vals[0])
-	rec.Key.Config.VDAC0 = math.Float64frombits(vals[1])
-	rec.Key.Config.VDACFS = math.Float64frombits(vals[2])
-	rec.Key.Cond.Corner = device.ProcessCorner(vals[3])
-	rec.Key.Cond.VDD = math.Float64frombits(vals[4])
-	rec.Key.Cond.TempC = math.Float64frombits(vals[5])
-	rec.Met = engine.Metrics{
-		Config:       rec.Key.Config,
-		Cond:         rec.Key.Cond,
-		EpsMul:       math.Float64frombits(vals[6]),
-		EpsLarge:     math.Float64frombits(vals[7]),
-		EpsSmall:     math.Float64frombits(vals[8]),
-		EMul:         math.Float64frombits(vals[9]),
-		SigmaMaxLSB:  math.Float64frombits(vals[10]),
-		SigmaMaxVolt: math.Float64frombits(vals[11]),
-		LSBVolt:      math.Float64frombits(vals[12]),
-	}
-	if !validMetrics(rec.Met) {
-		return record{}, 0, false
-	}
-	return rec, recordHeaderLen + bodyLen, true
+	rec.Met.Config, rec.Met.Cond = rec.Key.Config, rec.Key.Cond
+	return rec, n, true
 }

@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"os"
 	"testing"
 
+	"optima/internal/codec"
 	"optima/internal/device"
 	"optima/internal/engine"
 	"optima/internal/mult"
@@ -66,7 +69,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	var want []record
 	for i := 0; i < 500; i++ {
 		rec := randRecord(rng)
-		if !validMetrics(rec.Met) {
+		if !rec.Met.Finite() {
 			continue // NaN/Inf are rejected by design, not round-tripped
 		}
 		one := appendRecord(nil, rec)
@@ -95,6 +98,39 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if len(stream) != 0 {
 		t.Fatalf("%d trailing bytes after the last record", len(stream))
+	}
+}
+
+// TestRecordBytesPinned pins format v2 byte for byte: one record with
+// every float corner case (-0, the smallest denormal, 1e300) and a stream
+// of 300 seeded adversarial records. The expected bytes were captured from
+// the store's encoder before it was rebuilt on internal/codec, so a cache
+// directory written by an earlier v2 build stays readable.
+func TestRecordBytesPinned(t *testing.T) {
+	key := engine.Key{Backend: engine.BackendGolden, Job: engine.Job{
+		Config: mult.Config{Tau0: 0.2e-9, VDAC0: 0.31, VDACFS: math.Copysign(0, -1)},
+		Cond:   device.PVT{Corner: device.CornerSS, VDD: 0.9, TempC: 60},
+	}}
+	rec := record{FP: "0123456789abcdef0123456789abcdef", Key: key, Met: engine.Metrics{
+		Config: key.Config, Cond: key.Cond,
+		EpsMul: 0.25, EpsLarge: 5e-324, EpsSmall: math.Copysign(0, -1), EMul: 2.1e-14,
+		SigmaMaxLSB: 0.4, SigmaMaxVolt: 1.7e-3, LSBVolt: 1e300,
+	}}
+	const want = "92000000b0bc9e26200030313233343536373839616263646566303132333435363738396162636465660600676f6c64656e" +
+		"bbbdd7d9df7ceb3dd7a3703d0ad7d33f00000000000000800200000000000000cdccccccccccec3f0000000000004e40" +
+		"000000000000d03f01000000000000000000000000000080fca08f80d6a4173d9a9999999999d93f5f07ce1951da5b3f9c7500883ce4377e"
+	if got := hex.EncodeToString(appendRecord(nil, rec)); got != want {
+		t.Fatalf("record bytes changed:\n got %s\nwant %s", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	var stream []byte
+	for i := 0; i < 300; i++ {
+		stream = appendRecord(stream, randRecord(rng))
+	}
+	sum := sha256.Sum256(stream)
+	if got, want := hex.EncodeToString(sum[:]), "a91ef138648eb9d661b6bccec939f79066e9c0c8c1692efdee45309b04167703"; len(stream) != 41876 || got != want {
+		t.Fatalf("300 seeded records: %d bytes, sha256 %s; want 41876 bytes, sha256 %s", len(stream), got, want)
 	}
 }
 
@@ -147,7 +183,8 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 
 	for cut := 0; cut <= len(stream); cut++ {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{Fingerprint: "fp-a", Partitions: 1})
+		onePartition(t, dir)
+		s, err := Open(dir, Options{Fingerprint: "fp-a"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +200,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		if err := os.Truncate(seg, int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		s, err = Open(dir, Options{Fingerprint: "fp-a", Partitions: 1})
+		s, err = Open(dir, Options{Fingerprint: "fp-a"})
 		if err != nil {
 			t.Fatalf("cut %d: open failed: %v", cut, err)
 		}
@@ -182,7 +219,7 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s, err = Open(dir, Options{Fingerprint: "fp-a", Partitions: 1})
+		s, err = Open(dir, Options{Fingerprint: "fp-a"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +234,8 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 // keeps the prefix, drops the suffix, and never fails the open.
 func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fingerprint: "fp-a", Partitions: 1})
+	onePartition(t, dir)
+	s, err := Open(dir, Options{Fingerprint: "fp-a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +257,11 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 		}
 		off += n
 	}
-	data[off+recordHeaderLen+4] ^= 0xff
+	data[off+codec.HeaderLen+4] ^= 0xff
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(dir, Options{Fingerprint: "fp-a", Partitions: 1})
+	s, err = Open(dir, Options{Fingerprint: "fp-a"})
 	if err != nil {
 		t.Fatalf("mid-segment corruption must not fail the open: %v", err)
 	}
@@ -246,7 +284,7 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 
 // TestMaxRecordLenRejected: an absurd length prefix is framing damage.
 func TestMaxRecordLenRejected(t *testing.T) {
-	buf := make([]byte, recordHeaderLen+maxRecordLen+1)
+	buf := make([]byte, codec.HeaderLen+maxRecordLen+1)
 	binary.LittleEndian.PutUint32(buf, uint32(maxRecordLen+1))
 	if _, _, ok := decodeRecord(buf); ok {
 		t.Fatal("oversized length prefix accepted")

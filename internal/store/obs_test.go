@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"optima/internal/codec"
 	"optima/internal/obs"
 )
 
@@ -64,7 +65,7 @@ func TestStoreStatsMatchRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	torn := make([]byte, recordHeaderLen+10)
+	torn := make([]byte, codec.HeaderLen+10)
 	binary.LittleEndian.PutUint32(torn, uint32(recordBodyFixedLen+20))
 	appendBytes(t, segments(t, dir)[0], torn)
 	s2, err := Open(dir, Options{Fingerprint: "fp-a", Recorder: rec})
@@ -96,7 +97,7 @@ func TestOpenSurfacesTornTailCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := segments(t, dir)
-	torn := make([]byte, recordHeaderLen+10)
+	torn := make([]byte, codec.HeaderLen+10)
 	binary.LittleEndian.PutUint32(torn, uint32(recordBodyFixedLen+20))
 	appendBytes(t, segs[0], torn)
 

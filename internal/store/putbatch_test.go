@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -88,7 +89,8 @@ func TestPutBatchEquivalentToLoopedPut(t *testing.T) {
 // untouched, while a mostly-stale partition is rewritten.
 func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fingerprint: "fp", Partitions: 1})
+	onePartition(t, dir)
+	s, err := Open(dir, Options{Fingerprint: "fp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = Open(dir, Options{Fingerprint: "fp", Partitions: 1})
+	s, err = Open(dir, Options{Fingerprint: "fp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 
 	// Push the garbage over the threshold: overwrite 20 more keys
 	// (28 garbage / 68 total ≈ 41% > 25%) — the next open compacts.
-	s, err = Open(dir, Options{Fingerprint: "fp", Partitions: 1})
+	s, err = Open(dir, Options{Fingerprint: "fp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(dir, Options{Fingerprint: "fp", Partitions: 1})
+	s, err = Open(dir, Options{Fingerprint: "fp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +149,57 @@ func TestOpenDoesNotRewriteCleanSegments(t *testing.T) {
 	}
 	if st.Live != 40 {
 		t.Fatalf("compaction kept %d live records, want 40", st.Live)
+	}
+}
+
+// TestPutBatchRefusesNonFinite: a result with a non-finite metric is never
+// written, since its record would not load again and reopening would end
+// the partition's readable prefix at it. The finite results around it,
+// in the same batch too, persist, and the refusal is PutBatch's error.
+func TestPutBatchRefusesNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	onePartition(t, dir)
+	s, err := Open(dir, Options{Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		met := testMet(i)
+		if i == 1 {
+			met.EpsMul = math.NaN()
+		}
+		if err := put(s, testKey(i), met); (err != nil) != (i == 1) {
+			t.Fatalf("put %d: error %v", i, err)
+		}
+	}
+	inf := testMet(13)
+	inf.SigmaMaxLSB = math.Inf(1)
+	if err := s.PutBatch([]engine.CacheEntry{{Key: testKey(12), Met: testMet(12)}, {Key: testKey(13), Met: inf}}); err == nil {
+		t.Fatal("a batch holding an infinite metric was stored without error")
+	}
+	check := func(when string) {
+		t.Helper()
+		if n := s.Len(); n != 12 {
+			t.Fatalf("%s: %d results live, want 12", when, n)
+		}
+		for i := 0; i <= 13; i++ {
+			met, ok := s.Get(testKey(i))
+			if want := i != 1 && i != 13; ok != want || ok && met != testMet(i) {
+				t.Fatalf("%s: key %d served (%v, %v), want served=%v", when, i, met, ok, want)
+			}
+		}
+	}
+	check("before reopen")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{Fingerprint: "fp"}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("after reopen")
+	if st := s.Stats(); st.TornTails != 0 {
+		t.Fatalf("reopen repaired %d torn tails, want none", st.TornTails)
 	}
 }
 

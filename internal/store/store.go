@@ -12,11 +12,15 @@
 //     append contention per-partition and gives a future key-range-sharded
 //     or remote store a drop-in seam: the engine.Store interface never
 //     exposes the layout.
-//   - Records use the format-v2 binary codec (codec.go): length-prefixed,
-//     fixed-width key/metric fields, one CRC32 per record. Open rejects a
-//     directory whose manifest names any other format version, including
-//     the retired v1 JSONL layout; deleting the directory recovers, and its
-//     results recompute on demand.
+//   - Records use format v2 (codec.go): each is one internal/codec frame,
+//     length-prefixed and CRC32-checked, holding the fingerprint, the key
+//     and the metrics as fixed-width words, the same words the fleet's
+//     wire carries. Open rejects a directory whose manifest names any
+//     other format version, including the retired v1 JSONL layout;
+//     deleting the directory recovers, and its results recompute on
+//     demand.
+//   - Only finite metrics are written: PutBatch refuses the rest, and the
+//     loader treats a non-finite record as damage.
 //   - Every record carries the writer's fingerprint. Only records matching
 //     the store's open fingerprint enter the in-memory index, so a stale
 //     calibration can never serve wrong results — it only costs
@@ -45,21 +49,25 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"optima/internal/codec"
 	"optima/internal/engine"
 	"optima/internal/obs"
 )
 
-// DefaultPartitions is the segment count new stores are created with.
+// DefaultPartitions is the segment count new stores are created with. An
+// existing store keeps the count its manifest names.
 const DefaultPartitions = 16
 
 // FormatVersion identifies the on-disk layout. Open rejects any other
@@ -88,9 +96,6 @@ type Options struct {
 	// may consume) the results. Records with a different fingerprint are
 	// treated as garbage: never served, dropped at compaction.
 	Fingerprint string
-	// Partitions sets the segment count for a newly created store
-	// (<= 0 = DefaultPartitions). An existing store keeps its own count.
-	Partitions int
 	// MaxBytes bounds the store's on-disk size: at open, whole segments are
 	// evicted least-recently-written first (by file modification time, which
 	// appends keep fresh) until the remaining segments fit the budget.
@@ -171,10 +176,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	nparts := opts.Partitions
-	if nparts <= 0 {
-		nparts = DefaultPartitions
-	}
+	nparts := DefaultPartitions
 	lock, err := acquireLock(filepath.Join(dir, ".lock"))
 	if err != nil {
 		return nil, err
@@ -378,18 +380,6 @@ func loadPartition(path, fp string) (*partition, partLoadInfo, error) {
 	return p, info, nil
 }
 
-// validMetrics rejects records whose payload decoded but is semantically
-// impossible (NaN from bit rot); a corrupt result must degrade to
-// recomputation, never to a wrong run.
-func validMetrics(m engine.Metrics) bool {
-	for _, v := range []float64{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt, m.LSBVolt} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 func (p *partition) garbage() int { return p.total - len(p.index) }
 
 // rewrite snapshots the partition's live records to a temp file and
@@ -460,10 +450,14 @@ func (s *Store) Get(key engine.Key) (engine.Metrics, bool) {
 
 // PutBatch implements engine.Store: results are grouped by partition and
 // appended with one write per touched segment, amortizing syscall and lock
-// traffic for batched submission.
+// traffic for batched submission. Entries with non-finite metrics are not
+// written (their records would not load again, and the segment's readable
+// prefix would end at them); the rest persist, and the refusal is the
+// returned error.
 func (s *Store) PutBatch(entries []engine.CacheEntry) error {
+	entries, refused := finiteEntries(entries)
 	if len(entries) == 0 {
-		return nil
+		return refused
 	}
 	var putArg string
 	if s.rec != nil {
@@ -474,7 +468,7 @@ func (s *Store) PutBatch(entries []engine.CacheEntry) error {
 	s.n.putRecords.Add(uint64(len(entries)))
 	nparts := uint64(len(s.parts))
 	if len(entries) == 1 {
-		return s.parts[entries[0].Key.Hash()%nparts].append(s.fp, entries)
+		return cmp.Or(s.parts[entries[0].Key.Hash()%nparts].append(s.fp, entries), refused)
 	}
 	// Bucket by partition into one exactly-sized backing array: a counting
 	// pass, prefix sums, then stable placement. Entries keep their input
@@ -504,7 +498,18 @@ func (s *Store) PutBatch(entries []engine.CacheEntry) error {
 			firstErr = err
 		}
 	}
-	return firstErr
+	return cmp.Or(firstErr, refused)
+}
+
+// finiteEntries returns the entries whose metrics are finite and, when it
+// dropped any, an error that counts them.
+func finiteEntries(entries []engine.CacheEntry) ([]engine.CacheEntry, error) {
+	bad := func(e engine.CacheEntry) bool { return !e.Met.Finite() }
+	if !slices.ContainsFunc(entries, bad) {
+		return entries, nil
+	}
+	kept := slices.DeleteFunc(slices.Clone(entries), bad)
+	return kept, fmt.Errorf("store: %d of %d results have non-finite metrics; not stored", len(entries)-len(kept), len(entries))
 }
 
 // append writes a group of records to one segment under its lock. The
@@ -513,7 +518,7 @@ func (s *Store) PutBatch(entries []engine.CacheEntry) error {
 func (p *partition) append(fp string, ents []engine.CacheEntry) error {
 	size := 0
 	for i := range ents {
-		size += recordHeaderLen + recordBodyFixedLen + len(fp) + len(ents[i].Key.Backend)
+		size += codec.HeaderLen + recordBodyFixedLen + len(fp) + len(ents[i].Key.Backend)
 	}
 	buf := make([]byte, 0, size)
 	for _, ent := range ents {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"optima/internal/codec"
 	"optima/internal/device"
 	"optima/internal/engine"
 	"optima/internal/mult"
@@ -37,6 +38,18 @@ func testMet(i int) engine.Metrics {
 		Config: k.Config, Cond: k.Cond,
 		EpsMul: float64(i) * 0.25, EpsLarge: float64(i) * 0.5, EpsSmall: float64(i) * 0.125,
 		EMul: float64(i+1) * 1e-15, SigmaMaxLSB: 0.4, SigmaMaxVolt: 1.7e-3, LSBVolt: 4.2e-3,
+	}
+}
+
+// onePartition lays dir out as a single-partition store for tests that
+// cut or flip the bytes of its one segment: Open keeps the partition count
+// an existing manifest names, so the manifest is written before the first
+// Open.
+func onePartition(t *testing.T, dir string) {
+	t.Helper()
+	m := fmt.Sprintf(`{"version": %d, "partitions": 1}`, FormatVersion)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(m), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -127,7 +140,7 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	// mid-append — and chop bytes off the end of another, destroying its
 	// final record.
 	segs := segments(t, dir)
-	torn := make([]byte, recordHeaderLen+10)
+	torn := make([]byte, codec.HeaderLen+10)
 	binary.LittleEndian.PutUint32(torn, uint32(recordBodyFixedLen+20))
 	appendBytes(t, segs[0], torn)
 	var chopped string
