@@ -35,7 +35,6 @@ import (
 	"optima/internal/engine"
 	"optima/internal/obs"
 	"optima/internal/remote"
-	"optima/internal/store"
 )
 
 func main() {
@@ -59,19 +58,17 @@ func run(connect string, f *cli.Flags) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	model, calib, err := f.LoadModel()
+	// The session Open would build: its fingerprint is the one a
+	// coordinator opened from the same -model or recipe expects.
+	ctx, err := f.Session()
 	if err != nil {
 		return err
 	}
-	fp, err := store.Fingerprint(engine.MetricsSchema, model, calib.Tech, calib.Spice)
-	if err != nil {
-		return fmt.Errorf("fingerprint: %w", err)
-	}
 
 	opts := remote.WorkerOptions{
-		Fingerprint: fp,
+		Fingerprint: ctx.Fingerprint(),
 		Backends: func(name string) (engine.Backend, error) {
-			return engine.ByName(name, model, calib.Tech, calib.Spice)
+			return engine.ByName(name, ctx.Model, ctx.Tech, ctx.Spice)
 		},
 		Workers:  workers,
 		Logger:   slog.Default(),

@@ -145,14 +145,14 @@ func runCalibrate(args []string) error {
 	}
 	// Here -model names the output, so f.Model is empty and this
 	// calibrates; the duration and fit report are its slog line.
-	model, _, err := f.LoadModel()
+	ctx, err := f.Session()
 	if err != nil {
 		return err
 	}
 	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
 		return err
 	}
-	if err := model.Save(*out); err != nil {
+	if err := ctx.Model.Save(*out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)

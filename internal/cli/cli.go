@@ -125,34 +125,48 @@ func (f *Flags) SetupLogging() error {
 	return nil
 }
 
-// LoadModel loads the -model file. With no -model, or one naming a file
-// that does not exist, it calibrates with the recipe -quick selects; a
-// file that exists but does not load is an error, never a silent
-// recalibration. It also returns the recipe, whose technology card and
-// solver settings complete the calibration fingerprint.
-func (f *Flags) LoadModel() (*core.Model, core.CalibrationConfig, error) {
+// Session loads the -model file and returns it as a bare experiment
+// session: the model with its recipe's technology card and solver
+// settings, so that exp.Context.Fingerprint — the calibration identity a
+// coordinator and its workers compare — is computed from the same values
+// in every command. With no -model, or one naming a file that does not
+// exist, it calibrates with the recipe -quick selects; a file that exists
+// but does not load is an error, never a silent recalibration. Open builds
+// on it; optima calibrate and optima-worker call it directly, build no
+// engine on it and need not close it.
+func (f *Flags) Session() (*exp.Context, error) {
 	calib := core.DefaultCalibration()
 	if f.Quick {
 		calib = core.QuickCalibration()
 	}
+	model, err := f.loadModel(calib)
+	if err != nil {
+		return nil, err
+	}
+	ctx := exp.NewContextWithModel(model, calib.Tech)
+	ctx.Spice = calib.Spice
+	return ctx, nil
+}
+
+func (f *Flags) loadModel(calib core.CalibrationConfig) (*core.Model, error) {
 	if f.Model != "" {
 		m, err := core.LoadModel(f.Model)
 		if err == nil {
 			slog.Info("loaded model", "path", f.Model)
-			return m, calib, nil
+			return m, nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, calib, err
+			return nil, err
 		}
 		slog.Warn("model not found; calibrating", "path", f.Model)
 	}
 	start := time.Now()
 	m, err := core.Calibrate(calib)
 	if err != nil {
-		return nil, calib, err
+		return nil, err
 	}
 	slog.Info("calibrated", "duration", time.Since(start), "report", m.Report.String())
-	return m, calib, nil
+	return m, nil
 }
 
 // Open turns the flag values into an experiment session. It checks
@@ -178,11 +192,10 @@ func (f *Flags) Open() (*exp.Context, error) {
 			return nil, err
 		}
 	}
-	model, calib, err := f.LoadModel()
+	ctx, err := f.Session()
 	if err != nil {
 		return nil, err
 	}
-	ctx := exp.NewContextWithModel(model, calib.Tech)
 	ctx.Workers = f.Workers
 	ctx.Backend = f.Backend
 	ctx.Conditions = conds

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"optima/internal/core"
 	"optima/internal/engine"
 	"optima/internal/store"
 )
@@ -37,8 +38,9 @@ func TestOpenRejectsCorruptModel(t *testing.T) {
 
 // TestMissingModelCalibrates: a -model path that does not exist yet
 // calibrates with the -quick recipe, both in Open (optima, optima-server,
-// optima-dnn) and in LoadModel (optima-worker), and the two arrive at the
-// same calibration fingerprint, so such a worker joins such a coordinator.
+// optima-dnn) and in Session (optima calibrate, optima-worker), and the
+// two arrive at the same calibration fingerprint, so such a worker joins
+// such a coordinator.
 func TestMissingModelCalibrates(t *testing.T) {
 	f := Flags{Model: filepath.Join(t.TempDir(), "missing.json"), Quick: true}
 	ctx, err := f.Open()
@@ -50,16 +52,51 @@ func TestMissingModelCalibrates(t *testing.T) {
 		t.Fatal("missing model file: context has no model")
 	}
 
-	model, calib, err := f.LoadModel()
+	worker, err := f.Session()
 	if err != nil {
-		t.Fatalf("missing model file: LoadModel: %v", err)
+		t.Fatalf("missing model file: Session: %v", err)
 	}
-	fp, err := store.Fingerprint(engine.MetricsSchema, model, calib.Tech, calib.Spice)
+	if worker.Fingerprint() != ctx.Fingerprint() {
+		t.Fatalf("Session fingerprint %s, Open fingerprint %s: a worker would be rejected", worker.Fingerprint(), ctx.Fingerprint())
+	}
+}
+
+// TestOpenTakesRecipeSolverSettings: the opened context carries the
+// recipe's solver settings, not the solver's defaults, and its fingerprint
+// is the calibration identity over the model, the recipe's technology card
+// and its solver settings — the one a worker loading the same model sends.
+func TestOpenTakesRecipeSolverSettings(t *testing.T) {
+	calib := core.QuickCalibration()
+	model, err := core.Calibrate(calib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp != ctx.Fingerprint() {
-		t.Fatalf("LoadModel fingerprint %s, Open fingerprint %s: a worker would be rejected", fp, ctx.Fingerprint())
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := model.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	f := Flags{Model: path, Quick: true}
+	ctx, err := f.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	if ctx.Spice != calib.Spice || ctx.Tech != calib.Tech {
+		t.Fatalf("opened context solver %+v, tech %+v; the recipe's are %+v, %+v", ctx.Spice, ctx.Tech, calib.Spice, calib.Tech)
+	}
+	want, err := store.Fingerprint(engine.MetricsSchema, ctx.Model, calib.Tech, calib.Spice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Fingerprint() != want {
+		t.Fatalf("opened fingerprint %s, want %s", ctx.Fingerprint(), want)
+	}
+	worker, err := f.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worker.Fingerprint() != want {
+		t.Fatalf("worker fingerprint %s, want the coordinator's %s", worker.Fingerprint(), want)
 	}
 }
 

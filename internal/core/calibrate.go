@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"optima/internal/device"
-	"optima/internal/linalg"
 	"optima/internal/poly"
 	"optima/internal/sched"
 	"optima/internal/spice"
@@ -165,13 +165,12 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 	m.Discharge.TnomC = device.NominalTempC
 
 	// --- Eq. 3: rank-1 separable fit of VBL − VDD over (Vod, t). ---
-	var baseSamples []poly.Sample
+	var baseSamples []poly.SampleN
 	for _, c := range nominal {
 		for k, t := range tGrid {
-			baseSamples = append(baseSamples, poly.Sample{
-				X: c.vwl - m.Discharge.VthRef,
-				Y: t * timeScale,
-				Z: c.vbl[k] - device.NominalVDD,
+			baseSamples = append(baseSamples, poly.SampleN{
+				Xs: []float64{c.vwl - m.Discharge.VthRef, t * timeScale},
+				Z:  c.vbl[k] - device.NominalVDD,
 			})
 		}
 	}
@@ -183,85 +182,27 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 	m.Report.BaseRMSVolts = baseRMS
 
 	// --- Eq. 4: p2(ΔVDD) multiplying the base model. ---
-	// Linear least squares over the supply-sweep curves (the nominal curves
-	// participate with ΔVDD = 0 to pin the factor near 1).
-	{
-		var rows [][]float64
-		var rhs []float64
-		add := func(c goldenCurve) {
-			dv := c.vdd - device.NominalVDD
-			for k, t := range tGrid {
-				vb := m.Discharge.VBLBase(t, c.vwl)
-				row := make([]float64, cfg.DegVDD+1)
-				p := vb
-				for d := 0; d <= cfg.DegVDD; d++ {
-					row[d] = p
-					p *= dv
-				}
-				rows = append(rows, row)
-				rhs = append(rhs, c.vbl[k])
-			}
-		}
-		for _, c := range nominal {
-			add(c)
-		}
-		for _, c := range vddVar {
-			add(c)
-		}
-		a, err := linalg.NewMatrixFromRows(rows)
-		if err != nil {
-			return nil, fmt.Errorf("core: VDD design matrix: %w", err)
-		}
-		coeffs, _, err := linalg.LeastSquares(a, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("core: VDD fit: %w", err)
-		}
-		m.Discharge.VDDFactor = poly.Polynomial{Coeffs: coeffs}
-		// Report RMS on the supply-variation curves only (as the paper does).
-		var resid []float64
-		for _, c := range vddVar {
-			for k, t := range tGrid {
-				resid = append(resid, m.Discharge.VBL(t, c.vwl, c.vdd, c.tempC)-c.vbl[k])
-			}
-		}
-		m.Report.VDDRMSVolts = stats.RMS(resid)
+	// The nominal curves participate with ΔVDD = 0 to pin the factor near 1.
+	m.Discharge.VDDFactor, err = fitCurves(slices.Concat(nominal, vddVar), tGrid, cfg.DegVDD,
+		func(c goldenCurve, k int, t float64) (x, w, z float64) {
+			return c.vdd - device.NominalVDD, m.Discharge.VBLBase(t, c.vwl), c.vbl[k]
+		})
+	if err != nil {
+		return nil, fmt.Errorf("core: VDD fit: %w", err)
 	}
+	// Report RMS on the supply-variation curves only (as the paper does).
+	m.Report.VDDRMSVolts = m.Discharge.curveRMS(vddVar, tGrid)
 
 	// --- Eq. 5: additive temperature term t·ΔT·p3(V_WL). ---
-	{
-		var rows [][]float64
-		var rhs []float64
-		for _, c := range tempVar {
-			dt := c.tempC - device.NominalTempC
-			for k, t := range tGrid {
-				pred := m.Discharge.VBLBase(t, c.vwl) * m.Discharge.VDDFactor.Eval(0)
-				row := make([]float64, cfg.DegTempVWL+1)
-				p := t * timeScale * dt
-				for d := 0; d <= cfg.DegTempVWL; d++ {
-					row[d] = p
-					p *= c.vwl
-				}
-				rows = append(rows, row)
-				rhs = append(rhs, c.vbl[k]-pred)
-			}
-		}
-		a, err := linalg.NewMatrixFromRows(rows)
-		if err != nil {
-			return nil, fmt.Errorf("core: temperature design matrix: %w", err)
-		}
-		coeffs, _, err := linalg.LeastSquares(a, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("core: temperature fit: %w", err)
-		}
-		m.Discharge.TempSlope = poly.Polynomial{Coeffs: coeffs}
-		var resid []float64
-		for _, c := range tempVar {
-			for k, t := range tGrid {
-				resid = append(resid, m.Discharge.VBL(t, c.vwl, c.vdd, c.tempC)-c.vbl[k])
-			}
-		}
-		m.Report.TempRMSVolts = stats.RMS(resid)
+	m.Discharge.TempSlope, err = fitCurves(tempVar, tGrid, cfg.DegTempVWL,
+		func(c goldenCurve, k int, t float64) (x, w, z float64) {
+			pred := m.Discharge.VBLBase(t, c.vwl) * m.Discharge.VDDFactor.Eval(0)
+			return c.vwl, t * timeScale * (c.tempC - device.NominalTempC), c.vbl[k] - pred
+		})
+	if err != nil {
+		return nil, fmt.Errorf("core: temperature fit: %w", err)
 	}
+	m.Report.TempRMSVolts = m.Discharge.curveRMS(tempVar, tGrid)
 
 	// --- Eq. 6: mismatch σ(t, V_WL) from Monte Carlo. ---
 	{
@@ -300,10 +241,10 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 		}
 		transients += len(cfg.MCVWLs) * cfg.MCSamples
 
-		var sigSamples []poly.Sample
+		var sigSamples []poly.SampleN
 		for _, r := range results {
 			for k, t := range tGrid {
-				sigSamples = append(sigSamples, poly.Sample{X: t * timeScale, Y: r.vwl, Z: r.sigma[k]})
+				sigSamples = append(sigSamples, poly.SampleN{Xs: []float64{t * timeScale, r.vwl}, Z: r.sigma[k]})
 			}
 		}
 		sigModel, sigRMS, err := poly.FitSeparable(sigSamples, cfg.DegSigmaT, cfg.DegSigmaVWL, 80, 1e-13)
@@ -316,7 +257,7 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 
 	// --- Eq. 7: write energy over (VDD × T). ---
 	{
-		var samples []poly.Sample
+		var samples []poly.SampleN
 		for _, vdd := range cfg.VDDs {
 			for _, tc := range cfg.Temps {
 				cond := device.PVT{Corner: device.CornerTT, VDD: vdd, TempC: tc}
@@ -324,7 +265,7 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 				if err != nil {
 					return nil, fmt.Errorf("core: write energy at %v: %w", cond, err)
 				}
-				samples = append(samples, poly.Sample{X: vdd, Y: tc, Z: e})
+				samples = append(samples, poly.SampleN{Xs: []float64{vdd, tc}, Z: e})
 				transients++
 			}
 		}
@@ -339,7 +280,7 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 	// --- Eq. 8: discharge (recharge) energy over (VDD, ΔV, T). ---
 	{
 		var samples []poly.SampleN
-		add := func(c goldenCurve) {
+		for _, c := range slices.Concat(nominal, vddVar, tempVar) {
 			for k := range tGrid {
 				dv := c.vdd - c.vbl[k]
 				if dv < 0 {
@@ -348,15 +289,6 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 				e := spice.DefaultCBL * c.vdd * dv
 				samples = append(samples, poly.SampleN{Xs: []float64{c.vdd, dv, c.tempC}, Z: e})
 			}
-		}
-		for _, c := range nominal {
-			add(c)
-		}
-		for _, c := range vddVar {
-			add(c)
-		}
-		for _, c := range tempVar {
-			add(c)
 		}
 		edc, edcRMS, err := poly.FitProduct(samples, []int{cfg.DegEdcVDD, cfg.DegEdcDV, cfg.DegEdcT}, 60, 1e-14)
 		if err != nil {
@@ -371,4 +303,31 @@ func Calibrate(cfg CalibrationConfig) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// fitCurves fits the polynomial p of the given degree to z ≈ w·p(x) over
+// every t-grid point of the golden curves, where at gives the (x, w, z) of
+// curve c's point k at time t.
+func fitCurves(curves []goldenCurve, tGrid []float64, degree int, at func(c goldenCurve, k int, t float64) (x, w, z float64)) (poly.Polynomial, error) {
+	var xs, ws, zs []float64
+	for _, c := range curves {
+		for k, t := range tGrid {
+			x, w, z := at(c, k, t)
+			xs, ws, zs = append(xs, x), append(ws, w), append(zs, z)
+		}
+	}
+	p, _, err := poly.FitWeighted(xs, ws, zs, degree)
+	return p, err
+}
+
+// curveRMS is the RMS error of the deterministic model (Eq. 3–5) against
+// the golden curves over the t-grid.
+func (m *DischargeModel) curveRMS(curves []goldenCurve, tGrid []float64) float64 {
+	var resid []float64
+	for _, c := range curves {
+		for k, t := range tGrid {
+			resid = append(resid, m.VBL(t, c.vwl, c.vdd, c.tempC)-c.vbl[k])
+		}
+	}
+	return stats.RMS(resid)
 }

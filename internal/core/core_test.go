@@ -1,8 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -28,6 +32,37 @@ func testModel(t *testing.T) *Model {
 		t.Fatalf("calibration fixture: %v", fixtureErr)
 	}
 	return fixtureModel
+}
+
+// TestCalibrationPinned pins the calibrated models bit for bit: the sha256
+// of each recipe's JSON model. Every downstream number reads these
+// coefficients, so a refactor of the fits must leave both digests as they
+// are. Other architectures may fuse multiply-adds (the Go spec allows it),
+// which moves the last bits, so the pin holds on amd64 only.
+func TestCalibrationPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	def, err := Calibrate(DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model *Model
+		want  string
+	}{
+		{"quick", testModel(t), "d45d47e2bd14bae6a67079e65287b57595cf112893da8ad32e31367b6fc78af5"},
+		{"default", def, "ebba52f31091f5b41266a6027f6460d6e9338e12f5afece2ff58b7d0d11e9609"},
+	} {
+		data, err := json.Marshal(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.want {
+			t.Errorf("%s model digest %x, want %s", tc.name, sum, tc.want)
+		}
+	}
 }
 
 func TestCalibrationReportInPaperRegime(t *testing.T) {
@@ -277,4 +312,15 @@ func TestSupplyScaledVWL(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data)
+}
+
+// TestCalibrateWithoutTemperatureSweep: with no off-nominal temperature
+// there is no sample for Eq. 5's slope, and Calibrate returns an error
+// instead of panicking.
+func TestCalibrateWithoutTemperatureSweep(t *testing.T) {
+	cfg := QuickCalibration()
+	cfg.Temps = []float64{device.NominalTempC}
+	if _, err := Calibrate(cfg); err == nil {
+		t.Fatal("calibrated a temperature slope without an off-nominal temperature")
+	}
 }

@@ -14,8 +14,12 @@
 //	Eq. 8  E_dc(d, VDD, V_WL, T)    = p1(VDD)·p3(ΔV_BL)·p1(T)
 //
 // All polynomial coefficients are obtained by least-squares fits to golden
-// simulation sweeps (package spice). Time enters the models in nanoseconds
-// and voltages in volts so that the fitted coefficients are well scaled.
+// simulation sweeps (package spice), all through package poly: the
+// products of Eq. 3, 6, 7 and 8 by its one alternating-least-squares loop
+// (FitSeparable, FitProduct), the single factors of Eq. 4 and 5 by its one
+// weighted solve (FitWeighted) with the model fitted so far as the weight
+// or offset. Time enters the models in nanoseconds and voltages in volts so
+// that the fitted coefficients are well scaled.
 package core
 
 import (

@@ -1,6 +1,7 @@
 // Package linalg provides the dense linear-algebra kernels used by the
 // model-fitting pipeline: matrices, Householder QR, triangular solves, and
-// linear least squares.
+// linear least squares. Its one caller is poly.FitWeighted, which builds
+// every design matrix of the calibration.
 //
 // The package is intentionally small and allocation-conscious rather than a
 // general BLAS replacement; problem sizes in OPTIMA are a few thousand rows
@@ -11,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix of float64 values.
@@ -35,22 +35,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid matrix dimensions %d×%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices. All rows must have the
-// same length. The data is copied.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("linalg: empty row data: %w", ErrShape)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("linalg: row %d has %d entries, want %d: %w", i, len(r), m.cols, ErrShape)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
 }
 
 // Rows returns the number of rows.
@@ -99,22 +83,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%12.6g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
 }
 
 // Norm2 returns the Euclidean norm of v, guarding against overflow.

@@ -51,24 +51,8 @@ func TestAtOutOfBoundsPanics(t *testing.T) {
 	m.At(2, 0)
 }
 
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %g, want 3", m.At(1, 0))
-	}
-	if _, err := NewMatrixFromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged rows: err = %v, want ErrShape", err)
-	}
-	if _, err := NewMatrixFromRows(nil); !errors.Is(err, ErrShape) {
-		t.Fatalf("empty rows: err = %v, want ErrShape", err)
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	got, err := a.MulVec([]float64{5, 6})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +86,17 @@ func pseudoRand(seed uint64) *lcg { return &lcg{state: seed*2862933555777941757 
 func (l *lcg) next() float64 {
 	l.state = l.state*6364136223846793005 + 1442695040888963407
 	return float64(l.state>>11)/float64(1<<53)*2 - 1
+}
+
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
 }
 
 func randomMatrix(r *lcg, rows, cols int) *Matrix {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestQRSolvesSquareSystem(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 1, 2},
 		{1, 5, 1},
 		{2, 1, 6},
@@ -55,7 +55,7 @@ func TestQRLeastSquaresOverdetermined(t *testing.T) {
 func TestQRResidualIsMinimal(t *testing.T) {
 	// For an inconsistent system, perturbing the LS solution must not
 	// decrease the residual.
-	a, _ := NewMatrixFromRows([][]float64{{1, 0}, {1, 0}, {0, 1}})
+	a := fromRows([][]float64{{1, 0}, {1, 0}, {0, 1}})
 	b := []float64{0, 2, 1}
 	x, resid, err := LeastSquares(a, b)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestQRUnderdeterminedRejected(t *testing.T) {
 }
 
 func TestQRSingularDetected(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{1, 2},
 		{2, 4},
 		{3, 6},

@@ -20,10 +20,10 @@ func BenchmarkFitDegree4(b *testing.B) {
 
 func BenchmarkFitSeparableALS(b *testing.B) {
 	px, py := New(0, 1, 0.5), New(0.2, 0.9)
-	var samples []Sample
+	var samples []SampleN
 	for _, x := range stats.Linspace(0, 1, 20) {
 		for _, y := range stats.Linspace(0, 2, 20) {
-			samples = append(samples, Sample{X: x, Y: y, Z: px.Eval(x) * py.Eval(y)})
+			samples = append(samples, SampleN{Xs: []float64{x, y}, Z: px.Eval(x) * py.Eval(y)})
 		}
 	}
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package poly
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,45 @@ func TestFitUnderdetermined(t *testing.T) {
 	}
 }
 
+// TestFitWeightedRecoversWeightedPolynomial: samples z_i = w_i·p(t_i) with
+// weights of both signs give back p and a zero residual.
+func TestFitWeightedRecoversWeightedPolynomial(t *testing.T) {
+	want := New(0.3, -1.2, 0.8)
+	ts := stats.Linspace(-1.5, 2, 30)
+	ws := make([]float64, len(ts))
+	zs := make([]float64, len(ts))
+	for i, x := range ts {
+		ws[i] = 0.5 + math.Sin(3*x)
+		zs[i] = ws[i] * want.Eval(x)
+	}
+	got, rms, err := FitWeighted(ts, ws, zs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rms > 1e-12 {
+		t.Fatalf("rms = %g, want ~0", rms)
+	}
+	for i := range want.Coeffs {
+		if math.Abs(got.Coeffs[i]-want.Coeffs[i]) > 1e-10 {
+			t.Fatalf("coeffs = %v, want %v", got.Coeffs, want.Coeffs)
+		}
+	}
+}
+
+// TestFitWeightedTooFewSamples: fewer samples than coefficients, none
+// included, is ErrFit rather than a panic in the design matrix.
+func TestFitWeightedTooFewSamples(t *testing.T) {
+	for n := 0; n < 3; n++ {
+		xs := []float64{0.5, 1, 2}[:n]
+		if _, _, err := FitWeighted(xs, xs, xs, 2); !errors.Is(err, ErrFit) {
+			t.Fatalf("%d samples for 3 coefficients: err = %v, want ErrFit", n, err)
+		}
+	}
+	if _, _, err := FitWeighted([]float64{1, 2}, []float64{1}, []float64{1, 2}, 0); !errors.Is(err, ErrFit) {
+		t.Fatalf("length mismatch: err = %v, want ErrFit", err)
+	}
+}
+
 func TestFitNoisyDataReasonableRMS(t *testing.T) {
 	rng := stats.NewRNG(2)
 	truth := New(1, 2, -0.5)
@@ -65,23 +105,13 @@ func TestFitNoisyDataReasonableRMS(t *testing.T) {
 	}
 }
 
-func TestVandermondeShape(t *testing.T) {
-	m := Vandermonde([]float64{2, 3}, 2)
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("shape %d×%d", m.Rows(), m.Cols())
-	}
-	if m.At(0, 2) != 4 || m.At(1, 2) != 9 {
-		t.Fatalf("x² column wrong: %v %v", m.At(0, 2), m.At(1, 2))
-	}
-}
-
 func TestFitSeparableRecoversRank1(t *testing.T) {
 	px := New(0, -0.8, 0.3) // in x
 	py := New(0.1, 1.0)     // in y
-	var samples []Sample
+	var samples []SampleN
 	for _, x := range stats.Linspace(0, 1, 15) {
 		for _, y := range stats.Linspace(0, 2, 15) {
-			samples = append(samples, Sample{X: x, Y: y, Z: px.Eval(x) * py.Eval(y)})
+			samples = append(samples, SampleN{Xs: []float64{x, y}, Z: px.Eval(x) * py.Eval(y)})
 		}
 	}
 	fit, rms, err := FitSeparable(samples, 2, 1, 60, 1e-14)
@@ -93,17 +123,17 @@ func TestFitSeparableRecoversRank1(t *testing.T) {
 	}
 	// The product must match even though individual factors may be rescaled.
 	for _, s := range samples {
-		if math.Abs(fit.PX.Eval(s.X)*fit.PY.Eval(s.Y)-s.Z) > 1e-8 {
-			t.Fatalf("fit(%g,%g) = %g, want %g", s.X, s.Y, fit.PX.Eval(s.X)*fit.PY.Eval(s.Y), s.Z)
+		if got := fit.PX.Eval(s.Xs[0]) * fit.PY.Eval(s.Xs[1]); math.Abs(got-s.Z) > 1e-8 {
+			t.Fatalf("fit(%v) = %g, want %g", s.Xs, got, s.Z)
 		}
 	}
 }
 
 func TestFitSeparableNormalization(t *testing.T) {
-	var samples []Sample
+	var samples []SampleN
 	for _, x := range stats.Linspace(0.1, 1, 10) {
 		for _, y := range stats.Linspace(0.1, 1, 10) {
-			samples = append(samples, Sample{X: x, Y: y, Z: 3 * x * y})
+			samples = append(samples, SampleN{Xs: []float64{x, y}, Z: 3 * x * y})
 		}
 	}
 	fit, _, err := FitSeparable(samples, 1, 1, 60, 1e-14)
@@ -122,7 +152,7 @@ func TestFitSeparableNormalization(t *testing.T) {
 }
 
 func TestFitSeparableTooFewSamples(t *testing.T) {
-	samples := []Sample{{1, 1, 1}, {2, 2, 4}}
+	samples := []SampleN{{Xs: []float64{1, 1}, Z: 1}, {Xs: []float64{2, 2}, Z: 4}}
 	if _, _, err := FitSeparable(samples, 2, 2, 10, 0); !errors.Is(err, ErrFit) {
 		t.Fatalf("err = %v, want ErrFit", err)
 	}
@@ -132,10 +162,10 @@ func TestFitSeparableTooFewSamples(t *testing.T) {
 // f(x,y) = 1 + x·y + x²·y² is rank-2, so the separable fit keeps a residual.
 func TestFitSeparableMissesRank2(t *testing.T) {
 	f := func(x, y float64) float64 { return 1 + x*y + x*x*y*y }
-	var samples []Sample
+	var samples []SampleN
 	for _, x := range stats.Linspace(-1, 1, 12) {
 		for _, y := range stats.Linspace(-1, 1, 12) {
-			samples = append(samples, Sample{X: x, Y: y, Z: f(x, y)})
+			samples = append(samples, SampleN{Xs: []float64{x, y}, Z: f(x, y)})
 		}
 	}
 	_, rms, err := FitSeparable(samples, 2, 2, 60, 1e-14)
@@ -144,6 +174,29 @@ func TestFitSeparableMissesRank2(t *testing.T) {
 	}
 	if rms < 0.05 {
 		t.Fatalf("separable rms %g on a rank-2 target, want ≥ 0.05", rms)
+	}
+}
+
+// TestFitSeparableIsTwoFactorProduct: the two fitters share one
+// alternating-least-squares loop, so when PY has the higher degree (where
+// FitProduct also starts from PY) they return the same bits.
+func TestFitSeparableIsTwoFactorProduct(t *testing.T) {
+	var samples []SampleN
+	for _, x := range stats.Linspace(0.2, 1, 9) {
+		for _, y := range stats.Linspace(0, 2, 11) {
+			samples = append(samples, SampleN{Xs: []float64{x, y}, Z: math.Exp(-x*y) + 0.1*x})
+		}
+	}
+	sep, sepRMS, err := FitSeparable(samples, 1, 3, 40, 1e-13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, prodRMS, err := FitProduct(samples, []int{1, 3}, 40, 1e-13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual([]Polynomial{sep.PX, sep.PY}, prod.Factors) || sepRMS != prodRMS {
+		t.Fatalf("separable %v %v (rms %g) != product %v (rms %g)", sep.PX, sep.PY, sepRMS, prod.Factors, prodRMS)
 	}
 }
 
@@ -225,13 +278,10 @@ func TestFitInterpolationProperty(t *testing.T) {
 	}
 }
 
-func TestScaleAndString(t *testing.T) {
+func TestScale(t *testing.T) {
 	p := New(1, 2).Scale(3)
 	if p.Eval(1) != 9 {
 		t.Fatalf("scaled eval = %g, want 9", p.Eval(1))
-	}
-	if s := New(1, 2, 3).String(); s == "" {
-		t.Fatal("empty String()")
 	}
 }
 

@@ -53,8 +53,10 @@ type FleetStats struct {
 	// LocalFallbacks counts cells evaluated on the coordinator's local
 	// backend because no workers were connected (or all were lost).
 	LocalFallbacks uint64 `json:"local_fallbacks"`
-	// Rejected counts workers refused in the handshake (protocol or
-	// fingerprint mismatch).
+	// Rejected counts failed handshakes: a hello that does not read
+	// (oversized, corrupt, truncated, another frame type), a protocol or
+	// fingerprint mismatch, or a welcome that cannot be written. A
+	// connection Close ends mid-handshake is not counted.
 	Rejected uint64 `json:"rejected"`
 	// BytesSent / BytesReceived count frame bytes on the wire.
 	BytesSent     uint64 `json:"bytes_sent"`
@@ -144,7 +146,7 @@ func Listen(addr string, opts Options) (*Fleet, error) {
 			{"optima_remote_retries_total", "cells re-shipped to idle workers (work stealing)", &f.n.retries},
 			{"optima_remote_reassignments_total", "cells reassigned off dead workers", &f.n.reassignments},
 			{"optima_remote_local_fallbacks_total", "cells evaluated locally because no workers were connected", &f.n.fallbacks},
-			{"optima_remote_rejected_total", "workers refused in the handshake (protocol or fingerprint mismatch)", &f.n.rejected},
+			{"optima_remote_rejected_total", "failed worker handshakes (unreadable hello, protocol or fingerprint mismatch)", &f.n.rejected},
 			{"optima_remote_bytes_sent_total", "frame bytes sent to workers", &f.n.bytesSent},
 			{"optima_remote_bytes_received_total", "frame bytes received from workers", &f.n.bytesReceived},
 		} {
@@ -690,12 +692,18 @@ func (f *Fleet) handshake(conn net.Conn) {
 
 // greet validates a dialing worker's hello (protocol version and
 // calibration fingerprint) and replies with a welcome; it returns the
-// accepted worker, or nil. A rejected worker gets the reason in its
-// welcome frame — its operator sees why, instead of a silent drop.
+// accepted worker, or nil. A worker refused for its hello gets the reason
+// in its welcome frame — its operator sees why, instead of a silent drop.
+// A hello that does not read (oversized, corrupt, truncated, another frame
+// type) gets no welcome. Either way the failed handshake is refused.
 func (f *Fleet) greet(conn net.Conn) (*workerConn, *bufio.Reader) {
 	r := bufio.NewReader(conn)
 	typ, payload, n, err := readFrame(r, maxHelloLen)
-	if err != nil || typ != frameHello {
+	if err == nil && typ != frameHello {
+		err = fmt.Errorf("frame type %d", typ)
+	}
+	if err != nil {
+		f.refuse(conn, fmt.Sprintf("no hello: %v", err))
 		return nil, nil
 	}
 	f.n.bytesReceived.Add(uint64(n))
@@ -710,15 +718,31 @@ func (f *Fleet) greet(conn net.Conn) (*workerConn, *bufio.Reader) {
 		reject = "calibration fingerprint mismatch: recalibrate the worker with the coordinator's model"
 	}
 	frame := appendWelcome(nil, welcomeFrame{Reject: reject})
-	if _, werr := conn.Write(frame); werr != nil || reject != "" {
-		if reject != "" {
-			f.n.rejected.Add(1)
-			f.log.Warn("remote: worker rejected", "addr", conn.RemoteAddr().String(), "reason", reject)
-		}
-		return nil, nil
+	_, werr := conn.Write(frame)
+	switch {
+	case reject != "":
+		f.refuse(conn, reject)
+	case werr != nil:
+		f.refuse(conn, fmt.Sprintf("welcome: %v", werr))
+	default:
+		f.n.bytesSent.Add(uint64(len(frame)))
+		return &workerConn{conn: conn, capacity: int(hello.Capacity)}, r
 	}
-	f.n.bytesSent.Add(uint64(len(frame)))
-	return &workerConn{conn: conn, capacity: int(hello.Capacity)}, r
+	return nil, nil
+}
+
+// refuse counts a failed handshake in Rejected and logs it at Warn with
+// the peer's address and the cause, unless Close ended the connection:
+// shutdown is not a rejection.
+func (f *Fleet) refuse(conn net.Conn, cause string) {
+	f.mu.Lock()
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
+		return
+	}
+	f.n.rejected.Add(1)
+	f.log.Warn("remote: worker rejected", "addr", conn.RemoteAddr().String(), "reason", cause)
 }
 
 // readLoop consumes one worker's result stream until the connection

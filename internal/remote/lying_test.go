@@ -160,7 +160,8 @@ func TestFleetRefusesUnownedResult(t *testing.T) {
 
 // TestFleetDropsOversizedHello: a peer whose first header claims a body
 // larger than any hello is disconnected at once. The coordinator neither
-// allocates the claimed body nor waits for it.
+// allocates the claimed body nor waits for it, and counts the failed
+// handshake as a rejection.
 func TestFleetDropsOversizedHello(t *testing.T) {
 	leakCheck(t)
 	fleet := startFleet(t, nil)
@@ -183,4 +184,5 @@ func TestFleetDropsOversizedHello(t *testing.T) {
 	if n := fleet.WorkerCount(); n != 0 {
 		t.Fatalf("%d workers joined", n)
 	}
+	waitFor(t, time.Second, func() bool { return fleet.Stats().Rejected == 1 })
 }

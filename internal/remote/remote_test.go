@@ -538,7 +538,8 @@ func running(fn string) bool {
 
 // TestFleetCloseWithSilentPeer: a peer that connects and never sends its
 // hello — a port scan, a stuck worker — does not hold Close up, so it
-// cannot hang a coordinator's shutdown.
+// cannot hang a coordinator's shutdown. Ending its handshake is shutdown,
+// not a rejection.
 func TestFleetCloseWithSilentPeer(t *testing.T) {
 	leakCheck(t)
 	fleet := startFleet(t, nil)
@@ -558,6 +559,9 @@ func TestFleetCloseWithSilentPeer(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close blocked on a peer that never sent its hello")
+	}
+	if n := fleet.Stats().Rejected; n != 0 {
+		t.Fatalf("Close counted %d rejections", n)
 	}
 }
 
