@@ -7,11 +7,15 @@
 // transistor-level simulation, polynomial fitting, DNN inference and
 // quantization) with the paper's behavioral models in internal/core and the
 // 4-bit in-SRAM multiplier case study in internal/mult, which evaluates
-// those models only at the bit lines' sampling instants. The polynomial
-// fitting in internal/poly is one weighted least-squares solve
-// (poly.FitWeighted, Householder QR in internal/linalg) and one
-// alternating-least-squares loop for the rank-1 products; every fit of
-// Eq. 3–8 in core.Calibrate goes through the two.
+// those models only at the bit lines' sampling instants. Its two backends
+// differ only in how they get one bit line's discharge (the models, or a
+// transient): both fill a 16×4 transfer table, one row per input code;
+// every product, deterministic or sampled, composes from a row through one
+// charge-share-and-quantize readout, and both ADC trims fit the same charge
+// share of a nominal table. The polynomial fitting in internal/poly is one
+// weighted least-squares solve (poly.FitWeighted, Householder QR in
+// internal/linalg) and one alternating-least-squares loop for the rank-1
+// products; every fit of Eq. 3–8 in core.Calibrate goes through the two.
 // All corner/condition evaluations route through the concurrent memoizing
 // evaluation service in internal/engine, which the exploration layers
 // (internal/dse, internal/search, internal/exp) submit jobs to — as a batch

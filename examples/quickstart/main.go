@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("multiplier at %v\n", cfg)
-	fmt.Printf("ADC trim: LSB = %.3f mV, offset = %.3f mV\n\n", m.LSBVolt*1e3, m.OffsetVolt*1e3)
+	fmt.Printf("ADC trim: LSB = %.3f mV\n\n", m.LSBVolt*1e3)
 
 	// 3. Multiply 11 × 13 deterministically and with mismatch sampling.
 	a, d := uint(11), uint(13)

@@ -40,7 +40,7 @@ func ProfileByResult(model *core.Model, cfg mult.Config, cond device.PVT) (Resul
 	groups := make(map[int]*acc)
 	for a := uint(0); a <= mult.OperandMax; a++ {
 		for d := uint(0); d <= mult.OperandMax; d++ {
-			r, err := b.Multiply(a, d, nil)
+			r, err := b.MultiplyDet(a, d)
 			if err != nil {
 				return ResultProfile{}, err
 			}
@@ -50,7 +50,7 @@ func ProfileByResult(model *core.Model, cfg mult.Config, cond device.PVT) (Resul
 				groups[r.Expected] = g
 			}
 			sigma := math.Hypot(r.Sigma, mult.DefaultADCSigma)
-			g.err.Add(engine.ExpectedAbsError(r.VComb-b.OffsetVolt, sigma, b.LSBVolt, r.Expected))
+			g.err.Add(engine.ExpectedAbsError(r.VComb, sigma, b.LSBVolt, r.Expected))
 			g.sigSq.Add(r.Sigma * r.Sigma)
 		}
 	}

@@ -146,7 +146,7 @@ func TestExpectedAbsErrorMatchesReferenceOnGrid(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							mu := r.VComb - bm.OffsetVolt
+							mu := r.VComb
 							sigma := math.Hypot(r.Sigma, mult.DefaultADCSigma)
 							got := ExpectedAbsError(mu, sigma, bm.LSBVolt, r.Expected)
 							want := refExpectedAbsError(mu, sigma, bm.LSBVolt, r.Expected)

@@ -215,7 +215,7 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 			return 0, 0, err
 		}
 		sigma := math.Hypot(r.Sigma, mult.DefaultADCSigma)
-		eps = ExpectedAbsError(r.VComb-bm.OffsetVolt, sigma, bm.LSBVolt, r.Expected)
+		eps = ExpectedAbsError(r.VComb, sigma, bm.LSBVolt, r.Expected)
 		if a == mult.OperandMax && d == mult.OperandMax {
 			m.SigmaMaxVolt = r.Sigma
 			m.SigmaMaxLSB = r.Sigma / bm.LSBVolt

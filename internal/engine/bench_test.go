@@ -19,13 +19,13 @@ var (
 	benchErr   error
 )
 
-func benchModelFixture(b *testing.B) *core.Model {
-	b.Helper()
+func modelFixture(tb testing.TB) *core.Model {
+	tb.Helper()
 	benchOnce.Do(func() {
 		benchModel, benchErr = core.Calibrate(core.QuickCalibration())
 	})
 	if benchErr != nil {
-		b.Fatal(benchErr)
+		tb.Fatal(benchErr)
 	}
 	return benchModel
 }
@@ -39,7 +39,7 @@ func benchJobs() []engine.Job {
 // backend's hot loop — one full 16x16 operand sweep per Evaluate call,
 // served by the deterministic per-condition tables (allocation-free).
 func BenchmarkBehavioralEvaluate(b *testing.B) {
-	model := benchModelFixture(b)
+	model := modelFixture(b)
 	backend := engine.Behavioral{Model: model}
 	cfg := dse.DefaultGrid().Configs()[0]
 	cond := device.Nominal()
@@ -58,7 +58,7 @@ func BenchmarkBehavioralEvaluate(b *testing.B) {
 // condition cold case is the Fig. 8 robust-sweep workload; warm is what a
 // robust search rung pays when it revisits the plane.
 func BenchmarkEvaluateMatrix(b *testing.B) {
-	model := benchModelFixture(b)
+	model := modelFixture(b)
 	cfgs := dse.DefaultGrid().Configs()
 	conds5, err := engine.ParseConditionSet("TT@1V@27C,SS@0.9V@60C,FF@1.1V@0C,TT@0.95V@45C,TT@1.05V@10C")
 	if err != nil {
@@ -99,7 +99,7 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 // content-addressed cache (cold vs cached re-sweep, the ≥5× acceptance
 // target).
 func BenchmarkEngineSweep(b *testing.B) {
-	model := benchModelFixture(b)
+	model := modelFixture(b)
 	jobs := benchJobs()
 
 	b.Run("cold/workers=1", func(b *testing.B) {
@@ -177,7 +177,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 // counters + histograms on every evaluation); the target is < 5% ns/op
 // over nil.
 func BenchmarkRecorderOverhead(b *testing.B) {
-	model := benchModelFixture(b)
+	model := modelFixture(b)
 	jobs := benchJobs()
 	run := func(rec *obs.Recorder) func(*testing.B) {
 		return func(b *testing.B) {

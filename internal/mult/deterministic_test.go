@@ -82,24 +82,42 @@ func TestMultiplyDetFallback(t *testing.T) {
 	}
 }
 
-// TestMultiplyDetStaleTableFallback: mutating Cond after construction must
-// not serve the old condition's table.
+// TestMultiplyDetStaleTableFallback: mutating the condition, the DAC, the
+// configuration or the models after construction must not serve the table
+// built for the old ones.
 func TestMultiplyDetStaleTableFallback(t *testing.T) {
-	b, err := NewBehavioral(testModel(t), fomConfig(), device.Nominal())
+	model := testModel(t)
+	dac, err := CalibrateNonlinearDAC(model, fomConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Cond.VDD = 0.9
-	got, err := b.MultiplyDet(15, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := b.Multiply(15, 15, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("stale-table MultiplyDet = %+v, Multiply gives %+v", got, want)
+	other := *model
+	other.Discharge.VthRef += 0.05
+	for name, mutate := range map[string]func(b *Behavioral){
+		"VDD":   func(b *Behavioral) { b.Cond.VDD = 0.9 },
+		"TempC": func(b *Behavioral) { b.Cond.TempC = 85 },
+		"DAC":   func(b *Behavioral) { b.DAC = dac },
+		"Tau0":  func(b *Behavioral) { b.Cfg.Tau0 = 0.28e-9 },
+		"Model": func(b *Behavioral) { b.Model = &other },
+	} {
+		b, err := NewBehavioral(model, fomConfig(), device.Nominal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(b)
+		for _, pair := range [][2]uint{{9, 7}, {15, 15}} {
+			got, err := b.MultiplyDet(pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := b.Multiply(pair[0], pair[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s changed: stale-table MultiplyDet = %+v, Multiply gives %+v", name, got, want)
+			}
+		}
 	}
 }
 
@@ -159,21 +177,23 @@ func TestNewBehavioralSharesNominalTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.det == nil || b.det.vdd != device.NominalVDD {
-		t.Fatalf("nominal multiplier has table %+v", b.det)
+	if b.det == nil || b.detFor.vdd != device.NominalVDD {
+		t.Fatalf("nominal multiplier has table for %+v", b.detFor)
 	}
 	cond := device.PVT{Corner: device.CornerTT, VDD: 0.9, TempC: 85}
 	b2, err := NewBehavioral(model, fomConfig(), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.det == nil || b2.det.vdd != 0.9 || b2.det.tempC != 85 {
-		t.Fatalf("corner multiplier has table for wrong condition: %+v", b2.det)
+	if b2.det == nil || b2.detFor.vdd != 0.9 || b2.detFor.tempC != 85 {
+		t.Fatalf("corner multiplier has table for wrong condition: %+v", b2.detFor)
+	}
+	if *b2.det == *b.det {
+		t.Fatal("corner multiplier serves the nominal table")
 	}
 	// Same trim either way: the fit always runs at nominal.
-	if b.LSBVolt != b2.LSBVolt || b.OffsetVolt != b2.OffsetVolt {
-		t.Fatalf("trim differs across conditions: (%g,%g) vs (%g,%g)",
-			b.LSBVolt, b.OffsetVolt, b2.LSBVolt, b2.OffsetVolt)
+	if b.LSBVolt != b2.LSBVolt {
+		t.Fatalf("trim differs across conditions: %g vs %g", b.LSBVolt, b2.LSBVolt)
 	}
 }
 
@@ -186,11 +206,11 @@ func TestDetTableAgainstModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := b.det
 	for a := uint(0); a <= OperandMax; a++ {
+		r := &b.det[a]
 		vwl := b.wordLineVoltage(a, cond.VDD)
-		if tab.vwl[a] != vwl {
-			t.Fatalf("vwl[%d] = %g, model gives %g", a, tab.vwl[a], vwl)
+		if r.vwl != vwl {
+			t.Fatalf("vwl[%d] = %g, model gives %g", a, r.vwl, vwl)
 		}
 		for i := 0; i < OperandBits; i++ {
 			bt := b.Cfg.BitTime(i)
@@ -198,14 +218,14 @@ func TestDetTableAgainstModel(t *testing.T) {
 			if dv < 0 {
 				dv = 0
 			}
-			if tab.dv[a][i] != dv {
-				t.Fatalf("dv[%d][%d] = %g, model gives %g", a, i, tab.dv[a][i], dv)
+			if r.dv[i] != dv {
+				t.Fatalf("dv[%d][%d] = %g, model gives %g", a, i, r.dv[i], dv)
 			}
-			if sig := model.Discharge.SigmaAt(bt, vwl); tab.sigma[a][i] != sig {
-				t.Fatalf("sigma[%d][%d] = %g, model gives %g", a, i, tab.sigma[a][i], sig)
+			if sig := model.Discharge.SigmaAt(bt, vwl); r.sigma[i] != sig {
+				t.Fatalf("sigma[%d][%d] = %g, model gives %g", a, i, r.sigma[i], sig)
 			}
-			if e := model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC); tab.energy[a][i] != e {
-				t.Fatalf("energy[%d][%d] = %g, model gives %g", a, i, tab.energy[a][i], e)
+			if e := model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC); r.energy[i] != e {
+				t.Fatalf("energy[%d][%d] = %g, model gives %g", a, i, r.energy[i], e)
 			}
 		}
 	}
@@ -306,8 +326,8 @@ func TestGoldenTableWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.dv != parallel.dv {
-		t.Fatalf("table at 4 workers differs from serial:\n%v\n%v", parallel.dv, serial.dv)
+	if *serial.tab != *parallel.tab {
+		t.Fatalf("table at 4 workers differs from serial:\n%v\n%v", *parallel.tab, *serial.tab)
 	}
 	if _, err := serial.Multiply(16, 3); err == nil {
 		t.Fatal("a = 16 accepted")

@@ -70,19 +70,17 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 			return DotResult{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 		}
 		res.Expected += int(a * d)
-		cond := dp.B.Cond
-		vwl := dp.B.wordLineVoltage(a, cond.VDD)
+		var r row
+		dp.B.fill(&r, a, d, dp.B.Cond, rng)
 		for bit := 0; bit < OperandBits; bit++ {
-			if d&(1<<uint(bit)) == 0 {
-				continue
+			if d&(1<<uint(bit)) != 0 {
+				sumV += r.dv[bit]
+				varV += r.sigma[bit] * r.sigma[bit]
+				res.Energy += r.energy[bit]
 			}
-			dv, sig, energy := dp.B.bit(bit, vwl, cond, rng)
-			sumV += dv
-			varV += sig * sig
-			res.Energy += energy
 		}
 		// Per-word DAC drive; the conversion is shared.
-		res.Energy += DefaultDACCap * cond.VDD * vwl
+		res.Energy += DefaultDACCap * dp.B.Cond.VDD * r.vwl
 	}
 	res.Energy += DefaultADCEnergy + DefaultCtrlEnergy
 	// Charge share across K·4 sampling caps.
@@ -90,19 +88,11 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 	res.Sigma = math.Sqrt(varV) / float64(k*OperandBits)
 	// Quantize in product units: V_acc·K/LSB recovers the summed code (the
 	// per-product step shrinks by 1/K on the shared caps, which is why the
-	// accumulation ADC needs the wider range). The per-word trim offsets
-	// accumulate like the signal.
+	// accumulation ADC needs the wider range).
 	v := res.VAcc
 	if rng != nil {
 		v = rng.Gaussian(v, DefaultADCSigma)
 	}
-	code := int(math.Round((v*float64(k) - float64(k)*dp.B.OffsetVolt) / dp.B.LSBVolt))
-	if code < 0 {
-		code = 0
-	}
-	if code > maxCode {
-		code = maxCode
-	}
-	res.Code = code
+	res.Code = min(max(int(math.Round(v*float64(k)/dp.B.LSBVolt)), 0), maxCode)
 	return res, nil
 }

@@ -6,14 +6,19 @@
 // DAC. The four bit-line-bars discharge for τ0, 2τ0, 4τ0 and 8τ0
 // respectively (time-domain bit weighting), are sampled onto equal
 // capacitors, charge-shared, and the combined voltage is quantized by an
-// ADC whose full scale is calibrated to the (15,15) product.
+// ADC whose gain is trimmed once per configuration at the nominal
+// condition: one zero-anchored least-squares gain over all 256 products.
 //
-// Two interchangeable backends compute the same operation:
+// Two interchangeable backends compute the same operation and differ only
+// in how they get one bit line's discharge:
 //
 //   - Behavioral: OPTIMA's calibrated models evaluated only at the sampling
 //     instants 2^i·τ0 (fast — this is the paper's contribution).
 //   - Golden: transistor-level transient simulation per bit line (slow —
 //     the reference the speed-up is measured against).
+//
+// Both fill the same per-code transfer row and compose every product
+// through one readout (readout.go).
 package mult
 
 import (
@@ -113,9 +118,8 @@ type Result struct {
 	DeltaV   [OperandBits]float64 // per-bit-line discharge at sampling [V]
 	// Transients counts the golden bit-line discharges this multiplication
 	// ran or read from a memo (0 for the behavioral backend). Returning the
-	// count per call keeps
-	// the golden multiplier free of shared mutable state, so callers
-	// aggregate speed-up accounting themselves.
+	// count per call keeps the golden multiplier free of shared mutable
+	// state, so callers aggregate speed-up accounting themselves.
 	Transients int
 }
 
@@ -123,26 +127,24 @@ type Result struct {
 func (r Result) ErrorLSB() int { return r.Code - r.Expected }
 
 // Behavioral is the fast OPTIMA-model backend. It is calibrated once per
-// configuration with a best-fit ADC trim: gain and offset are the least-
-// squares line through the nominal-condition transfer over the full input
-// space (the standard INL-minimizing calibration of a production ADC),
-// so the convex device transfer leaves sign-balanced residuals instead of
-// a one-sided mid-code bias.
+// configuration with a best-fit ADC trim: one zero-anchored least-squares
+// gain over the nominal-condition transfer of all 256 products (the
+// INL-minimizing calibration of a production ADC, see fitADCTrim), so the
+// convex device transfer leaves balanced residuals instead of a one-sided
+// mid-code bias.
 type Behavioral struct {
 	Model *core.Model
 	Cfg   Config
 	Cond  device.PVT
 	// LSBVolt is the calibrated ADC step (best-fit gain) [V].
 	LSBVolt float64
-	// OffsetVolt is the calibrated ADC zero offset [V].
-	OffsetVolt float64
 	// DAC optionally replaces the linear code-to-voltage mapping with a
 	// trimmed nonlinear DAC (see CalibrateNonlinearDAC).
 	DAC *NonlinearDAC
-	// det caches the deterministic per-(code, bit) model outputs at Cond
-	// (see deterministic.go); MultiplyDet falls back to direct model calls
-	// when it is absent or stale.
-	det *detTable
+	// det is the deterministic transfer at Cond, built from detFor
+	// (MultiplyDet falls back to Multiply when they no longer match b).
+	det    *table
+	detFor stamp
 }
 
 // ErrScale is returned when a configuration produces no usable full-scale
@@ -150,7 +152,7 @@ type Behavioral struct {
 var ErrScale = errors.New("mult: degenerate full-scale discharge")
 
 // NewBehavioral builds the behavioral multiplier for a configuration at the
-// given operating condition and calibrates its ADC full scale at nominal.
+// given operating condition and calibrates its ADC trim at nominal.
 func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -164,126 +166,61 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 
 // calibrate fits the ADC trim to the nominal-condition transfer and
 // installs the deterministic table for b.Cond. The trim fit and the
-// deterministic fast path consume the same 16×4 model outputs, so they are
-// computed once (64 VBL calls instead of ~1k) and shared when b.Cond is
-// nominal.
+// deterministic fast path read the same 16×4 model outputs, so at the
+// nominal condition they share one table (64 VBL calls instead of ~1k).
 func (b *Behavioral) calibrate() error {
 	nominal := device.Nominal()
-	nomTab := b.buildDetTable(nominal)
-	gain, offset, err := fitADCTrim(nomTab.combined)
+	det := b.transfer(nominal)
+	gain, err := fitADCTrim(det)
 	if err != nil {
 		return err
 	}
-	b.LSBVolt = gain
-	b.OffsetVolt = offset
-	if b.Cond.VDD == nominal.VDD && b.Cond.TempC == nominal.TempC {
-		b.det = nomTab
-	} else {
-		b.det = b.buildDetTable(b.Cond)
+	if b.Cond.VDD != nominal.VDD || b.Cond.TempC != nominal.TempC {
+		det = b.transfer(b.Cond)
 	}
+	b.LSBVolt, b.det = gain, det
+	b.detFor = stamp{b.Model, b.Cfg, b.DAC, b.Cond.VDD, b.Cond.TempC}
 	return nil
 }
 
-// fitADCTrim fits the zero-anchored least-squares gain ΔV ≈ gain·(a·d)
-// over the full 16×16 input space of the deterministic transfer. The zero
-// anchor keeps zero products exactly representable (essential for DNN
-// workloads, where zero activations dominate); the gain minimizes the
-// integral nonlinearity over the remaining codes.
-func fitADCTrim(deltaV func(a, d uint) float64) (gain, offset float64, err error) {
-	var sumXX, sumXY float64
-	for a := uint(0); a <= OperandMax; a++ {
-		for d := uint(0); d <= OperandMax; d++ {
-			x := float64(a * d)
-			y := deltaV(a, d)
-			sumXX += x * x
-			sumXY += x * y
+// fill evaluates the models for input code a at cond on the bit lines set
+// in d, in bit order, at their sampling instants 2^i·τ0: each line's
+// clamped ΔV, the analytic mismatch σ of that discharge and its recharge
+// energy. A non-nil rng samples each discharge with fresh mismatch.
+func (b *Behavioral) fill(r *row, a, d uint, cond device.PVT, rng *stats.RNG) {
+	r.vwl = b.wordLineVoltage(a, cond.VDD)
+	for i := 0; i < OperandBits; i++ {
+		if d&(1<<uint(i)) == 0 {
+			continue
 		}
+		t := b.Cfg.BitTime(i)
+		var vbl float64
+		if rng != nil {
+			vbl = b.Model.Discharge.SampleVBL(t, r.vwl, cond.VDD, cond.TempC, rng)
+		} else {
+			vbl = b.Model.Discharge.VBL(t, r.vwl, cond.VDD, cond.TempC)
+		}
+		r.dv[i] = discharged(cond.VDD, vbl)
+		r.sigma[i] = b.Model.Discharge.SigmaAt(t, r.vwl)
+		r.energy[i] = b.Model.Energy.DischargeEnergy(true, cond.VDD, r.dv[i], cond.TempC)
 	}
-	if sumXX == 0 {
-		return 0, 0, ErrScale
-	}
-	gain = sumXY / sumXX
-	// A non-finite gain (an overflowing or NaN transfer) would quantize
-	// every product to a NaN metric, so it is as unusable as a zero one.
-	if !(gain > 0) || math.IsInf(gain, 1) {
-		return 0, 0, ErrScale
-	}
-	return gain, 0, nil
-}
-
-// bit is the one per-bit step of every behavioral path: the discharge of
-// bit line i under word-line voltage vwl at cond — its clamped ΔV, the
-// analytic mismatch σ of that discharge, and its recharge energy. A non-nil
-// rng samples the discharge with fresh mismatch.
-func (b *Behavioral) bit(i int, vwl float64, cond device.PVT, rng *stats.RNG) (dv, sigma, energy float64) {
-	t := b.Cfg.BitTime(i)
-	var vbl float64
-	if rng != nil {
-		vbl = b.Model.Discharge.SampleVBL(t, vwl, cond.VDD, cond.TempC, rng)
-	} else {
-		vbl = b.Model.Discharge.VBL(t, vwl, cond.VDD, cond.TempC)
-	}
-	dv = cond.VDD - vbl
-	if dv < 0 {
-		dv = 0
-	}
-	return dv, b.Model.Discharge.SigmaAt(t, vwl), b.Model.Energy.DischargeEnergy(true, cond.VDD, dv, cond.TempC)
-}
-
-// add accumulates discharged bit line i into the result: VComb and Sigma
-// hold the running ΔV sum and variance until finish.
-func (r *Result) add(i int, dv, sigma, energy float64) {
-	r.DeltaV[i] = dv
-	r.VComb += dv
-	r.Sigma += sigma * sigma
-	r.Energy += energy
-}
-
-// finish completes an accumulated result on b's readout: the charge-shared
-// VComb and its σ, the ADC code (with input noise when rng is non-nil), and
-// the peripheral energy for word-line voltage vwl.
-func (r *Result) finish(b *Behavioral, vwl float64, rng *stats.RNG) {
-	r.VComb /= OperandBits
-	r.Sigma = math.Sqrt(r.Sigma) / OperandBits
-	r.Code = b.quantize(r.VComb, rng)
-	r.Energy += DefaultDACCap*b.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
 }
 
 // Multiply performs one multiplication. A nil rng gives the deterministic
 // (mismatch-free) result; a non-nil rng samples fresh mismatch per
-// discharge, following the paper's Monte-Carlo procedure. The models are
-// evaluated only at the sampling instants: bit line i's discharge at
-// 2^i·τ0, in bit order, then the charge-shared readout.
+// discharge, following the paper's Monte-Carlo procedure, then the ADC's
+// input noise. The models are evaluated only at the sampling instants: bit
+// line i's discharge at 2^i·τ0, in bit order, then the charge-shared
+// readout.
 func (b *Behavioral) Multiply(a, d uint, rng *stats.RNG) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
+	var r row
+	b.fill(&r, a, d, b.Cond, rng)
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	vwl := b.wordLineVoltage(a, b.Cond.VDD)
-	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) != 0 {
-			dv, sigma, energy := b.bit(i, vwl, b.Cond, rng)
-			res.add(i, dv, sigma, energy)
-		}
-	}
-	res.finish(b, vwl, rng)
+	r.readout(&res, b.Cond.VDD, b.LSBVolt, rng)
 	return res, nil
-}
-
-// quantize maps a combined discharge voltage to an ADC code using the
-// calibrated gain and offset, with ADC input noise when rng is non-nil.
-func (b *Behavioral) quantize(vcomb float64, rng *stats.RNG) int {
-	v := vcomb
-	if rng != nil {
-		v = rng.Gaussian(v, DefaultADCSigma)
-	}
-	return adcCode(v, b.OffsetVolt, b.LSBVolt)
-}
-
-// adcCode rounds a combined voltage onto a trimmed ADC scale, clamped to
-// the converter's range [0, ADCMax] — the readout both backends share.
-func adcCode(v, offset, lsb float64) int {
-	return min(max(int(math.Round((v-offset)/lsb)), 0), ADCMax)
 }
 
 // WriteEnergy returns the modeled energy of storing the d operand
@@ -294,10 +231,10 @@ func (b *Behavioral) WriteEnergy() float64 {
 
 // Golden is the transistor-level reference backend: every set bit of d
 // becomes a transient simulation of the discharge stack (MultiplyCells),
-// sampled per bit line and composed by one readout. It quantizes with the
-// same full-scale calibration approach as the behavioral backend (anchored
-// at its own nominal (15,15) golden discharge). A whole matched-cell input
-// space needs only the 16×4 distinct bit-line transients (Table).
+// sampled per bit line and composed by the readout both backends share. Its
+// ADC trim is fitted the same way as the behavioral backend's, to its own
+// nominal golden transfer (CalibrateGoldenTrim). A whole matched-cell
+// input space needs only the 16×4 distinct bit-line transients (Table).
 //
 // The receiver is immutable after construction, so a single Golden is safe
 // for concurrent MultiplyCells/Table calls — the basis of the
@@ -306,12 +243,11 @@ func (b *Behavioral) WriteEnergy() float64 {
 // cells), integrator work buffers as a per-worker *spice.Scratch, and the
 // transient count of each call comes back in Result.Transients.
 type Golden struct {
-	Tech       device.Tech
-	Cfg        Config
-	Cond       device.PVT
-	Spice      spice.Config
-	LSBVolt    float64
-	OffsetVolt float64
+	Tech    device.Tech
+	Cfg     Config
+	Cond    device.PVT
+	Spice   spice.Config
+	LSBVolt float64
 	// Trajectories, when set before first use, serves every bit-line
 	// discharge from a memo shared with other multipliers, bit for bit the
 	// fresh transient; nil runs one fresh transient per set bit.
@@ -323,13 +259,13 @@ type Golden struct {
 var _ = sram.Word([OperandBits]sram.Cell{})
 
 // GoldenTrim is the per-configuration ADC trim of the golden multiplier:
-// the best-fit gain/offset of the nominal-condition transfer. The trim
-// depends only on (technology, configuration, solver settings) — not on the
-// operating condition — so condition sweeps over one configuration can
-// calibrate once and share the result (see NewGoldenWithTrim).
+// the zero-anchored least-squares gain of its nominal-condition transfer.
+// The trim depends only on (technology, configuration, solver settings) —
+// not on the operating condition — so condition sweeps over one
+// configuration can calibrate once and share the result (see
+// NewGoldenWithTrim).
 type GoldenTrim struct {
-	LSBVolt    float64
-	OffsetVolt float64
+	LSBVolt float64
 	// Transients counts the golden simulations the calibration spent.
 	Transients int
 }
@@ -337,7 +273,7 @@ type GoldenTrim struct {
 // CalibrateGoldenTrim runs the sixteen nominal trim transients of a
 // configuration (one per input code; each waveform provides all four bit
 // sampling times, since the columns share the word line) and fits the
-// best-fit ADC gain/offset.
+// best-fit ADC gain.
 func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config) (GoldenTrim, error) {
 	return CalibrateGoldenTrimObserved(tech, cfg, scfg, nil, 1, nil, 0)
 }
@@ -348,7 +284,7 @@ func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config) (Golde
 // input code under parent — the intra-worker fan-out a trace otherwise
 // renders as one opaque calibration block. A non-nil traj serves the four
 // samples of each code's waveform from its memoized trajectory. Each
-// worker fills a fixed per-code slot and the least-squares fit reduces
+// worker fills a fixed per-code row and the least-squares fit reduces
 // serially in code order, so the trim is identical at any worker count
 // and with or without traj. A nil recorder records nothing; timing never
 // feeds into the returned trim.
@@ -361,58 +297,45 @@ func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config
 	for i := range times {
 		times[i] = cfg.BitTime(i)
 	}
-	// One transient per input code a; ΔV of bit i sampled at 2^i·τ0.
-	// sched.Map returns the rows in code order regardless of scheduling.
-	dv, err := sched.Map(workers, inputCodes(), func(_ int, a uint) ([OperandBits]float64, error) {
+	// One waveform per input code a, read at the four bit times (the
+	// interpolated samples of one transient, not four transients).
+	tab, err := codeRows(workers, func(a uint, r *row) error {
 		var span obs.Timer
 		if rec != nil {
 			span = rec.StartSpan(parent, obs.CatTrim, "trim-transient", fmt.Sprintf("code %d", a))
 		}
-		var row [OperandBits]float64
-		vwl := cfg.DACVoltage(a, nominal.VDD)
-		dp := spice.NewDischargePath(tech, vwl, nominal)
+		dp := spice.NewDischargePath(tech, cfg.DACVoltage(a, nominal.VDD), nominal)
 		vbl, err := traj.Samples(dp, cfg.MaxTime(), times[:], scfg, nil)
 		span.End()
 		if err != nil {
-			return row, fmt.Errorf("mult: golden trim calibration: %w", err)
+			return fmt.Errorf("mult: golden trim calibration: %w", err)
 		}
-		for i := 0; i < OperandBits; i++ {
-			d := nominal.VDD - vbl[i]
-			if d < 0 {
-				d = 0
-			}
-			row[i] = d
+		for i := range r.dv {
+			r.dv[i] = discharged(nominal.VDD, vbl[i])
 		}
-		return row, nil
+		return nil
 	})
 	if err != nil {
 		return GoldenTrim{}, err
 	}
-	trim := GoldenTrim{Transients: len(dv)}
-	gain, offset, err := fitADCTrim(func(a, d uint) float64 {
-		var sum float64
-		for i := 0; i < OperandBits; i++ {
-			if d&(1<<uint(i)) != 0 {
-				sum += dv[a][i]
-			}
-		}
-		return sum / OperandBits
-	})
+	gain, err := fitADCTrim(tab)
 	if err != nil {
 		return GoldenTrim{}, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
-	trim.LSBVolt = gain
-	trim.OffsetVolt = offset
-	return trim, nil
+	return GoldenTrim{LSBVolt: gain, Transients: len(tab)}, nil
 }
 
-// inputCodes returns the input codes 0…OperandMax in order.
-func inputCodes() []uint {
-	codes := make([]uint, OperandMax+1)
-	for a := range codes {
-		codes[a] = uint(a)
+// codeRows fills a new table, row a by f(a, &row) for every input code,
+// with up to workers goroutines (<= 0 = GOMAXPROCS). Each code fills its
+// own row, so the table is identical at any worker count.
+func codeRows(workers int, f func(a uint, r *row) error) (*table, error) {
+	tab := new(table)
+	if _, err := sched.Map(workers, make([]struct{}, len(tab)), func(a int, _ struct{}) (struct{}, error) {
+		return struct{}{}, f(uint(a), &tab[a])
+	}); err != nil {
+		return nil, err
 	}
-	return codes
+	return tab, nil
 }
 
 // NewGolden builds the golden multiplier, calibrating its ADC trim from
@@ -432,10 +355,31 @@ func NewGoldenWithTrim(tech device.Tech, cfg Config, cond device.PVT, scfg spice
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Golden{
-		Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg,
-		LSBVolt: trim.LSBVolt, OffsetVolt: trim.OffsetVolt,
-	}, nil
+	return &Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: trim.LSBVolt}, nil
+}
+
+// fill discharges input code a's bit lines set in d, each through its
+// column's cell (cells[i] backs bit line i) for 2^i·τ0 — one transient, or
+// a read of g.Trajectories — into the row's clamped ΔV and recharge energy
+// (the definition the energy model was calibrated against), and returns
+// how many it ran or read.
+func (g *Golden) fill(r *row, a, d uint, cells *sram.Word, scr *spice.Scratch) (int, error) {
+	r.vwl = g.Cfg.DACVoltage(a, g.Cond.VDD)
+	n := 0
+	for i := 0; i < OperandBits; i++ {
+		if d&(1<<uint(i)) == 0 {
+			continue
+		}
+		dp := cells[i].DischargePath(g.Tech, r.vwl, g.Cond)
+		vbl, err := g.Trajectories.Final(dp, g.Cfg.BitTime(i), g.Spice, scr)
+		if err != nil {
+			return n, fmt.Errorf("mult: golden bit %d: %w", i, err)
+		}
+		r.dv[i] = discharged(g.Cond.VDD, vbl)
+		r.energy[i] = spice.DefaultCBL * g.Cond.VDD * r.dv[i]
+		n++
+	}
+	return n, nil
 }
 
 // MultiplyCells performs one golden multiplication with explicit per-call
@@ -452,79 +396,27 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 	if cells == nil {
 		cells = &sram.Word{}
 	}
-	var dv [OperandBits]float64
-	transients := 0
-	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) == 0 {
-			continue
-		}
-		v, err := g.bitDeltaV(a, i, &cells[i], scr)
-		if err != nil {
-			return Result{}, err
-		}
-		dv[i] = v
-		transients++
-	}
-	res := g.readout(a, d, &dv)
-	res.Transients = transients
-	return res, nil
-}
-
-// bitDeltaV is the golden per-bit-line step: the discharge of bit line i's
-// stack (cell's mismatch) under input code a for the bit time 2^i·τ0, one
-// transient or a read of g.Trajectories, returning the clamped ΔV at
-// sampling.
-func (g *Golden) bitDeltaV(a uint, i int, cell *sram.Cell, scr *spice.Scratch) (float64, error) {
-	dp := cell.DischargePath(g.Tech, g.Cfg.DACVoltage(a, g.Cond.VDD), g.Cond)
-	vbl, err := g.Trajectories.Final(dp, g.Cfg.BitTime(i), g.Spice, scr)
+	var r row
+	n, err := g.fill(&r, a, d, cells, scr)
 	if err != nil {
-		return 0, fmt.Errorf("mult: golden bit %d: %w", i, err)
+		return Result{}, err
 	}
-	dv := g.Cond.VDD - vbl
-	if dv < 0 {
-		dv = 0
-	}
-	return dv, nil
-}
-
-// readout is the golden compose step: it charge-shares the sampled ΔV of
-// d's set bit lines (dv[i], summed in bit order), adds their recharge
-// energy, quantizes on the trimmed ADC and adds the peripheral energy.
-// Transients is left to the caller.
-func (g *Golden) readout(a, d uint, dv *[OperandBits]float64) Result {
-	res := Result{A: a, D: d, Expected: int(a * d)}
-	var sum float64
-	for i := 0; i < OperandBits; i++ {
-		if d&(1<<uint(i)) == 0 {
-			continue
-		}
-		res.DeltaV[i] = dv[i]
-		sum += dv[i]
-		// Recharge energy of this bit line (same physical definition the
-		// energy model was calibrated against).
-		res.Energy += spice.DefaultCBL * g.Cond.VDD * dv[i]
-	}
-	res.VComb = sum / OperandBits
-	res.Code = adcCode(res.VComb, g.OffsetVolt, g.LSBVolt)
-	// Same peripheral accounting as the behavioral backend.
-	vwl := g.Cfg.DACVoltage(a, g.Cond.VDD)
-	res.Energy += DefaultDACCap*g.Cond.VDD*vwl + DefaultADCEnergy + DefaultCtrlEnergy
-	return res
+	res := Result{A: a, D: d, Expected: int(a * d), Transients: n}
+	r.readout(&res, g.Cond.VDD, g.LSBVolt, nil)
+	return res, nil
 }
 
 // TableTransients is the number of bit-line discharges a GoldenTable runs
 // or reads: one per (input code, bit line).
 const TableTransients = (OperandMax + 1) * OperandBits
 
-// GoldenTable is the golden twin of the behavioral detTable: the
-// matched-cell transfer of one golden multiplier. With matched columns a bit
-// line's discharge depends only on the input code a and its bit index i —
-// the stored operand d selects which bit lines take part, never what one
-// does — so the 16×4 ΔV table holds every transient of the 16×16 input
-// space, and Multiply composes any pair through MultiplyCells' readout.
+// GoldenTable is the matched-cell transfer of one golden multiplier: the
+// same 16×4 table the behavioral backend evaluates from its models, filled
+// from transients, so Multiply composes any pair through the shared
+// readout.
 type GoldenTable struct {
-	g  *Golden
-	dv [OperandMax + 1][OperandBits]float64
+	g   *Golden
+	tab *table
 }
 
 // Table runs the TableTransients matched-cell transients of g with the 16
@@ -536,28 +428,19 @@ type GoldenTable struct {
 // count.
 func (g *Golden) Table(workers int) (*GoldenTable, error) {
 	var scratch sync.Pool
-	rows, err := sched.Map(workers, inputCodes(), func(_ int, a uint) ([OperandBits]float64, error) {
+	tab, err := codeRows(workers, func(a uint, r *row) error {
 		scr, _ := scratch.Get().(*spice.Scratch)
 		if scr == nil {
 			scr = &spice.Scratch{}
 		}
 		defer scratch.Put(scr)
-		var row [OperandBits]float64
-		for i := range row {
-			v, err := g.bitDeltaV(a, i, &sram.Cell{}, scr)
-			if err != nil {
-				return row, err
-			}
-			row[i] = v
-		}
-		return row, nil
+		_, err := g.fill(r, a, OperandMax, &sram.Word{}, scr)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &GoldenTable{g: g}
-	copy(t.dv[:], rows)
-	return t, nil
+	return &GoldenTable{g: g, tab: tab}, nil
 }
 
 // Multiply composes one matched-cell multiplication from the table: exactly
@@ -567,5 +450,7 @@ func (t *GoldenTable) Multiply(a, d uint) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
-	return t.g.readout(a, d, &t.dv[a]), nil
+	res := Result{A: a, D: d, Expected: int(a * d)}
+	t.tab[a].readout(&res, t.g.Cond.VDD, t.g.LSBVolt, nil)
+	return res, nil
 }

@@ -63,19 +63,25 @@ func TestConfigValidate(t *testing.T) {
 // TestFitADCTrimRejectsNonFiniteGain: a transfer that overflows or turns
 // NaN has no usable full scale, exactly like a zero one.
 func TestFitADCTrimRejectsNonFiniteGain(t *testing.T) {
-	for name, dv := range map[string]func(a, d uint) float64{
-		"NaN":  func(a, d uint) float64 { return math.NaN() },
-		"+Inf": func(a, d uint) float64 { return math.Inf(1) },
-		"-Inf": func(a, d uint) float64 { return math.Inf(-1) },
-		"zero": func(a, d uint) float64 { return 0 },
-	} {
-		if gain, _, err := fitADCTrim(dv); !errors.Is(err, ErrScale) {
+	// transfer fills every bit line's ΔV under code a with dv(a, i).
+	transfer := func(dv func(a uint, i int) float64) *table {
+		tab := new(table)
+		for a := range tab {
+			for i := range tab[a].dv {
+				tab[a].dv[i] = dv(uint(a), i)
+			}
+		}
+		return tab
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "zero": 0} {
+		if gain, err := fitADCTrim(transfer(func(uint, int) float64 { return v })); !errors.Is(err, ErrScale) {
 			t.Errorf("%s transfer: gain %g, err %v, want ErrScale", name, gain, err)
 		}
 	}
-	gain, offset, err := fitADCTrim(func(a, d uint) float64 { return float64(a*d) / 4 })
-	if err != nil || gain != 0.25 || offset != 0 {
-		t.Fatalf("linear transfer: gain %g, offset %g, err %v; want 0.25, 0, nil", gain, offset, err)
+	// Bit line i under code a discharges a·2^i, so VComb(a, d) = a·d/4.
+	gain, err := fitADCTrim(transfer(func(a uint, i int) float64 { return float64(a << uint(i)) }))
+	if err != nil || gain != 0.25 {
+		t.Fatalf("linear transfer: gain %g, err %v; want 0.25, nil", gain, err)
 	}
 }
 

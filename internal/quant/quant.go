@@ -60,7 +60,7 @@ func NewInMemory(b *mult.Behavioral, rng *stats.RNG) (*InMemory, error) {
 			if err != nil {
 				return nil, fmt.Errorf("quant: LUT at (%d,%d): %w", a, d, err)
 			}
-			im.Mean[a][d] = (r.VComb - b.OffsetVolt) / b.LSBVolt
+			im.Mean[a][d] = r.VComb / b.LSBVolt
 			im.Sigma[a][d] = math.Hypot(r.Sigma, mult.DefaultADCSigma) / b.LSBVolt
 		}
 	}

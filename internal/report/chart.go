@@ -109,13 +109,6 @@ func (c *Chart) RenderASCII(w io.Writer, width, height int) error {
 	return err
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // svgPalette holds the line colors for SVG rendering.
 var svgPalette = []string{
 	"#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",

@@ -30,17 +30,12 @@ func (t *Table) AddRow(cells ...any) {
 		case string:
 			row[i] = v
 		case float64:
-			row[i] = trimFloat(v)
+			row[i] = fmt.Sprintf("%.4g", v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.4g", v)
-	return s
 }
 
 // NumRows returns the number of data rows.

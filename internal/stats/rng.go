@@ -7,7 +7,10 @@
 // published numbers remain bit-stable across Go releases.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic xoshiro256** pseudo-random generator with helpers
 // for the distributions used in OPTIMA (uniform, Gaussian). It is not safe
@@ -74,27 +77,11 @@ func (r *RNG) IntN(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	c = t >> 32
-	m := t & mask
-	t = aLo*bHi + m
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // Norm returns a standard Gaussian variate via the Box–Muller transform.
