@@ -12,10 +12,14 @@
 // transient): both fill a 16×4 transfer table, one row per input code;
 // every product, deterministic or sampled, composes from a row through one
 // charge-share-and-quantize readout, and both ADC trims fit the same charge
-// share of a nominal table. The polynomial fitting in internal/poly is one
-// weighted least-squares solve (poly.FitWeighted, Householder QR in
-// internal/linalg) and one alternating-least-squares loop for the rank-1
-// products; every fit of Eq. 3–8 in core.Calibrate goes through the two.
+// share of a nominal table. A multiplier is fixed when it is built:
+// mult.NewBehavioral derives its trim and table from its inputs, and a
+// golden multiplier carries the LSB of mult.CalibrateGoldenTrim, which the
+// golden backend runs once per configuration. The polynomial fitting in
+// internal/poly is one weighted least-squares solve (poly.FitWeighted,
+// Householder QR in internal/linalg) and one alternating-least-squares
+// loop for the rank-1 products; every fit of Eq. 3–8 in core.Calibrate
+// goes through the two.
 // All corner/condition evaluations route through the concurrent memoizing
 // evaluation service in internal/engine, which the exploration layers
 // (internal/dse, internal/search, internal/exp) submit jobs to — as a batch

@@ -150,17 +150,14 @@ type CornerCheck struct {
 // mult.GoldenTable (64 transients) per corner, 208 for three corners.
 func GoldenCornerCheck(tech device.Tech, cfg mult.Config, scfg spice.Config) (CornerCheck, error) {
 	out := CornerCheck{Config: cfg, Corners: device.Corners()}
-	trim, err := mult.CalibrateGoldenTrim(tech, cfg, scfg)
+	lsb, err := mult.CalibrateGoldenTrim(tech, cfg, scfg, nil, 1, nil, 0)
 	if err != nil {
 		return CornerCheck{}, err
 	}
-	out.Transients += trim.Transients
+	out.Transients += mult.TrimTransients
 	for _, corner := range out.Corners {
 		cond := device.PVT{Corner: corner, VDD: device.NominalVDD, TempC: device.NominalTempC}
-		g, err := mult.NewGoldenWithTrim(tech, cfg, cond, scfg, trim)
-		if err != nil {
-			return CornerCheck{}, err
-		}
+		g := &mult.Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: lsb}
 		table, err := g.Table(1)
 		if err != nil {
 			return CornerCheck{}, err

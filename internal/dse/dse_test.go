@@ -334,16 +334,14 @@ func TestGoldenCornerCheck(t *testing.T) {
 		t.Fatalf("%d transients counted, want %d", check.Transients, want)
 	}
 	// AvgError is the per-pair path's mean, bit for bit.
-	trim, err := mult.CalibrateGoldenTrim(core.QuickCalibration().Tech, cfg, spice.DefaultConfig())
+	tech, scfg := core.QuickCalibration().Tech, spice.DefaultConfig()
+	lsb, err := mult.CalibrateGoldenTrim(tech, cfg, scfg, nil, 1, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, corner := range check.Corners {
 		cond := device.PVT{Corner: corner, VDD: device.NominalVDD, TempC: device.NominalTempC}
-		g, err := mult.NewGoldenWithTrim(core.QuickCalibration().Tech, cfg, cond, spice.DefaultConfig(), trim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := &mult.Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: lsb}
 		var acc stats.Accumulator
 		for a := uint(0); a <= mult.OperandMax; a++ {
 			for d := uint(0); d <= mult.OperandMax; d++ {

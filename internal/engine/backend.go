@@ -246,99 +246,72 @@ func (b Behavioral) Evaluate(cfg mult.Config, cond device.PVT) (Metrics, error) 
 // each distinct discharge once for every bit time, τ0 sibling, shared
 // Monte-Carlo sample and trim that reads it. The backend also memoizes the
 // per-configuration ADC trim across operating conditions, so a PVT sweep
-// over one corner pays it once. Both memos live and die with the backend.
-// Use NewGoldenBackend; the zero value also works (the caches initialize
-// lazily).
+// over one corner pays it once. Both memos are built by NewGoldenBackend,
+// together with the technology and solver settings they are keyed under,
+// and live and die with the backend.
 //
 // EvaluateCell fans the discharges of one corner out across the cell's
 // worker budget, with Metrics guaranteed identical at any budget and in
 // any order of cells.
 type Golden struct {
-	Tech  device.Tech
-	Spice spice.Config
+	tech device.Tech
+	scfg spice.Config
 
-	mu    sync.Mutex
-	trims map[mult.Config]*trimEntry
+	mu sync.Mutex
+	// trims holds one sync.OnceValues per configuration: the first caller
+	// calibrates, concurrent and later ones get its LSB or error.
+	trims map[mult.Config]func() (float64, error)
 	// cals counts the trim calibrations actually run: the one home of the
-	// optima_trim_calibrations_total series. It
-	// is allocated apart from the backend so that a registry holding it
-	// never keeps the trim cache alive.
+	// optima_trim_calibrations_total series. It is allocated apart from the
+	// backend so that a registry holding it never keeps the caches alive.
 	cals *atomic.Uint64
 	traj *spice.Trajectories
 }
 
-// trimEntry is one trim-cache slot with singleflight semantics: the first
-// claimant computes, concurrent claimants wait on done instead of running
-// a duplicate 16-transient calibration.
-type trimEntry struct {
-	done chan struct{}
-	trim mult.GoldenTrim
-	err  error
-}
-
-// NewGoldenBackend returns a golden backend with empty caches.
+// NewGoldenBackend returns a golden backend for the technology and solver
+// settings, with empty caches.
 func NewGoldenBackend(tech device.Tech, scfg spice.Config) *Golden {
-	return &Golden{Tech: tech, Spice: scfg}
+	return &Golden{tech: tech, scfg: scfg, trims: map[mult.Config]func() (float64, error){},
+		cals: new(atomic.Uint64), traj: spice.NewTrajectories()}
 }
 
 // Name implements Backend.
 func (*Golden) Name() string { return BackendGolden }
 
-// trimFor returns the configuration's ADC trim, calibrating on first use
-// with up to intra workers. Concurrent first calls of the same
-// configuration share one calibration: the first claims a cache entry and
-// computes, the rest wait on its done channel (the same claimed-entry
-// pattern as the engine's result cache). Errors are cached — the
-// calibration is deterministic, so a failing configuration fails the same
-// way every time. A calibration that runs is counted in cals, which rec's
-// registry reads.
-func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent obs.SpanID) (mult.GoldenTrim, error) {
-	traj := g.trajectories()
+// trimFor returns the configuration's ADC trim LSB, calibrating on first
+// use with up to intra workers. Concurrent first calls of the same
+// configuration share one calibration: the entry is created under g.mu and
+// called outside it, and sync.OnceValues runs it once while the rest wait.
+// Errors are cached — the calibration is deterministic, so a failing
+// configuration fails the same way every time. A calibration that runs is
+// counted in cals, which rec's registry reads.
+func (g *Golden) trimFor(cfg mult.Config, intra int, rec *obs.Recorder, parent obs.SpanID) (float64, error) {
 	g.mu.Lock()
-	if ent, ok := g.trims[cfg]; ok {
-		g.mu.Unlock()
-		<-ent.done
-		return ent.trim, ent.err
-	}
-	ent := &trimEntry{done: make(chan struct{})}
-	g.trims[cfg] = ent
-	cals := g.cals
-	g.mu.Unlock()
-
-	rec.Metrics().CounterOf("optima_trim_calibrations_total",
-		"golden ADC trim calibrations run (16 transients each)", cals)
-	cals.Add(1)
-	var arg string
-	if rec != nil {
-		arg = fmt.Sprintf("%v", cfg)
-	}
-	span := rec.StartSpan(parent, obs.CatTrim, "trim-calibrate", arg)
-	func() {
-		// done closes on every path: a panicking calibration is recovered
-		// into the entry's error so waiters never block on a dead claim.
-		defer func() {
-			if r := recover(); r != nil {
-				ent.err = fmt.Errorf("engine: golden trim calibration panicked for %v: %v", cfg, r)
+	trim, ok := g.trims[cfg]
+	if !ok {
+		trim = sync.OnceValues(func() (lsb float64, err error) {
+			rec.Metrics().CounterOf("optima_trim_calibrations_total",
+				"golden ADC trim calibrations run (16 transients each)", g.cals)
+			g.cals.Add(1)
+			var arg string
+			if rec != nil {
+				arg = fmt.Sprintf("%v", cfg)
 			}
-			close(ent.done)
-		}()
-		ent.trim, ent.err = mult.CalibrateGoldenTrimObserved(g.Tech, cfg, g.Spice, traj, intra, rec, span.ID())
-	}()
-	span.End()
-	return ent.trim, ent.err
-}
-
-// trajectories returns the backend's discharge memo, creating both caches
-// on first use.
-func (g *Golden) trajectories() *spice.Trajectories {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.trims == nil {
-		g.trims = map[mult.Config]*trimEntry{}
-		g.cals = new(atomic.Uint64)
-		g.traj = spice.NewTrajectories()
+			span := rec.StartSpan(parent, obs.CatTrim, "trim-calibrate", arg)
+			defer span.End()
+			// A panicking calibration is recovered into the trim's error, so
+			// every caller gets an error instead of the panic.
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("engine: golden trim calibration panicked for %v: %v", cfg, r)
+				}
+			}()
+			return mult.CalibrateGoldenTrim(g.tech, cfg, g.scfg, g.traj, intra, rec, span.ID())
+		})
+		g.trims[cfg] = trim
 	}
-	return g.traj
+	g.mu.Unlock()
+	return trim()
 }
 
 // GoldenSigmaSamples is the Monte-Carlo mismatch population the golden
@@ -374,16 +347,12 @@ const goldenSigmaSeed = 0x600dc0de
 // registry.
 func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	cfg, cond := job.Config, job.Cond
-	trim, err := g.trimFor(cfg, ev.Workers, ev.Rec, ev.Parent)
+	lsb, err := g.trimFor(cfg, ev.Workers, ev.Rec, ev.Parent)
 	if err != nil {
 		return Metrics{}, err
 	}
-	gm, err := mult.NewGoldenWithTrim(g.Tech, cfg, cond, g.Spice, trim)
-	if err != nil {
-		return Metrics{}, err
-	}
-	gm.Trajectories = g.trajectories()
-	gm.Trajectories.Observe(ev.Rec.Metrics())
+	gm := &mult.Golden{Tech: g.tech, Cfg: cfg, Cond: cond, Spice: g.scfg, LSBVolt: lsb, Trajectories: g.traj}
+	g.traj.Observe(ev.Rec.Metrics())
 	m := Metrics{Config: cfg, Cond: cond, LSBVolt: gm.LSBVolt}
 
 	// Input space: the 16×4 distinct (code, bit) discharges fill the
@@ -432,7 +401,7 @@ func (g *Golden) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 		}
 		defer scratch.Put(scr)
 		var cells sram.Word
-		cells.SampleMismatch(g.Tech, stats.NewRNG(goldenSigmaSeed+uint64(s)))
+		cells.SampleMismatch(g.tech, stats.NewRNG(goldenSigmaSeed+uint64(s)))
 		r, err := gm.MultiplyCells(mult.OperandMax, mult.OperandMax, &cells, scr)
 		if err != nil {
 			return 0, err

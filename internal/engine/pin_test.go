@@ -138,18 +138,14 @@ func TestMultiplierPinned(t *testing.T) {
 	// Golden: one corner at two conditions shares a trim and a memo, as in
 	// the engine's golden backend.
 	traj := spice.NewTrajectories()
-	trim, err := mult.CalibrateGoldenTrimObserved(calib.Tech, cfgs[0], calib.Spice, traj, 1, nil, 0)
+	lsb, err := mult.CalibrateGoldenTrim(calib.Tech, cfgs[0], calib.Spice, traj, 1, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.floats(trim.LSBVolt)
-	p.words(uint64(trim.Transients))
+	p.floats(lsb)
+	p.words(mult.TrimTransients)
 	for _, cond := range conds[:2] {
-		g, err := mult.NewGoldenWithTrim(calib.Tech, cfgs[0], cond, calib.Spice, trim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Trajectories = traj
+		g := &mult.Golden{Tech: calib.Tech, Cfg: cfgs[0], Cond: cond, Spice: calib.Spice, LSBVolt: lsb, Trajectories: traj}
 		table, err := g.Table(1)
 		if err != nil {
 			t.Fatal(err)

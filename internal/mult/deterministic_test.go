@@ -61,66 +61,6 @@ func TestMultiplyDetMatchesMultiply(t *testing.T) {
 	}
 }
 
-// TestMultiplyDetFallback: a Behavioral assembled without NewBehavioral has
-// no table; MultiplyDet must still answer (via Multiply's model calls)
-// rather than misbehave.
-func TestMultiplyDetFallback(t *testing.T) {
-	b := &Behavioral{
-		Model: testModel(t), Cfg: fomConfig(), Cond: device.Nominal(),
-		LSBVolt: 1e-3,
-	}
-	got, err := b.MultiplyDet(9, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := b.Multiply(9, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("table-less MultiplyDet = %+v, Multiply gives %+v", got, want)
-	}
-}
-
-// TestMultiplyDetStaleTableFallback: mutating the condition, the DAC, the
-// configuration or the models after construction must not serve the table
-// built for the old ones.
-func TestMultiplyDetStaleTableFallback(t *testing.T) {
-	model := testModel(t)
-	dac, err := CalibrateNonlinearDAC(model, fomConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := *model
-	other.Discharge.VthRef += 0.05
-	for name, mutate := range map[string]func(b *Behavioral){
-		"VDD":   func(b *Behavioral) { b.Cond.VDD = 0.9 },
-		"TempC": func(b *Behavioral) { b.Cond.TempC = 85 },
-		"DAC":   func(b *Behavioral) { b.DAC = dac },
-		"Tau0":  func(b *Behavioral) { b.Cfg.Tau0 = 0.28e-9 },
-		"Model": func(b *Behavioral) { b.Model = &other },
-	} {
-		b, err := NewBehavioral(model, fomConfig(), device.Nominal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(b)
-		for _, pair := range [][2]uint{{9, 7}, {15, 15}} {
-			got, err := b.MultiplyDet(pair[0], pair[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := b.Multiply(pair[0], pair[1], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s changed: stale-table MultiplyDet = %+v, Multiply gives %+v", name, got, want)
-			}
-		}
-	}
-}
-
 // TestMultiplyDetRangeChecked mirrors TestOperandRangeChecked for the fast
 // path.
 func TestMultiplyDetRangeChecked(t *testing.T) {
@@ -177,16 +117,16 @@ func TestNewBehavioralSharesNominalTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.det == nil || b.detFor.vdd != device.NominalVDD {
-		t.Fatalf("nominal multiplier has table for %+v", b.detFor)
+	if b.det == nil || b.cond.VDD != device.NominalVDD {
+		t.Fatalf("nominal multiplier has table for %+v", b.cond)
 	}
 	cond := device.PVT{Corner: device.CornerTT, VDD: 0.9, TempC: 85}
 	b2, err := NewBehavioral(model, fomConfig(), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.det == nil || b2.detFor.vdd != 0.9 || b2.detFor.tempC != 85 {
-		t.Fatalf("corner multiplier has table for wrong condition: %+v", b2.detFor)
+	if b2.det == nil || b2.cond.VDD != 0.9 || b2.cond.TempC != 85 {
+		t.Fatalf("corner multiplier has table for wrong condition: %+v", b2.cond)
 	}
 	if *b2.det == *b.det {
 		t.Fatal("corner multiplier serves the nominal table")
@@ -213,7 +153,7 @@ func TestDetTableAgainstModel(t *testing.T) {
 			t.Fatalf("vwl[%d] = %g, model gives %g", a, r.vwl, vwl)
 		}
 		for i := 0; i < OperandBits; i++ {
-			bt := b.Cfg.BitTime(i)
+			bt := b.cfg.BitTime(i)
 			dv := cond.VDD - model.Discharge.VBL(bt, vwl, cond.VDD, cond.TempC)
 			if dv < 0 {
 				dv = 0
@@ -269,15 +209,12 @@ func TestGoldenTableMatchesMultiplyCells(t *testing.T) {
 	tech := core.QuickCalibration().Tech
 	scfg := spice.DefaultConfig()
 	for _, cfg := range []Config{fomConfig(), powerConfig()} {
-		trim, err := CalibrateGoldenTrim(tech, cfg, scfg)
+		lsb, err := CalibrateGoldenTrim(tech, cfg, scfg, nil, 1, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cond := range detTestConditions() {
-			g, err := NewGoldenWithTrim(tech, cfg, cond, scfg, trim)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := &Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: lsb}
 			table, err := g.Table(0)
 			if err != nil {
 				t.Fatal(err)

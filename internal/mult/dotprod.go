@@ -71,7 +71,7 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 		}
 		res.Expected += int(a * d)
 		var r row
-		dp.B.fill(&r, a, d, dp.B.Cond, rng)
+		dp.B.fill(&r, a, d, dp.B.cond, rng)
 		for bit := 0; bit < OperandBits; bit++ {
 			if d&(1<<uint(bit)) != 0 {
 				sumV += r.dv[bit]
@@ -80,7 +80,7 @@ func (dp *DotProduct) Compute(as, ds []uint, rng *stats.RNG) (DotResult, error) 
 			}
 		}
 		// Per-word DAC drive; the conversion is shared.
-		res.Energy += DefaultDACCap * dp.B.Cond.VDD * r.vwl
+		res.Energy += DefaultDACCap * dp.B.cond.VDD * r.vwl
 	}
 	res.Energy += DefaultADCEnergy + DefaultCtrlEnergy
 	// Charge share across K·4 sampling caps.

@@ -78,8 +78,44 @@ func TestNonlinearDACDoesNotMutateOriginal(t *testing.T) {
 	if _, err := b.WithNonlinearDAC(dac); err != nil {
 		t.Fatal(err)
 	}
-	if b.DAC != nil || b.LSBVolt != lsb {
+	if b.dac != nil || b.LSBVolt != lsb {
 		t.Fatal("WithNonlinearDAC mutated the receiver")
+	}
+}
+
+// TestNonlinearDACCopied: WithNonlinearDAC keeps its own copy of the DAC
+// levels, so an edit of the caller's DAC after construction moves neither
+// the table's products (MultiplyDet) nor the per-call ones (Multiply).
+func TestNonlinearDACCopied(t *testing.T) {
+	m := testModel(t)
+	b, err := NewBehavioral(m, fomConfig(), device.Nominal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dac, err := CalibrateNonlinearDAC(m, fomConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := b.WithNonlinearDAC(dac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := nl.Multiply(9, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dac.Levels[9] += 0.05
+	det, err := nl.MultiplyDet(9, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := nl.Multiply(9, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det != want || direct != want {
+		t.Fatalf("after the DAC edit MultiplyDet gives code %d and Multiply %d, want %d as built:\n%+v\n%+v\n%+v",
+			det.Code, direct.Code, want.Code, det, direct, want)
 	}
 }
 

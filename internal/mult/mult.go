@@ -18,7 +18,9 @@
 //     the reference the speed-up is measured against).
 //
 // Both fill the same per-code transfer row and compose every product
-// through one readout (readout.go).
+// through one readout (readout.go). A multiplier is fixed when it is built:
+// NewBehavioral derives its trim and table from inputs nothing outside the
+// package can change, and a Golden carries CalibrateGoldenTrim's LSB.
 package mult
 
 import (
@@ -131,20 +133,19 @@ func (r Result) ErrorLSB() int { return r.Code - r.Expected }
 // gain over the nominal-condition transfer of all 256 products (the
 // INL-minimizing calibration of a production ADC, see fitADCTrim), so the
 // convex device transfer leaves balanced residuals instead of a one-sided
-// mid-code bias.
+// mid-code bias. NewBehavioral and WithNonlinearDAC fix its models,
+// configuration, condition and DAC, and build the trim and table from them.
 type Behavioral struct {
-	Model *core.Model
-	Cfg   Config
-	Cond  device.PVT
+	model *core.Model
+	cfg   Config
+	cond  device.PVT
 	// LSBVolt is the calibrated ADC step (best-fit gain) [V].
 	LSBVolt float64
-	// DAC optionally replaces the linear code-to-voltage mapping with a
-	// trimmed nonlinear DAC (see CalibrateNonlinearDAC).
-	DAC *NonlinearDAC
-	// det is the deterministic transfer at Cond, built from detFor
-	// (MultiplyDet falls back to Multiply when they no longer match b).
-	det    *table
-	detFor stamp
+	// dac, when set, replaces the linear code-to-voltage mapping: the
+	// multiplier's own copy of the trimmed levels (WithNonlinearDAC).
+	dac *NonlinearDAC
+	// det is the deterministic transfer at cond.
+	det *table
 }
 
 // ErrScale is returned when a configuration produces no usable full-scale
@@ -157,7 +158,7 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &Behavioral{Model: model, Cfg: cfg, Cond: cond}
+	b := &Behavioral{model: model, cfg: cfg, cond: cond}
 	if err := b.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
@@ -165,7 +166,7 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 }
 
 // calibrate fits the ADC trim to the nominal-condition transfer and
-// installs the deterministic table for b.Cond. The trim fit and the
+// installs the deterministic table for b.cond. The trim fit and the
 // deterministic fast path read the same 16×4 model outputs, so at the
 // nominal condition they share one table (64 VBL calls instead of ~1k).
 func (b *Behavioral) calibrate() error {
@@ -175,11 +176,10 @@ func (b *Behavioral) calibrate() error {
 	if err != nil {
 		return err
 	}
-	if b.Cond.VDD != nominal.VDD || b.Cond.TempC != nominal.TempC {
-		det = b.transfer(b.Cond)
+	if b.cond.VDD != nominal.VDD || b.cond.TempC != nominal.TempC {
+		det = b.transfer(b.cond)
 	}
 	b.LSBVolt, b.det = gain, det
-	b.detFor = stamp{b.Model, b.Cfg, b.DAC, b.Cond.VDD, b.Cond.TempC}
 	return nil
 }
 
@@ -193,16 +193,16 @@ func (b *Behavioral) fill(r *row, a, d uint, cond device.PVT, rng *stats.RNG) {
 		if d&(1<<uint(i)) == 0 {
 			continue
 		}
-		t := b.Cfg.BitTime(i)
+		t := b.cfg.BitTime(i)
 		var vbl float64
 		if rng != nil {
-			vbl = b.Model.Discharge.SampleVBL(t, r.vwl, cond.VDD, cond.TempC, rng)
+			vbl = b.model.Discharge.SampleVBL(t, r.vwl, cond.VDD, cond.TempC, rng)
 		} else {
-			vbl = b.Model.Discharge.VBL(t, r.vwl, cond.VDD, cond.TempC)
+			vbl = b.model.Discharge.VBL(t, r.vwl, cond.VDD, cond.TempC)
 		}
 		r.dv[i] = discharged(cond.VDD, vbl)
-		r.sigma[i] = b.Model.Discharge.SigmaAt(t, r.vwl)
-		r.energy[i] = b.Model.Energy.DischargeEnergy(true, cond.VDD, r.dv[i], cond.TempC)
+		r.sigma[i] = b.model.Discharge.SigmaAt(t, r.vwl)
+		r.energy[i] = b.model.Energy.DischargeEnergy(true, cond.VDD, r.dv[i], cond.TempC)
 	}
 }
 
@@ -217,24 +217,25 @@ func (b *Behavioral) Multiply(a, d uint, rng *stats.RNG) (Result, error) {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
 	var r row
-	b.fill(&r, a, d, b.Cond, rng)
+	b.fill(&r, a, d, b.cond, rng)
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	r.readout(&res, b.Cond.VDD, b.LSBVolt, rng)
+	r.readout(&res, b.cond.VDD, b.LSBVolt, rng)
 	return res, nil
 }
 
 // WriteEnergy returns the modeled energy of storing the d operand
 // (a full 4-bit word write) at the multiplier's condition, via Eq. 7.
 func (b *Behavioral) WriteEnergy() float64 {
-	return b.Model.Energy.WriteEnergy(b.Cond.VDD, b.Cond.TempC)
+	return b.model.Energy.WriteEnergy(b.cond.VDD, b.cond.TempC)
 }
 
 // Golden is the transistor-level reference backend: every set bit of d
 // becomes a transient simulation of the discharge stack (MultiplyCells),
 // sampled per bit line and composed by the readout both backends share. Its
-// ADC trim is fitted the same way as the behavioral backend's, to its own
-// nominal golden transfer (CalibrateGoldenTrim). A whole matched-cell
-// input space needs only the 16×4 distinct bit-line transients (Table).
+// ADC trim LSBVolt is fitted the same way as the behavioral backend's, to
+// its own nominal golden transfer (NewGolden, or CalibrateGoldenTrim shared
+// across conditions). A whole matched-cell input space needs only the 16×4
+// distinct bit-line transients (Table).
 //
 // The receiver is immutable after construction, so a single Golden is safe
 // for concurrent MultiplyCells/Table calls — the basis of the
@@ -248,9 +249,9 @@ type Golden struct {
 	Cond    device.PVT
 	Spice   spice.Config
 	LSBVolt float64
-	// Trajectories, when set before first use, serves every bit-line
-	// discharge from a memo shared with other multipliers, bit for bit the
-	// fresh transient; nil runs one fresh transient per set bit.
+	// Trajectories, when set, serves every bit-line discharge from a memo
+	// shared with other multipliers, bit for bit the fresh transient; nil
+	// runs one fresh transient per set bit.
 	Trajectories *spice.Trajectories
 }
 
@@ -258,39 +259,20 @@ type Golden struct {
 // bit line i. This pins the two widths together at compile time.
 var _ = sram.Word([OperandBits]sram.Cell{})
 
-// GoldenTrim is the per-configuration ADC trim of the golden multiplier:
-// the zero-anchored least-squares gain of its nominal-condition transfer.
-// The trim depends only on (technology, configuration, solver settings) —
-// not on the operating condition — so condition sweeps over one
-// configuration can calibrate once and share the result (see
-// NewGoldenWithTrim).
-type GoldenTrim struct {
-	LSBVolt float64
-	// Transients counts the golden simulations the calibration spent.
-	Transients int
-}
-
-// CalibrateGoldenTrim runs the sixteen nominal trim transients of a
-// configuration (one per input code; each waveform provides all four bit
-// sampling times, since the columns share the word line) and fits the
-// best-fit ADC gain.
-func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config) (GoldenTrim, error) {
-	return CalibrateGoldenTrimObserved(tech, cfg, scfg, nil, 1, nil, 0)
-}
-
-// CalibrateGoldenTrimObserved is CalibrateGoldenTrim with the sixteen
-// independent transients fanned out across up to workers goroutines
-// (workers <= 0 uses GOMAXPROCS), recording one trim-transient span per
-// input code under parent — the intra-worker fan-out a trace otherwise
-// renders as one opaque calibration block. A non-nil traj serves the four
-// samples of each code's waveform from its memoized trajectory. Each
-// worker fills a fixed per-code row and the least-squares fit reduces
-// serially in code order, so the trim is identical at any worker count
-// and with or without traj. A nil recorder records nothing; timing never
-// feeds into the returned trim.
-func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config, traj *spice.Trajectories, workers int, rec *obs.Recorder, parent obs.SpanID) (GoldenTrim, error) {
+// CalibrateGoldenTrim returns the golden multiplier's ADC trim LSB: the
+// zero-anchored least-squares gain of the nominal transfer, fitted from
+// TrimTransients waveforms (one per input code, read at the four bit
+// times, since the columns share the word line). It depends on the
+// technology, configuration and solver settings, not on the condition, so
+// a condition sweep can share one. The waveforms fan out across up to
+// workers goroutines (<= 0 = GOMAXPROCS) with one trim-transient span per
+// code under parent, and a non-nil traj serves them from its memo. Each
+// worker fills a fixed per-code row and the fit reduces serially in code
+// order, so the trim is identical at any worker count and with or without
+// traj. A nil recorder records nothing; timing never feeds into the trim.
+func CalibrateGoldenTrim(tech device.Tech, cfg Config, scfg spice.Config, traj *spice.Trajectories, workers int, rec *obs.Recorder, parent obs.SpanID) (float64, error) {
 	if err := cfg.Validate(); err != nil {
-		return GoldenTrim{}, err
+		return 0, err
 	}
 	nominal := device.Nominal()
 	var times [OperandBits]float64
@@ -316,13 +298,13 @@ func CalibrateGoldenTrimObserved(tech device.Tech, cfg Config, scfg spice.Config
 		return nil
 	})
 	if err != nil {
-		return GoldenTrim{}, err
+		return 0, err
 	}
 	gain, err := fitADCTrim(tab)
 	if err != nil {
-		return GoldenTrim{}, fmt.Errorf("mult: config %v: %w", cfg, err)
+		return 0, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
-	return GoldenTrim{LSBVolt: gain, Transients: len(tab)}, nil
+	return gain, nil
 }
 
 // codeRows fills a new table, row a by f(a, &row) for every input code,
@@ -339,23 +321,14 @@ func codeRows(workers int, f func(a uint, r *row) error) (*table, error) {
 }
 
 // NewGolden builds the golden multiplier, calibrating its ADC trim from
-// scratch. The trim's transient cost is reported by the trim itself; the
+// scratch (TrimTransients serial transients, no memo). The
 // per-multiplication cost comes back in each Result.Transients.
 func NewGolden(tech device.Tech, cfg Config, cond device.PVT, scfg spice.Config) (*Golden, error) {
-	trim, err := CalibrateGoldenTrim(tech, cfg, scfg)
+	lsb, err := CalibrateGoldenTrim(tech, cfg, scfg, nil, 1, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return NewGoldenWithTrim(tech, cfg, cond, scfg, trim)
-}
-
-// NewGoldenWithTrim builds the golden multiplier around a previously
-// calibrated ADC trim, skipping the sixteen trim transients.
-func NewGoldenWithTrim(tech device.Tech, cfg Config, cond device.PVT, scfg spice.Config, trim GoldenTrim) (*Golden, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: trim.LSBVolt}, nil
+	return &Golden{Tech: tech, Cfg: cfg, Cond: cond, Spice: scfg, LSBVolt: lsb}, nil
 }
 
 // fill discharges input code a's bit lines set in d, each through its
@@ -407,8 +380,12 @@ func (g *Golden) MultiplyCells(a, d uint, cells *sram.Word, scr *spice.Scratch) 
 }
 
 // TableTransients is the number of bit-line discharges a GoldenTable runs
-// or reads: one per (input code, bit line).
-const TableTransients = (OperandMax + 1) * OperandBits
+// or reads: one per (input code, bit line). TrimTransients is the number
+// of waveforms CalibrateGoldenTrim runs or reads: one per input code.
+const (
+	TableTransients = (OperandMax + 1) * OperandBits
+	TrimTransients  = OperandMax + 1
+)
 
 // GoldenTable is the matched-cell transfer of one golden multiplier: the
 // same 16×4 table the behavioral backend evaluates from its models, filled

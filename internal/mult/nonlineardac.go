@@ -70,12 +70,14 @@ func (d *NonlinearDAC) Voltage(a uint, vdd float64) float64 {
 
 // WithNonlinearDAC returns a copy of the behavioral multiplier that drives
 // the word line through the trimmed DAC and re-calibrates the ADC trim for
-// the linearized transfer.
+// the linearized transfer. The copy keeps its own levels, so a later edit
+// of dac does not reach it.
 //
 //lint:ignore unusedapi the root bench_test.go's BenchmarkAblationNonlinearDAC (AID's DAC) drives it
 func (b *Behavioral) WithNonlinearDAC(dac *NonlinearDAC) (*Behavioral, error) {
 	nl := *b
-	nl.DAC = dac
+	levels := *dac
+	nl.dac = &levels
 	// The copied trim and det table were built for the linear DAC's
 	// word-line voltages; redo both for the trimmed levels.
 	if err := nl.calibrate(); err != nil {
@@ -87,8 +89,8 @@ func (b *Behavioral) WithNonlinearDAC(dac *NonlinearDAC) (*Behavioral, error) {
 // wordLineVoltage resolves the word-line voltage for input code a through
 // either the linear configuration mapping or the trimmed DAC.
 func (b *Behavioral) wordLineVoltage(a uint, vdd float64) float64 {
-	if b.DAC != nil {
-		return b.DAC.Voltage(a, vdd)
+	if b.dac != nil {
+		return b.dac.Voltage(a, vdd)
 	}
-	return b.Cfg.DACVoltage(a, vdd)
+	return b.cfg.DACVoltage(a, vdd)
 }

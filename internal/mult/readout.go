@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"optima/internal/core"
 	"optima/internal/device"
 	"optima/internal/stats"
 )
@@ -114,37 +113,15 @@ func (b *Behavioral) transfer(cond device.PVT) *table {
 	return t
 }
 
-// stamp is what a behavioral table was built from: the models, the
-// configuration, the DAC and the condition's supply and temperature.
-type stamp struct {
-	model      *core.Model
-	cfg        Config
-	dac        *NonlinearDAC
-	vdd, tempC float64
-}
-
-// fresh reports whether b.det was built from b's current inputs.
-func (b *Behavioral) fresh() bool {
-	s := &b.detFor
-	return b.det != nil && s.model == b.Model && s.cfg == b.Cfg && s.dac == b.DAC &&
-		s.vdd == b.Cond.VDD && s.tempC == b.Cond.TempC
-}
-
 // MultiplyDet performs one deterministic (mismatch-free) multiplication on
-// the precomputed table. It returns exactly the Result of
+// the table NewBehavioral built. It returns exactly the Result of
 // Multiply(a, d, nil) — the engine's metric accumulation and the DNN LUT
 // are built on this equivalence — without the per-call model evaluations.
-// A multiplier assembled without NewBehavioral, or whose Model, Cfg or DAC
-// field or Cond's supply or temperature was set to another value since,
-// falls back to Multiply.
 func (b *Behavioral) MultiplyDet(a, d uint) (Result, error) {
 	if a > OperandMax || d > OperandMax {
 		return Result{}, fmt.Errorf("mult: operands (%d,%d) exceed %d bits", a, d, OperandBits)
 	}
-	if !b.fresh() {
-		return b.Multiply(a, d, nil)
-	}
 	res := Result{A: a, D: d, Expected: int(a * d)}
-	b.det[a].readout(&res, b.Cond.VDD, b.LSBVolt, nil)
+	b.det[a].readout(&res, b.cond.VDD, b.LSBVolt, nil)
 	return res, nil
 }

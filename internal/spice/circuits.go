@@ -95,24 +95,16 @@ func (d *DischargePath) InitialState() []float64 {
 }
 
 // Discharge runs the transient for the given duration and returns the
-// result. The caller reads V_BLB(t) from the waveform (node 0).
+// result. The caller reads V_BLB(t) from the waveform (node 0). The devices
+// are resolved at d.Cond once, as the transient starts.
 func (d *DischargePath) Discharge(duration float64, cfg Config, sampleEvery float64) (*Result, error) {
-	return d.DischargeScratch(duration, cfg, sampleEvery, nil)
+	return Transient(d.resolve(), d.InitialState(), 0, duration, d.Cond.VDD, cfg, sampleEvery, nil)
 }
 
-// DischargeScratch is Discharge with caller-owned integrator work buffers —
-// workers that run many discharges back to back pass their own Scratch to
-// avoid reallocating the stage vectors per transient. A nil scr allocates
-// per call. The devices are resolved at d.Cond once, as the transient
-// starts.
-func (d *DischargePath) DischargeScratch(duration float64, cfg Config, sampleEvery float64, scr *Scratch) (*Result, error) {
-	return TransientScratch(d.resolve(), d.InitialState(), 0, duration, d.Cond.VDD, cfg, sampleEvery, scr)
-}
-
-// DischargeFinal is DischargeScratch for a caller that reads only the end
-// of the run: it returns V_BLB at the final state, bit for bit
-// Waveform.Final()[0] of DischargeScratch(duration, cfg, 0, scr), without
-// recording a waveform.
+// DischargeFinal is Discharge for a caller that reads only the end of the
+// run, in its own integrator buffers scr (nil allocates): it returns V_BLB
+// at the final state, bit for bit Waveform.Final()[0] of
+// Discharge(duration, cfg, 0), without recording a waveform.
 func (d *DischargePath) DischargeFinal(duration float64, cfg Config, scr *Scratch) (float64, error) {
 	st, err := newStepper(d.resolve(), d.InitialState(), 0, duration, cfg, scr)
 	if err != nil {
@@ -206,7 +198,7 @@ func (c *SRAMCellWrite) InitialStateHolding(bit bool) []float64 {
 // flip completed (Q and QB separated by more than 80% of VDD in the target
 // direction).
 func (c *SRAMCellWrite) Write(bit bool, duration float64, cfg Config) (flipped bool, res *Result, err error) {
-	res, err = Transient(c, c.InitialStateHolding(!bit), 0, duration, c.Cond.VDD, cfg, 0)
+	res, err = Transient(c, c.InitialStateHolding(!bit), 0, duration, c.Cond.VDD, cfg, 0, nil)
 	if err != nil {
 		return false, res, err
 	}

@@ -137,14 +137,9 @@ func (s *Scratch) buffers(dim int) (k [6][]float64, vtmp, v5, v4, v []float64) {
 // the sampled waveform. vdd is used for supply-energy integration when the
 // system implements PowerMeter. sampleEvery > 0 records the state at that
 // interval (plus both endpoints); sampleEvery == 0 records every accepted
-// step.
-func Transient(sys System, v0 []float64, t0, t1 float64, vdd float64, cfg Config, sampleEvery float64) (*Result, error) {
-	return TransientScratch(sys, v0, t0, t1, vdd, cfg, sampleEvery, nil)
-}
-
-// TransientScratch is Transient with caller-owned work buffers; a nil scr
-// allocates per call (identical to Transient).
-func TransientScratch(sys System, v0 []float64, t0, t1 float64, vdd float64, cfg Config, sampleEvery float64, scr *Scratch) (*Result, error) {
+// step. The integrator works in scr's buffers; a nil scr allocates per
+// call.
+func Transient(sys System, v0 []float64, t0, t1 float64, vdd float64, cfg Config, sampleEvery float64, scr *Scratch) (*Result, error) {
 	st, err := newStepper(sys, v0, t0, t1, cfg, scr)
 	if err != nil {
 		return nil, err
@@ -195,7 +190,7 @@ func TransientScratch(sys System, v0 []float64, t0, t1 float64, vdd float64, cfg
 
 // stepper is one integration in progress: the state (t, v) its next
 // attempt starts from, the step h that attempt tries, and the accepted
-// steps and right-hand-side evaluations spent so far. TransientScratch
+// steps and right-hand-side evaluations spent so far. Transient
 // drives it to a horizon and records what it accepts; a Trajectories memo
 // drives it with no horizon and resumes it from checkpoints.
 type stepper struct {

@@ -19,7 +19,7 @@ func (r rcSystem) Derivatives(_ float64, v, dv []float64) {
 
 func TestTransientMatchesAnalyticRC(t *testing.T) {
 	sys := rcSystem{tau: 1e-9}
-	res, err := Transient(sys, []float64{1}, 0, 3e-9, 1.0, DefaultConfig(), 0.1e-9)
+	res, err := Transient(sys, []float64{1}, 0, 3e-9, 1.0, DefaultConfig(), 0.1e-9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func TestTransientMatchesAnalyticRC(t *testing.T) {
 
 func TestTransientValidation(t *testing.T) {
 	sys := rcSystem{tau: 1e-9}
-	if _, err := Transient(sys, []float64{1, 2}, 0, 1e-9, 1, DefaultConfig(), 0); err == nil {
+	if _, err := Transient(sys, []float64{1, 2}, 0, 1e-9, 1, DefaultConfig(), 0, nil); err == nil {
 		t.Fatal("wrong state size accepted")
 	}
-	if _, err := Transient(sys, []float64{1}, 1e-9, 1e-9, 1, DefaultConfig(), 0); err == nil {
+	if _, err := Transient(sys, []float64{1}, 1e-9, 1e-9, 1, DefaultConfig(), 0, nil); err == nil {
 		t.Fatal("empty window accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestSRAMHoldIsStable(t *testing.T) {
 	cond := device.Nominal()
 	cw := NewSRAMCellWrite(tech, cond.VDD, cond.VDD, cond)
 	cw.VWL = 0 // access transistors off
-	res, err := Transient(cw, cw.InitialStateHolding(true), 0, 1e-9, cond.VDD, DefaultConfig(), 0)
+	res, err := Transient(cw, cw.InitialStateHolding(true), 0, 1e-9, cond.VDD, DefaultConfig(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestStepBudgetExhaustion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSteps = 3
 	sys := rcSystem{tau: 1e-9}
-	_, err := Transient(sys, []float64{1}, 0, 1e-6, 1, cfg, 0)
+	_, err := Transient(sys, []float64{1}, 0, 1e-6, 1, cfg, 0, nil)
 	if !errors.Is(err, ErrSteps) {
 		t.Fatalf("err = %v, want ErrSteps", err)
 	}
@@ -242,7 +242,7 @@ func (b badAfter) Derivatives(t float64, v, dv []float64) {
 // instead, having recorded only finite states.
 func TestTransientRejectsNonFiniteDerivative(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		res, err := Transient(badAfter{at: 0.5e-9, val: bad}, []float64{1}, 0, 1e-9, 1, DefaultConfig(), 0)
+		res, err := Transient(badAfter{at: 0.5e-9, val: bad}, []float64{1}, 0, 1e-9, 1, DefaultConfig(), 0, nil)
 		if !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("derivative %g from 0.5 ns: err = %v, want ErrNonFinite", bad, err)
 		}
@@ -294,7 +294,7 @@ func TestDischargeResolvedMatchesPerCall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Transient(perCallPath{dp}, dp.InitialState(), 0, 1.28e-9, cond.VDD, DefaultConfig(), 0)
+			want, err := Transient(perCallPath{dp}, dp.InitialState(), 0, 1.28e-9, cond.VDD, DefaultConfig(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,7 @@ const (
 // request needs, keeping a checkpoint every checkpointEvery attempts. A
 // request for duration T resumes the latest state whose attempts all
 // stayed within T and finishes the run to T from there: bit for bit the
-// run DischargeScratch(T) makes.
+// run Discharge(T) makes.
 //
 // Past trajCapBytes the least recently used trajectories are dropped.
 // Errors are not memoized: a request whose run fails makes the failing
@@ -127,8 +127,8 @@ func (m *Trajectories) Final(d *DischargePath, duration float64, cfg Config, scr
 }
 
 // Samples returns V_BLB at each time of at, as Waveform.NodeAt(0, t) reads
-// it from d.DischargeScratch(horizon, cfg, 0, scr): the one run a nil memo
-// makes for all of them.
+// it from d.Discharge(horizon, cfg, 0): the one run a nil memo makes for
+// all of them, in scr's buffers (nil allocates).
 func (m *Trajectories) Samples(d *DischargePath, horizon float64, at []float64, cfg Config, scr *Scratch) ([]float64, error) {
 	out := make([]float64, len(at))
 	if scr == nil {
@@ -155,7 +155,7 @@ func (m *Trajectories) Samples(d *DischargePath, horizon float64, at []float64, 
 			return out, nil
 		}
 	}
-	res, err := d.DischargeScratch(horizon, cfg, 0, scr)
+	res, err := Transient(d.resolve(), d.InitialState(), 0, horizon, d.Cond.VDD, cfg, 0, scr)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ type read struct {
 // memo read must equal.
 func freshFinal(t *testing.T, d *DischargePath, duration float64, cfg Config) float64 {
 	t.Helper()
-	res, err := d.DischargeScratch(duration, cfg, 0, nil)
+	res, err := d.Discharge(duration, cfg, 0)
 	if err != nil {
 		t.Fatalf("fresh run to %g s: %v", duration, err)
 	}
