@@ -11,8 +11,10 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"optima/internal/core"
@@ -173,9 +175,8 @@ func ParetoFront(metrics []Metrics) []Metrics {
 }
 
 // objectives is one corner's (EpsMul, EMul), the pair Pareto dominance
-// compares: ParetoRanks projects them out of the Metrics once, so its
-// quadratic dominance loop reads two floats per corner rather than
-// copying two whole Metrics per comparison.
+// compares: ParetoRanks projects them out of the Metrics once, so its sort
+// and sweep read two floats per corner rather than copying whole Metrics.
 type objectives struct{ eps, energy float64 }
 
 // dominates reports Pareto dominance of a over b in (EpsMul, EMul): a is no
@@ -185,48 +186,55 @@ func (a objectives) dominates(b objectives) bool {
 		(a.eps < b.eps || a.energy < b.energy)
 }
 
-// ParetoRanks peels non-dominated fronts: rank 0 is the Pareto front, rank
-// 1 the front of the rest, and so on (the NSGA-II layering).
+// ParetoRanks assigns each corner its non-dominated front in (EpsMul,
+// EMul): rank 0 is the Pareto front, rank 1 the front of the rest, and so
+// on — the NSGA-II layering. The ranks are those that peeling the fronts
+// off one by one gives (an all-pairs dominance scan per front); one sorted
+// sweep computes them in O(n log n) (Jensen 2003).
+//
+// The sweep visits the corners by (EpsMul, EMul) ascending and keeps one
+// representative per front: the front's lowest EMul so far, paired with
+// the EpsMul of the first corner that reached it. A corner's rank is the
+// first front whose representative does not dominate it; the corner then
+// opens a new front, or becomes that front's representative if its EMul
+// is strictly lower.
+//
+// Why the ranks equal peeling: peeling ranks a corner by the longest chain
+// of corners that dominate it. Every dominator sorts before the corner it
+// dominates (exact duplicates dominate neither way), and a front holds a
+// dominator of the visited corner exactly when its representative
+// dominates it (the first-to-reach rule keeps this exact on EMul ties).
+// Front k−1 always holds a corner that dominates front k's
+// representative, so the fronts that dominate a corner form a prefix, and
+// a binary search finds its end. A corner with a NaN objective neither
+// dominates nor is dominated: it stays out of the sweep with rank 0, as
+// peeling gives it.
 func ParetoRanks(mets []Metrics) []int {
-	n := len(mets)
-	obj := make([]objectives, n)
+	rank := make([]int, len(mets))
+	obj := make([]objectives, len(mets))
+	order := make([]int, 0, len(mets))
 	for i, m := range mets {
 		obj[i] = objectives{m.EpsMul, m.EMul}
+		if !math.IsNaN(m.EpsMul) && !math.IsNaN(m.EMul) {
+			order = append(order, i)
+		}
 	}
-	rank := make([]int, n)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for level := 0; len(remaining) > 0; level++ {
-		var front, rest []int
-		for _, i := range remaining {
-			dominated := false
-			for _, j := range remaining {
-				if i != j && obj[j].dominates(obj[i]) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				rest = append(rest, i)
-			} else {
-				front = append(front, i)
-			}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(obj[a].eps, obj[b].eps); c != 0 {
+			return c
 		}
-		if len(front) == 0 {
-			// Cannot happen with a strict dominance relation (every finite
-			// poset has minimal elements); guard against infinite loops if
-			// metrics contain NaN, which breaks the order axioms.
-			for _, i := range rest {
-				rank[i] = level
-			}
-			break
+		return cmp.Compare(obj[a].energy, obj[b].energy)
+	})
+	var fronts []objectives // fronts[k] is front k's representative
+	for _, i := range order {
+		k := sort.Search(len(fronts), func(k int) bool { return !fronts[k].dominates(obj[i]) })
+		rank[i] = k
+		switch {
+		case k == len(fronts):
+			fronts = append(fronts, obj[i])
+		case obj[i].energy < fronts[k].energy:
+			fronts[k] = obj[i]
 		}
-		for _, i := range front {
-			rank[i] = level
-		}
-		remaining = rest
 	}
 	return rank
 }

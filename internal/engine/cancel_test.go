@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -88,6 +89,88 @@ func TestEvaluateBatchCancellation(t *testing.T) {
 	st = eng.Stats()
 	if st.Misses != 12 || st.Hits != uint64(ran) {
 		t.Fatalf("stats %+v after rerun, want 12 misses / %d hits", st, ran)
+	}
+}
+
+// cancelingStore is a fakeStore that records the keys it is asked for and
+// cancels during its k-th Get, after the lookup (k = 0: never). The engine
+// looks keys up serially, from the submitting goroutine.
+type cancelingStore struct {
+	*fakeStore
+	k      int
+	cancel context.CancelFunc
+	asked  []Key
+}
+
+func (s *cancelingStore) Get(key Key) (Metrics, bool) {
+	s.asked = append(s.asked, key)
+	met, ok := s.fakeStore.Get(key)
+	if len(s.asked) == s.k {
+		s.cancel()
+	}
+	return met, ok
+}
+
+// TestEvaluateBatchCanceledDuringStoreLookup cancels a batch from inside
+// its store lookups, over a batch whose even jobs are store hits and odd
+// jobs misses. The keys the store served up to the cancel stay cached;
+// every other claim — the miss already looked up and the keys not yet
+// looked up — is abandoned without memoizing the cancellation; and a rerun
+// resolves exactly the abandoned keys, in claim order.
+func TestEvaluateBatchCanceledDuringStoreLookup(t *testing.T) {
+	jobs := testJobs(12)
+	want := make([]Metrics, len(jobs))
+	disk := newFakeStore()
+	for i, j := range jobs {
+		want[i], _ = (&fakeBackend{}).EvaluateCell(Eval{}, j)
+		if i%2 == 0 {
+			disk.data[Key{Backend: "fake", Job: j}] = want[i]
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The third lookup, job 2's, is a hit and cancels: jobs 0 and 2 are
+	// served, job 1 has missed, and jobs 3–11 are never looked up.
+	store := &cancelingStore{fakeStore: disk, k: 3, cancel: cancel}
+	fake := &fakeBackend{}
+	eng := New(fake, 2).WithStore(store)
+	if _, err := eng.EvaluateBatchOpts(jobs, BatchOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch canceled during its store lookups returned %v, want context.Canceled", err)
+	}
+	if n := len(store.asked); n != 3 {
+		t.Fatalf("the canceled batch looked up %d keys, want 3: the lookups stop at the cancel", n)
+	}
+	st := eng.Stats()
+	if st.DiskHits != 2 || st.Misses != 0 || st.Hits != 0 || fake.evals.Load() != 0 {
+		t.Fatalf("canceled batch: stats %+v and %d backend evaluations, want 2 store hits and nothing evaluated", st, fake.evals.Load())
+	}
+	if st.Entries != 2 {
+		t.Fatalf("%d cache entries after the cancel, want 2 (the served keys): abandoned claims must be released", st.Entries)
+	}
+	if disk.puts != 0 {
+		t.Fatalf("canceled batch wrote %d store groups, want none", disk.puts)
+	}
+
+	var abandoned []Key
+	for i, j := range jobs {
+		if i != 0 && i != 2 {
+			abandoned = append(abandoned, Key{Backend: "fake", Job: j})
+		}
+	}
+	store.k, store.asked = 0, nil
+	mets, err := eng.EvaluateBatch(jobs)
+	if err != nil {
+		t.Fatalf("rerun after the cancel: %v", err)
+	}
+	if !slices.Equal(store.asked, abandoned) {
+		t.Fatalf("rerun looked up %v, want exactly the abandoned keys %v", store.asked, abandoned)
+	}
+	if d := eng.Stats().Sub(st); d.Hits != 2 || d.DiskHits != 4 || d.Misses != 6 || fake.evals.Load() != 6 || d.Entries != 12 {
+		t.Fatalf("rerun: stats delta %+v and %d backend evaluations, want 2 memory hits, 4 store hits, 6 evaluated (the odd jobs), 12 entries",
+			d, fake.evals.Load())
+	}
+	if !slices.Equal(mets, want) {
+		t.Fatalf("rerun results %v, want %v", mets, want)
 	}
 }
 

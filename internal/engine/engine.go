@@ -203,10 +203,13 @@ type entry struct {
 	done chan struct{}
 	met  Metrics
 	err  error
+	// key is the entry's slot in the map and the job it computes. It is
+	// set once, when the entry is created, and may be read without the
+	// lock.
+	key Key
 
-	// The rest is guarded by Engine.mu. key is the entry's slot in the
-	// map; prev and next link a settled entry into the LRU in place.
-	key        Key
+	// The rest is guarded by Engine.mu. prev and next link a settled entry
+	// into the LRU in place.
 	prev, next *entry
 	state      entryState
 }
@@ -382,22 +385,23 @@ func (e *Engine) settle(ents []*entry) {
 	}
 }
 
-// storeResolve consults the persistent tier for a claimed key and, on a
-// hit, resolves the entry with the stored metrics. It reports whether the
-// entry was resolved — including the case where the Store implementation
-// panicked, which resolves the claim with an error instead of stranding it:
-// a Store is arbitrary code, and a panic between taking a claim and closing
-// its done channel would leave every concurrent waiter blocked forever (the
-// PR 3 stuck-waiter class, now machine-checked by optimalint/claimsafety).
-func (e *Engine) storeResolve(store Store, key Key, ent *entry) (resolved bool) {
+// storeResolve consults the persistent tier for a claimed entry's key and,
+// on a hit, resolves the entry with the stored metrics. It reports whether
+// the entry was resolved — including the case where the Store
+// implementation panicked, which resolves the claim with an error instead
+// of stranding it: a Store is arbitrary code, and a panic between taking a
+// claim and closing its done channel would leave every concurrent waiter
+// blocked forever (the PR 3 stuck-waiter class, now machine-checked by
+// optimalint/claimsafety).
+func (e *Engine) storeResolve(store Store, ent *entry) (resolved bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			ent.err = fmt.Errorf("engine: store lookup panicked for corner %v at %v: %v", key.Config, key.Cond, r)
+			ent.err = fmt.Errorf("engine: store lookup panicked for corner %v at %v: %v", ent.key.Config, ent.key.Cond, r)
 			close(ent.done)
 			resolved = true
 		}
 	}()
-	met, ok := store.Get(key)
+	met, ok := store.Get(ent.key)
 	if !ok {
 		return false
 	}
@@ -463,10 +467,10 @@ func (e *Engine) EvaluateBatch(jobs []Job) ([]Metrics, error) {
 // cache so the cancellation is not memoized: a later submission of the key
 // claims it afresh and evaluates normally. Waiters already holding the
 // entry observe the cancellation error.
-func (e *Engine) abandon(key Key, ent *entry, cause error) {
+func (e *Engine) abandon(ent *entry, cause error) {
 	e.mu.Lock()
-	if e.cache[key] == ent {
-		delete(e.cache, key)
+	if e.cache[ent.key] == ent {
+		delete(e.cache, ent.key)
 	}
 	ent.state = dropped
 	e.mu.Unlock()
@@ -500,16 +504,18 @@ func (o observed) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	return o.Backend.EvaluateCell(ev, job)
 }
 
-// dispatch resolves a batch's claimed miss set through the engine's
-// dispatcher. Every claim resolves on every path: a cancellation error
-// abandons the claim (never memoized), any other result closes it, and the
-// deferred sweep catches a dispatcher that panicked or violated the
-// exactly-once contract — unresolved claims are abandoned with an error
-// instead of stranding concurrent waiters (the PR 3 stuck-waiter class).
-func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, owned map[Key]*entry, advance func(int)) {
+// dispatch resolves a batch's claimed miss set, toRun, through the
+// engine's dispatcher: job i of the dispatch is toRun[i].key's, and its
+// result resolves toRun[i]. Every claim resolves on every path: a
+// cancellation error abandons the claim (never memoized), any other result
+// closes it, and the deferred sweep catches a dispatcher that panicked or
+// violated the exactly-once contract — unresolved claims are abandoned with
+// an error instead of stranding concurrent waiters (the PR 3 stuck-waiter
+// class).
+func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []*entry, advance func(int)) {
 	jobs := make([]Job, len(toRun))
-	for i, key := range toRun {
-		jobs[i] = key.Job
+	for i, ent := range toRun {
+		jobs[i] = ent.key.Job
 	}
 	// resolved guards the exactly-once contract on this side of the seam: a
 	// duplicate onDone for an index is dropped, and the deferred sweep
@@ -517,15 +523,16 @@ func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, o
 	resolved := make([]atomic.Bool, len(toRun))
 	defer func() {
 		r := recover()
-		for i, key := range toRun {
+		for i, ent := range toRun {
 			if !resolved[i].CompareAndSwap(false, true) {
 				continue
 			}
+			key := ent.key
 			cause := fmt.Errorf("engine: dispatcher never resolved %s corner %v at %v", key.Backend, key.Config, key.Cond)
 			if r != nil {
 				cause = fmt.Errorf("engine: dispatcher panicked: %v", r)
 			}
-			e.abandon(key, owned[key], cause)
+			e.abandon(ent, cause)
 			advance(1)
 		}
 	}()
@@ -533,10 +540,9 @@ func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, o
 		if i < 0 || i >= len(toRun) || !resolved[i].CompareAndSwap(false, true) {
 			return
 		}
-		key := toRun[i]
-		ent := owned[key]
+		ent := toRun[i]
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			e.abandon(key, ent, err)
+			e.abandon(ent, err)
 		} else {
 			// Only jobs that reached the backend are misses — abandoned jobs
 			// were neither served nor evaluated.
@@ -552,6 +558,12 @@ func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []Key, o
 // per-cell progress callback (BatchOptions). It is the submission path of
 // the exploration layers that must stay interruptible and observable — the
 // adaptive search's rungs and the optima-server's jobs.
+//
+// The batch tracks the claims it takes in one slice of entries, in claim
+// order; each entry carries its key. The store lookup filters that slice
+// in place down to the misses, the dispatcher resolves the misses, and the
+// persisted group is read back from them, so a batch builds no map of its
+// own beside the engine's cache.
 func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -594,8 +606,7 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	// Phase 1: one locked pass claims every key this batch will compute and
 	// resolves the rest against the memory tier.
 	ents := make([]*entry, len(jobs))
-	owned := make(map[Key]*entry)
-	var ownedKeys []Key
+	var owned []*entry // this batch's claims, in claim order
 	var memHits uint64
 	e.mu.Lock()
 	store, dispatcher := e.store, e.dispatcher
@@ -610,38 +621,37 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 		}
 		ent := &entry{done: make(chan struct{}), key: key}
 		e.cache[key] = ent
-		owned[key] = ent
-		ownedKeys = append(ownedKeys, key)
+		owned = append(owned, ent)
 		ents[i] = ent
 	}
 	e.mu.Unlock()
 	e.n.hits.Add(memHits)
 
 	// Phase 2: store tier. The index lookup is memory-speed, so this stays
-	// serial; only true misses proceed to the backend. A cancellation here
-	// stops the lookups — the remaining keys fall through to phase 3, which
-	// abandons them.
-	toRun := ownedKeys
-	if store != nil && len(ownedKeys) > 0 {
+	// serial; only true misses proceed to the backend, filtered in place
+	// out of the claims. A cancellation here stops the lookups — the
+	// remaining claims fall through to phase 3, which abandons them.
+	toRun := owned
+	if store != nil && len(owned) > 0 {
 		var lookupArg string
 		if rec != nil {
-			lookupArg = fmt.Sprintf("%d keys", len(ownedKeys))
+			lookupArg = fmt.Sprintf("%d keys", len(owned))
 		}
 		lookup := rec.StartSpan(bspan.ID(), obs.CatStore, "lookup", lookupArg)
 		toRun = toRun[:0]
 		var fromDisk uint64
-		for n, key := range ownedKeys {
+		for n, ent := range owned {
 			if ctx.Err() != nil {
-				toRun = append(toRun, ownedKeys[n:]...)
+				toRun = append(toRun, owned[n:]...)
 				break
 			}
-			if ent := owned[key]; e.storeResolve(store, key, ent) {
+			if e.storeResolve(store, ent) {
 				if ent.err == nil {
 					fromDisk++
 				}
 				continue
 			}
-			toRun = append(toRun, key)
+			toRun = append(toRun, ent)
 		}
 		lookup.End()
 		e.n.diskHits.Add(fromDisk)
@@ -656,15 +666,15 @@ func (e *Engine) EvaluateBatchOpts(jobs []Job, opts BatchOptions) ([]Metrics, er
 	// included), so concurrent waiters never hang.
 	if len(toRun) > 0 {
 		ev := Eval{Ctx: ctx, Workers: e.Workers(), Rec: rec, Parent: bspan.ID()}
-		e.dispatch(dispatcher, ev, observed{Backend: e.backend, em: em, start: batchStart}, toRun, owned, advance)
+		e.dispatch(dispatcher, ev, observed{Backend: e.backend, em: em, start: batchStart}, toRun, advance)
 		// Phase 4: persist the new results in one group. Abandoned entries
 		// carry the cancellation error and are skipped, so a canceled batch
 		// persists exactly the work it finished.
 		if store != nil {
 			batch := make([]CacheEntry, 0, len(toRun))
-			for _, key := range toRun {
-				if ent := owned[key]; ent.err == nil {
-					batch = append(batch, CacheEntry{Key: key, Met: ent.met})
+			for _, ent := range toRun {
+				if ent.err == nil {
+					batch = append(batch, CacheEntry{Key: ent.key, Met: ent.met})
 				}
 			}
 			e.persist(store, batch)
