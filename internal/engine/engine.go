@@ -385,14 +385,13 @@ func (e *Engine) settle(ents []*entry) {
 	}
 }
 
-// storeResolve consults the persistent tier for a claimed entry's key and,
-// on a hit, resolves the entry with the stored metrics. It reports whether
-// the entry was resolved — including the case where the Store
-// implementation panicked, which resolves the claim with an error instead
-// of stranding it: a Store is arbitrary code, and a panic between taking a
-// claim and closing its done channel would leave every concurrent waiter
-// blocked forever (the PR 3 stuck-waiter class, now machine-checked by
-// optimalint/claimsafety).
+// storeResolve consults the persistent tier for a claimed key and, on a
+// hit, resolves the entry with the stored metrics. It reports whether the
+// entry was resolved — including the case where the Store implementation
+// panicked, which resolves the claim with an error instead of stranding it:
+// a Store is arbitrary code, and a panic between taking a claim and closing
+// its done channel would leave every concurrent waiter blocked forever (the
+// PR 3 stuck-waiter class, now machine-checked by optimalint/claimsafety).
 func (e *Engine) storeResolve(store Store, ent *entry) (resolved bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -504,14 +503,15 @@ func (o observed) EvaluateCell(ev Eval, job Job) (Metrics, error) {
 	return o.Backend.EvaluateCell(ev, job)
 }
 
-// dispatch resolves a batch's claimed miss set, toRun, through the
-// engine's dispatcher: job i of the dispatch is toRun[i].key's, and its
-// result resolves toRun[i]. Every claim resolves on every path: a
-// cancellation error abandons the claim (never memoized), any other result
-// closes it, and the deferred sweep catches a dispatcher that panicked or
-// violated the exactly-once contract — unresolved claims are abandoned with
-// an error instead of stranding concurrent waiters (the PR 3 stuck-waiter
-// class).
+// dispatch resolves a batch's claimed miss set through the engine's
+// dispatcher. Every claim resolves on every path: a cancellation error
+// abandons the claim (never memoized), any other result closes it, and the
+// deferred sweep catches a dispatcher that panicked or violated the
+// exactly-once contract — unresolved claims are abandoned with an error
+// instead of stranding concurrent waiters (the PR 3 stuck-waiter class).
+//
+// The miss set is toRun: job i of the dispatch is toRun[i].key's, and its
+// result resolves toRun[i].
 func (e *Engine) dispatch(d Dispatcher, ev Eval, backend Backend, toRun []*entry, advance func(int)) {
 	jobs := make([]Job, len(toRun))
 	for i, ent := range toRun {
