@@ -20,9 +20,9 @@ func runSearch(args []string) error {
 	outDir := fs.String("out", "out", "artifact directory")
 	// No -backend: the search screens on behavioral and promotes to golden.
 	f := cli.NewFlags(fs, engineFlags&^cli.Backend|cli.Conditions)
-	tau0 := fs.String("tau0", "0.16:0.28:100", "τ0 axis [ns]: min:max:steps[:log] or comma list")
-	vdac0 := fs.String("vdac0", "0.3:0.5:3", "V_DAC,0 axis [V]: min:max:steps[:log] or comma list")
-	vdacfs := fs.String("vdacfs", "0.7:1.0:4", "V_DAC,FS axis [V]: min:max:steps[:log] or comma list")
+	tau0 := fs.String("tau0", search.DefaultTau0Spec, "τ0 axis [ns]: min:max:steps[:log] or comma list")
+	vdac0 := fs.String("vdac0", search.DefaultVDAC0Spec, "V_DAC,0 axis [V]: min:max:steps[:log] or comma list")
+	vdacfs := fs.String("vdacfs", search.DefaultVDACFSSpec, "V_DAC,FS axis [V]: min:max:steps[:log] or comma list")
 	budget := fs.Int("budget", 0, "rung-0 candidate budget; larger spaces are sampled (0 = full space)")
 	rungs := fs.Int("rungs", search.DefaultRungs, "screening rungs (successive halving rounds)")
 	eta := fs.Float64("eta", search.DefaultEta, "halving ratio between rungs (> 1)")

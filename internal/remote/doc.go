@@ -12,16 +12,17 @@
 // Cells travel under the engine's backend name, so keys are identical to a
 // local run, and cells no worker can take run through engine.Local.
 //
-// Sharding is key-range over engine.Key.Hash, the same host-stable hash the
-// store uses. Workers keep no store, and the hash covers the condition, so
-// a config's cells spread across workers, each calibrating its golden trim
-// (41 of the 48 default-grid configs at three conditions split across 2
-// workers). Work stealing rebalances slow workers, dead
-// workers have their in-flight cells reassigned exactly once per loss, and
-// a fleet with zero live workers degrades to local evaluation rather than
-// failing. Backends are deterministic, so first-result-wins deduplication
-// is sound and results are byte-identical to a local run at any worker
-// count.
+// Placement is one function, Fleet.place, for first shipments and
+// reassignments alike; its rule is key-range over engine.Key.Hash, the
+// store's host-stable hash, across the live workers. Workers keep no
+// store, and the hash covers the condition, so a config's cells spread
+// across workers, each calibrating its golden trim (41 of the 48
+// default-grid configs at three conditions split across 2 workers). Work
+// stealing rebalances slow workers, dead workers have their in-flight
+// cells reassigned exactly once per loss, and a fleet with zero live
+// workers degrades to local evaluation rather than failing. Backends are
+// deterministic, so first-result-wins deduplication is sound and results
+// are byte-identical to a local run at any worker count.
 //
 // The wire protocol is internal/codec frames, the codec of internal/store's
 // records: a u32 body length, a u32 CRC32 of the body, u16-length strings,

@@ -2,11 +2,11 @@ package remote
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"log/slog"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,13 +222,12 @@ type dispatch struct {
 	local   engine.Backend // evaluates cells when no worker can
 	backend string         // local's name, shipped in batch frames
 	jobs    []engine.Job
-	hashes  []uint64
 	span    obs.SpanID
 	onDone  func(i int, met engine.Metrics, err error)
 
 	mu          sync.Mutex
 	cells       []dispCell
-	outstanding map[uint64]int // per worker ID: unresolved cells it owns
+	outstanding map[*workerConn]int // per worker: unresolved cells it owns
 	unresolved  int
 	done        chan struct{}
 }
@@ -237,7 +236,7 @@ type dispatch struct {
 type dispCell struct {
 	resolved bool
 	ships    int
-	owners   []uint64 // worker IDs the cell is outstanding on
+	owners   []*workerConn // workers the cell is outstanding on
 }
 
 // shardIndex maps a key hash onto [0, n) by range: the upper 32 bits of
@@ -250,7 +249,7 @@ func shardIndex(hash uint64, n int) int {
 }
 
 // EvaluateJobs implements engine.Dispatcher: the whole miss set of one
-// engine batch, shipped across the fleet by key-range and resolved through
+// engine batch, placed across the fleet by place and resolved through
 // onDone exactly once per cell. Cells travel under backend's name, so
 // cache and store keys are identical to a purely local run. Zero connected
 // workers is not an error: the batch evaluates on backend through
@@ -260,29 +259,23 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	if len(jobs) == 0 {
 		return
 	}
-	bname := backend.Name()
 	d := &dispatch{
 		fleet:       f,
 		ev:          ev,
 		local:       backend,
-		backend:     bname,
+		backend:     backend.Name(),
 		jobs:        jobs,
-		hashes:      make([]uint64, len(jobs)),
 		cells:       make([]dispCell, len(jobs)),
-		outstanding: map[uint64]int{},
+		outstanding: map[*workerConn]int{},
+		unresolved:  len(jobs),
 		done:        make(chan struct{}),
 		onDone:      onDone,
 	}
-	for i, j := range jobs {
-		d.hashes[i] = engine.Key{Backend: bname, Job: j}.Hash()
-	}
-	d.unresolved = len(jobs)
 
 	f.mu.Lock()
 	f.nextDisp++
 	d.id = f.nextDisp
 	f.dispatches[d.id] = d
-	ws := append([]*workerConn(nil), f.workers...)
 	f.mu.Unlock()
 	defer func() {
 		f.mu.Lock()
@@ -292,7 +285,7 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 
 	var arg string
 	if f.rec != nil {
-		arg = fmt.Sprintf("%s: %d cells, %d workers", bname, len(jobs), len(ws))
+		arg = fmt.Sprintf("%s: %d cells, %d workers", d.backend, len(jobs), f.WorkerCount())
 	}
 	// ev.Parent is the engine's batch span, a span of ev.Rec: the dispatch
 	// nests under it when the fleet records there too, else it is a root.
@@ -304,27 +297,11 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	d.span = span.ID()
 	defer span.End()
 
-	if len(ws) == 0 {
-		all := make([]int, len(jobs))
-		for i := range all {
-			all[i] = i
-		}
-		f.localFallback(d, all, "no connected workers")
-	} else {
-		// Key-range assignment over the join-order worker list: cell i goes
-		// to the worker owning its hash segment. Indexes accumulate in
-		// ascending order, so each worker's batch frame is deterministic.
-		perWorker := make([][]int, len(ws))
-		for i := range jobs {
-			w := shardIndex(d.hashes[i], len(ws))
-			perWorker[w] = append(perWorker[w], i)
-		}
-		for wi, idxs := range perWorker {
-			if len(idxs) > 0 {
-				f.ship(d, ws[wi], idxs, false)
-			}
-		}
+	all := make([]int, len(jobs))
+	for i := range all {
+		all[i] = i
 	}
+	f.place(d, all, "no connected workers")
 
 	ctx := ev.Context()
 	select {
@@ -341,12 +318,44 @@ func (f *Fleet) EvaluateJobs(ev engine.Eval, backend engine.Backend, jobs []engi
 	}
 }
 
+// place is the fleet's one placement decision, for a dispatch's first
+// shipment and every reassignment off a lost worker. Cell i goes by key
+// range (shardIndex of its engine.Key.Hash) to one of the live workers in
+// join order, each share in ascending index order, so frames are
+// deterministic. A worker with its dead flag set is skipped even before
+// dropWorker unlists it, as cells placed there would bounce straight back.
+// With no live worker the cells run locally, and why is logged.
+func (f *Fleet) place(d *dispatch, idxs []int, why string) {
+	f.mu.Lock()
+	ws := make([]*workerConn, 0, len(f.workers))
+	for _, w := range f.workers {
+		if !w.dead.Load() {
+			ws = append(ws, w)
+		}
+	}
+	f.mu.Unlock()
+	if len(ws) == 0 {
+		f.localFallback(d, idxs, why)
+		return
+	}
+	shares := make([][]int, len(ws))
+	for _, i := range idxs {
+		wi := shardIndex(engine.Key{Backend: d.backend, Job: d.jobs[i]}.Hash(), len(ws))
+		shares[wi] = append(shares[wi], i)
+	}
+	for wi, share := range shares {
+		if len(share) > 0 {
+			f.ship(d, ws[wi], share, false)
+		}
+	}
+}
+
 // ship marks idxs outstanding on w and writes them in frames of at most
 // maxBatchCells, the worker's decoding bound. All cells are marked BEFORE
-// the first write, so any failure path — the worker died between snapshot
-// and ship, or a write broke — finds them owned by a dead worker and
-// reassigns them through the uniform reassignFrom path; no interleaving
-// can strand a cell. steal re-ships cells outstanding elsewhere.
+// the first write, so a worker that died after it was chosen, or a write
+// that broke, leaves them owned by a dead worker, and reassignFrom moves
+// them; no interleaving can strand a cell. steal re-ships cells
+// outstanding elsewhere.
 func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 	cells := make([]batchCell, 0, len(idxs))
 	d.mu.Lock()
@@ -356,8 +365,8 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 			continue
 		}
 		c.ships++
-		c.owners = append(c.owners, w.id)
-		d.outstanding[w.id]++
+		c.owners = append(c.owners, w)
+		d.outstanding[w]++
 		cells = append(cells, batchCell{Index: uint32(i), Job: d.jobs[i]})
 	}
 	d.mu.Unlock()
@@ -365,7 +374,7 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		return
 	}
 	if w.dead.Load() {
-		f.reassignAfterFailedShip(d, w)
+		f.reassignFrom(d, w)
 		return
 	}
 
@@ -401,17 +410,8 @@ func (f *Fleet) ship(d *dispatch, w *workerConn, idxs []int, steal bool) {
 		// the explicit reassign below picks them up (it no-ops on cells a
 		// concurrent reassignment already moved).
 		f.dropWorker(w, fmt.Errorf("write: %w", err))
-		f.reassignAfterFailedShip(d, w)
+		f.reassignFrom(d, w)
 	}
-}
-
-// reassignAfterFailedShip reroutes d's cells owned by the dead worker w
-// against a fresh snapshot of the live worker set.
-func (f *Fleet) reassignAfterFailedShip(d *dispatch, w *workerConn) {
-	f.mu.Lock()
-	remaining := append([]*workerConn(nil), f.workers...)
-	f.mu.Unlock()
-	f.reassignFrom(d, w, remaining)
 }
 
 // resolve settles one cell, first result wins. from is the worker that
@@ -428,7 +428,7 @@ func (f *Fleet) reassignAfterFailedShip(d *dispatch, w *workerConn) {
 // dropped may still have results in flight; dropping it again is a no-op.)
 func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint64, from *workerConn) {
 	d.mu.Lock()
-	if from != nil && (int(idx) >= len(d.cells) || !slices.Contains(d.cells[idx].owners, from.id)) {
+	if from != nil && (int(idx) >= len(d.cells) || !slices.Contains(d.cells[idx].owners, from)) {
 		d.mu.Unlock()
 		d.fleet.dropWorker(from, fmt.Errorf("result for cell %d of dispatch %d, which it was never shipped", idx, d.id))
 		return
@@ -485,15 +485,16 @@ func (d *dispatch) resolve(idx uint32, met engine.Metrics, err error, durNS uint
 // work unboundedly.
 func (d *dispatch) maybeSteal(w *workerConn) {
 	d.mu.Lock()
-	if d.outstanding[w.id] > 0 {
+	if d.outstanding[w] > 0 {
 		d.mu.Unlock()
 		return // w still has outstanding cells; nothing to steal yet
 	}
-	busiest, busiestN := uint64(0), 0
+	var busiest *workerConn
+	busiestN := 0
 	for owner, n := range d.outstanding {
 		// Deterministic victim choice: strictly more cells wins, ties go to
 		// the lower worker ID (map order must not pick the victim).
-		if n > busiestN || (n == busiestN && busiestN > 0 && owner < busiest) {
+		if n > busiestN || (n == busiestN && busiestN > 0 && owner.id < busiest.id) {
 			busiest, busiestN = owner, n
 		}
 	}
@@ -519,83 +520,51 @@ func (d *dispatch) maybeSteal(w *workerConn) {
 	}
 }
 
-// dropWorker removes w from the fleet and reassigns every unresolved cell
-// it owned: to the remaining workers by key-range when any are left,
-// otherwise to the local fallback — losing the whole fleet mid-batch
-// degrades, it does not fail.
+// dropWorker marks w dead, unlists it and reassigns its unresolved cells
+// in every active dispatch, oldest first. The flag is set before the
+// unlisting, so place never chooses a worker on its way out; with no worker
+// left, losing the whole fleet mid-batch degrades to local, it does not fail.
 func (f *Fleet) dropWorker(w *workerConn, cause error) {
 	if !w.dead.CompareAndSwap(false, true) {
 		return
 	}
 	w.conn.Close()
 	f.mu.Lock()
-	for i, lw := range f.workers {
-		if lw == w {
-			f.workers = append(f.workers[:i], f.workers[i+1:]...)
-			break
-		}
-	}
-	remaining := append([]*workerConn(nil), f.workers...)
-	ids := make([]uint64, 0, len(f.dispatches))
-	for id := range f.dispatches {
-		ids = append(ids, id)
-	}
-	active := make([]*dispatch, 0, len(ids))
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		active = append(active, f.dispatches[id])
+	f.workers = slices.DeleteFunc(f.workers, func(lw *workerConn) bool { return lw == w })
+	remaining := len(f.workers)
+	active := make([]*dispatch, 0, len(f.dispatches))
+	for _, d := range f.dispatches {
+		active = append(active, d)
 	}
 	closed := f.closed
 	f.mu.Unlock()
+	slices.SortFunc(active, func(a, b *dispatch) int { return cmp.Compare(a.id, b.id) })
 	if !closed {
-		f.log.Warn("remote: worker lost", "worker", w.id, "cause", cause, "remaining", len(remaining))
+		f.log.Warn("remote: worker lost", "worker", w.id, "cause", cause, "remaining", remaining)
 	}
 
 	for _, d := range active {
-		f.reassignFrom(d, w, remaining)
+		f.reassignFrom(d, w)
 	}
 }
 
-// reassignFrom moves d's unresolved cells off the dead worker w. A cell
-// still outstanding on another live worker needs nothing — its surviving
-// copy will resolve it.
-func (f *Fleet) reassignFrom(d *dispatch, w *workerConn, remaining []*workerConn) {
-	// Filter racing deaths out of the snapshot: a target that is already
-	// dead would bounce the cells straight back here.
-	surviving := remaining[:0:0]
-	for _, lw := range remaining {
-		if !lw.dead.Load() {
-			surviving = append(surviving, lw)
-		}
-	}
-	remaining = surviving
-	live := map[uint64]bool{}
-	for _, lw := range remaining {
-		live[lw.id] = true
-	}
+// reassignFrom takes the dead worker w off d's unresolved cells and sends
+// those left with no live owner back through place; a cell still
+// outstanding on a live worker will resolve there. A cell moved once no
+// longer lists w, so each loss reassigns it once.
+func (f *Fleet) reassignFrom(d *dispatch, w *workerConn) {
+	live := func(o *workerConn) bool { return !o.dead.Load() }
+	var orphaned []int
 	d.mu.Lock()
-	orphaned := make([]int, 0)
 	for i := range d.cells {
 		c := &d.cells[i]
-		if c.resolved {
+		if c.resolved || !slices.Contains(c.owners, w) {
 			continue
 		}
-		owned := false
-		alive := false
-		kept := c.owners[:0]
-		for _, owner := range c.owners {
-			if owner == w.id {
-				owned = true
-				d.outstanding[owner]--
-				continue
-			}
-			kept = append(kept, owner)
-			if live[owner] {
-				alive = true
-			}
-		}
-		c.owners = kept
-		if owned && !alive {
+		n := len(c.owners)
+		c.owners = slices.DeleteFunc(c.owners, func(o *workerConn) bool { return o == w })
+		d.outstanding[w] -= n - len(c.owners)
+		if !slices.ContainsFunc(c.owners, live) {
 			orphaned = append(orphaned, i)
 		}
 	}
@@ -604,21 +573,7 @@ func (f *Fleet) reassignFrom(d *dispatch, w *workerConn, remaining []*workerConn
 		return
 	}
 	f.n.reassignments.Add(uint64(len(orphaned)))
-
-	if len(remaining) == 0 {
-		f.localFallback(d, orphaned, "all workers lost mid-batch")
-		return
-	}
-	perWorker := make([][]int, len(remaining))
-	for _, i := range orphaned {
-		wi := shardIndex(d.hashes[i], len(remaining))
-		perWorker[wi] = append(perWorker[wi], i)
-	}
-	for wi, idxs := range perWorker {
-		if len(idxs) > 0 {
-			f.ship(d, remaining[wi], idxs, false)
-		}
-	}
+	f.place(d, orphaned, "all workers lost mid-batch")
 }
 
 // localFallback evaluates idxs on the coordinator through engine.Local —

@@ -402,6 +402,109 @@ func TestWorkerFailureMidBatch(t *testing.T) {
 	checkStatsMatchRegistry(t, fleet)
 }
 
+// TestFleetStealsFromSlowWorker: a worker that is alive but slow keeps its
+// cells, and the idle one re-ships part of its share (work stealing). The
+// steal reassigns nothing and falls back to nothing, and the results are
+// byte-identical to a local run.
+func TestFleetStealsFromSlowWorker(t *testing.T) {
+	leakCheck(t)
+	jobs := testJobs(8)
+	ref, err := engine.New(&fakeBackend{name: "behavioral"}, 4).EvaluateBatch(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fleet := startFleet(t, obs.NewRecorder(obs.RecorderOptions{}))
+	// Worker 1 (key-range index 0) holds every evaluation until the fleet
+	// has stolen from it, or for 5 s at most.
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	startWorker(t, fleet, &fakeBackend{name: "behavioral", gate: gate}, 2)
+	startWorker(t, fleet, &fakeBackend{name: "behavioral"}, 2)
+	waitFor(t, time.Second, func() bool { return fleet.WorkerCount() == 2 })
+
+	w1Cells := 0
+	for _, j := range jobs {
+		if shardIndex(engine.Key{Backend: "behavioral", Job: j}.Hash(), 2) == 0 {
+			w1Cells++
+		}
+	}
+	if w1Cells < 2 || w1Cells == len(jobs) {
+		t.Fatalf("test plane gives worker 1 %d of %d cells; a steal needs 2 or more, and worker 2 a share", w1Cells, len(jobs))
+	}
+
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		defer release()
+		deadline := time.Now().Add(5 * time.Second)
+		for fleet.Stats().Retries == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	eng := engine.New(&fakeBackend{name: "behavioral"}, 2).WithDispatcher(fleet)
+	got, err := eng.EvaluateBatch(jobs)
+	<-opened
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsEqual(t, got, ref)
+	st := fleet.Stats()
+	if st.Retries == 0 || st.Reassignments != 0 || st.LocalFallbacks != 0 {
+		t.Fatalf("slow worker: %v, want retries > 0, no reassignments and no local fallbacks", st)
+	}
+	checkStatsMatchRegistry(t, fleet)
+}
+
+// TestWorkerResolvesBackendOnce: a worker resolves each backend name once,
+// a failed resolution included, and fails every cell of a batch naming a
+// backend it cannot resolve.
+func TestWorkerResolvesBackendOnce(t *testing.T) {
+	leakCheck(t)
+	fleet := startFleet(t, nil)
+	var mu sync.Mutex
+	calls := map[string]int{}
+	w, err := Dial(fleet.Addr(), WorkerOptions{
+		Fingerprint: testFP,
+		Backends: func(name string) (engine.Backend, error) {
+			mu.Lock()
+			calls[name]++
+			mu.Unlock()
+			if name != "behavioral" {
+				return nil, fmt.Errorf("unknown backend %q", name)
+			}
+			return &fakeBackend{name: name}, nil
+		},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	waitFor(t, time.Second, func() bool { return fleet.WorkerCount() == 1 })
+
+	jobs := testJobs(2)
+	for round := 0; round < 2; round++ {
+		for _, name := range []string{"behavioral", "golden"} {
+			fleet.EvaluateJobs(engine.Eval{Workers: 2}, &fakeBackend{name: name}, jobs, func(i int, met engine.Metrics, err error) {
+				switch {
+				case name == "behavioral" && (err != nil || met != fakeMetrics(jobs[i].Config, jobs[i].Cond)):
+					t.Errorf("%s cell %d: %+v, %v", name, i, met, err)
+				case name == "golden" && (err == nil || !strings.Contains(err.Error(), `unknown backend "golden"`)):
+					t.Errorf("%s cell %d: err %v, want the resolver's error", name, i, err)
+				}
+			})
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls["behavioral"] != 1 || calls["golden"] != 1 {
+		t.Fatalf("resolver calls %v, want one per name", calls)
+	}
+}
+
 // TestAllWorkersLostMidBatch: losing the whole fleet mid-batch degrades to
 // local evaluation, still byte-identical.
 func TestAllWorkersLostMidBatch(t *testing.T) {

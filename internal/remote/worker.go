@@ -53,8 +53,7 @@ type Worker struct {
 	wmu sync.Mutex // serializes result-frame writes
 
 	bmu      sync.Mutex
-	backends map[string]engine.Backend
-	berrs    map[string]error
+	backends map[string]resolved
 
 	donec  chan struct{}
 	closed sync.Once
@@ -114,8 +113,7 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 		rec:      opts.Recorder,
 		capacity: capacity,
 		sem:      make(chan struct{}, capacity),
-		backends: map[string]engine.Backend{},
-		berrs:    map[string]error{},
+		backends: map[string]resolved{},
 		donec:    make(chan struct{}),
 	}
 	go w.readLoop(r)
@@ -163,25 +161,24 @@ func (w *Worker) readLoop(r *bufio.Reader) {
 	}
 }
 
+// resolved is one backend name's resolution, its error included.
+type resolved struct {
+	b   engine.Backend
+	err error
+}
+
 // backendFor resolves (and caches) the batch's backend. Errors cache too:
 // resolution is deterministic, so a bad name fails the same way per
 // batch without re-running the resolver.
 func (w *Worker) backendFor(name string) (engine.Backend, error) {
 	w.bmu.Lock()
 	defer w.bmu.Unlock()
-	if b, ok := w.backends[name]; ok {
-		return b, nil
+	r, ok := w.backends[name]
+	if !ok {
+		r.b, r.err = w.opts.Backends(name)
+		w.backends[name] = r
 	}
-	if err, ok := w.berrs[name]; ok {
-		return nil, err
-	}
-	b, err := w.opts.Backends(name)
-	if err != nil {
-		w.berrs[name] = err
-		return nil, err
-	}
-	w.backends[name] = b
-	return b, nil
+	return r.b, r.err
 }
 
 // runBatch evaluates one batch's cells under the worker's capacity

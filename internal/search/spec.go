@@ -6,6 +6,14 @@ import (
 	"strings"
 )
 
+// The default axis specs of a search: the `optima search` flag defaults,
+// and the space an optima-server job explores when its request names none.
+const (
+	DefaultTau0Spec   = "0.16:0.28:100"
+	DefaultVDAC0Spec  = "0.3:0.5:3"
+	DefaultVDACFSSpec = "0.7:1.0:4"
+)
+
 // ParseAxisSpec parses the user-facing axis spec shared by the `optima
 // search` CLI flags and the optima-server's JSON job requests. Two forms:
 //

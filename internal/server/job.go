@@ -47,14 +47,6 @@ const (
 	JobCanceled = "canceled"
 )
 
-// Default axis specs — the same defaults as the `optima search` flags, so
-// an empty request body explores the same space the CLI does.
-const (
-	defaultTau0Spec   = "0.16:0.28:100"
-	defaultVDAC0Spec  = "0.3:0.5:3"
-	defaultVDACFSSpec = "0.7:1.0:4"
-)
-
 // Request limits, both enforced before anything request-sized is allocated.
 const (
 	// maxRequestBytes caps a job request body; real specs are a few
@@ -270,9 +262,9 @@ func (s *Server) buildPlan(req JobRequest, j *job) (plan, error) {
 		return v
 	}
 	space, err := search.ParseSpaceSpec(
-		orDefault(req.Tau0, defaultTau0Spec),
-		orDefault(req.VDAC0, defaultVDAC0Spec),
-		orDefault(req.VDACFS, defaultVDACFSSpec))
+		orDefault(req.Tau0, search.DefaultTau0Spec),
+		orDefault(req.VDAC0, search.DefaultVDAC0Spec),
+		orDefault(req.VDACFS, search.DefaultVDACFSSpec))
 	if err != nil {
 		return plan{}, err
 	}
