@@ -458,6 +458,33 @@ func TestFleetStealsFromSlowWorker(t *testing.T) {
 	checkStatsMatchRegistry(t, fleet)
 }
 
+// TestPlaceSkipsDyingWorker: a worker whose dead flag is set but that is
+// not yet unlisted (dropWorker sets the flag first) gets no share of a new
+// dispatch, so none of its cells bounce back as reassignments.
+func TestPlaceSkipsDyingWorker(t *testing.T) {
+	leakCheck(t)
+	fleet := startFleet(t, nil)
+	startWorker(t, fleet, &fakeBackend{name: "behavioral"}, 2)
+	startWorker(t, fleet, &fakeBackend{name: "behavioral"}, 2)
+	waitFor(t, time.Second, func() bool { return fleet.WorkerCount() == 2 })
+	fleet.mu.Lock()
+	fleet.workers[0].dead.Store(true)
+	fleet.mu.Unlock()
+
+	jobs := testJobs(8)
+	got, want := make([]engine.Metrics, len(jobs)), make([]engine.Metrics, len(jobs))
+	fleet.EvaluateJobs(engine.Eval{Workers: 2}, &fakeBackend{name: "behavioral"}, jobs, func(i int, met engine.Metrics, err error) {
+		if err != nil {
+			t.Errorf("cell %d: %v", i, err)
+		}
+		got[i], want[i] = met, fakeMetrics(jobs[i].Config, jobs[i].Cond)
+	})
+	metricsEqual(t, got, want)
+	if st := fleet.Stats(); st.CellsShipped != uint64(len(jobs)) || st.Reassignments != 0 || st.LocalFallbacks != 0 {
+		t.Fatalf("dying worker: %v, want all %d cells shipped once to the live worker", st, len(jobs))
+	}
+}
+
 // TestWorkerResolvesBackendOnce: a worker resolves each backend name once,
 // a failed resolution included, and fails every cell of a batch naming a
 // backend it cannot resolve.
