@@ -202,7 +202,10 @@ func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
 func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 
 // Str reads a u16-length string.
-func (r *Reader) Str() string { return string(r.take(int(binary.LittleEndian.Uint16(r.take(2))))) }
+func (r *Reader) Str() string { return string(r.StrBytes()) }
+
+// StrBytes reads a u16-length string's bytes, aliasing the body.
+func (r *Reader) StrBytes() []byte { return r.take(int(binary.LittleEndian.Uint16(r.take(2)))) }
 
 // Job reads a job's six words.
 func (r *Reader) Job() engine.Job {

@@ -24,6 +24,7 @@
 package mult
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -74,21 +75,32 @@ func (c Config) String() string {
 	return fmt.Sprintf("τ0=%.2f ns, VDAC0=%.1f V, VDACFS=%.1f V", c.Tau0*1e9, c.VDAC0, c.VDACFS)
 }
 
-// Validate checks that the configuration is physically meaningful.
+// Validate checks that the configuration is physically meaningful: every
+// parameter finite, then ValidateTau0 and ValidateDAC.
 func (c Config) Validate() error {
 	for _, v := range [...]float64{c.Tau0, c.VDAC0, c.VDACFS} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("mult: non-finite parameter in tau0 %g, VDAC0 %g, VDACFS %g", c.Tau0, c.VDAC0, c.VDACFS)
 		}
 	}
-	if c.Tau0 <= 0 {
-		return fmt.Errorf("mult: non-positive tau0 %g", c.Tau0)
+	return cmp.Or(ValidateTau0(c.Tau0), ValidateDAC(c.VDAC0, c.VDACFS))
+}
+
+// ValidateTau0 is Validate's τ0 rule: the discharge time must be positive.
+func ValidateTau0(tau0 float64) error {
+	if tau0 <= 0 {
+		return fmt.Errorf("mult: non-positive tau0 %g", tau0)
 	}
-	if !(c.VDACFS > c.VDAC0) {
-		return fmt.Errorf("mult: VDACFS %g must exceed VDAC0 %g", c.VDACFS, c.VDAC0)
+	return nil
+}
+
+// ValidateDAC is Validate's DAC rule: VDACFS must exceed VDAC0, itself >= 0.
+func ValidateDAC(vdac0, vdacfs float64) error {
+	if !(vdacfs > vdac0) {
+		return fmt.Errorf("mult: VDACFS %g must exceed VDAC0 %g", vdacfs, vdac0)
 	}
-	if c.VDAC0 < 0 {
-		return fmt.Errorf("mult: negative VDAC0 %g", c.VDAC0)
+	if vdac0 < 0 {
+		return fmt.Errorf("mult: negative VDAC0 %g", vdac0)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"optima/internal/dse"
@@ -228,13 +230,13 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// Robust mode: more than one condition — rank by worst-case excursion.
 	robust := conds.Len() > 1
 
-	all, err := opts.Space.Configs()
+	lat, err := opts.Space.lattice()
 	if err != nil {
 		return nil, err
 	}
-	pool := sampleSubset(all, opts.Budget, opts.Seed)
+	pool := sample(lat.size(), opts.Budget, opts.Seed, lat.at)
 	n0 := len(pool)
-	trace := Trace{SpaceSize: len(all), Conditions: conds.String(), Sampled: n0}
+	trace := Trace{SpaceSize: lat.size(), Conditions: conds.String(), Sampled: n0}
 
 	rec := opts.Recorder
 	var searchArg string
@@ -401,66 +403,78 @@ func evaluateRung(ctx context.Context, eng *engine.Engine, pool []mult.Config, c
 // function of the metrics alone — the selection half of the search's
 // worker-invariance contract.
 func paretoOrder(mets []dse.Metrics) []int {
-	n := len(mets)
 	rank := dse.ParetoRanks(mets)
-	crowd := crowdingDistances(mets, rank)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	objs := make([][2]float64, len(mets))
+	for i, m := range mets {
+		objs[i] = [2]float64{m.EpsMul, m.EMul}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if rank[ia] != rank[ib] {
-			return rank[ia] < rank[ib]
+	crowd := crowdingDistances(objs, rank)
+	order := indexes(len(mets))
+	slices.SortStableFunc(order, func(a, b int) int {
+		if rank[a] != rank[b] {
+			return cmp.Compare(rank[a], rank[b])
 		}
-		if crowd[ia] != crowd[ib] {
-			return crowd[ia] > crowd[ib]
-		}
-		return ia < ib
+		return byValue(crowd[b], crowd[a], a, b)
 	})
 	return order
 }
 
 // crowdingDistances computes the per-candidate crowding distance within its
-// rank: boundary candidates (per objective) get +Inf, interior ones the sum
-// of normalized neighbor gaps — NSGA-II's diversity pressure, which keeps
-// the survivor set spread along the front instead of clustered.
-func crowdingDistances(mets []dse.Metrics, rank []int) []float64 {
-	n := len(mets)
+// rank, over the projected (EpsMul, EMul) objectives: boundary candidates
+// (per objective) get +Inf, interior ones the sum of normalized neighbor
+// gaps — NSGA-II's diversity pressure, which keeps the survivor set spread
+// along the front instead of clustered.
+func crowdingDistances(objs [][2]float64, rank []int) []float64 {
+	n := len(objs)
 	crowd := make([]float64, n)
-	byRank := map[int][]int{}
-	for i, r := range rank {
-		byRank[r] = append(byRank[r], i)
-	}
-	for _, members := range byRank {
+	byRank := indexes(n)
+	slices.SortStableFunc(byRank, func(a, b int) int { return cmp.Compare(rank[a], rank[b]) })
+	idx := make([]int, 0, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && rank[byRank[hi]] == rank[byRank[lo]] {
+			hi++
+		}
+		members := byRank[lo:hi]
+		lo = hi
 		if len(members) <= 2 {
 			for _, i := range members {
 				crowd[i] = math.Inf(1)
 			}
 			continue
 		}
-		for _, obj := range []func(dse.Metrics) float64{
-			func(m dse.Metrics) float64 { return m.EpsMul },
-			func(m dse.Metrics) float64 { return m.EMul },
-		} {
-			idx := append([]int(nil), members...)
-			sort.SliceStable(idx, func(a, b int) bool {
-				va, vb := obj(mets[idx[a]]), obj(mets[idx[b]])
-				if va != vb {
-					return va < vb
-				}
-				return idx[a] < idx[b]
-			})
-			lo, hi := obj(mets[idx[0]]), obj(mets[idx[len(idx)-1]])
-			crowd[idx[0]] = math.Inf(1)
-			crowd[idx[len(idx)-1]] = math.Inf(1)
-			if span := hi - lo; span > 0 {
-				for k := 1; k < len(idx)-1; k++ {
-					gap := (obj(mets[idx[k+1]]) - obj(mets[idx[k-1]])) / span
-					crowd[idx[k]] += gap
+		for k := range 2 {
+			idx = append(idx[:0], members...)
+			slices.SortStableFunc(idx, func(a, b int) int { return byValue(objs[a][k], objs[b][k], a, b) })
+			first, last := idx[0], idx[len(idx)-1]
+			crowd[first], crowd[last] = math.Inf(1), math.Inf(1)
+			if span := objs[last][k] - objs[first][k]; span > 0 {
+				for j := 1; j < len(idx)-1; j++ {
+					crowd[idx[j]] += (objs[idx[j+1]][k] - objs[idx[j-1]][k]) / span
 				}
 			}
 		}
 	}
 	return crowd
+}
+
+// byValue orders candidate a before b when x < y, and by index when x == y;
+// when x or y is NaN, neither candidate comes first.
+func byValue(x, y float64, a, b int) int {
+	if x != y {
+		if x < y {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a, b)
+}
+
+// indexes returns 0, 1, …, n-1.
+func indexes(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

@@ -211,58 +211,88 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// Configs materializes the full corner list (row-major: τ0 outermost,
-// V_DAC,FS innermost — the dse.Grid order), skipping physically invalid
-// combinations (mult.Config.Validate). Unlike dse.Grid.Configs it can fail:
-// an empty axis or a space whose combinations are all invalid is an error,
-// never a silently empty exploration.
+// Configs lists the space's lattice: the full corner list (row-major: τ0
+// outermost, V_DAC,FS innermost — the dse.Grid order) without physically
+// invalid combinations (mult.Config.Validate). Unlike dse.Grid.Configs it
+// can fail: an empty axis or a space whose combinations are all invalid is
+// an error, never a silently empty exploration.
 func (s Space) Configs() ([]mult.Config, error) {
-	if err := s.Validate(); err != nil {
+	l, err := s.lattice()
+	if err != nil {
 		return nil, err
 	}
+	return sample(l.size(), 0, 0, l.at), nil // budget 0 keeps every corner
+}
+
+// Size counts the space's valid corners without listing them.
+func (s Space) Size() (int, error) {
+	l, err := s.lattice()
+	return l.size(), err
+}
+
+// lattice is a space's valid corners as its valid τ0 points times its valid
+// (V_DAC,0, V_DAC,FS) pairs: on finite points, which Space.Validate
+// guarantees, mult.Config.Validate is mult.ValidateTau0 then
+// mult.ValidateDAC. Corner i is taus[i/len(pairs)] with pairs[i%len(pairs)].
+type lattice struct {
+	taus  []float64
+	pairs [][2]float64
+}
+
+// lattice validates the space and filters each axis once. With no valid
+// corner it fails with the first corner's mult.Config.Validate error.
+func (s Space) lattice() (lattice, error) {
+	if err := s.Validate(); err != nil {
+		return lattice{}, err
+	}
+	var l lattice
 	taus, v0s, fss := s.Tau0.Points(), s.VDAC0.Points(), s.VDACFS.Points()
-	out := make([]mult.Config, 0, len(taus)*len(v0s)*len(fss))
-	var firstErr error
 	for _, tau := range taus {
-		for _, v0 := range v0s {
-			for _, fs := range fss {
-				cfg := mult.Config{Tau0: tau, VDAC0: v0, VDACFS: fs}
-				if err := cfg.Validate(); err == nil {
-					out = append(out, cfg)
-				} else if firstErr == nil {
-					firstErr = err
-				}
+		if mult.ValidateTau0(tau) == nil {
+			l.taus = append(l.taus, tau)
+		}
+	}
+	for _, v0 := range v0s {
+		for _, fs := range fss {
+			if mult.ValidateDAC(v0, fs) == nil {
+				l.pairs = append(l.pairs, [2]float64{v0, fs})
 			}
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("search: space has no valid corner: %w", firstErr)
+	if l.size() == 0 {
+		return lattice{}, fmt.Errorf("search: space has no valid corner: %w", mult.Config{Tau0: taus[0], VDAC0: v0s[0], VDACFS: fss[0]}.Validate())
 	}
-	return out, nil
+	return l, nil
 }
 
-// Size returns the number of valid corners in the space.
-func (s Space) Size() (int, error) {
-	cfgs, err := s.Configs()
-	if err != nil {
-		return 0, err
-	}
-	return len(cfgs), nil
+func (l lattice) size() int { return len(l.taus) * len(l.pairs) }
+
+// at returns corner i.
+func (l lattice) at(i int) mult.Config {
+	p := l.pairs[i%len(l.pairs)]
+	return mult.Config{Tau0: l.taus[i/len(l.pairs)], VDAC0: p[0], VDACFS: p[1]}
 }
 
 // sampleSubset picks min(budget, len) items without replacement using a
 // seeded permutation, preserving the input order of the picked subset.
 // budget <= 0 means all.
 func sampleSubset[T any](items []T, budget int, seed uint64) []T {
-	if budget <= 0 || budget >= len(items) {
-		return items
+	return sample(len(items), budget, seed, func(i int) T { return items[i] })
+}
+
+// sample is sampleSubset over n items that need not be listed first: it
+// returns at(i) for the indexes i it picks. Rung 0 samples a lattice so.
+func sample[T any](n, budget int, seed uint64, at func(int) T) []T {
+	var picked []int
+	if budget > 0 && budget < n {
+		picked = stats.NewRNG(seed).Perm(n)[:budget]
+		sort.Ints(picked)
+	} else {
+		picked = indexes(n)
 	}
-	perm := stats.NewRNG(seed).Perm(len(items))
-	picked := perm[:budget]
-	sort.Ints(picked)
-	out := make([]T, budget)
+	out := make([]T, len(picked))
 	for i, idx := range picked {
-		out[i] = items[idx]
+		out[i] = at(idx)
 	}
 	return out
 }
@@ -315,7 +345,7 @@ type proposal struct {
 // point sets are not modified — pass the chosen subset to Commit.
 func (r *refiner) Around(survivors []mult.Config, seen map[mult.Config]bool) []proposal {
 	var out []proposal
-	proposed := map[mult.Config]bool{}
+	proposed := make(map[mult.Config]bool, 2*len(r.axes)*len(survivors))
 	for _, s := range survivors {
 		vals := [3]float64{s.Tau0, s.VDAC0, s.VDACFS}
 		for ai := range r.axes {

@@ -1,6 +1,11 @@
 package store
 
-import "optima/internal/codec"
+import (
+	"encoding/binary"
+
+	"optima/internal/codec"
+	"optima/internal/engine"
+)
 
 // Format v2: a segment is a sequence of records, each one internal/codec
 // frame (u32 body length, u32 CRC32 of the body) whose body is
@@ -27,6 +32,22 @@ const recordBodyFixedLen = 2 + 2 + codec.JobLen + codec.MetricsLen
 // beyond this bound is framing damage, not a large record.
 const maxRecordLen = 1 << 16
 
+// words are a result's seven metric words in codec.AppendMetrics order, the
+// index's value per key: Config and Cond come back from the key.
+type words [7]float64
+
+// toWords keeps m's metric words.
+func toWords(m engine.Metrics) words {
+	return words{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt, m.LSBVolt}
+}
+
+// metrics rebuilds key's Metrics from its words, Config and Cond taken
+// from the key as codec's decoder takes them from the job.
+func (w words) metrics(key engine.Key) engine.Metrics {
+	return engine.Metrics{Config: key.Config, Cond: key.Cond, EpsMul: w[0], EpsLarge: w[1], EpsSmall: w[2],
+		EMul: w[3], SigmaMaxLSB: w[4], SigmaMaxVolt: w[5], LSBVolt: w[6]}
+}
+
 // appendRecord appends the v2 form of one record to buf and returns the
 // extended slice.
 func appendRecord(buf []byte, rec record) []byte {
@@ -39,22 +60,41 @@ func appendRecord(buf []byte, rec record) []byte {
 }
 
 // decodeRecord decodes the record at the head of data. It returns the
-// record, the bytes consumed, and whether the head held a complete, intact
-// record. ok == false means the readable prefix of the segment ends here;
-// it is never fatal to the caller, whose loader repairs by compaction.
-func decodeRecord(data []byte) (rec record, n int, ok bool) {
+// record's key and metric words, whether its fingerprint is fp (compared in
+// place: a foreign record allocates nothing), the bytes consumed, and
+// whether the head held a complete, intact record. A key naming backend, the
+// previous record's, shares that string. ok == false means the readable
+// prefix of the segment ends here; it is never fatal to the caller, whose
+// loader repairs by compaction.
+func decodeRecord(data []byte, fp, backend string) (key engine.Key, met words, own bool, n int, ok bool) {
 	body, n, err := codec.Frame(data, maxRecordLen)
 	if err != nil {
-		return record{}, 0, false
+		return engine.Key{}, words{}, false, 0, false
 	}
 	r := codec.NewReader(body)
-	rec.FP = r.Str()
-	rec.Key.Backend = r.Str()
-	rec.Key.Job = r.Job()
-	rec.Met = r.Metrics()
-	if r.Done() != nil {
-		return record{}, 0, false
+	own = string(r.StrBytes()) == fp
+	key.Backend = backend
+	if b := r.StrBytes(); string(b) != backend {
+		key.Backend = string(b)
 	}
-	rec.Met.Config, rec.Met.Cond = rec.Key.Config, rec.Key.Cond
-	return rec, n, true
+	key.Job = r.Job()
+	met = toWords(r.Metrics())
+	if r.Done() != nil {
+		return engine.Key{}, words{}, false, 0, false
+	}
+	return key, met, own, n, true
+}
+
+// countFrames counts the frames data's length prefixes span, up to the
+// first that exceeds maxRecordLen or runs past the end. It checks no CRC:
+// the count only sizes an index, and decoding still stops at a bad record.
+func countFrames(data []byte) (n int) {
+	for ; len(data) >= codec.HeaderLen; n++ {
+		size := binary.LittleEndian.Uint32(data)
+		if size > maxRecordLen || int(size) > len(data)-codec.HeaderLen {
+			break
+		}
+		data = data[codec.HeaderLen+int(size):]
+	}
+	return n
 }

@@ -73,27 +73,32 @@ func TestRecordRoundTrip(t *testing.T) {
 			continue // NaN/Inf are rejected by design, not round-tripped
 		}
 		one := appendRecord(nil, rec)
-		got, n, ok := decodeRecord(one)
+		key, met, own, n, ok := decodeRecord(one, rec.FP, "")
 		if !ok {
 			t.Fatalf("record %d does not decode: %+v", i, rec)
 		}
 		if n != len(one) {
 			t.Fatalf("record %d: decoded %d of %d bytes", i, n, len(one))
 		}
-		if got != rec {
-			t.Fatalf("record %d round-trip mismatch:\n got %+v\nwant %+v", i, got, rec)
+		if got := (record{FP: rec.FP, Key: key, Met: met.metrics(key)}); !own || got != rec {
+			t.Fatalf("record %d round-trip mismatch (own %v):\n got %+v\nwant %+v", i, own, got, rec)
+		}
+		if _, _, own, _, _ := decodeRecord(one, rec.FP+"x", ""); own {
+			t.Fatalf("record %d decodes as its own under another fingerprint", i)
 		}
 		stream = appendRecord(stream, rec)
 		want = append(want, rec)
 	}
+	var backend string
 	for i, rec := range want {
-		got, n, ok := decodeRecord(stream)
+		key, met, own, n, ok := decodeRecord(stream, rec.FP, backend)
 		if !ok {
 			t.Fatalf("stream record %d does not decode", i)
 		}
-		if got != rec {
+		if !own || key != rec.Key || met.metrics(key) != rec.Met {
 			t.Fatalf("stream record %d mismatch", i)
 		}
+		backend = key.Backend
 		stream = stream[n:]
 	}
 	if len(stream) != 0 {
@@ -140,7 +145,7 @@ func TestDecodeRecordTruncation(t *testing.T) {
 	rec := record{FP: "fp-a", Key: testKey(3), Met: testMet(3)}
 	full := appendRecord(nil, rec)
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, ok := decodeRecord(full[:cut]); ok {
+		if _, _, _, _, ok := decodeRecord(full[:cut], rec.FP, ""); ok {
 			t.Fatalf("truncation to %d of %d bytes decoded as a record", cut, len(full))
 		}
 	}
@@ -156,9 +161,9 @@ func TestDecodeRecordCorruption(t *testing.T) {
 	for i := 0; i < len(full); i++ {
 		corrupt := append([]byte(nil), full...)
 		corrupt[i] ^= 0x40
-		got, _, ok := decodeRecord(corrupt)
-		if ok && got != rec {
-			t.Fatalf("byte %d flip decoded to a DIFFERENT record: %+v", i, got)
+		key, met, own, _, ok := decodeRecord(corrupt, rec.FP, "")
+		if ok && (!own || key != rec.Key || met.metrics(key) != rec.Met) {
+			t.Fatalf("byte %d flip decoded to a DIFFERENT record: %+v %v", i, key, met)
 		}
 		if ok && i != 0 {
 			// A flip in the length prefix's low byte could in principle still
@@ -251,7 +256,7 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 	// Flip a byte inside the 6th record's body.
 	var off int
 	for i := 0; i < 5; i++ {
-		_, n, ok := decodeRecord(data[off:])
+		_, _, _, n, ok := decodeRecord(data[off:], "fp-a", "")
 		if !ok {
 			t.Fatal("fixture decode failed")
 		}
@@ -286,13 +291,16 @@ func TestCorruptMidSegmentServesPrefix(t *testing.T) {
 func TestMaxRecordLenRejected(t *testing.T) {
 	buf := make([]byte, codec.HeaderLen+maxRecordLen+1)
 	binary.LittleEndian.PutUint32(buf, uint32(maxRecordLen+1))
-	if _, _, ok := decodeRecord(buf); ok {
+	if _, _, _, _, ok := decodeRecord(buf, "", ""); ok {
 		t.Fatal("oversized length prefix accepted")
 	}
 }
 
 // FuzzDecodeRecord: arbitrary bytes must never panic the decoder, and
-// anything it accepts must re-encode to the identical wire form.
+// anything it accepts must re-encode to the identical wire form under its
+// own fingerprint (read back from the body), count as its own exactly
+// under that fingerprint, and decode to the same key whichever previous
+// backend name it may share.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendRecord(nil, record{FP: "fp", Key: testKey(1), Met: testMet(1)}))
@@ -300,15 +308,26 @@ func FuzzDecodeRecord(f *testing.F) {
 	torn := appendRecord(nil, record{FP: "fp", Key: testKey(2), Met: testMet(2)})
 	f.Add(torn[:len(torn)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, ok := decodeRecord(data)
+		key, met, own, n, ok := decodeRecord(data, "fp", "")
 		if !ok {
 			return
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
 		}
-		if got := appendRecord(nil, rec); !bytes.Equal(got, data[:n]) {
+		fpLen := int(binary.LittleEndian.Uint16(data[codec.HeaderLen:]))
+		fp := string(data[codec.HeaderLen+2 : codec.HeaderLen+2+fpLen])
+		if own != (fp == "fp") {
+			t.Fatalf("record under fingerprint %q decoded as own=%v under %q", fp, own, "fp")
+		}
+		if got := appendRecord(nil, record{FP: fp, Key: key, Met: met.metrics(key)}); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("accepted record does not re-encode to its wire form")
+		}
+		for _, prev := range []string{key.Backend, "other"} {
+			k2, m2, own2, n2, ok2 := decodeRecord(data, fp, prev)
+			if !ok2 || !own2 || k2 != key || m2 != met || n2 != n {
+				t.Fatalf("record decodes differently after backend %q", prev)
+			}
 		}
 	})
 }

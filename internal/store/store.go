@@ -30,7 +30,8 @@
 //     compacted on the spot so new appends don't land behind garbage.
 //     Undamaged partitions are only compacted when their garbage
 //     (superseded or foreign-fingerprint records) exceeds ~25% of the
-//     segment — opening a large clean store is a pure read, not a rewrite.
+//     segment — opening a large clean store is a pure read, not a rewrite,
+//     and the manifest is written only when its bytes would change.
 //   - Compaction rewrites a partition from its live index via an atomic
 //     write-then-rename snapshot; a crash mid-compaction leaves the old
 //     segment intact.
@@ -124,15 +125,15 @@ type counts struct {
 	getHits, getMisses, putRecords, compactions, tornTails atomic.Uint64
 }
 
-// manifest is the store's snapshot metadata, rewritten atomically on every
-// Open and Close.
+// manifest is the store's snapshot metadata. Open and Close write it
+// atomically when its bytes on disk differ from what they would write.
 type manifest struct {
 	Version     int    `json:"version"`
 	Partitions  int    `json:"partitions"`
 	Fingerprint string `json:"fingerprint"` // last writer, informational
 }
 
-// record is one stored result: the writer's fingerprint, the evaluation
+// record is one result to store: the writer's fingerprint, the evaluation
 // key, and its metrics. codec.go defines its wire form.
 type record struct {
 	FP  string
@@ -145,7 +146,7 @@ type partition struct {
 	mu    sync.Mutex
 	path  string
 	file  *os.File
-	index map[engine.Key]engine.Metrics
+	index map[engine.Key]words
 	total int // records in the segment, live or garbage
 }
 
@@ -337,19 +338,21 @@ type partLoadInfo struct {
 	compacted bool
 }
 
-// loadPartition scans one segment into an index. The scan stops at the
+// loadPartition scans one segment into an index made at the segment's frame
+// count (countFrames), so loading never grows it. The scan stops at the
 // first record that does not decode — a torn append or CRC-detected
 // corruption — and the partition is compacted on the spot so the valid
 // prefix is all that remains and new appends land after readable data.
 func loadPartition(path, fp string) (*partition, partLoadInfo, error) {
-	p := &partition{path: path, index: map[engine.Key]engine.Metrics{}}
 	var info partLoadInfo
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, info, fmt.Errorf("store: %w", err)
 	}
+	p := &partition{path: path, index: make(map[engine.Key]words, countFrames(data))}
+	var backend string
 	for len(data) > 0 {
-		rec, n, ok := decodeRecord(data)
+		key, met, own, n, ok := decodeRecord(data, fp, backend)
 		if !ok {
 			// Torn or corrupt record: everything from here on is unreliable
 			// (the framing after a bad length prefix is gone). Keep the
@@ -359,8 +362,9 @@ func loadPartition(path, fp string) (*partition, partLoadInfo, error) {
 		}
 		data = data[n:]
 		p.total++
-		if rec.FP == fp {
-			p.index[rec.Key] = rec.Met
+		backend = key.Backend
+		if own {
+			p.index[key] = met
 		}
 	}
 	// Repair torn tails; otherwise leave the segment alone unless enough of
@@ -397,8 +401,8 @@ func (p *partition) rewrite(fp string) error {
 	// the record set, not of Go's randomized map iteration — two processes
 	// compacting identical data write identical bytes.
 	recs := make([][]byte, 0, len(p.index))
-	for key, met := range p.index {
-		recs = append(recs, appendRecord(nil, record{FP: fp, Key: key, Met: met}))
+	for key, w := range p.index {
+		recs = append(recs, appendRecord(nil, record{FP: fp, Key: key, Met: w.metrics(key)}))
 	}
 	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i], recs[j]) < 0 })
 	var buf []byte
@@ -438,14 +442,14 @@ func (s *Store) part(key engine.Key) *partition {
 func (s *Store) Get(key engine.Key) (engine.Metrics, bool) {
 	p := s.part(key)
 	p.mu.Lock()
-	met, ok := p.index[key]
+	w, ok := p.index[key]
 	p.mu.Unlock()
-	if ok {
-		s.n.getHits.Add(1)
-	} else {
+	if !ok {
 		s.n.getMisses.Add(1)
+		return engine.Metrics{}, false
 	}
-	return met, ok
+	s.n.getHits.Add(1)
+	return w.metrics(key), true
 }
 
 // PutBatch implements engine.Store: results are grouped by partition and
@@ -532,7 +536,7 @@ func (p *partition) append(fp string, ents []engine.CacheEntry) error {
 	for _, ent := range ents {
 		// Overwrites of an existing key leave the old record as garbage
 		// until the next compaction.
-		p.index[ent.Key] = ent.Met
+		p.index[ent.Key] = toWords(ent.Met)
 		p.total++
 	}
 	return nil
@@ -592,8 +596,8 @@ func (s *Store) Len() int { return s.Stats().Live }
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close rewrites the manifest snapshot and closes the segment files.
-// Appends are unbuffered, so no data is lost if Close is skipped.
+// Close writes the manifest snapshot if it changed and closes the segment
+// files. Appends are unbuffered, so no data is lost if Close is skipped.
 func (s *Store) Close() error {
 	err := s.writeManifest()
 	s.closeFiles()
@@ -632,16 +636,22 @@ func readManifest(path string) (*manifest, error) {
 	return &m, nil
 }
 
-// writeManifest snapshots the store metadata via write-then-rename.
+// writeManifest snapshots the store metadata via write-then-rename, unless
+// manifest.json already holds these bytes: a clean open or close writes
+// nothing, and a missing, torn or foreign-fingerprint manifest is rewritten.
 func (s *Store) writeManifest() error {
 	m := manifest{Version: FormatVersion, Partitions: len(s.parts), Fingerprint: s.fp}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: marshal manifest: %w", err)
 	}
+	data = append(data, '\n')
 	path := filepath.Join(s.dir, manifestName)
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
+		return nil
+	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
