@@ -458,8 +458,8 @@ func crowdingDistances(objs [][2]float64, rank []int) []float64 {
 	return crowd
 }
 
-// byValue orders candidate a before b when x < y, and by index when x == y;
-// when x or y is NaN, neither candidate comes first.
+// byValue orders a before b when x < y, and by index when x == y; with a NaN
+// it answers 1 both ways, so neither is less (SortStableFunc tests for < 0).
 func byValue(x, y float64, a, b int) int {
 	if x != y {
 		if x < y {

@@ -24,6 +24,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"optima/internal/dse"
@@ -245,13 +246,9 @@ func (s Space) lattice() (lattice, error) {
 	if err := s.Validate(); err != nil {
 		return lattice{}, err
 	}
-	var l lattice
 	taus, v0s, fss := s.Tau0.Points(), s.VDAC0.Points(), s.VDACFS.Points()
-	for _, tau := range taus {
-		if mult.ValidateTau0(tau) == nil {
-			l.taus = append(l.taus, tau)
-		}
-	}
+	first := mult.Config{Tau0: taus[0], VDAC0: v0s[0], VDACFS: fss[0]}
+	l := lattice{taus: slices.DeleteFunc(taus, func(tau float64) bool { return mult.ValidateTau0(tau) != nil })}
 	for _, v0 := range v0s {
 		for _, fs := range fss {
 			if mult.ValidateDAC(v0, fs) == nil {
@@ -260,7 +257,7 @@ func (s Space) lattice() (lattice, error) {
 		}
 	}
 	if l.size() == 0 {
-		return lattice{}, fmt.Errorf("search: space has no valid corner: %w", mult.Config{Tau0: taus[0], VDAC0: v0s[0], VDACFS: fss[0]}.Validate())
+		return lattice{}, fmt.Errorf("search: space has no valid corner: %w", first.Validate())
 	}
 	return l, nil
 }
@@ -273,15 +270,14 @@ func (l lattice) at(i int) mult.Config {
 	return mult.Config{Tau0: l.taus[i/len(l.pairs)], VDAC0: p[0], VDACFS: p[1]}
 }
 
-// sampleSubset picks min(budget, len) items without replacement using a
-// seeded permutation, preserving the input order of the picked subset.
-// budget <= 0 means all.
+// sampleSubset is sample over a slice's items.
 func sampleSubset[T any](items []T, budget int, seed uint64) []T {
 	return sample(len(items), budget, seed, func(i int) T { return items[i] })
 }
 
-// sample is sampleSubset over n items that need not be listed first: it
-// returns at(i) for the indexes i it picks. Rung 0 samples a lattice so.
+// sample picks min(budget, n) of n items without replacement using a seeded
+// permutation and returns at(i) for each picked index i, in ascending order
+// (budget <= 0 means all), so rung 0 samples a lattice without listing it.
 func sample[T any](n, budget int, seed uint64, at func(int) T) []T {
 	var picked []int
 	if budget > 0 && budget < n {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"optima/internal/codec"
@@ -33,16 +34,14 @@ const recordBodyFixedLen = 2 + 2 + codec.JobLen + codec.MetricsLen
 const maxRecordLen = 1 << 16
 
 // words are a result's seven metric words in codec.AppendMetrics order, the
-// index's value per key: Config and Cond come back from the key.
+// index's value per key; metrics takes Config and Cond back from the key,
+// as codec's decoder takes them from the job.
 type words [7]float64
 
-// toWords keeps m's metric words.
 func toWords(m engine.Metrics) words {
 	return words{m.EpsMul, m.EpsLarge, m.EpsSmall, m.EMul, m.SigmaMaxLSB, m.SigmaMaxVolt, m.LSBVolt}
 }
 
-// metrics rebuilds key's Metrics from its words, Config and Cond taken
-// from the key as codec's decoder takes them from the job.
 func (w words) metrics(key engine.Key) engine.Metrics {
 	return engine.Metrics{Config: key.Config, Cond: key.Cond, EpsMul: w[0], EpsLarge: w[1], EpsSmall: w[2],
 		EMul: w[3], SigmaMaxLSB: w[4], SigmaMaxVolt: w[5], LSBVolt: w[6]}
@@ -85,14 +84,20 @@ func decodeRecord(data []byte, fp, backend string) (key engine.Key, met words, o
 	return key, met, own, n, true
 }
 
-// countFrames counts the frames data's length prefixes span, up to the
-// first that exceeds maxRecordLen or runs past the end. It checks no CRC:
-// the count only sizes an index, and decoding still stops at a bad record.
-func countFrames(data []byte) (n int) {
-	for ; len(data) >= codec.HeaderLen; n++ {
+// countFrames counts the frames data's length prefixes span whose body
+// begins with fingerprint fp, up to the first prefix over maxRecordLen or
+// past the end. It checks no CRC: the count only sizes an index, which a
+// segment of foreign records leaves empty, and decoding still stops at a
+// bad record.
+func countFrames(data []byte, fp string) (n int) {
+	own := codec.AppendStr(nil, fp) // how a body written under fp begins
+	for len(data) >= codec.HeaderLen {
 		size := binary.LittleEndian.Uint32(data)
 		if size > maxRecordLen || int(size) > len(data)-codec.HeaderLen {
 			break
+		}
+		if bytes.HasPrefix(data[codec.HeaderLen:codec.HeaderLen+int(size)], own) {
+			n++
 		}
 		data = data[codec.HeaderLen+int(size):]
 	}

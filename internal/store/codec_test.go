@@ -299,8 +299,8 @@ func TestMaxRecordLenRejected(t *testing.T) {
 // FuzzDecodeRecord: arbitrary bytes must never panic the decoder, and
 // anything it accepts must re-encode to the identical wire form under its
 // own fingerprint (read back from the body), count as its own exactly
-// under that fingerprint, and decode to the same key whichever previous
-// backend name it may share.
+// under that fingerprint (one frame to countFrames too), and decode to the
+// same key whichever previous backend name it may share.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendRecord(nil, record{FP: "fp", Key: testKey(1), Met: testMet(1)}))
@@ -322,6 +322,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if got := appendRecord(nil, record{FP: fp, Key: key, Met: met.metrics(key)}); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("accepted record does not re-encode to its wire form")
+		}
+		if got := countFrames(data[:n], fp); got != 1 {
+			t.Fatalf("an accepted record counts as %d frames under its own fingerprint", got)
 		}
 		for _, prev := range []string{key.Backend, "other"} {
 			k2, m2, own2, n2, ok2 := decodeRecord(data, fp, prev)

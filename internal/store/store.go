@@ -338,9 +338,9 @@ type partLoadInfo struct {
 	compacted bool
 }
 
-// loadPartition scans one segment into an index made at the segment's frame
-// count (countFrames), so loading never grows it. The scan stops at the
-// first record that does not decode — a torn append or CRC-detected
+// loadPartition scans one segment into an index made at the count of its
+// frames under fp (countFrames), so loading never grows it. The scan stops
+// at the first record that does not decode — a torn append or CRC-detected
 // corruption — and the partition is compacted on the spot so the valid
 // prefix is all that remains and new appends land after readable data.
 func loadPartition(path, fp string) (*partition, partLoadInfo, error) {
@@ -349,7 +349,7 @@ func loadPartition(path, fp string) (*partition, partLoadInfo, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, info, fmt.Errorf("store: %w", err)
 	}
-	p := &partition{path: path, index: make(map[engine.Key]words, countFrames(data))}
+	p := &partition{path: path, index: make(map[engine.Key]words, countFrames(data, fp))}
 	var backend string
 	for len(data) > 0 {
 		key, met, own, n, ok := decodeRecord(data, fp, backend)

@@ -212,25 +212,38 @@ func TestDamagedTailLoadsValidPrefix(t *testing.T) {
 }
 
 // TestCountFramesStopsAtDamage: the frame count that sizes an index
-// counts the records before each damaged tail and stops there, and an
-// empty or header-only segment counts none.
+// counts the records under the open fingerprint before each damaged tail
+// and stops there; foreign records, an empty segment and one that starts
+// with damage count none.
 func TestCountFramesStopsAtDamage(t *testing.T) {
 	var seg []byte
 	for i := 0; i < 5; i++ {
 		seg = appendRecord(seg, record{FP: "fp", Key: testKey(i), Met: testMet(i)})
 	}
-	if got := countFrames(seg); got != 5 {
+	if got := countFrames(seg, "fp"); got != 5 {
 		t.Fatalf("intact segment counts %d frames, want 5", got)
 	}
 	for _, tc := range damagedTails {
-		if got := countFrames(tc.damage(bytes.Clone(seg))); got != tc.keep {
+		if got := countFrames(tc.damage(bytes.Clone(seg)), "fp"); got != tc.keep {
 			t.Fatalf("%s: %d frames, want %d", tc.name, got, tc.keep)
 		}
+	}
+	mixed := bytes.Clone(seg)
+	for i := 0; i < 3; i++ {
+		for _, fp := range []string{"f", "fp2", "", "other"} {
+			mixed = appendRecord(mixed, record{FP: fp, Key: testKey(i), Met: testMet(i)})
+		}
+	}
+	if got := countFrames(mixed, "fp"); got != 5 {
+		t.Fatalf("segment with 12 foreign records counts %d frames under fp, want 5", got)
+	}
+	if got := countFrames(mixed, "other"); got != 3 {
+		t.Fatalf("segment counts %d frames under other, want 3", got)
 	}
 	huge := binary.LittleEndian.AppendUint32(nil, maxRecordLen+1)
 	huge = append(huge, make([]byte, maxRecordLen+8)...)
 	for _, data := range [][]byte{nil, {1, 2, 3}, make([]byte, 8)[:7], huge} {
-		if got := countFrames(data); got != 0 {
+		if got := countFrames(data, ""); got != 0 {
 			t.Fatalf("%d bytes starting %x count %d frames, want 0", len(data), data[:min(len(data), 8)], got)
 		}
 	}
