@@ -16,8 +16,8 @@
 // mult.NewBehavioral derives its trim and table from its inputs, and a
 // golden multiplier carries the LSB of mult.CalibrateGoldenTrim, which the
 // golden backend runs once per configuration. The polynomial fitting in
-// internal/poly is one weighted least-squares solve (poly.FitWeighted,
-// Householder QR in internal/linalg) and one alternating-least-squares
+// internal/poly is one weighted least-squares solve (poly.FitWeighted over
+// poly's one Householder QR kernel) and one alternating-least-squares
 // loop for the rank-1 products; every fit of Eq. 3–8 in core.Calibrate
 // goes through the two.
 // All corner/condition evaluations route through the concurrent memoizing

@@ -31,7 +31,6 @@ type listPackage struct {
 	DepOnly    bool
 	Standard   bool
 	Error      *listError
-	DepsErrors []*listError
 }
 
 type listError struct {

@@ -148,7 +148,7 @@ func TestDetTableAgainstModel(t *testing.T) {
 	}
 	for a := uint(0); a <= OperandMax; a++ {
 		r := &b.det[a]
-		vwl := b.wordLineVoltage(a, cond.VDD)
+		vwl := b.cfg.DACVoltage(a, cond.VDD)
 		if r.vwl != vwl {
 			t.Fatalf("vwl[%d] = %g, model gives %g", a, r.vwl, vwl)
 		}

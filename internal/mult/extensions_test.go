@@ -70,7 +70,7 @@ func TestNonlinearDACDoesNotMutateOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsb := b.LSBVolt
+	lsb, levels := b.LSBVolt, b.levels
 	dac, err := CalibrateNonlinearDAC(m, fomConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestNonlinearDACDoesNotMutateOriginal(t *testing.T) {
 	if _, err := b.WithNonlinearDAC(dac); err != nil {
 		t.Fatal(err)
 	}
-	if b.dac != nil || b.LSBVolt != lsb {
+	if b.levels != levels || b.LSBVolt != lsb {
 		t.Fatal("WithNonlinearDAC mutated the receiver")
 	}
 }

@@ -109,8 +109,12 @@ func ValidateDAC(vdac0, vdacfs float64) error {
 // supply (the DAC output tracks supply excursions with the same partial
 // sensitivity as in the calibration sweeps).
 func (c Config) DACVoltage(a uint, vdd float64) float64 {
-	nominal := c.VDAC0 + float64(a)*(c.VDACFS-c.VDAC0)/float64(OperandMax)
-	return core.SupplyScaledVWL(nominal, vdd)
+	return core.SupplyScaledVWL(c.dacLevel(a), vdd)
+}
+
+// dacLevel is the linear DAC's nominal output for input code a.
+func (c Config) dacLevel(a uint) float64 {
+	return c.VDAC0 + float64(a)*(c.VDACFS-c.VDAC0)/float64(OperandMax)
 }
 
 // BitTime returns the discharge duration of bit-line i: 2^i · τ0.
@@ -153,9 +157,9 @@ type Behavioral struct {
 	cond  device.PVT
 	// LSBVolt is the calibrated ADC step (best-fit gain) [V].
 	LSBVolt float64
-	// dac, when set, replaces the linear code-to-voltage mapping: the
-	// multiplier's own copy of the trimmed levels (WithNonlinearDAC).
-	dac *NonlinearDAC
+	// levels[a] is the DAC's nominal output for input code a: the linear
+	// mapping of cfg, or a copy of the trimmed levels (WithNonlinearDAC).
+	levels [OperandMax + 1]float64
 	// det is the deterministic transfer at cond.
 	det *table
 }
@@ -171,6 +175,9 @@ func NewBehavioral(model *core.Model, cfg Config, cond device.PVT) (*Behavioral,
 		return nil, err
 	}
 	b := &Behavioral{model: model, cfg: cfg, cond: cond}
+	for a := range b.levels {
+		b.levels[a] = cfg.dacLevel(uint(a))
+	}
 	if err := b.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: config %v: %w", cfg, err)
 	}
@@ -200,7 +207,7 @@ func (b *Behavioral) calibrate() error {
 // clamped ΔV, the analytic mismatch σ of that discharge and its recharge
 // energy. A non-nil rng samples each discharge with fresh mismatch.
 func (b *Behavioral) fill(r *row, a, d uint, cond device.PVT, rng *stats.RNG) {
-	r.vwl = b.wordLineVoltage(a, cond.VDD)
+	r.vwl = core.SupplyScaledVWL(b.levels[a], cond.VDD)
 	for i := 0; i < OperandBits; i++ {
 		if d&(1<<uint(i)) == 0 {
 			continue

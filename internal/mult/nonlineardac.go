@@ -62,12 +62,6 @@ func CalibrateNonlinearDAC(model *core.Model, cfg Config) (*NonlinearDAC, error)
 	return dac, nil
 }
 
-// Voltage returns the trimmed word-line voltage for code a at the given
-// supply (same partial supply tracking as the linear DAC).
-func (d *NonlinearDAC) Voltage(a uint, vdd float64) float64 {
-	return core.SupplyScaledVWL(d.Levels[a], vdd)
-}
-
 // WithNonlinearDAC returns a copy of the behavioral multiplier that drives
 // the word line through the trimmed DAC and re-calibrates the ADC trim for
 // the linearized transfer. The copy keeps its own levels, so a later edit
@@ -76,21 +70,11 @@ func (d *NonlinearDAC) Voltage(a uint, vdd float64) float64 {
 //lint:ignore unusedapi the root bench_test.go's BenchmarkAblationNonlinearDAC (AID's DAC) drives it
 func (b *Behavioral) WithNonlinearDAC(dac *NonlinearDAC) (*Behavioral, error) {
 	nl := *b
-	levels := *dac
-	nl.dac = &levels
+	nl.levels = dac.Levels
 	// The copied trim and det table were built for the linear DAC's
 	// word-line voltages; redo both for the trimmed levels.
 	if err := nl.calibrate(); err != nil {
 		return nil, fmt.Errorf("mult: nonlinear DAC trim: %w", err)
 	}
 	return &nl, nil
-}
-
-// wordLineVoltage resolves the word-line voltage for input code a through
-// either the linear configuration mapping or the trimmed DAC.
-func (b *Behavioral) wordLineVoltage(a uint, vdd float64) float64 {
-	if b.dac != nil {
-		return b.dac.Voltage(a, vdd)
-	}
-	return b.cfg.DACVoltage(a, vdd)
 }

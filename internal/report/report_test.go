@@ -24,6 +24,22 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableAlignsRunes: a header or cell with multibyte runes (τ0, ϵ_mul,
+// σ) is padded by the runes it shows, so every column starts at the same
+// rune offset on every line, and the rule spans the runes.
+func TestTableAlignsRunes(t *testing.T) {
+	tb := NewTable("", "τ0", "ϵ_mul", "E")
+	tb.AddRow("0.16", "1.203", "x")
+	tb.AddRow("σ", "2", "y")
+	want := "τ0    ϵ_mul  E\n" +
+		"---------------\n" +
+		"0.16  1.203  x\n" +
+		"σ     2      y\n"
+	if got := tb.String(); got != want {
+		t.Fatalf("render =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTableCSVQuoting(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow(`hello, "world"`, 2)

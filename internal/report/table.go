@@ -5,9 +5,11 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table with an optional title.
@@ -43,16 +45,17 @@ func (t *Table) AddRow(cells ...any) {
 //lint:ignore unusedapi the paper-table checks (exp and root tests) count rows through it
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Render writes the formatted table to w.
+// Render writes the formatted table to w. Widths count runes, not bytes,
+// so a header or cell such as "τ0" or "ϵ_mul" pads to the columns it shows.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -94,39 +97,18 @@ func (t *Table) String() string {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+	if n := utf8.RuneCountInString(s); n < w {
+		return s + strings.Repeat(" ", w-n)
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s
 }
 
-// CSV writes the table as comma-separated values (RFC-4180 quoting for
-// cells containing commas or quotes).
+// CSV writes the table as comma-separated values (RFC 4180, through
+// encoding/csv).
 func (t *Table) CSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Headers); err != nil {
 		return err
 	}
-	if err := writeRow(t.Headers); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.rows)
 }
