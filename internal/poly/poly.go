@@ -65,9 +65,9 @@ func FitWeighted(ts, ws, zs []float64, degree int) (Polynomial, float64, error) 
 	n := degree + 1
 	a := make([]float64, len(zs)*n)
 	for i, t := range ts {
-		v := ws[i]
-		for j := i * n; j < (i+1)*n; j++ {
-			a[j] = v
+		row, v := a[i*n:(i+1)*n], ws[i]
+		for j := range row {
+			row[j] = v
 			v *= t
 		}
 	}
@@ -98,16 +98,16 @@ func leastSquares(a []float64, n int, b []float64) ([]float64, float64, error) {
 		// that 1e200-sized entries do not overflow.
 		scale, ssq := 0.0, 1.0
 		for i := k; i < m; i++ {
-			x := math.Abs(qr[i*w+k])
-			if x == 0 {
+			e := math.Abs(qr[i*w+k])
+			if e == 0 {
 				continue
 			}
-			if scale < x {
-				r := scale / x
+			if scale < e {
+				r := scale / e
 				ssq = 1 + ssq*r*r
-				scale = x
+				scale = e
 			} else {
-				r := x / scale
+				r := e / scale
 				ssq += r * r
 			}
 		}
