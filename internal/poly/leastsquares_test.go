@@ -151,6 +151,48 @@ func residual(a, x, b []float64) float64 {
 	return math.Sqrt(ss)
 }
 
+// TestLeastSquaresSolvesSquareSystem: a well-conditioned 3×3 system gives
+// back the x its right-hand side was made from.
+func TestLeastSquaresSolvesSquareSystem(t *testing.T) {
+	a := []float64{
+		4, 1, 2,
+		1, 5, 1,
+		2, 1, 6,
+	}
+	want := []float64{1, -2, 3}
+	x, _, err := leastSquares(a, 3, mulVec(a, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(x[i]-want[i]) > 1e-10 {
+			t.Fatalf("x = %v, want %v", x, want)
+		}
+	}
+}
+
+// TestLeastSquaresOverdetermined: the line y = 2t + 1 through five
+// redundant observations comes back exactly, with a zero residual.
+func TestLeastSquaresOverdetermined(t *testing.T) {
+	ts := []float64{0, 1, 2, 3, 4}
+	a := make([]float64, 0, 2*len(ts))
+	b := make([]float64, len(ts))
+	for i, x := range ts {
+		a = append(a, 1, x)
+		b[i] = 2*x + 1
+	}
+	x, resid, err := leastSquares(a, 2, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(x[0]-1) > 1e-10 || math.Abs(x[1]-2) > 1e-10 {
+		t.Fatalf("x = %v, want [1 2]", x)
+	}
+	if resid > 1e-10 {
+		t.Fatalf("residual = %g, want ~0", resid)
+	}
+}
+
 // TestLeastSquaresRankDeficient: a design whose second column is twice
 // its first has no unique solution, which is ErrFit.
 func TestLeastSquaresRankDeficient(t *testing.T) {
