@@ -188,6 +188,16 @@ func DefaultTrainConfig() TrainConfig {
 // Fit trains the network on (x, labels) and returns the final epoch's mean
 // training loss.
 func (n *Network) Fit(x *Tensor, labels []int, cfg TrainConfig) (float64, error) {
+	return n.FitAround(x, labels, cfg, func(pass func()) { pass() })
+}
+
+// FitAround is Fit with each minibatch's forward and backward pass run
+// inside around, which must call pass once. The optimizer step follows
+// around's return, so a wrapper that swaps weights in before the pass and
+// restores them after it gets the gradients at the swapped weights applied
+// to the restored ones (quantization-aware training's straight-through
+// estimator).
+func (n *Network) FitAround(x *Tensor, labels []int, cfg TrainConfig, around func(pass func())) (float64, error) {
 	if x.N != len(labels) {
 		return 0, fmt.Errorf("dnn: %d samples but %d labels", x.N, len(labels))
 	}
@@ -219,9 +229,12 @@ func (n *Network) Fit(x *Tensor, labels []int, cfg TrainConfig) (float64, error)
 				copy(batch.Data[i*feat:(i+1)*feat], x.Data[src*feat:(src+1)*feat])
 				blabels[i] = labels[src]
 			}
-			logits := n.Forward(batch, true)
-			loss, grad := CrossEntropyLoss(logits, blabels)
-			n.Backward(grad)
+			var loss float64
+			around(func() {
+				var grad *Tensor
+				loss, grad = CrossEntropyLoss(n.Forward(batch, true), blabels)
+				n.Backward(grad)
+			})
 			opt.Step(params)
 			epochLoss += loss
 			batches++

@@ -1,73 +1,42 @@
 package quant
 
-import (
-	"optima/internal/dnn"
-	"optima/internal/stats"
-)
+import "optima/internal/dnn"
 
-// QATConfig controls the quantization-aware fine-tuning pass — the paper's
-// "retraining procedures ... to mitigate the impact of quantization".
-type QATConfig struct {
-	Epochs    int
-	BatchSize int
-	LR        float64
-	Momentum  float64
-	Seed      uint64
-}
-
-// DefaultQATConfig returns a short fine-tune (2 epochs at a reduced rate).
-func DefaultQATConfig() QATConfig {
-	return QATConfig{Epochs: 2, BatchSize: 32, LR: 0.005, Momentum: 0.9, Seed: 7}
+// DefaultQATConfig returns the quantization-aware fine-tuning recipe — the
+// paper's "retraining procedures ... to mitigate the impact of
+// quantization": a short fine-tune (2 epochs at a reduced rate, no weight
+// decay).
+func DefaultQATConfig() dnn.TrainConfig {
+	return dnn.TrainConfig{Epochs: 2, BatchSize: 32, LR: 0.005, Momentum: 0.9, Seed: 7}
 }
 
 // QATFineTune fine-tunes the float network with weight fake-quantization
-// and a straight-through estimator: each step the conv/dense weights are
-// snapshotted, replaced by their quantize-dequantize images, gradients are
-// computed through the quantized forward pass, and the update is applied to
-// the retained full-precision weights. This nudges the float weights toward
-// INT4-friendly values before post-training quantization.
-func QATFineTune(net *dnn.Network, x *dnn.Tensor, labels []int, cfg QATConfig) error {
+// and a straight-through estimator: around each minibatch pass of
+// Network.FitAround the conv/dense weights are snapshotted and replaced by
+// their quantize-dequantize images, so the gradients are computed through
+// the quantized forward pass, then restored, so the update is applied to
+// the retained full-precision weights. This nudges the float weights
+// toward INT4-friendly values before post-training quantization.
+func QATFineTune(net *dnn.Network, x *dnn.Tensor, labels []int, cfg dnn.TrainConfig) error {
 	weightParams := fakeQuantTargets(net)
-	opt := dnn.NewSGD(cfg.LR, cfg.Momentum, 0)
-	rng := stats.NewRNG(cfg.Seed)
-	feat := x.FeatureLen()
-	params := net.Params()
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := rng.Perm(x.N)
-		for start := 0; start < x.N; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > x.N {
-				end = x.N
-			}
-			bs := end - start
-			batch := dnn.NewTensor(bs, x.C, x.H, x.W)
-			blabels := make([]int, bs)
-			for i := 0; i < bs; i++ {
-				src := perm[start+i]
-				copy(batch.Data[i*feat:(i+1)*feat], x.Data[src*feat:(src+1)*feat])
-				blabels[i] = labels[src]
-			}
-			// Snapshot and fake-quantize the weights.
-			snapshots := make([][]float64, len(weightParams))
-			for i, p := range weightParams {
-				snapshots[i] = append([]float64(nil), p.W...)
-				wq := QuantizeWeights(p.W)
-				for j := range p.W {
-					p.W[j] = float64(wq.Codes[j]) * wq.Scale
-				}
-			}
-			logits := net.Forward(batch, true)
-			_, grad := dnn.CrossEntropyLoss(logits, blabels)
-			net.Backward(grad)
-			// Straight-through: restore float weights, apply the gradients
-			// computed at the quantized point.
-			for i, p := range weightParams {
-				copy(p.W, snapshots[i])
-			}
-			opt.Step(params)
-		}
+	snapshots := make([][]float64, len(weightParams))
+	for i, p := range weightParams {
+		snapshots[i] = make([]float64, len(p.W))
 	}
-	return nil
+	_, err := net.FitAround(x, labels, cfg, func(pass func()) {
+		for i, p := range weightParams {
+			copy(snapshots[i], p.W)
+			wq := QuantizeWeights(p.W)
+			for j := range p.W {
+				p.W[j] = float64(wq.Codes[j]) * wq.Scale
+			}
+		}
+		pass()
+		for i, p := range weightParams {
+			copy(p.W, snapshots[i])
+		}
+	})
+	return err
 }
 
 // fakeQuantTargets returns the weight parameters of conv and dense layers

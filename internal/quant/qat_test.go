@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"optima/internal/dataset"
 	"optima/internal/dnn"
@@ -54,6 +55,29 @@ func TestTrainingPinned(t *testing.T) {
 		if got := netDigest(net, ds.Test); got != tc.qat {
 			t.Errorf("%s after QATFineTune: digest %s, want %s", tc.model, got, tc.qat)
 		}
+	}
+}
+
+// TestQATFineTuneZeroBatchSize: a zero BatchSize trains in the loop's
+// default batches, as Fit does, instead of never leaving its first batch.
+func TestQATFineTuneZeroBatchSize(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{Name: "tiny", Classes: 2, TrainPerCls: 3, TestPerCls: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := dnn.NewNetwork("tiny", dataset.Channels, dataset.Height, dataset.Width)
+	net.Add(dnn.NewGlobalAvgPool("gap"), dnn.NewDense("fc", dataset.Channels, ds.Classes, stats.NewRNG(1)))
+	cfg := DefaultQATConfig()
+	cfg.BatchSize = 0
+	done := make(chan error, 1)
+	go func() { done <- QATFineTune(net, ds.Train, ds.TrainY, cfg) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("QATFineTune with BatchSize 0 did not return")
 	}
 }
 
