@@ -67,12 +67,12 @@ type Context struct {
 	// -cpuprofile/-memprofile flags (see profile.go).
 	CPUProfile string
 	MemProfile string
-	// Recorder, when non-nil, is the session's telemetry sink: the engine
-	// (and any EngineFor engines) records spans and metrics into it, the
+	// Recorder, when non-nil, is the session's telemetry sink: every
+	// session engine records spans and metrics into it, the
 	// persistent store wires its counters and gauges through it, and the
 	// CLIs render its registry as an end-of-run summary. Set it before the
-	// first evaluation. When TraceOut is set and Recorder is nil, Engine
-	// creates one.
+	// first evaluation. When TraceOut is set and Recorder is nil, the first
+	// engine build creates one.
 	Recorder *obs.Recorder
 	// TraceOut, when non-empty, is a file path Close writes the session's
 	// spans to as Chrome trace-format JSON (opens in Perfetto or
@@ -85,16 +85,13 @@ type Context struct {
 	// first evaluation (wired to the CLIs' -remote flag); Close closes it.
 	Fleet *remote.Fleet
 
-	engOnce      sync.Once
-	eng          *engine.Engine
+	mu           sync.Mutex
+	engines      map[string]*engine.Engine // by backend name; nil until the first build
 	resultStore  *store.Store
 	storeErr     error
 	cpuFile      *os.File
 	selection    *dse.Selection
 	sweepMetrics []dse.Metrics
-
-	extraMu      sync.Mutex
-	extraEngines map[string]*engine.Engine
 }
 
 // NewContext calibrates a model with the given recipe and returns a ready
@@ -131,13 +128,43 @@ func (c *Context) Fingerprint() string {
 	return fp
 }
 
-// Engine returns the session's shared evaluation engine, building it from
-// the Backend/Workers/CacheDir settings on first use (concurrency-safe).
-// Backend names taken from user input must be checked with
-// engine.ValidateBackendName before they reach a Context; an invalid name
-// here is a programming error and panics.
+// Engine returns the session engine for the Backend setting,
+// EngineFor(c.Backend). Backend names taken from user input must be checked
+// with engine.ValidateBackendName before they reach a Context; an invalid
+// name here is a programming error and panics.
 func (c *Context) Engine() *engine.Engine {
-	c.engOnce.Do(func() {
+	eng, err := c.EngineFor(c.Backend)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
+	return eng
+}
+
+// EngineFor returns the session engine evaluating on the named backend (""
+// means behavioral), building it on first use with the session's Workers
+// bound, recorder and fleet, over the session's persistent store (results
+// are keyed by backend name, so one store serves every fidelity). The
+// first build of a session opens that store when CacheDir is set, and
+// creates the Recorder when TraceOut is set and it is nil. The adaptive
+// search uses it to pair a behavioral screen engine with a golden
+// promotion engine over one cache directory. The engines share the session
+// store but not a worker-budget negotiation — run them sequentially, not
+// concurrently, or the combined fan-out can oversubscribe Workers.
+func (c *Context) EngineFor(name string) (*engine.Engine, error) {
+	if err := engine.ValidateBackendName(name); err != nil {
+		return nil, err
+	}
+	if name == "" {
+		name = engine.BackendBehavioral
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if eng, ok := c.engines[name]; ok {
+		return eng, nil
+	}
+	if c.engines == nil {
+		// The first build: what every engine of the session shares.
+		c.engines = map[string]*engine.Engine{}
 		if c.Recorder == nil && c.TraceOut != "" {
 			c.Recorder = obs.NewRecorder(obs.RecorderOptions{})
 		}
@@ -159,21 +186,10 @@ func (c *Context) Engine() *engine.Engine {
 				c.resultStore = st
 			}
 		}
-		eng, err := c.newEngine(c.Backend)
-		if err != nil {
-			panic(fmt.Sprintf("exp: %v", err))
-		}
-		c.eng = eng
-	})
-	return c.eng
-}
-
-// newEngine builds an engine over the named backend with the session's
-// worker budget, recorder, fleet and persistent store.
-func (c *Context) newEngine(name string) (*engine.Engine, error) {
+	}
 	backend, err := engine.ByName(name, c.Model, c.Tech, c.Spice)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: %w", err)
 	}
 	eng := engine.New(backend, c.Workers).WithRecorder(c.Recorder)
 	if c.Fleet != nil {
@@ -182,42 +198,7 @@ func (c *Context) newEngine(name string) (*engine.Engine, error) {
 	if c.resultStore != nil {
 		eng.WithStore(c.resultStore)
 	}
-	return eng, nil
-}
-
-// EngineFor returns a session engine evaluating on the named backend: the
-// session engine itself when the name matches the Backend setting,
-// otherwise a per-backend engine cached on the context, built with the
-// session's Workers bound and sharing its persistent store (results are
-// keyed by backend name, so one store serves every fidelity). The adaptive
-// search uses it to pair a behavioral screen engine with a golden
-// promotion engine over one cache directory. The engines share the session
-// store but not a worker-budget negotiation — run them sequentially, not
-// concurrently, or the combined fan-out can oversubscribe Workers.
-func (c *Context) EngineFor(name string) (*engine.Engine, error) {
-	if err := engine.ValidateBackendName(name); err != nil {
-		return nil, err
-	}
-	main := c.Engine() // resolves Backend/Workers/CacheDir on first use
-	if name == "" {
-		name = engine.BackendBehavioral
-	}
-	if name == main.Backend().Name() {
-		return main, nil
-	}
-	c.extraMu.Lock()
-	defer c.extraMu.Unlock()
-	if eng, ok := c.extraEngines[name]; ok {
-		return eng, nil
-	}
-	eng, err := c.newEngine(name)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	if c.extraEngines == nil {
-		c.extraEngines = map[string]*engine.Engine{}
-	}
-	c.extraEngines[name] = eng
+	c.engines[name] = eng
 	return eng, nil
 }
 
@@ -231,12 +212,13 @@ func (c *Context) ConditionSet() engine.ConditionSet {
 }
 
 // Store returns the session's persistent result store, or nil when CacheDir
-// is unset (or the store failed to open). Valid after the first Engine call.
+// is unset (or the store failed to open). Valid after the first engine is
+// built.
 func (c *Context) Store() *store.Store { return c.resultStore }
 
 // StoreError reports why the session has no persistent store: non-nil when
 // CacheDir was set but the store failed to open, in which case the session
-// degraded to the memory-only cache. Valid after the first Engine call.
+// degraded to the memory-only cache. Valid after the first engine is built.
 // Operators of a long-lived session see it on the server's GET /api/status.
 func (c *Context) StoreError() error { return c.storeErr }
 
