@@ -36,25 +36,19 @@ import (
 )
 
 func main() {
-	outDir := flag.String("out", "out", "artifact directory")
 	bench := flag.Bool("bench", false, "run the reduced protocol")
 	noisy := flag.Bool("noisy", false, "sample per-operation mismatch in the multiplier")
-	f := cli.NewFlags(flag.CommandLine, cli.Model|cli.Workers|cli.Backend|cli.Cache|
-		cli.Profile|cli.LogLevel|cli.SlowEval|cli.Remote)
-	flag.Parse()
-	if err := run(f, *outDir, *bench, *noisy); err != nil {
+	groups := cli.Model | cli.Workers | cli.Backend | cli.Cache | cli.Profile | cli.LogLevel | cli.SlowEval | cli.Remote
+	err := cli.Run(flag.CommandLine, os.Args[1:], groups, func(ctx *exp.Context, out *report.Output) error {
+		return run(ctx, out, *bench, *noisy)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "optima-dnn:", err)
 		os.Exit(1)
 	}
 }
 
-func run(f *cli.Flags, outDir string, bench, noisy bool) error {
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-
+func run(ctx *exp.Context, out *report.Output, bench, noisy bool) error {
 	sel, err := ctx.Selection()
 	if err != nil {
 		return err
@@ -78,10 +72,6 @@ func run(f *cli.Flags, outDir string, bench, noisy bool) error {
 	fmt.Println()
 	fmt.Print(data.Table3.String())
 
-	out, err := report.NewOutput(outDir)
-	if err != nil {
-		return err
-	}
 	if err := out.WriteTable("table2_imagenet", data.Table2); err != nil {
 		return err
 	}

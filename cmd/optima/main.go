@@ -161,22 +161,10 @@ func runCalibrate(args []string) error {
 
 func runFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
-	outDir := fs.String("out", "out", "artifact directory")
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	f := cli.NewFlags(fs, engineFlags)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-	out, err := report.NewOutput(*outDir)
-	if err != nil {
-		return err
-	}
-	return writeFigures(ctx, out, *mc)
+	return cli.Run(fs, args, engineFlags, func(ctx *exp.Context, out *report.Output) error {
+		return writeFigures(ctx, out, *mc)
+	})
 }
 
 func writeFigures(ctx *exp.Context, out *report.Output, mc int) error {
@@ -250,25 +238,13 @@ func writeCharts(out *report.Output, charts []namedChart) error {
 
 func runDSE(args []string) error {
 	fs := flag.NewFlagSet("dse", flag.ExitOnError)
-	outDir := fs.String("out", "out", "artifact directory")
-	f := cli.NewFlags(fs, engineFlags|cli.Conditions)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-	out, err := report.NewOutput(*outDir)
-	if err != nil {
-		return err
-	}
-	if err := writeDSE(ctx, out); err != nil {
-		return err
-	}
-	printEngineStats(ctx)
-	return nil
+	return cli.Run(fs, args, engineFlags|cli.Conditions, func(ctx *exp.Context, out *report.Output) error {
+		if err := writeDSE(ctx, out); err != nil {
+			return err
+		}
+		printEngineStats(ctx)
+		return nil
+	})
 }
 
 func writeDSE(ctx *exp.Context, out *report.Output) error {
@@ -379,25 +355,16 @@ func writeRobustDSE(ctx *exp.Context, out *report.Output) error {
 
 func runPVT(args []string) error {
 	fs := flag.NewFlagSet("pvt", flag.ExitOnError)
-	outDir := fs.String("out", "out", "artifact directory")
 	tau0 := fs.Float64("tau0", 0.16, "discharge time of the LSB bit line [ns]")
 	vdac0 := fs.Float64("vdac0", 0.3, "DAC output for code 0 [V]")
 	vdacfs := fs.Float64("vdacfs", 1.0, "DAC full-scale output [V]")
 	corners := fs.Bool("corners", true, "run the golden process-corner check (slow)")
-	f := cli.NewFlags(fs, engineFlags)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-	out, err := report.NewOutput(*outDir)
-	if err != nil {
-		return err
-	}
-	cfg := mult.Config{Tau0: *tau0 * 1e-9, VDAC0: *vdac0, VDACFS: *vdacfs}
+	return cli.Run(fs, args, engineFlags, func(ctx *exp.Context, out *report.Output) error {
+		return writePVT(ctx, out, mult.Config{Tau0: *tau0 * 1e-9, VDAC0: *vdac0, VDACFS: *vdacfs}, *corners)
+	})
+}
+
+func writePVT(ctx *exp.Context, out *report.Output, cfg mult.Config, corners bool) error {
 	fmt.Printf("configuration: %v\n", cfg)
 
 	vddSweep, err := dse.SweepVDD(ctx.Engine(), cfg, stats.Linspace(0.90, 1.10, 9))
@@ -415,7 +382,7 @@ func runPVT(args []string) error {
 	for i := range tempSweep.X {
 		tbl.AddRow("T [degC]", tempSweep.X[i], tempSweep.AvgError[i], tempSweep.AvgEnergy[i]*1e15)
 	}
-	if *corners {
+	if corners {
 		check, err := dse.GoldenCornerCheck(ctx.Tech, cfg, ctx.Spice)
 		if err != nil {
 			return err
@@ -432,21 +399,9 @@ func runPVT(args []string) error {
 func runSpeedup(args []string) error {
 	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
 	mc := fs.Int("mc", 200, "Monte-Carlo samples for the MC speed-up")
-	outDir := fs.String("out", "out", "artifact directory")
-	f := cli.NewFlags(fs, cli.Model|cli.Profile|cli.LogLevel|cli.SlowEval)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-	out, err := report.NewOutput(*outDir)
-	if err != nil {
-		return err
-	}
-	return writeSpeedup(ctx, out, *mc)
+	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel|cli.SlowEval, func(ctx *exp.Context, out *report.Output) error {
+		return writeSpeedup(ctx, out, *mc)
+	})
 }
 
 func writeSpeedup(ctx *exp.Context, out *report.Output, mc int) error {
@@ -466,37 +421,25 @@ func writeSpeedup(ctx *exp.Context, out *report.Output, mc int) error {
 
 func runAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	outDir := fs.String("out", "out", "artifact directory")
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	f := cli.NewFlags(fs, engineFlags|cli.Conditions)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, err := f.Open()
-	if err != nil {
-		return err
-	}
-	defer ctx.Close()
-	out, err := report.NewOutput(*outDir)
-	if err != nil {
-		return err
-	}
-	modelOut := filepath.Join(*outDir, "model.json")
-	if err := ctx.Model.Save(modelOut); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", modelOut)
-	if err := writeFigures(ctx, out, *mc); err != nil {
-		return err
-	}
-	if err := writeDSE(ctx, out); err != nil {
-		return err
-	}
-	if err := writeSpeedup(ctx, out, 200); err != nil {
-		return err
-	}
-	printEngineStats(ctx)
-	return nil
+	return cli.Run(fs, args, engineFlags|cli.Conditions, func(ctx *exp.Context, out *report.Output) error {
+		modelOut := filepath.Join(out.Dir, "model.json")
+		if err := ctx.Model.Save(modelOut); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", modelOut)
+		if err := writeFigures(ctx, out, *mc); err != nil {
+			return err
+		}
+		if err := writeDSE(ctx, out); err != nil {
+			return err
+		}
+		if err := writeSpeedup(ctx, out, 200); err != nil {
+			return err
+		}
+		printEngineStats(ctx)
+		return nil
+	})
 }
 
 // printEngineStats prints the evaluation-cache accounting, the persistent

@@ -15,7 +15,10 @@ import (
 	"optima/internal/search"
 )
 
-func runSearch(args []string) error {
+// runSearch parses its flags and the axis specs before it opens the
+// session, so a bad spec fails before the model loads; it closes the
+// session as cli.Run does.
+func runSearch(args []string) (err error) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	outDir := fs.String("out", "out", "artifact directory")
 	// No -backend: the search screens on behavioral and promotes to golden.
@@ -43,7 +46,11 @@ func runSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer ctx.Close()
+	defer func() {
+		if cerr := ctx.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	screen, err := ctx.EngineFor(engine.BackendBehavioral)
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Package cli is the session setup the commands share: it declares the
 // shared flags, turns their values into a calibrated exp.Context with its
-// recorder, remote fleet and profiles, and prints the end-of-run telemetry
-// table. Startup messages go through log/slog to stderr; result tables and
+// recorder, remote fleet and profiles, runs a command between opening and
+// closing that session (Run), and prints the end-of-run telemetry table. Startup messages go through log/slog to stderr; result tables and
 // `wrote …` lines stay on the commands' stdout.
 package cli
 
@@ -19,6 +19,7 @@ import (
 	"optima/internal/exp"
 	"optima/internal/obs"
 	"optima/internal/remote"
+	"optima/internal/report"
 )
 
 // Group is a set of shared flags, combined with |. A command registers
@@ -221,6 +222,33 @@ func (f *Flags) Open() (*exp.Context, error) {
 		return nil, err
 	}
 	return ctx, nil
+}
+
+// Run is the shape every artifact-writing command shares: it registers
+// -out and the flags of groups on fs, parses args, opens the session (Open)
+// and the artifact directory, runs body, and closes the session. When body
+// succeeds, Close's error is Run's, so a trace or profile that cannot be
+// written fails the command.
+func Run(fs *flag.FlagSet, args []string, groups Group, body func(*exp.Context, *report.Output) error) (err error) {
+	outDir := fs.String("out", "out", "artifact directory")
+	f := NewFlags(fs, groups)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	ctx, err := f.Open()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := ctx.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	out, err := report.NewOutput(*outDir)
+	if err != nil {
+		return err
+	}
+	return body(ctx, out)
 }
 
 // PrintTelemetry prints the recorder's non-zero metrics as the end-of-run
