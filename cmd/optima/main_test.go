@@ -46,3 +46,29 @@ func TestMakeContextCalibratesWithoutModel(t *testing.T) {
 		t.Fatal("missing model file: context has no model")
 	}
 }
+
+// TestUnwritableTraceFailsCommand: a trace file that cannot be written
+// when the session closes fails the command, through cli.Run (speedup) and
+// through search's own prologue alike, instead of exiting 0 without it.
+func TestUnwritableTraceFailsCommand(t *testing.T) {
+	dir := t.TempDir()
+	model := filepath.Join(dir, "model.json")
+	if err := runCalibrate([]string{"-quick", "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "missing", "t.json")
+	for _, tc := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"speedup", runSpeedup, []string{"-mc", "10"}},
+		{"search", runSearch, []string{"-tau0", "0.16:0.28:4", "-vdac0", "0.3", "-vdacfs", "1.0", "-promote=false"}},
+	} {
+		args := append(tc.args, "-model", model, "-trace-out", trace, "-out", filepath.Join(dir, tc.name))
+		err := tc.run(args)
+		if err == nil || !strings.Contains(err.Error(), "trace") {
+			t.Errorf("%s with an unwritable -trace-out: error %v, want one naming the trace", tc.name, err)
+		}
+	}
+}
