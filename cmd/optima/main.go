@@ -5,13 +5,13 @@
 // Usage:
 //
 //	optima calibrate [-quick] [-model out.json]
-//	optima figures   [-out dir] [-model in.json] [-mc N] [-workers N] [-backend B] [-cache-dir dir]
+//	optima figures   [-out dir] [-model in.json] [-mc N]
 //	optima dse       [-out dir] [-model in.json] [-workers N] [-backend B] [-conditions set] [-cache-dir dir]
 //	optima search    [-out dir] [-model in.json] [-workers N] [-conditions set] [-cache-dir dir]
 //	                 [-tau0 spec] [-vdac0 spec] [-vdacfs spec] [-budget N]
 //	                 [-rungs R] [-eta F] [-finalists N] [-refine] [-promote] [-seed S]
 //	optima pvt       [-out dir] [-tau0 ns] [-vdac0 V] [-vdacfs V] [-corners] [-workers N] [-backend B] [-cache-dir dir]
-//	optima speedup   [-model in.json] [-mc N]
+//	optima speedup   [-out dir] [-model in.json] [-mc N]
 //	optima all       [-out dir] [-model in.json] [-mc N] [-workers N] [-backend B] [-conditions set] [-cache-dir dir]
 //
 // search explores design spaces far larger than the paper's 48 corners with
@@ -55,7 +55,11 @@
 // -cache-max-age bounds its staleness the same way: segments older than
 // the bound (e.g. 720h) are evicted at open.
 //
-// -cpuprofile and -memprofile (every sweep-running subcommand) write pprof
+// figures and speedup call the simulator and the multipliers directly and
+// build no evaluation engine, so they take none of the engine's flags
+// (-workers, -backend, -cache-dir, -slow-eval, -remote).
+//
+// -cpuprofile and -memprofile (every subcommand but calibrate) write pprof
 // profiles of the run: CPU sampling covers the experiment work, the heap
 // snapshot is taken as the run finishes. Analyze with `go tool pprof`.
 //
@@ -127,9 +131,10 @@ commands:
   all         everything above into one output directory`)
 }
 
-// engineFlags are the shared flags of the sweep-running subcommands
-// (figures, dse, pvt, all, and search without -backend). Only those that
-// consume a condition set (dse, all, search) add cli.Conditions.
+// engineFlags are the shared flags of the sweep-running subcommands (dse,
+// pvt, all, and search without -backend). Only those that consume a
+// condition set (dse, all, search) add cli.Conditions. figures and speedup
+// build no engine and take only cli.Model, cli.Profile and cli.LogLevel.
 const engineFlags = cli.Model | cli.Workers | cli.Backend | cli.Cache |
 	cli.Profile | cli.LogLevel | cli.SlowEval | cli.Remote
 
@@ -162,7 +167,7 @@ func runCalibrate(args []string) error {
 func runFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	return cli.Run(fs, args, engineFlags, func(ctx *exp.Context, out *report.Output) error {
+	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel, func(ctx *exp.Context, out *report.Output) error {
 		return writeFigures(ctx, out, *mc)
 	})
 }
@@ -399,7 +404,7 @@ func writePVT(ctx *exp.Context, out *report.Output, cfg mult.Config, corners boo
 func runSpeedup(args []string) error {
 	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
 	mc := fs.Int("mc", 200, "Monte-Carlo samples for the MC speed-up")
-	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel|cli.SlowEval, func(ctx *exp.Context, out *report.Output) error {
+	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel, func(ctx *exp.Context, out *report.Output) error {
 		return writeSpeedup(ctx, out, *mc)
 	})
 }
