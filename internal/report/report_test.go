@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -26,15 +27,38 @@ func TestTableRendering(t *testing.T) {
 
 // TestTableAlignsRunes: a header or cell with multibyte runes (τ0, ϵ_mul,
 // σ) is padded by the runes it shows, so every column starts at the same
-// rune offset on every line, and the rule spans the runes.
+// rune offset on every line, and the rule is exactly as wide as a line.
 func TestTableAlignsRunes(t *testing.T) {
 	tb := NewTable("", "τ0", "ϵ_mul", "E")
 	tb.AddRow("0.16", "1.203", "x")
 	tb.AddRow("σ", "2", "y")
 	want := "τ0    ϵ_mul  E\n" +
-		"---------------\n" +
+		"--------------\n" +
 		"0.16  1.203  x\n" +
 		"σ     2      y\n"
+	got := tb.String()
+	if got != want {
+		t.Fatalf("render =\n%s\nwant\n%s", got, want)
+	}
+	lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	for _, l := range lines {
+		if n, rule := utf8.RuneCountInString(l), utf8.RuneCountInString(lines[1]); n != rule {
+			t.Fatalf("line %q is %d runes, the rule %d", l, n, rule)
+		}
+	}
+}
+
+// TestTableRowWiderThanHeaders: a row with more cells than headers renders
+// (it used to index past the header widths and panic), and the columns
+// and the rule cover it.
+func TestTableRowWiderThanHeaders(t *testing.T) {
+	tb := NewTable("", "a")
+	tb.AddRow(1, 2)
+	tb.AddRow(345, 6)
+	want := "a  \n" +
+		"------\n" +
+		"1    2\n" +
+		"345  6\n"
 	if got := tb.String(); got != want {
 		t.Fatalf("render =\n%s\nwant\n%s", got, want)
 	}

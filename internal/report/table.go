@@ -47,17 +47,21 @@ func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the formatted table to w. Widths count runes, not bytes,
 // so a header or cell such as "τ0" or "ϵ_mul" pads to the columns it shows.
+// The columns cover the widest row, headers included, and the dashed rule
+// is as wide as a full line.
 func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = utf8.RuneCountInString(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
-				widths[i] = n
+	var widths []int
+	grow := func(cells []string) {
+		for i, c := range cells {
+			if i == len(widths) {
+				widths = append(widths, 0)
 			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
+	}
+	grow(t.Headers)
+	for _, r := range t.rows {
+		grow(r)
 	}
 	var b strings.Builder
 	if t.Title != "" {
@@ -74,11 +78,14 @@ func (t *Table) Render(w io.Writer) error {
 		b.WriteString("\n")
 	}
 	line(t.Headers)
-	total := len(widths) - 1
-	for _, w := range widths {
-		total += w + 1
+	rule := 0
+	for i, w := range widths {
+		if i > 0 {
+			rule += 2
+		}
+		rule += w
 	}
-	b.WriteString(strings.Repeat("-", total))
+	b.WriteString(strings.Repeat("-", rule))
 	b.WriteString("\n")
 	for _, r := range t.rows {
 		line(r)
