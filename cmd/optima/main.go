@@ -131,12 +131,14 @@ commands:
   all         everything above into one output directory`)
 }
 
+// sessionFlags are the shared flags of figures and speedup, which call the
+// simulator and the multipliers directly and build no evaluation engine.
+const sessionFlags = cli.Model | cli.Profile | cli.LogLevel
+
 // engineFlags are the shared flags of the sweep-running subcommands (dse,
 // pvt, all, and search without -backend). Only those that consume a
-// condition set (dse, all, search) add cli.Conditions. figures and speedup
-// build no engine and take only cli.Model, cli.Profile and cli.LogLevel.
-const engineFlags = cli.Model | cli.Workers | cli.Backend | cli.Cache |
-	cli.Profile | cli.LogLevel | cli.SlowEval | cli.Remote
+// condition set (dse, all, search) add cli.Conditions.
+const engineFlags = sessionFlags | cli.Workers | cli.Backend | cli.Cache | cli.SlowEval | cli.Remote
 
 func runCalibrate(args []string) error {
 	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
@@ -167,7 +169,7 @@ func runCalibrate(args []string) error {
 func runFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	mc := fs.Int("mc", 1000, "Fig. 5d Monte-Carlo samples")
-	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel, func(ctx *exp.Context, out *report.Output) error {
+	return cli.Run(fs, args, sessionFlags, func(ctx *exp.Context, out *report.Output) error {
 		return writeFigures(ctx, out, *mc)
 	})
 }
@@ -404,7 +406,7 @@ func writePVT(ctx *exp.Context, out *report.Output, cfg mult.Config, corners boo
 func runSpeedup(args []string) error {
 	fs := flag.NewFlagSet("speedup", flag.ExitOnError)
 	mc := fs.Int("mc", 200, "Monte-Carlo samples for the MC speed-up")
-	return cli.Run(fs, args, cli.Model|cli.Profile|cli.LogLevel, func(ctx *exp.Context, out *report.Output) error {
+	return cli.Run(fs, args, sessionFlags, func(ctx *exp.Context, out *report.Output) error {
 		return writeSpeedup(ctx, out, *mc)
 	})
 }

@@ -1,7 +1,8 @@
 // Package cli is the session setup the commands share: it declares the
 // shared flags, turns their values into a calibrated exp.Context with its
 // recorder, remote fleet and profiles, runs a command between opening and
-// closing that session (Run), and prints the end-of-run telemetry table. Startup messages go through log/slog to stderr; result tables and
+// closing that session (Run), and prints the end-of-run telemetry table.
+// Startup messages go through log/slog to stderr; result tables and
 // `wrote …` lines stay on the commands' stdout.
 package cli
 

@@ -370,3 +370,49 @@ func TestEngineFor(t *testing.T) {
 		t.Fatalf("store holds %d results, want one per fidelity (2)", got)
 	}
 }
+
+// TestEngineForConcurrent: goroutines resolving engines at once, as a
+// server's jobs do, get one engine per backend over one store, and
+// Engine() is the Backend setting's entry of the same table.
+func TestEngineForConcurrent(t *testing.T) {
+	ctx := NewContextWithModel(testContext(t).Model, testContext(t).Tech)
+	ctx.CacheDir = t.TempDir()
+	ctx.Backend = engine.BackendGolden
+	names := []string{"", engine.BackendBehavioral, engine.BackendGolden}
+	got := make([]*engine.Engine, 4*len(names))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, err := ctx.EngineFor(names[i%len(names)])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = eng
+		}()
+	}
+	wg.Wait()
+	behav, err := ctx.EngineFor(engine.BackendBehavioral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range got {
+		want := behav
+		if names[i%len(names)] == engine.BackendGolden {
+			want = ctx.Engine()
+		}
+		if eng != want {
+			t.Fatalf("EngineFor(%q) from goroutine %d returned another engine", names[i%len(names)], i)
+		}
+	}
+	if ctx.Engine() == behav || ctx.Engine().Backend().Name() != engine.BackendGolden {
+		t.Fatal("Engine() is not the golden engine the Backend setting names")
+	}
+	if ctx.Store() == nil {
+		t.Fatal("no store despite CacheDir")
+	}
+	if err := ctx.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,12 +11,13 @@ func DefaultQATConfig() dnn.TrainConfig {
 }
 
 // QATFineTune fine-tunes the float network with weight fake-quantization
-// and a straight-through estimator: around each minibatch pass of
+// and a straight-through estimator. Around each minibatch pass of
 // Network.FitAround the conv/dense weights are snapshotted and replaced by
-// their quantize-dequantize images, so the gradients are computed through
-// the quantized forward pass, then restored, so the update is applied to
-// the retained full-precision weights. This nudges the float weights
-// toward INT4-friendly values before post-training quantization.
+// their quantize-dequantize images, so the gradients are those of the
+// quantized forward pass; the snapshots are restored before the optimizer
+// step, which applies those gradients to the full-precision weights. This
+// nudges the float weights toward INT4-friendly values before
+// post-training quantization.
 func QATFineTune(net *dnn.Network, x *dnn.Tensor, labels []int, cfg dnn.TrainConfig) error {
 	weightParams := fakeQuantTargets(net)
 	snapshots := make([][]float64, len(weightParams))
